@@ -12,8 +12,6 @@ ever see the target's data.
 Run:  python demos/03_membership_constraints.py
 """
 
-import warnings
-
 from hypodp import (
     Advanced,
     AT_MOST_ONE,
@@ -39,12 +37,7 @@ k, m = 1000, 365
 seq = MechanismSequence.homogeneous(0.01, 0.0, k)
 
 naive = simple_compose(seq)
-# C(1000, 365) subsets cannot be enumerated; the simple theorem then sums
-# the top-m epsilons and deltas instead (exact here: the sequence is
-# homogeneous) and flags the skipped search with a RuntimeWarning.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
-    constrained_simple = constrained_bound(seq, MaxOnes(m), UNBOUNDED, SIMPLE)
+constrained_simple = constrained_bound(seq, MaxOnes(m), UNBOUNDED, SIMPLE)
 constrained_adv = constrained_bound(seq, MaxOnes(m), UNBOUNDED, Advanced(1e-5))
 parallel = parallel_bound(seq, m, UNBOUNDED)
 

@@ -21,7 +21,6 @@ from hypodp import (
     simple_compose,
     uniform_prior_bound,
     uniform_prior_closed_form,
-    uniform_prior_split_bound,
 )
 
 # %% Amplification by subsampling on its own: running an (eps, delta)
@@ -45,23 +44,21 @@ for k in (1, 2, 4, 8, 12):
     closed = uniform_prior_closed_form(0.5, 0.0, k).epsilon
     print(f"{k:>4} {worst:>12.4f} {uniform:>14.4f} {closed:>12.4f}")
 
-# %% The pipelines also handle heterogeneous sequences, where no closed
+# %% The pipeline also handles heterogeneous sequences, where no closed
 # form applies.
 seq = MechanismSequence.from_pairs([(1.0, 0.0), (0.5, 0.0), (0.25, 1e-7)])
-block = uniform_prior_bound(seq, SIMPLE)
-split = uniform_prior_split_bound(seq, SIMPLE)
+uniform = uniform_prior_bound(seq, SIMPLE)
 print(f"\nheterogeneous [(1,0), (0.5,0), (0.25,1e-7)]:")
-print(f"  block bound: ({block.epsilon:.5f}, {block.delta:.3e})")
-print(f"  split bound: ({split.epsilon:.5f}, {split.delta:.3e})")
-print(f"  worst case:  ({simple_compose(seq).epsilon:.5f}, {simple_compose(seq).delta:.3e})")
+print(f"  uniform prior: ({uniform.epsilon:.5f}, {uniform.delta:.3e})")
+print(f"  worst case:    ({simple_compose(seq).epsilon:.5f}, {simple_compose(seq).delta:.3e})")
 
-# %% With homogeneous tails the subsampled groups are themselves
-# homogeneous, so advanced composition can be plugged into the split
-# pipeline for large k.
+# %% Only each group's subsampled tail goes through the composition
+# theorem; the head mechanism is added on. A homogeneous sequence has
+# homogeneous tails, so advanced composition applies for large k.
 k = 200
 seq = MechanismSequence.homogeneous(0.05, 0.0, k)
-simple_split = uniform_prior_split_bound(seq, SIMPLE)
-adv_split = uniform_prior_split_bound(seq, Advanced(1e-6))
-print(f"\nk={k}, eps=0.05 each, uniform-prior split bound:")
-print(f"  simple tails:   ({simple_split.epsilon:.4f}, {simple_split.delta:.1e})")
-print(f"  advanced tails: ({adv_split.epsilon:.4f}, {adv_split.delta:.1e})")
+simple_tails = uniform_prior_bound(seq, SIMPLE)
+adv_tails = uniform_prior_bound(seq, Advanced(1e-6))
+print(f"\nk={k}, eps=0.05 each, uniform-prior bound:")
+print(f"  simple tails:   ({simple_tails.epsilon:.4f}, {simple_tails.delta:.1e})")
+print(f"  advanced tails: ({adv_tails.epsilon:.4f}, {adv_tails.delta:.1e})")

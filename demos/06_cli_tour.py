@@ -36,7 +36,7 @@ run("constrain", "--scenario", str(SCENARIOS / "hospitals.yaml"), "--quiet")
 # %% The hypothesis-pair guarantee for the uniform-prior scenario.
 run("hdp", "--scenario", str(SCENARIOS / "uniform_prior.yaml"), "--quiet")
 
-# %% All subsampling pipelines side by side.
+# %% The uniform-prior pipeline next to its closed form.
 run("subsample", "--scenario", str(SCENARIOS / "uniform_prior.yaml"), "--quiet")
 
 # %% Exact verification: exit code 0 means the claim survived

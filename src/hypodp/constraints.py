@@ -9,6 +9,10 @@ The neighborhood mode matters: under unbounded DP one hypothesis is
 under bounded DP both hypotheses may place the contribution, so up to
 min(2m, k) positions differ.
 
+Every bound is the componentwise maximum over the candidate pairs, as
+one claim must cover them all. For ``MaxOnes`` under simple composition
+that is the sum of the top epsilons with the sum of the top deltas.
+
 ``parallel_bound`` reproduces what classic parallel composition would
 give for the same setting (the count times the worst per-mechanism
 epsilon, for pure epsilon-DP mechanisms only). It serves as the
@@ -18,7 +22,6 @@ comparison baseline; the constraint-derived bounds never lose to it.
 import enum
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,9 +36,6 @@ from .errors import (
     NonzeroDeltaError,
 )
 from .hypothesis_dp import differing_indices
-
-# Exhaustive subset search is attempted up to this many candidate subsets.
-MAX_SUBSET_SEARCH = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,26 @@ def allowed_vectors(constraint: MembershipConstraint, k: int) -> set[BitVector]:
 
 
 def _pick(candidates: list[PrivacyParams]) -> PrivacyParams:
-    """The epsilon-maximizing candidate; ties resolve to the larger delta."""
-    return max(candidates, key=lambda g: (g.epsilon, g.delta))
+    """Componentwise maximum: the epsilon-largest candidate may not have the largest delta."""
+    return PrivacyParams(max(g.epsilon for g in candidates), max(g.delta for g in candidates))
 
 
 def _max_over_subsets(
     seq: Sequence[PrivacyParams], size: int, theorem: CompositionTheorem
 ) -> PrivacyParams:
-    """Worst composition over all index subsets of the given size."""
+    """Worst composition over all index subsets of the given size.
+
+    Under simple composition each of the top-``size`` sums is the exact
+    maximum of its component over subsets.
+    """
     k = len(seq)
     size = min(size, k)
     if size == 0:
         return PrivacyParams(0.0, 0.0)
+    if isinstance(theorem, Simple):
+        top_eps = sorted((g.epsilon for g in seq), reverse=True)[:size]
+        top_delta = sorted((g.delta for g in seq), reverse=True)[:size]
+        return bounded_params(math.fsum(top_eps), math.fsum(top_delta))
     if isinstance(theorem, Advanced):
         # Advanced composition needs identical guarantees, so any subset of
         # a homogeneous sequence gives the same value; a heterogeneous
@@ -126,30 +134,7 @@ def _max_over_subsets(
                 "the advanced theorem requires a homogeneous sequence"
             )
         return compose(seq[:size], theorem)
-    if math.comb(k, size) <= MAX_SUBSET_SEARCH:
-        candidates = [
-            compose([seq[i] for i in subset], theorem)
-            for subset in itertools.combinations(range(k), size)
-        ]
-        return _pick(candidates)
-    if isinstance(theorem, Simple):
-        # Too many subsets to enumerate: sum the top epsilons and the top
-        # deltas independently. Each component is the exact maximum over
-        # subsets, so the pair dominates every single subset, but the
-        # delta may be larger than the delta of the epsilon-maximizing
-        # subset that exhaustive search would report.
-        warnings.warn(
-            "subset search skipped; reporting componentwise top-m sums "
-            "(delta may be conservative)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        top_eps = sorted((g.epsilon for g in seq), reverse=True)[:size]
-        top_delta = sorted((g.delta for g in seq), reverse=True)[:size]
-        return bounded_params(math.fsum(top_eps), math.fsum(top_delta))
-    raise KTooLargeError(
-        f"C({k}, {size}) subsets exceed the exhaustive search limit"
-    )
+    raise IncompatibleTheoremError("a max-ones constraint needs the simple or advanced theorem")
 
 
 def _pattern_pairs(
@@ -191,9 +176,13 @@ def constrained_bound(
 
     For ``MaxOnes(m)`` the worst pair differs in at most m positions
     (unbounded) or min(2m, k) positions (bounded), so the bound is the
-    worst composition over index subsets of that size. For a
-    ``PatternSet`` the candidate pairs are the allowed pattern pairs and
-    each pair composes over its symmetric-difference positions.
+    worst composition over index subsets of that size: the sums of the
+    top epsilons and of the top deltas under simple composition, and
+    the homogeneous value under advanced composition. Other theorems
+    raise ``IncompatibleTheoremError``. For a ``PatternSet`` the
+    candidate pairs are the allowed pattern pairs, each pair composes
+    over its symmetric-difference positions, and the bound is the
+    componentwise maximum over the pairs.
     """
     if isinstance(constraint, MaxOnes):
         size = constraint.m if mode is NeighborhoodMode.UNBOUNDED else 2 * constraint.m

@@ -94,6 +94,7 @@ def _aggregate(pieces: Iterable[Piece]) -> PrivacyParams:
     exactly rounded sum; group sums use numpy's pairwise summation.
     """
     table = np.fromiter(pieces, dtype=_PIECE_DTYPE)
+    table = table[table["weight"] > 0.0]  # an empty group would divide 0 by 0
     if not len(table):
         return PrivacyParams(0.0, 0.0)
     columns = table["weight"], table["eps"], table["delta"]

@@ -13,9 +13,15 @@ of their first one-entry. Within the block whose first one is at
 position i, the mechanisms before i see the absent database for sure,
 mechanism i sees the present one for sure, and the rest are uniform,
 i.e. subsampled at rate 1/2. Block i holds 2^(k-i) of the 2^k - 1
-nonzero vectors, which is where the weights come from. These pipelines
-hard-code rate 1/2 because those weights are specific to the uniform
+nonzero vectors, which is where the weights come from. The pipeline
+hard-codes rate 1/2 because those weights are specific to the uniform
 prior; ``amplify`` itself accepts any rate for standalone use.
+
+The blocks combine by the group-wise rule of ``hypothesis_dp``, each
+block one matched piece of the all-absent vs uniform-nonzero pair: a
+block mixes the vectors it holds, so by joint convexity of the
+hockey-stick divergence its guarantee is a valid per-piece guarantee.
+Averaging the block deltas alone is unsound once they differ.
 
 Only add/remove-one-record (unbounded) neighborhoods apply here: the
 reduction to subsampling needs the differing record to be the only
@@ -28,6 +34,7 @@ from typing import Sequence
 from .composition import CompositionTheorem, compose
 from .core import PrivacyParams, bounded_params
 from .errors import InvalidRateError
+from .hypothesis_dp import _aggregate, uniform_nonzero_closed_form
 
 LN2 = math.log(2.0)
 
@@ -52,96 +59,39 @@ def amplify(g: PrivacyParams, rate: float) -> PrivacyParams:
     return bounded_params(eps, rate * g.delta)
 
 
-def _log_pow2_minus1(k: int) -> float:
-    """ln(2^k - 1), switching to log space beyond exact float range."""
-    if k <= 50:
-        return math.log((1 << k) - 1)
-    return k * LN2 + math.log(-math.expm1(-k * LN2))
-
-
-def _combine_terms(log_weights: list[float], eps_hats: list[float], delta_hats: list[float], k: int) -> PrivacyParams:
-    """Fold per-block guarantees into one, epsilon in log space."""
-    shifted = [lw + e for lw, e in zip(log_weights, eps_hats)]
-    m = max(shifted)
-    eps = m + math.log(math.fsum(math.exp(s - m) for s in shifted)) - _log_pow2_minus1(k)
-    denom = (1 << k) - 1
-    delta = math.fsum((1 << (k - 1 - i)) * delta_hats[i] / denom for i in range(k))
-    return bounded_params(eps, delta)
-
-
 def uniform_prior_bound(
     seq: Sequence[PrivacyParams], theorem: CompositionTheorem
 ) -> PrivacyParams:
-    """Uniform-prior guarantee with each block head composed jointly.
+    """Uniform-prior guarantee, one block per position of the first one.
 
-    For block i the head mechanism (seen at full strength) and the
-    rate-1/2 subsampled tail are composed together under ``theorem``,
-    giving (eps_hat_i, delta_hat_i); the blocks combine as
+    Block i (counted from 0) weighs w_i = 2^-(i+1) / (1 - 2^-k) and
+    composes its head at full strength plus its rate-1/2 tail, only the
+    tail under ``theorem`` (so homogeneous sequences allow Advanced):
 
-        epsilon = ln[ sum_i 2^(k-1-i) e^(eps_hat_i) / (2^k - 1) ]
-        delta   =     sum_i 2^(k-1-i) delta_hat_i   / (2^k - 1)
+        eps_hat_i, delta_hat_i = g_i + compose(amplify(g_j, 1/2) for j > i)
 
-    with i counted from 0 and the 2^(k-1-i) weights folded into the
-    log-sum-exp as (k-1-i) ln 2.
+    The blocks combine as the pieces (w_i, 0, i + 1, eps_hat_i,
+    delta_hat_i) of ``hypothesis_dp._aggregate``: epsilon is
+    ln(sum_i w_i e^eps_hat_i) and delta is at least sum_i w_i
+    delta_hat_i. Weights that underflow to 0 drop out, so any k works.
     """
     guarantees = list(seq)
     k = len(guarantees)
     if k == 0:
         raise ValueError("sequence must be non-empty")
-    eps_hats, delta_hats, log_weights = [], [], []
-    for i in range(k):
-        block = [guarantees[i]] + [amplify(g, 0.5) for g in guarantees[i + 1 :]]
-        g = compose(block, theorem)
-        eps_hats.append(g.epsilon)
-        delta_hats.append(g.delta)
-        log_weights.append((k - 1 - i) * LN2)
-    return _combine_terms(log_weights, eps_hats, delta_hats, k)
+    halved = [amplify(g, 0.5) for g in guarantees]
+    norm = -math.expm1(-k * LN2)
+
+    def pieces():
+        for i, g in enumerate(guarantees):
+            tail = compose(halved[i + 1 :], theorem)
+            weight = math.ldexp(1.0, -(i + 1)) / norm
+            yield weight, 0, i + 1, g.epsilon + tail.epsilon, g.delta + tail.delta
+
+    return _aggregate(pieces())
 
 
-def uniform_prior_split_bound(
-    seq: Sequence[PrivacyParams], theorem: CompositionTheorem
-) -> PrivacyParams:
-    """Uniform-prior guarantee with each block head joined additively.
-
-    Like :func:`uniform_prior_bound`, but ``theorem`` composes only the
-    subsampled tail of each block; the head's own (eps_i, delta_i) is
-    then added on (simple composition of head and tail):
-
-        epsilon = ln[ sum_i 2^(k-1-i) e^(eps_i + eps_hat_i) / (2^k - 1) ]
-        delta   =     sum_i 2^(k-1-i) (delta_i + delta_hat_i) / (2^k - 1)
-    """
-    guarantees = list(seq)
-    k = len(guarantees)
-    if k == 0:
-        raise ValueError("sequence must be non-empty")
-    eps_hats, delta_hats, log_weights = [], [], []
-    for i in range(k):
-        tail = [amplify(g, 0.5) for g in guarantees[i + 1 :]]
-        g_tail = compose(tail, theorem)
-        eps_hats.append(guarantees[i].epsilon + g_tail.epsilon)
-        delta_hats.append(guarantees[i].delta + g_tail.delta)
-        log_weights.append((k - 1 - i) * LN2)
-    return _combine_terms(log_weights, eps_hats, delta_hats, k)
-
-
-def uniform_prior_closed_form(eps: float, delta: float, k: int) -> PrivacyParams:
-    """Closed form of the uniform-prior bound for k identical mechanisms.
-
-    Simple composition of the rate-1/2 amplified tails telescopes, for a
-    homogeneous (eps, delta) sequence, into
-
-        epsilon = ln[((e^eps + 1)^k - 1) / (2^k - 1)]
-        delta   = 2^(k-1) / (2^k - 1) * k * delta
-
-    evaluated in log space for the epsilon part.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if eps > 700.0:
-        log1pe = eps + math.log1p(math.exp(-eps))
-    else:
-        log1pe = math.log1p(math.exp(eps))
-    a = k * log1pe
-    log_num = a + math.log(-math.expm1(-a))
-    delta_out = (2 ** (k - 1) / (2**k - 1)) * k * delta
-    return bounded_params(log_num - _log_pow2_minus1(k), delta_out)
+# Public aliases: the split shape is this pipeline's, and the closed form
+# is the all-absent vs uniform-nonzero one.
+uniform_prior_split_bound = uniform_prior_bound
+uniform_prior_closed_form = uniform_nonzero_closed_form

@@ -8,6 +8,7 @@ evaluation of the corresponding formulas, independently of the library.
 import itertools
 import math
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -72,14 +73,31 @@ def test_criterion_2_refinement_pipeline_equals_closed_form():
     _report(2, "refinement pipeline equals the closed form up to k=12 (4095 atoms)", t, 5.0)
 
 
-def test_criterion_3_closed_forms_coincide():
+def _closed_form_50_digits(eps: float, delta: float, k: int) -> tuple[Decimal, Decimal]:
+    """ln(((1 + e^eps)^k - 1) / (2^k - 1)) and k 2^(k-1) / (2^k - 1) delta."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        num = (1 + Decimal(eps).exp()) ** k - 1
+        den = Decimal(2) ** k - 1
+        return (num / den).ln(), k * Decimal(2) ** (k - 1) / den * Decimal(delta)
+
+
+def test_criterion_3_closed_form_matches_50_digit_reference():
     with _Timer() as t:
-        for k, eps, delta in itertools.product(GRID_K, GRID_EPS, GRID_DELTA):
-            a = uniform_nonzero_closed_form(eps, delta, k)
-            b = uniform_prior_closed_form(eps, delta, k)
-            assert abs(a.epsilon - b.epsilon) <= 1e-12, (k, eps, delta)
-            assert abs(a.delta - b.delta) <= 1e-12, (k, eps, delta)
-    _report(3, "both closed forms agree to 1e-12 on the full grid", t, 1.0)
+        cases = itertools.chain(
+            itertools.product(GRID_K, GRID_EPS, GRID_DELTA),
+            itertools.product((1024, 4096), GRID_EPS, GRID_DELTA),
+        )
+        for k, eps, delta in cases:
+            got = uniform_nonzero_closed_form(eps, delta, k)
+            want_eps, want_delta = _closed_form_50_digits(eps, delta, k)
+            # Relative past 1: at k = 4096 epsilon is near 5800, where one
+            # float ulp is already 9e-13.
+            tol = Decimal("1e-12")
+            assert abs(Decimal(got.epsilon) - want_eps) <= tol * max(1, want_eps), (k, eps)
+            assert abs(Decimal(got.delta) - want_delta) <= tol * want_delta, (k, eps, delta)
+        assert uniform_prior_closed_form is uniform_nonzero_closed_form
+    _report(3, "the closed form matches a 50-digit evaluation to 1e-12", t, 1.0)
 
 
 def test_criterion_4_desk_scale_equivalence_check():

@@ -74,6 +74,11 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError, match="sum"):
             load_scenario(path)
 
+    def test_non_numeric_weight_rejected(self, tmp_path):
+        path = write(tmp_path, "s.yaml", MINIMAL + 'hypotheses:\n  p0: {"0": abc}\n')
+        with pytest.raises(ScenarioValidationError, match="hypotheses.p0"):
+            load_scenario(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioParseError):
             load_scenario(str(tmp_path / "nope.yaml"))
@@ -201,6 +206,31 @@ theorem: {advanced: {delta_slack: 1.0e-5}}
         path = write(tmp_path, "s.yaml", "mechanisms: []\n")
         code, _, _ = self.run(capsys, "compose", "--scenario", path)
         assert code == EXIT_BAD_SCENARIO
+
+
+def homogeneous(k, extra=""):
+    return "mechanisms:\n" + "  - {epsilon: 0.1, delta: 1.0e-6}\n" * k + extra
+
+
+class TestLargeK:
+    # Presets are built only by the commands that read hypotheses.
+    @pytest.mark.parametrize("k", [24, 64])
+    @pytest.mark.parametrize("command", ["compose", "constrain", "subsample"])
+    def test_commands_without_hypotheses_accept_any_k(self, tmp_path, capsys, command, k):
+        path = write(tmp_path, "s.yaml", homogeneous(k, "constraint: {max_ones: 3}\n"))
+        assert main([command, "--scenario", path, "--quiet"]) == EXIT_OK
+        assert yaml.safe_load(capsys.readouterr().out)["command"] == command
+
+    def test_hdp_with_default_preset_too_large(self, tmp_path, capsys):
+        path = write(tmp_path, "s.yaml", homogeneous(24))
+        assert main(["hdp", "--scenario", path]) == EXIT_BAD_SCENARIO
+        assert "hypotheses.p1" in capsys.readouterr().err
+
+    def test_subsample_under_advanced(self, tmp_path, capsys):
+        path = write(tmp_path, "s.yaml", homogeneous(8, "theorem: {advanced: {delta_slack: 1.0e-6}}\n"))
+        assert main(["subsample", "--scenario", path, "--quiet"]) == EXIT_OK
+        results = yaml.safe_load(capsys.readouterr().out)["results"]
+        assert results["block_bound"] == results["split_bound"]
 
 
 class TestReports:

@@ -62,8 +62,9 @@ class TestMaxOnesBound:
     def test_at_most_one_picks_worst_singleton(self):
         seq = MechanismSequence.from_pairs([(0.1, 1e-8), (0.3, 2e-8), (0.2, 3e-8)])
         g = constrained_bound(seq, AT_MOST_ONE, UNBOUNDED, Simple())
-        # The epsilon-maximizing singleton is index 1; its own delta rides along.
-        assert g == PrivacyParams(0.3, 2e-8)
+        # Index 1 has the largest epsilon, index 2 the largest delta; the
+        # claim must cover both singletons.
+        assert g == PrivacyParams(0.3, 3e-8)
 
     def test_max_ones_2_unbounded(self):
         seq = MechanismSequence.homogeneous(0.1, 1e-6, 5)
@@ -97,16 +98,24 @@ class TestMaxOnesBound:
         with pytest.raises(IncompatibleTheoremError):
             constrained_bound(seq, MaxOnes(2), UNBOUNDED, Advanced(1e-5))
 
+    def test_pluggable_theorem_rejected(self):
+        class Fixed:
+            def compose_guarantees(self, guarantees):
+                return PrivacyParams(42.0, 0.0)
+
+        seq = MechanismSequence.homogeneous(0.1, 0.0, 4)
+        with pytest.raises(IncompatibleTheoremError):
+            constrained_bound(seq, MaxOnes(2), UNBOUNDED, Fixed())
+
     def test_shortcut_path_warns_and_dominates(self):
-        # C(40, 20) is far beyond the exhaustive limit, so the simple
-        # theorem falls back to the componentwise top-m sums.
+        # C(40, 20) subsets: the simple theorem sums the top-m epsilons
+        # and the top-m deltas without enumerating them.
         rng = np.random.default_rng(3)
         seq = MechanismSequence.from_pairs([
             (float(e), float(d))
             for e, d in zip(rng.uniform(0.0, 1.0, 40), rng.uniform(0.0, 1e-6, 40))
         ])
-        with pytest.warns(RuntimeWarning):
-            g = constrained_bound(seq, MaxOnes(20), UNBOUNDED, Simple())
+        g = constrained_bound(seq, MaxOnes(20), UNBOUNDED, Simple())
         top_eps = sorted((p.epsilon for p in seq), reverse=True)[:20]
         assert g.epsilon == pytest.approx(math.fsum(top_eps), rel=1e-12)
         # dominance over a handful of arbitrary subsets

@@ -8,6 +8,7 @@ from hypodp.composition import Advanced, Simple, compose, simple_compose
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
 from hypodp.errors import EmptySetError, IncompatibleTheoremError, MixedLengthError
 from hypodp.hypothesis_dp import (
+    _aggregate,
     differing_indices,
     hdp_guarantee,
     hdp_guarantee_over_set,
@@ -131,6 +132,15 @@ class TestHdpGuarantee:
             classic = compose(seq, Simple())
             assert g.epsilon <= classic.epsilon + 1e-12
             assert g.delta <= classic.delta + 1e-15
+
+
+class TestAggregate:
+    def test_zero_weight_piece_is_ignored(self):
+        # A block weight that underflows to 0 must not turn into 0/0.
+        pieces = [(0.5, 0, 1, 0.4, 1e-6), (0.5, 0, 2, 1.1, 3e-6)]
+        got = _aggregate(pieces + [(0.0, 0, 3, 2.0, 1e-3)])
+        assert got == _aggregate(pieces)
+        assert got.epsilon > 0.4
 
 
 class TestHdpOverSet:

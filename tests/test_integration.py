@@ -198,7 +198,105 @@ class TestUniformPriorSound:
         assert report.sound
 
 
+    def test_heterogeneous_deltas_point_mass(self):
+        # Averaging the block deltas gave (2.6716, 0.0667); the canonical
+        # mechanism needs 0.0724 at that epsilon.
+        params = [(0.1, 0.1), (3.0, 0.0)]
+        claimed = uniform_prior_bound(MechanismSequence.from_pairs(params), Simple())
+        assert uniform_prior_bound_sound(params, claimed), claimed
+
+    def test_random_sequences_with_delta(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(100):
+            params = random_params(rng, int(rng.integers(1, 6)))
+            claimed = uniform_prior_bound(MechanismSequence.from_pairs(params), Simple())
+            assert uniform_prior_bound_sound(params, claimed), (params, claimed)
+
+
+def random_params(rng, k):
+    """Heterogeneous (eps, delta) pairs, some with eps = 0 or delta = 0."""
+    return [
+        (0.0 if rng.random() < 0.15 else float(rng.uniform(0.05, 3.0)),
+         0.0 if rng.random() < 0.3 else float(rng.uniform(1e-3, 0.2)))
+        for _ in range(k)
+    ]
+
+
+def uniform_prior_bound_sound(params, claimed):
+    k = len(params)
+    report = verify_hdp(
+        [leaky_rr(e, d) for e, d in params],
+        Hypothesis.point_mass(BitVector.zeros(k)),
+        Hypothesis.uniform_nonzero(k),
+        claimed,
+    )
+    return report.sound
+
+
+def point_pairs_sound(params, pairs, claimed):
+    mechs = [leaky_rr(e, d) for e, d in params]
+    return all(
+        verify_hdp(mechs, Hypothesis.point_mass(a), Hypothesis.point_mass(b), claimed).sound
+        for a, b in pairs
+    )
+
+
+def max_ones_pairs(k, size):
+    """Zero against every vector with min(size, k) ones.
+
+    These cover every pair the constraint allows on the canonical
+    mechanism: the pair's differing positions decide the oracle's answer
+    (the mechanism is symmetric under swapping absent and present), and
+    fewer differing positions is a post-processing of more, by
+    resampling the extra positions from the absent distribution.
+    """
+    zero = BitVector.zeros(k)
+    return [
+        (zero, BitVector.from_bits(int(i in ones) for i in range(k)))
+        for ones in itertools.combinations(range(k), min(size, k))
+    ]
+
+
 class TestConstrainedBoundSound:
+    def test_max_ones_heterogeneous_deltas(self):
+        # The epsilon-largest singleton is 10 with delta 0; 01 needs 1e-3.
+        params = [(math.log(3.0), 0.0), (math.log(1.5), 1e-3)]
+        seq = MechanismSequence.from_pairs(params)
+        claimed = constrained_bound(seq, MaxOnes(1), NeighborhoodMode.UNBOUNDED, Simple())
+        assert point_pairs_sound(params, max_ones_pairs(2, 1), claimed), claimed
+
+    def test_random_max_ones_with_delta(self):
+        rng = np.random.default_rng(3141)
+        for _ in range(80):
+            k = int(rng.integers(1, 6))
+            params = random_params(rng, k)
+            m = int(rng.integers(1, k + 1))
+            mode = NeighborhoodMode.BOUNDED if rng.random() < 0.5 else NeighborhoodMode.UNBOUNDED
+            claimed = constrained_bound(
+                MechanismSequence.from_pairs(params), MaxOnes(m), mode, Simple()
+            )
+            size = 2 * m if mode is NeighborhoodMode.BOUNDED else m
+            assert point_pairs_sound(params, max_ones_pairs(k, size), claimed), (params, m, mode)
+
+    def test_random_pattern_sets_with_delta(self):
+        rng = np.random.default_rng(1618)
+        for _ in range(60):
+            k = int(rng.integers(2, 7))
+            params = random_params(rng, k)
+            count = min(int(rng.integers(1, 5)), (1 << k) - 1)
+            words = rng.choice(np.arange(1, 1 << k), size=count, replace=False)
+            patterns = PatternSet.of([BitVector(0, k)] + [BitVector(int(w), k) for w in words])
+            ordered = sorted(patterns.patterns, key=lambda p: p.word)
+            for mode in NeighborhoodMode:
+                claimed = constrained_bound(
+                    MechanismSequence.from_pairs(params), patterns, mode, Simple()
+                )
+                if mode is NeighborhoodMode.BOUNDED:
+                    pairs = list(itertools.combinations(ordered, 2))
+                else:
+                    pairs = [(ordered[0], p) for p in ordered[1:]]
+                assert point_pairs_sound(params, pairs, claimed), (params, ordered, mode)
+
     def test_max_ones_all_allowed_pairs(self):
         mechs, seq = rr_setup([0.25, 0.3, 0.35, 0.4])
         for mode in NeighborhoodMode:
