@@ -31,8 +31,10 @@ from hypodp import (
 p0 = Hypothesis({BitVector.from_string("00"): 0.5, BitVector.from_string("01"): 0.5})
 p1 = Hypothesis({BitVector.from_string("10"): 0.2, BitVector.from_string("11"): 0.8})
 print("refining {00:.5, 01:.5} against {10:.2, 11:.8}:")
-for t0, t1 in refine_tuples(p0, p1).pairs:
-    print(f"  ({t0.vector}, {t0.weight:.2f})  <->  ({t1.vector}, {t1.weight:.2f})")
+refined = refine_tuples(p0, p1)
+for weight, word0, word1 in refined.pairs:
+    v0, v1 = BitVector(int(word0), refined.k), BitVector(int(word1), refined.k)
+    print(f"  ({v0}, {weight:.2f})  <->  ({v1}, {weight:.2f})")
 
 # %% For each matched pair only the differing iterations leak anything,
 # so the per-pair guarantee composes fewer mechanisms. The pieces are

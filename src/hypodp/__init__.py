@@ -57,7 +57,7 @@ from .oracle import (
     verify_hdp,
     view_distribution,
 )
-from .refinement import MatchedRefinement, WeightedTuple, refine_tuples
+from .refinement import MatchedRefinement, refine_tuples
 from .subsampling import (
     amplify,
     uniform_prior_bound,
@@ -87,7 +87,6 @@ __all__ = [
     "Simple",
     "VerifyReport",
     "ViewDistribution",
-    "WeightedTuple",
     "advanced_compose",
     "all_vectors",
     "allowed_vectors",

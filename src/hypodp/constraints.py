@@ -35,7 +35,7 @@ from .errors import (
     MixedLengthError,
     NonzeroDeltaError,
 )
-from .hypothesis_dp import differing_indices
+from .hypothesis_dp import componentwise_max as _pick, pair_guarantee
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,6 @@ def allowed_vectors(constraint: MembershipConstraint, k: int) -> set[BitVector]:
     return vectors
 
 
-def _pick(candidates: list[PrivacyParams]) -> PrivacyParams:
-    """Componentwise maximum: the epsilon-largest candidate may not have the largest delta."""
-    return PrivacyParams(max(g.epsilon for g in candidates), max(g.delta for g in candidates))
-
-
 def _max_over_subsets(
     seq: Sequence[PrivacyParams], size: int, theorem: CompositionTheorem
 ) -> PrivacyParams:
@@ -159,11 +154,7 @@ def _max_over_pairs(
 ) -> PrivacyParams:
     if not vector_pairs:
         return PrivacyParams(0.0, 0.0)
-    candidates = [
-        compose([seq[i] for i in differing_indices(a, b)], theorem)
-        for a, b in vector_pairs
-    ]
-    return _pick(candidates)
+    return _pick([pair_guarantee(a, b, seq, theorem) for a, b in vector_pairs])
 
 
 def constrained_bound(

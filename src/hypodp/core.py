@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
+    DuplicateAtomError,
     KTooLargeError,
     MixedLengthError,
     NonNormalizedError,
@@ -143,7 +144,7 @@ class Hypothesis:
 
     Validated on every construction path: weights strictly positive,
     summing to 1 within ``NORMALIZATION_TOLERANCE``, all atoms sharing
-    one length. Instances are immutable.
+    one length, no vector listed twice. Instances are immutable.
     """
 
     def __init__(self, atoms: Mapping[BitVector, float] | Iterable[tuple[BitVector, float]]):
@@ -156,6 +157,8 @@ class Hypothesis:
                 raise MixedLengthError(f"atom {vec} has k={vec.k}, expected {k}")
             if not w > 0.0:
                 raise NonPositiveWeightError(f"atom {vec} has non-positive weight {w}")
+        if len({vec.word for vec, _ in items}) < len(items):
+            raise DuplicateAtomError("a vector is listed more than once")
         total = math.fsum(w for _, w in items)
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NonNormalizedError(f"weights sum to {total!r}, not 1")

@@ -23,6 +23,10 @@ class NonPositiveWeightError(AccountingError):
     """A hypothesis atom carries weight <= 0."""
 
 
+class DuplicateAtomError(AccountingError):
+    """A hypothesis lists the same bit vector more than once."""
+
+
 class HeterogeneousInputError(AccountingError):
     """An operation requiring identical per-iteration guarantees got a mix."""
 

@@ -1,10 +1,20 @@
 """Guarantees against adversaries holding composite membership hypotheses.
 
 A pair of hypotheses (distributions over bit vectors) is handled in two
-steps: refine the pair into equal-weight matched vector pairs, then
-compose, for each matched pair, only the iterations where its two
-vectors differ; iterations where they agree contribute no evidence
-either way. The per-pair guarantees are then aggregated group-wise.
+steps: refine the pair into a table of equal-weight matched vector
+pairs, then compose, for each matched pair, only the iterations where
+its two vectors differ; iterations where they agree contribute no
+evidence either way. The per-pair guarantees are then aggregated
+group-wise.
+
+A piece's key counts, per distinct guarantee of the sequence, the
+differing positions that carry it. Each key composes once, on one
+representative: at most k + 1 times for a homogeneous sequence. Pieces
+with one key differ in the same multiset of guarantees, so this is
+exact: simple composition sums with ``math.fsum``, which is order-free,
+and advanced composition only composes identical guarantees. A fixed
+non-adaptive multiset of mechanisms leaks the same in any order, so a
+pluggable theorem's result for the representative holds for every piece.
 
 Aggregation rule, for one direction ``P_X(S) <= e^eps P_Y(S) + delta``.
 Matched piece ``i`` has weight ``w_i``, vectors ``x_i`` and ``y_i`` and
@@ -71,43 +81,33 @@ def pair_guarantee(
     """Guarantee for distinguishing two deterministic vectors.
 
     Only the mechanisms at differing positions are composed; identical
-    vectors need no composition at all and yield (0, 0).
+    vectors compose the empty sequence and yield (0, 0).
     """
-    indices = differing_indices(b0, b1)
-    if not indices:
-        return PrivacyParams(0.0, 0.0)
-    return compose([seq[i] for i in indices], theorem)
+    if len(seq) != b0.k:
+        raise MixedLengthError(f"sequence has {len(seq)} mechanisms, vectors have k={b0.k}")
+    return compose([seq[i] for i in differing_indices(b0, b1)], theorem)
 
 
-# A matched piece: (weight, side-0 word, side-1 word, epsilon, delta).
-Piece = tuple[float, int, int, float, float]
-_PIECE_DTYPE = np.dtype(
-    [("weight", "f8"), ("word0", "u8"), ("word1", "u8"), ("eps", "f8"), ("delta", "f8")]
-)
-
-
-def _aggregate(pieces: Iterable[Piece]) -> PrivacyParams:
+def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> PrivacyParams:
     """Combine matched pieces with the group-wise rule of the module docstring.
 
-    Every exponent is taken relative to its group's extreme epsilon, so
-    composed epsilons far beyond 700 nats cannot overflow. delta_G is an
-    exactly rounded sum; group sums use numpy's pairwise summation.
+    Row i of the ``refinement.PAIR_DTYPE`` table ``pairs`` has the
+    guarantee ``(eps[i], delta[i])``; rows of zero weight drop out, and
+    at least one must remain. Exponents are relative to each group's
+    extreme epsilon, so epsilons far beyond 700 nats cannot overflow.
+    delta_G is an exactly rounded sum; group sums use pairwise summation.
     """
-    table = np.fromiter(pieces, dtype=_PIECE_DTYPE)
-    table = table[table["weight"] > 0.0]  # an empty group would divide 0 by 0
-    if not len(table):
-        return PrivacyParams(0.0, 0.0)
-    columns = table["weight"], table["eps"], table["delta"]
-    side0 = _Groups(table["word0"], *columns)
-    side1 = _Groups(table["word1"], *columns)
+    keep = pairs["weight"] > 0.0  # an empty group would divide 0 by 0
+    weight, eps, delta = pairs["weight"][keep], eps[keep], delta[keep]
+    side0 = _Groups(pairs["word0"][keep], weight, eps, delta)
+    side1 = _Groups(pairs["word1"][keep], weight, eps, delta)
     # P0 <= e^eps P1 + delta is bounded by (g1, j0); the reverse by (g0, j1).
-    eps = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
-    delta_g = math.fsum(table["weight"] * table["delta"])
-    delta = max(
-        delta_g if eps >= side1.eps_g else side0.delta_j(eps),
-        delta_g if eps >= side0.eps_g else side1.delta_j(eps),
-    )
-    return bounded_params(eps, delta)
+    epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
+    delta_g = math.fsum(weight * delta)
+    return bounded_params(epsilon, max(
+        delta_g if epsilon >= side1.eps_g else side0.delta_j(epsilon),
+        delta_g if epsilon >= side0.eps_g else side1.delta_j(epsilon),
+    ))
 
 
 class _Groups:
@@ -183,13 +183,32 @@ def hdp_guarantee(
     the proofs. Aggregation never sees unmatched weights: refinement
     always runs first.
     """
-    # Streamed, so the refinement is freed before the aggregation's arrays grow.
-    def pieces():
-        for t0, t1 in refine_tuples(p0, p1).pairs:
-            g = pair_guarantee(t0.vector, t1.vector, seq, theorem)
-            yield t0.weight, t0.vector.word, t1.vector.word, g.epsilon, g.delta
+    k = p0.k
+    if len(seq) != k:
+        raise MixedLengthError(f"sequence has {len(seq)} mechanisms, hypotheses have k={k}")
+    pairs = refine_tuples(p0, p1).pairs
+    # One position mask per distinct guarantee; the check above keeps k - 1 - i >= 0.
+    masks: dict[PrivacyParams, int] = {}
+    for i, g in enumerate(seq):
+        masks[g] = masks.get(g, 0) | (1 << (k - 1 - i))
+    diffs, piece_diff = np.unique(pairs["word0"] ^ pairs["word1"], return_inverse=True)
+    # A key packs its per-mask counts in mixed radix, each count below
+    # popcount(mask) + 1; the radices multiply to at most 2^k < 2^64.
+    keys = np.zeros(len(diffs), dtype=np.uint64)
+    for mask in masks.values():
+        keys = keys * np.uint64(mask.bit_count() + 1) + np.bitwise_count(diffs & np.uint64(mask))
+    _, first, key_of_diff = np.unique(keys, return_index=True, return_inverse=True)
+    composed = np.array([
+        pair_guarantee(BitVector.zeros(k), BitVector(int(d), k), seq, theorem).as_tuple()
+        for d in diffs[first]
+    ])
+    eps, delta = composed[key_of_diff[piece_diff]].T
+    return _aggregate(pairs, eps, delta)
 
-    return _aggregate(pieces())
+
+def componentwise_max(guarantees: Sequence[PrivacyParams]) -> PrivacyParams:
+    """The largest epsilon with the largest delta: one claim covering every guarantee."""
+    return PrivacyParams(max(g.epsilon for g in guarantees), max(g.delta for g in guarantees))
 
 
 def hdp_guarantee_over_set(
@@ -201,11 +220,7 @@ def hdp_guarantee_over_set(
     pairs = list(pairs)
     if not pairs:
         raise EmptySetError("need at least one hypothesis pair")
-    results = [hdp_guarantee(p0, p1, seq, theorem) for p0, p1 in pairs]
-    return PrivacyParams(
-        max(g.epsilon for g in results),
-        max(g.delta for g in results),
-    )
+    return componentwise_max([hdp_guarantee(p0, p1, seq, theorem) for p0, p1 in pairs])
 
 
 def uniform_nonzero_closed_form(eps: float, delta: float, k: int) -> PrivacyParams:

@@ -2,48 +2,37 @@
 
 Two distributions over bit vectors rarely place identical masses on
 their atoms, so atoms are split until each piece on side 0 can be
-matched with an equal-weight piece on side 1. The selection order is
-deterministic: both sides always consume their lexicographically
-smallest remaining vector, which makes results reproducible and gives
-the side-swap symmetry exploited by the tests. Any other consumption
-order would produce a different but equally valid matching.
+matched with an equal-weight piece on side 1. Each piece is one row
+``(weight, word0, word1)`` of a ``PAIR_DTYPE`` table. The selection
+order is deterministic: both sides always consume their
+lexicographically smallest remaining vector, which makes results
+reproducible and gives the side-swap symmetry exploited by the tests.
+Any other consumption order would produce a different but equally
+valid matching.
 """
 
 from dataclasses import dataclass
 
-from .core import BitVector, Hypothesis, WEIGHT_PRUNE_TOLERANCE
+import numpy as np
+
+from .core import Hypothesis, WEIGHT_PRUNE_TOLERANCE
 from .errors import MixedLengthError
 
-
-@dataclass(frozen=True)
-class WeightedTuple:
-    """A bit vector carrying a positive probability mass."""
-
-    vector: BitVector
-    weight: float
-
-    def __post_init__(self):
-        if not self.weight > 0.0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
+# One matched piece: its weight and the word of its vector on each side.
+PAIR_DTYPE = np.dtype([("weight", "f8"), ("word0", "u8"), ("word1", "u8")])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchedRefinement:
     """Equal-weight matched pieces of two refined distributions.
 
-    Within every pair the two weights are exactly equal by construction,
-    and each side's pieces sum back to its input distribution.
+    ``pairs`` is a ``PAIR_DTYPE`` array, one row per piece, so
+    ``len(pairs)`` is the piece count. Every weight is positive, and each
+    side's pieces sum back to its input distribution.
     """
 
-    pairs: tuple[tuple[WeightedTuple, WeightedTuple], ...]
-
-    def side_masses(self, side: int) -> dict[BitVector, float]:
-        """Total emitted weight per vector on one side (0 or 1)."""
-        masses: dict[BitVector, float] = {}
-        for pair in self.pairs:
-            t = pair[side]
-            masses[t.vector] = masses.get(t.vector, 0.0) + t.weight
-        return masses
+    k: int
+    pairs: np.ndarray
 
 
 def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
@@ -61,24 +50,20 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
 
     # Atoms are already sorted lexicographically; a residual left at a
     # front position stays the smallest vector on its side, so walking
-    # with two cursors is exactly the smallest-first consumption order.
-    side0 = [[vec, w] for vec, w in p0.atoms]
-    side1 = [[vec, w] for vec, w in p1.atoms]
-    i = j = 0
-    pairs = []
-    while i < len(side0) and j < len(side1):
-        vec0, w0 = side0[i]
-        vec1, w1 = side1[j]
-        w = min(w0, w1)
-        pairs.append((WeightedTuple(vec0, w), WeightedTuple(vec1, w)))
-        r0 = w0 - w
-        r1 = w1 - w
-        if r0 > WEIGHT_PRUNE_TOLERANCE:
-            side0[i][1] = r0
-        else:
-            i += 1
-        if r1 > WEIGHT_PRUNE_TOLERANCE:
-            side1[j][1] = r1
-        else:
-            j += 1
-    return MatchedRefinement(tuple(pairs))
+    # with two iterators is exactly the smallest-first consumption order.
+    atoms0, atoms1 = iter(p0.atoms), iter(p1.atoms)
+    (vec0, w0), (vec1, w1) = next(atoms0), next(atoms1)
+    rows = []
+    try:
+        while True:
+            w = min(w0, w1)
+            rows.append((w, vec0.word, vec1.word))
+            w0 -= w
+            w1 -= w
+            if w0 <= WEIGHT_PRUNE_TOLERANCE:
+                vec0, w0 = next(atoms0)
+            if w1 <= WEIGHT_PRUNE_TOLERANCE:
+                vec1, w1 = next(atoms1)
+    except StopIteration:  # the walk ends when either side runs out
+        pass
+    return MatchedRefinement(p0.k, np.array(rows, dtype=PAIR_DTYPE))

@@ -18,9 +18,10 @@ hard-codes rate 1/2 because those weights are specific to the uniform
 prior; ``amplify`` itself accepts any rate for standalone use.
 
 The blocks combine by the group-wise rule of ``hypothesis_dp``, each
-block one matched piece of the all-absent vs uniform-nonzero pair: a
-block mixes the vectors it holds, so by joint convexity of the
-hockey-stick divergence its guarantee is a valid per-piece guarantee.
+block one row of a ``refinement.PAIR_DTYPE`` table of the all-absent
+vs uniform-nonzero pair: a block mixes the vectors it holds, so by
+joint convexity of the hockey-stick divergence its guarantee is a valid
+per-piece guarantee.
 Averaging the block deltas alone is unsound once they differ.
 
 Only add/remove-one-record (unbounded) neighborhoods apply here: the
@@ -31,10 +32,13 @@ record that varies.
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .composition import CompositionTheorem, compose
 from .core import PrivacyParams, bounded_params
 from .errors import InvalidRateError
 from .hypothesis_dp import _aggregate, uniform_nonzero_closed_form
+from .refinement import PAIR_DTYPE
 
 LN2 = math.log(2.0)
 
@@ -70,10 +74,11 @@ def uniform_prior_bound(
 
         eps_hat_i, delta_hat_i = g_i + compose(amplify(g_j, 1/2) for j > i)
 
-    The blocks combine as the pieces (w_i, 0, i + 1, eps_hat_i,
-    delta_hat_i) of ``hypothesis_dp._aggregate``: epsilon is
-    ln(sum_i w_i e^eps_hat_i) and delta is at least sum_i w_i
-    delta_hat_i. Weights that underflow to 0 drop out, so any k works.
+    Block i is the table row (w_i, 0, i + 1) with the guarantee
+    (eps_hat_i, delta_hat_i), combined by ``hypothesis_dp._aggregate``:
+    epsilon is ln(sum_i w_i e^eps_hat_i) and delta is at least
+    sum_i w_i delta_hat_i. Weights that underflow to 0 drop out, so any
+    k works.
     """
     guarantees = list(seq)
     k = len(guarantees)
@@ -81,14 +86,11 @@ def uniform_prior_bound(
         raise ValueError("sequence must be non-empty")
     halved = [amplify(g, 0.5) for g in guarantees]
     norm = -math.expm1(-k * LN2)
-
-    def pieces():
-        for i, g in enumerate(guarantees):
-            tail = compose(halved[i + 1 :], theorem)
-            weight = math.ldexp(1.0, -(i + 1)) / norm
-            yield weight, 0, i + 1, g.epsilon + tail.epsilon, g.delta + tail.delta
-
-    return _aggregate(pieces())
+    tails = [compose(halved[i + 1 :], theorem) for i in range(k)]
+    rows = [(math.ldexp(1.0, -(i + 1)) / norm, 0, i + 1) for i in range(k)]
+    eps = np.array([g.epsilon + t.epsilon for g, t in zip(guarantees, tails)])
+    delta = np.array([g.delta + t.delta for g, t in zip(guarantees, tails)])
+    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), eps, delta)
 
 
 # Public aliases: the split shape is this pipeline's, and the closed form

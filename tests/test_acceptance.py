@@ -180,14 +180,20 @@ def test_criterion_7_refinement_property_suite():
                 }))
             p0, p1 = hyps
             r = refine_tuples(p0, p1)
-            for t0, t1 in r.pairs:
-                assert t0.weight == t1.weight
+            # One weight column: both sides of a pair carry it exactly.
+            assert np.all(r.pairs["weight"] > 0.0)
             assert len(r.pairs) <= len(p0) + len(p1) - 1
             for side, p in ((0, p0), (1, p1)):
-                for vec, mass in r.side_masses(side).items():
+                masses = {}
+                for w, *words in r.pairs.tolist():
+                    vec = BitVector(words[side], k)
+                    masses[vec] = masses.get(vec, 0.0) + w
+                for vec, mass in masses.items():
                     assert abs(mass - p.weight(vec)) <= 1e-12
-            swapped = refine_tuples(p1, p0)
-            assert swapped.pairs == tuple((b, a) for a, b in r.pairs)
+            swapped = refine_tuples(p1, p0).pairs
+            assert np.array_equal(swapped["word0"], r.pairs["word1"])
+            assert np.array_equal(swapped["word1"], r.pairs["word0"])
+            assert np.array_equal(swapped["weight"], r.pairs["weight"])
     _report(7, "1000 random refinements conserve mass, match weights, stay small", t, 1.0)
 
 

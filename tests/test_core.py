@@ -11,6 +11,7 @@ from hypodp.core import (
     bounded_params,
 )
 from hypodp.errors import (
+    DuplicateAtomError,
     KTooLargeError,
     MixedLengthError,
     NonNormalizedError,
@@ -117,6 +118,12 @@ class TestHypothesis:
                 BitVector.from_string("01"): 0.5,
                 BitVector.from_string("100"): 0.5,
             })
+
+    def test_duplicate_vector_rejected(self):
+        # A mapping cannot repeat a key; a list of pairs can.
+        a, b = BitVector.from_string("01"), BitVector.from_string("10")
+        with pytest.raises(DuplicateAtomError):
+            Hypothesis([(a, 0.5), (a, 0.25), (b, 0.25)])
 
     def test_normalization_tolerance(self):
         # 1e-10 off is inside the 1e-9 tolerance, 1e-8 off is not.

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hypodp import hypothesis_dp
 from hypodp.composition import Advanced, Simple, compose, simple_compose
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
 from hypodp.errors import EmptySetError, IncompatibleTheoremError, MixedLengthError
@@ -15,6 +16,7 @@ from hypodp.hypothesis_dp import (
     pair_guarantee,
     uniform_nonzero_closed_form,
 )
+from hypodp.refinement import PAIR_DTYPE, refine_tuples
 
 # Frozen via direct 50-digit evaluation of ln[((1+e^eps)^k - 1)/(2^k - 1)].
 UNIFORM_K2_EPS1 = 1.4528324252639413   # k=2, eps=1
@@ -75,6 +77,12 @@ class TestPairGuarantee:
         with pytest.raises(IncompatibleTheoremError):
             pair_guarantee(bv("00"), bv("11"), seq, Advanced(1e-6))
 
+    def test_sequence_length_must_match(self):
+        for k in (2, 4):
+            seq = MechanismSequence.homogeneous(0.5, 0.0, k)
+            with pytest.raises(MixedLengthError):
+                pair_guarantee(bv("000"), bv("111"), seq, Simple())
+
 
 class TestHdpGuarantee:
     def test_identical_hypotheses(self):
@@ -134,12 +142,89 @@ class TestHdpGuarantee:
             assert g.delta <= classic.delta + 1e-15
 
 
+    def test_sequence_length_must_match(self):
+        # Five mechanisms used to return the three-mechanism answer
+        # (0.921, 0); two raised a bare IndexError.
+        zero, nonzero = Hypothesis.point_mass(bv("000")), Hypothesis.uniform_nonzero(3)
+        for k in (2, 5):
+            seq = MechanismSequence.homogeneous(0.5, 0.0, k)
+            for p0, p1 in ((zero, nonzero), (nonzero, zero)):
+                with pytest.raises(MixedLengthError):
+                    hdp_guarantee(p0, p1, seq, Simple())
+
+
+def per_row_reference(p0, p1, seq, theorem):
+    """hdp_guarantee with pair_guarantee run on every refined piece."""
+    r = refine_tuples(p0, p1)
+    per_row = [
+        pair_guarantee(BitVector(w0, r.k), BitVector(w1, r.k), seq, theorem)
+        for _, w0, w1 in r.pairs.tolist()
+    ]
+    eps = np.array([g.epsilon for g in per_row])
+    delta = np.array([g.delta for g in per_row])
+    return _aggregate(r.pairs, eps, delta)
+
+
+def random_mixture(rng, k):
+    n = int(rng.integers(1, (1 << k) + 1))
+    words = rng.choice(1 << k, size=n, replace=False)
+    return Hypothesis({BitVector(int(w), k): float(p)
+                       for w, p in zip(words, rng.dirichlet(np.ones(n)))})
+
+
+class TestDistinctKeys:
+    """One composition per distinct key gives exactly the per-piece result."""
+
+    def test_equals_per_row_reference(self):
+        rng = np.random.default_rng(4242)
+        cases = []
+        for k in (3, 6, 10):
+            zero, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
+            homog = MechanismSequence.homogeneous(float(rng.uniform(0.05, 1.0)), 1e-7, k)
+            for p0 in (zero, Hypothesis.uniform_all(k)):
+                cases += [(p0, nonzero, homog, Simple()), (nonzero, p0, homog, Advanced(1e-6))]
+        for _ in range(30):
+            k = int(rng.integers(2, 11))
+            p0, p1 = random_mixture(rng, k), random_mixture(rng, k)
+            # Three guarantees repeated across positions, so one key
+            # covers pieces whose differing positions are not the same.
+            pool = [PrivacyParams(float(rng.uniform(0.01, 1.5)), float(rng.choice([0.0, 1e-6])))
+                    for _ in range(3)]
+            repeated = MechanismSequence(tuple(pool[i] for i in rng.integers(0, 3, size=k)))
+            distinct = MechanismSequence.from_pairs(
+                (float(rng.uniform(0.01, 1.5)), float(rng.uniform(0.0, 1e-5))) for _ in range(k)
+            )
+            homog = MechanismSequence.homogeneous(float(rng.uniform(0.01, 1.5)), 1e-6, k)
+            cases += [(p0, p1, repeated, Simple()), (p0, p1, distinct, Simple()),
+                      (p0, p1, homog, Advanced(1e-5))]
+        for p0, p1, seq, theorem in cases:
+            assert hdp_guarantee(p0, p1, seq, theorem) == per_row_reference(p0, p1, seq, theorem)
+
+    def test_homogeneous_sequence_composes_once_per_key(self, monkeypatch):
+        k = 12
+        calls = []
+        original = hypothesis_dp.pair_guarantee
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hypothesis_dp, "pair_guarantee", counted)
+        zero, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
+        seq = MechanismSequence.homogeneous(0.1, 1e-6, k)
+        g = hdp_guarantee(zero, nonzero, seq, Simple())
+        # One key per number of ones, against 4095 pieces.
+        assert len(calls) <= k + 1
+        assert g.epsilon == pytest.approx(UNIFORM_K12_EPS01, abs=1e-12)
+
+
 class TestAggregate:
     def test_zero_weight_piece_is_ignored(self):
         # A block weight that underflows to 0 must not turn into 0/0.
-        pieces = [(0.5, 0, 1, 0.4, 1e-6), (0.5, 0, 2, 1.1, 3e-6)]
-        got = _aggregate(pieces + [(0.0, 0, 3, 2.0, 1e-3)])
-        assert got == _aggregate(pieces)
+        pairs = np.array([(0.5, 0, 1), (0.5, 0, 2), (0.0, 0, 3)], dtype=PAIR_DTYPE)
+        eps, delta = np.array([0.4, 1.1, 2.0]), np.array([1e-6, 3e-6, 1e-3])
+        got = _aggregate(pairs, eps, delta)
+        assert got == _aggregate(pairs[:2], eps[:2], delta[:2])
         assert got.epsilon > 0.4
 
 

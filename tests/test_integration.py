@@ -28,6 +28,7 @@ from hypodp.oracle import (
     randomized_response_guarantee,
     verify_hdp,
 )
+from hypodp.refinement import PAIR_DTYPE
 from hypodp.subsampling import uniform_prior_bound, uniform_prior_split_bound
 
 
@@ -128,11 +129,12 @@ class TestHdpGuaranteeSound:
         mechs, seq = rr_setup([0.25, 0.45])
         p0 = Hypothesis({bv("00"): 0.5, bv("01"): 0.5})
         p1 = Hypothesis({bv("01"): 0.5, bv("10"): 0.5})
-        pieces = []
-        for w, b0, b1 in ((0.5, bv("01"), bv("01")), (0.5, bv("00"), bv("10"))):
-            g = pair_guarantee(b0, b1, seq, Simple())
-            pieces.append((w, b0.word, b1.word, g.epsilon, g.delta))
-        claimed = _aggregate(pieces)
+        matching = ((0.5, bv("01"), bv("01")), (0.5, bv("00"), bv("10")))
+        pairs = np.array([(w, b0.word, b1.word) for w, b0, b1 in matching], dtype=PAIR_DTYPE)
+        per_pair = [pair_guarantee(b0, b1, seq, Simple()) for _, b0, b1 in matching]
+        claimed = _aggregate(
+            pairs, np.array([g.epsilon for g in per_pair]), np.array([g.delta for g in per_pair])
+        )
         report = verify_hdp(mechs, p0, p1, claimed)
         assert report.sound, (claimed, report)
 

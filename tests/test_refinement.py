@@ -5,7 +5,7 @@ import pytest
 
 from hypodp.core import BitVector, Hypothesis
 from hypodp.errors import MixedLengthError
-from hypodp.refinement import WeightedTuple, refine_tuples
+from hypodp.refinement import refine_tuples
 
 
 def bv(s):
@@ -16,40 +16,46 @@ def hyp(mapping):
     return Hypothesis({bv(s): w for s, w in mapping.items()})
 
 
+def rows(r):
+    """The table as (side-0 vector, weight, side-1 vector) strings and floats."""
+    return [
+        (str(BitVector(w0, r.k)), w, str(BitVector(w1, r.k)))
+        for w, w0, w1 in r.pairs.tolist()
+    ]
+
+
+def side_masses(r, side):
+    """Total weight per vector on one side (0 or 1), summed in table order."""
+    masses = {}
+    for w, *words in r.pairs.tolist():
+        vec = BitVector(words[side], r.k)
+        masses[vec] = masses.get(vec, 0.0) + w
+    return masses
+
+
 class TestTraces:
     def test_identical_point_masses(self):
         r = refine_tuples(hyp({"00": 1.0}), hyp({"00": 1.0}))
         assert len(r.pairs) == 1
-        (t0, t1), = r.pairs
-        assert (t0.vector, t0.weight) == (bv("00"), 1.0)
-        assert (t1.vector, t1.weight) == (bv("00"), 1.0)
+        assert rows(r) == [("00", 1.0, "00")]
 
     def test_point_mass_against_two_atoms(self):
         r = refine_tuples(hyp({"00": 1.0}), hyp({"01": 0.25, "10": 0.75}))
-        got = [(str(t0.vector), t0.weight, str(t1.vector), t1.weight) for t0, t1 in r.pairs]
-        assert got == [
-            ("00", 0.25, "01", 0.25),
-            ("00", 0.75, "10", 0.75),
+        assert rows(r) == [
+            ("00", 0.25, "01"),
+            ("00", 0.75, "10"),
         ]
 
     def test_two_against_two(self):
         r = refine_tuples(hyp({"00": 0.5, "01": 0.5}), hyp({"10": 0.2, "11": 0.8}))
-        got = [(str(t0.vector), str(t1.vector)) for t0, t1 in r.pairs]
+        got = [(v0, v1) for v0, _, v1 in rows(r)]
         assert got == [("00", "10"), ("00", "11"), ("01", "11")]
-        weights = [t0.weight for t0, _ in r.pairs]
+        weights = [w for _, w, _ in rows(r)]
         assert weights == pytest.approx([0.2, 0.3, 0.5], rel=1e-15)
 
     def test_mixed_length_rejected(self):
         with pytest.raises(MixedLengthError):
             refine_tuples(hyp({"00": 1.0}), hyp({"000": 1.0}))
-
-
-class TestWeightedTuple:
-    def test_positive_weight_enforced(self):
-        with pytest.raises(ValueError):
-            WeightedTuple(bv("0"), 0.0)
-        with pytest.raises(ValueError):
-            WeightedTuple(bv("0"), -0.1)
 
 
 def random_hypothesis(rng, k):
@@ -69,26 +75,29 @@ def random_pairs(seed, count):
 class TestProperties:
     def test_random_pair_suite(self):
         # 1000 seeded random pairs: per-vector mass conservation within
-        # 1e-12, exact weight equality inside each pair, the pair-count
-        # bound, and side-swap symmetry.
+        # 1e-12, positive weights (one weight per row, so both sides of a
+        # pair carry it exactly), the pair-count bound, and side-swap
+        # symmetry.
         for p0, p1 in random_pairs(seed=20240817, count=1000):
             r = refine_tuples(p0, p1)
-            for t0, t1 in r.pairs:
-                assert t0.weight == t1.weight
+            assert r.k == p0.k
+            assert np.all(r.pairs["weight"] > 0.0)
             assert len(r.pairs) <= len(p0) + len(p1) - 1
             for side, p in ((0, p0), (1, p1)):
-                masses = r.side_masses(side)
+                masses = side_masses(r, side)
                 assert set(masses) == set(p.support())
                 for vec, mass in masses.items():
                     assert abs(mass - p.weight(vec)) <= 1e-12
-            swapped = refine_tuples(p1, p0)
-            assert swapped.pairs == tuple((t1, t0) for t0, t1 in r.pairs)
+            swapped = refine_tuples(p1, p0).pairs
+            assert np.array_equal(swapped["word0"], r.pairs["word1"])
+            assert np.array_equal(swapped["word1"], r.pairs["word0"])
+            assert np.array_equal(swapped["weight"], r.pairs["weight"])
 
     def test_total_mass_per_side(self):
         for p0, p1 in random_pairs(seed=7, count=50):
             r = refine_tuples(p0, p1)
             for side in (0, 1):
-                total = math.fsum(r.side_masses(side).values())
+                total = math.fsum(side_masses(r, side).values())
                 assert abs(total - 1.0) <= 1e-9
 
     def test_pair_count_tight_case(self):
