@@ -14,6 +14,7 @@ broken claim is caught.
 Run:  python demos/05_exact_verification.py
 """
 
+import itertools
 import math
 
 from hypodp import (
@@ -97,20 +98,22 @@ print(f"  all pairs with at most 2 ones: {'sound' if ok else 'UNSOUND'}")
 print(f"  disallowed 1111: delta needed = {broken.delta_needed:.5f} -> caught")
 
 # %% Monte-Carlo cross-check: empirical view frequencies converge to the
-# enumerated distribution.
+# enumerated distribution. Counts and probabilities share one flat view
+# index; itertools.product over the alphabets names its views in order.
 b = BitVector.from_string("01")
 mechs2 = [randomized_response(q)] * 2
 trials = 200_000
 counts = simulate_experiment(mechs2, b, trials, seed=11)
-exact = view_distribution(mechs2, b).probs
+exact = view_distribution(mechs2, b)
+views = itertools.product(*exact.alphabets)
 print(f"\n{trials} simulated views under b={b}:")
-for view in sorted(exact):
-    print(f"  {view}: frequency {counts[view] / trials:.4f}  exact {exact[view]:.4f}")
+for view, n, p in zip(views, counts.tolist(), exact.probs.tolist()):
+    print(f"  {view}: frequency {n / trials:.4f}  exact {p:.4f}")
 
 # %% Mixtures work the same way; here is the view distribution when the
 # adversary's belief is uniform over 'exactly one contribution'.
 h = Hypothesis.uniform([BitVector.from_string("01"), BitVector.from_string("10")])
 d = mixture_view_distribution(mechs2, h)
 print(f"\nmixture view distribution under {h!r}:")
-for view in sorted(d.probs):
-    print(f"  {view}: {d.probs[view]:.4f}")
+for view, p in zip(itertools.product(*d.alphabets), d.probs.tolist()):
+    print(f"  {view}: {p:.4f}")

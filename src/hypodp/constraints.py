@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .composition import Advanced, CompositionTheorem, Simple, compose
-from .core import BitVector, MAX_K, PrivacyParams, bounded_params
+from .core import BitVector, MAX_ENUMERATION, MAX_K, PrivacyParams, bounded_params
 from .errors import (
     IncompatibleModeError,
     IncompatibleTheoremError,
@@ -92,7 +92,7 @@ def allowed_vectors(constraint: MembershipConstraint, k: int) -> set[BitVector]:
         return set(constraint.patterns)
     m = min(constraint.m, k)
     count = sum(math.comb(k, j) for j in range(m + 1))
-    if count > 10_000_000:
+    if count > MAX_ENUMERATION:
         raise KTooLargeError(f"constraint admits {count} vectors; enumeration refused")
     vectors = set()
     for j in range(m + 1):

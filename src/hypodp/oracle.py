@@ -13,6 +13,12 @@ The oracle covers nonadaptive, fixed-mechanism adversaries only, so the
 adversary's coin tosses carry no information and views are plain output
 tuples. Continuous mechanisms are out of scope: exactness requires a
 finite view space.
+
+A view is a tuple of k output symbols, one per mechanism. Every view
+distribution and every simulated count is one flat array on a single
+view index: row-major over each mechanism's sorted ``alphabet``, with
+mechanism 0 as the most significant digit. Entry ``i`` belongs to the
+i-th view that ``itertools.product(*alphabets)`` yields.
 """
 
 import math
@@ -36,7 +42,6 @@ MAX_VIEW_SPACE = 10_000_000
 SOUNDNESS_SLACK = 1e-12
 
 Symbol = Hashable
-View = tuple
 
 
 @dataclass(frozen=True)
@@ -54,10 +59,10 @@ class DiscreteMechanism:
         if set(self.absent) != set(self.present):
             raise MismatchedSupportError("absent and present must share one alphabet")
         for name, dist in (("absent", self.absent), ("present", self.present)):
-            if any(p < 0.0 for p in dist.values()):
-                raise ValueError(f"{name} distribution has a negative probability")
+            if not all(p >= 0.0 for p in dist.values()):
+                raise ValueError(f"{name} distribution has a negative or NaN probability")
             total = math.fsum(dist.values())
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:
                 raise ValueError(f"{name} distribution sums to {total!r}, not 1")
 
     def dist_for(self, bit: int) -> Mapping[Symbol, float]:
@@ -67,16 +72,28 @@ class DiscreteMechanism:
     def alphabet(self) -> tuple[Symbol, ...]:
         return tuple(sorted(self.absent))
 
+    def probs_for(self, bit: int) -> np.ndarray:
+        """The output probabilities for ``bit`` in ``alphabet`` order."""
+        dist = self.dist_for(bit)
+        return np.array([dist[y] for y in self.alphabet], dtype=np.float64)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ViewDistribution:
-    """Exact probability of every view tuple."""
+    """Exact probability of every view on the flat view index.
 
-    probs: Mapping[View, float]
+    ``probs[i]`` is the probability of the i-th view of
+    ``itertools.product(*alphabets)``; ``len(probs)`` is the view count.
+    """
+
+    probs: np.ndarray
+    alphabets: tuple[tuple[Symbol, ...], ...]
 
     def __post_init__(self):
-        total = math.fsum(self.probs.values())
-        if abs(total - 1.0) > 1e-9:
+        if len(self.probs) != math.prod(len(a) for a in self.alphabets):
+            raise ValueError("need one probability per view of the alphabets")
+        total = math.fsum(self.probs)
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"view probabilities sum to {total!r}, not 1")
 
 
@@ -98,31 +115,19 @@ def randomized_response_guarantee(q: float) -> PrivacyParams:
     return PrivacyParams(math.log((1.0 - q) / q), 0.0)
 
 
-def _check_view_space(mechs: Sequence[DiscreteMechanism]) -> int:
-    total = 1
-    for m in mechs:
-        total *= len(m.absent)
-        if total > MAX_VIEW_SPACE:
-            raise ViewSpaceTooLargeError(
-                f"view space exceeds {MAX_VIEW_SPACE} entries"
-            )
+def _check_view_space(mechs: Sequence[DiscreteMechanism], k: int) -> int:
+    """Check one mechanism per position and a bounded view space; return its size."""
+    if len(mechs) != k:
+        raise MixedLengthError(f"{len(mechs)} mechanisms but vector of length {k}")
+    total = math.prod(len(m.absent) for m in mechs)
+    if total > MAX_VIEW_SPACE:
+        raise ViewSpaceTooLargeError(f"view space exceeds {MAX_VIEW_SPACE} entries")
     return total
 
 
 def view_distribution(mechs: Sequence[DiscreteMechanism], b: BitVector) -> ViewDistribution:
     """Product distribution of the k outputs when vector b picks the databases."""
-    if len(mechs) != b.k:
-        raise MixedLengthError(f"{len(mechs)} mechanisms but vector of length {b.k}")
-    _check_view_space(mechs)
-    views: dict[View, float] = {(): 1.0}
-    for mech, bit in zip(mechs, b.bits()):
-        dist = mech.dist_for(bit)
-        views = {
-            v + (y,): p * dist[y]
-            for v, p in views.items()
-            for y in mech.alphabet
-        }
-    return ViewDistribution(views)
+    return mixture_view_distribution(mechs, Hypothesis.point_mass(b))
 
 
 def mixture_view_distribution(
@@ -130,15 +135,25 @@ def mixture_view_distribution(
 ) -> ViewDistribution:
     """View distribution under a composite hypothesis: the atom-weighted mixture.
 
-    Accumulation follows the hypothesis's sorted atom order, so results
-    are deterministic; memory stays bounded by the view space even for
-    hypotheses with thousands of atoms.
+    Each atom's product measure is built left to right, one outer
+    product per mechanism, and added with its weight in the
+    hypothesis's sorted atom order, so results are deterministic;
+    memory stays bounded by the view space even for hypotheses with
+    thousands of atoms.
     """
-    mixture: dict[View, float] = {}
+    mixture = np.zeros(_check_view_space(mechs, h.k))
+    tables = [(m.probs_for(0), m.probs_for(1)) for m in mechs]
     for vec, w in h.atoms:
-        for v, p in view_distribution(mechs, vec).probs.items():
-            mixture[v] = mixture.get(v, 0.0) + w * p
-    return ViewDistribution(mixture)
+        p = np.ones(1)
+        for table, bit in zip(tables, vec.bits()):
+            p = np.multiply.outer(table[bit], p).ravel()
+        mixture += w * p
+    # Each view's product is taken left to right, but the new axis goes
+    # first so numpy's inner loop runs over the long axis; one transpose
+    # then makes mechanism 0 the most significant digit again.
+    alphabets = tuple(m.alphabet for m in mechs)
+    mixture = mixture.reshape([len(a) for a in reversed(alphabets)]).transpose().ravel()
+    return ViewDistribution(mixture, alphabets)
 
 
 def required_delta(p0: ViewDistribution, p1: ViewDistribution, eps: float) -> float:
@@ -148,18 +163,17 @@ def required_delta(p0: ViewDistribution, p1: ViewDistribution, eps: float) -> fl
     the worst output set is exactly the set of views where P0 exceeds
     e^eps P1. At eps = 0 this is the total variation distance.
     """
-    if set(p0.probs) != set(p1.probs):
+    if p0.alphabets != p1.alphabets:
         raise MismatchedSupportError("view distributions cover different view spaces")
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
     factor = math.exp(eps) if eps < 700.0 else math.inf
-    gaps = []
-    for v, q0 in p0.probs.items():
-        q1 = p1.probs[v]
-        gap = q0 if q1 == 0.0 else q0 - factor * q1
-        if gap > 0.0:
-            gaps.append(gap)
-    return math.fsum(gaps)
+    # Where P1(v) = 0 the gap is P0(v); scaling only the nonzero entries
+    # keeps inf * 0 out of the sum.
+    gaps = p0.probs.copy()
+    scaled = p1.probs != 0.0
+    gaps[scaled] -= factor * p1.probs[scaled]
+    return math.fsum(gaps[gaps > 0.0].tolist())
 
 
 @dataclass(frozen=True)
@@ -203,40 +217,27 @@ def simulate_experiment(
     b: BitVector,
     trials: int,
     seed: int,
-) -> dict[View, int]:
-    """Sample i.i.d. views under vector b and count them.
+) -> np.ndarray:
+    """Sample i.i.d. views under vector b and count them on the flat view index.
 
     Uses the counter-based Philox generator with one stream per
     iteration derived from (seed, iteration index), so counts are
     bit-reproducible across platforms for a given seed. Every view in
-    the space appears in the result, including zero counts.
+    the space has an entry, including zero counts.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    if len(mechs) != b.k:
-        raise MixedLengthError(f"{len(mechs)} mechanisms but vector of length {b.k}")
-    total = _check_view_space(mechs)
+    total = _check_view_space(mechs, b.k)
 
-    alphabets = [m.alphabet for m in mechs]
     combined = np.zeros(trials, dtype=np.int64)
     stride = total
     for i, (mech, bit) in enumerate(zip(mechs, b.bits())):
-        probs = np.array([mech.dist_for(bit)[y] for y in alphabets[i]], dtype=np.float64)
+        probs = mech.probs_for(bit)
         probs /= probs.sum()
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        draws = rng.choice(len(alphabets[i]), size=trials, p=probs)
-        stride //= len(alphabets[i])
+        draws = rng.choice(len(probs), size=trials, p=probs)
+        stride //= len(probs)
         combined += draws * stride
-
-    counts = np.bincount(combined, minlength=total)
-    views: dict[View, int] = {}
-    for flat in range(total):
-        view = []
-        rem = flat
-        for alpha in reversed(alphabets):
-            view.append(alpha[rem % len(alpha)])
-            rem //= len(alpha)
-        views[tuple(reversed(view))] = int(counts[flat])
-    return views
+    return np.bincount(combined, minlength=total)

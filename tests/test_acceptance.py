@@ -234,7 +234,7 @@ def test_criterion_9_monte_carlo_consistency():
             b = BitVector(word, 2)
             counts = simulate_experiment(mechs, b, trials, seed=1000 + word)
             exact = view_distribution(mechs, b).probs
-            for view, p in exact.items():
+            for view, p in enumerate(exact.tolist()):
                 freq = counts[view] / trials
                 sigma = math.sqrt(p * (1.0 - p) / trials)
                 assert abs(freq - p) <= 4.0 * sigma, (str(b), view)
