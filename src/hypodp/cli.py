@@ -32,6 +32,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
 import yaml
 
 from . import constraints as con
@@ -452,10 +453,10 @@ def _cmd_verify(s: Scenario) -> tuple[dict, list[str], int]:
 
 def _cmd_simulate(s: Scenario) -> tuple[dict, list[str], int]:
     mechs = _rr_mechs(s)
-    vectors = sorted(set(s.p0.support()) | set(s.p1.support()), key=lambda v: v.word)
     rows = []
     human = [f"Monte-Carlo check, {s.trials} trials per vector, seed {s.seed}:"]
-    for idx, vec in enumerate(vectors):
+    for idx, word in enumerate(np.union1d(s.p0.words, s.p1.words).tolist()):
+        vec = BitVector(word, s.k)
         counts = orc.simulate_experiment(mechs, vec, s.trials, s.seed + idx)
         exact = orc.view_distribution(mechs, vec).probs
         devs = abs(counts / s.trials - exact).tolist()

@@ -11,15 +11,17 @@ Conventions:
   the two neighboring databases a mechanism is invoked on. Vectors are
   stored as machine words, which caps ``k`` at 63; position 0 is the
   first iteration (the leftmost character of the string form).
-* A :class:`Hypothesis` is a finite probability distribution over
-  bit vectors, i.e. a composite belief about database membership.
+* A :class:`Hypothesis` is a finite probability distribution over bit
+  vectors, a composite belief about database membership, held as two
+  read-only arrays: ascending ``uint64`` ``words`` and ``float64`` ``weights``.
 """
 
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     DuplicateAtomError,
@@ -132,11 +134,16 @@ class BitVector:
         return format(self.word, f"0{self.k}b")
 
 
+def _enumeration_size(k: int) -> int:
+    """The size 2^k of {0,1}^k; refuses any k whose vectors cannot be enumerated."""
+    if not 1 <= k <= MAX_K or (1 << k) > MAX_ENUMERATION:
+        raise KTooLargeError(f"enumerating 2^{k} vectors is not supported")
+    return 1 << k
+
+
 def all_vectors(k: int) -> list[BitVector]:
     """Every vector in {0,1}^k in lexicographic order."""
-    if k > MAX_K or (1 << k) > MAX_ENUMERATION:
-        raise KTooLargeError(f"enumerating 2^{k} vectors is not supported")
-    return [BitVector(w, k) for w in range(1 << k)]
+    return [BitVector(w, k) for w in range(_enumeration_size(k))]
 
 
 class Hypothesis:
@@ -152,49 +159,58 @@ class Hypothesis:
         if not items:
             raise NonNormalizedError("a hypothesis needs at least one atom")
         k = items[0][0].k
-        for vec, w in items:
+        for vec, _ in items:
             if vec.k != k:
                 raise MixedLengthError(f"atom {vec} has k={vec.k}, expected {k}")
-            if not w > 0.0:
-                raise NonPositiveWeightError(f"atom {vec} has non-positive weight {w}")
-        if len({vec.word for vec, _ in items}) < len(items):
+        self._set(k, np.array([vec.word for vec, _ in items], dtype=np.uint64),
+                  np.array([w for _, w in items], dtype=np.float64))
+
+    def _set(self, k: int, words: np.ndarray, weights: np.ndarray) -> "Hypothesis":
+        """Validate, sort by word and freeze: the one path every constructor takes."""
+        if not np.all(weights > 0.0):
+            i = int(np.argmin(weights > 0.0))
+            vec = BitVector(int(words[i]), k)
+            raise NonPositiveWeightError(f"atom {vec} has non-positive weight {weights[i]}")
+        order = np.argsort(words, kind="stable")
+        words, weights = words[order], weights[order]
+        if np.any(words[1:] == words[:-1]):
             raise DuplicateAtomError("a vector is listed more than once")
-        total = math.fsum(w for _, w in items)
+        total = math.fsum(weights.tolist())
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NonNormalizedError(f"weights sum to {total!r}, not 1")
-        self._atoms = tuple(sorted(((v, float(w)) for v, w in items), key=lambda a: a[0].word))
-        self._k = k
+        words.flags.writeable = weights.flags.writeable = False
+        self._k, self._words, self._weights = k, words, weights
+        return self
 
-    @property
-    def k(self) -> int:
-        return self._k
+    k = property(lambda self: self._k)
+    words = property(lambda self: self._words, doc="The atoms' words, ascending; read-only.")
+    weights = property(lambda self: self._weights, doc="Their weights, aligned; read-only.")
+    _key = property(lambda self: (self._k, self._words.tobytes(), self._weights.tobytes()))
 
     @property
     def atoms(self) -> tuple[tuple[BitVector, float], ...]:
-        """Atoms sorted lexicographically by vector."""
-        return self._atoms
-
-    @cached_property
-    def _weight_map(self) -> dict[BitVector, float]:
-        return dict(self._atoms)
+        """(vector, weight) per atom, sorted lexicographically; built on each read."""
+        return tuple(zip(self.support(), self._weights.tolist()))
 
     def weight(self, vec: BitVector) -> float:
-        return self._weight_map.get(vec, 0.0)
+        i = np.searchsorted(self._words, vec.word)
+        hit = vec.k == self._k and i < len(self) and self._words[i] == vec.word
+        return self._weights[i].item() if hit else 0.0
 
     def support(self) -> tuple[BitVector, ...]:
-        return tuple(v for v, _ in self._atoms)
+        return tuple(BitVector(w, self._k) for w in self._words.tolist())
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self._words)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Hypothesis) and self._atoms == other._atoms
+        return isinstance(other, Hypothesis) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._atoms)
+        return hash(self._key)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}: {w!r}" for v, w in self._atoms)
+        inner = ", ".join(f"{v}: {w!r}" for v, w in self.atoms)
         return f"Hypothesis({{{inner}}})"
 
     @classmethod
@@ -211,12 +227,18 @@ class Hypothesis:
     @classmethod
     def uniform_all(cls, k: int) -> "Hypothesis":
         """Uniform over all of {0,1}^k."""
-        return cls.uniform(all_vectors(k))
+        return cls._uniform_from(0, k)
 
     @classmethod
     def uniform_nonzero(cls, k: int) -> "Hypothesis":
         """Uniform over {0,1}^k minus the zero vector."""
-        return cls.uniform(v for v in all_vectors(k) if v.word != 0)
+        return cls._uniform_from(1, k)
+
+    @classmethod
+    def _uniform_from(cls, first: int, k: int) -> "Hypothesis":
+        """Uniform over the words first, ..., 2^k - 1, built without per-atom objects."""
+        words = np.arange(first, _enumeration_size(k), dtype=np.uint64)
+        return cls.__new__(cls)._set(k, words, np.full(len(words), 1.0 / len(words)))
 
 
 @dataclass(frozen=True)

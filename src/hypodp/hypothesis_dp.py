@@ -237,10 +237,9 @@ def uniform_nonzero_closed_form(eps: float, delta: float, k: int) -> PrivacyPara
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # ln((1+e^eps)^k - 1) = A + ln(1 - e^-A) with A = k*ln(1+e^eps).
-    a = k * _softplus(eps)
-    log_num = a + _log1mexp(a)
-    log_den = _log_pow2_minus1(k)
+    log_num = _log_expm1(k * _softplus(eps))
+    # 2^k - 1 is exact in a double up to k = 50.
+    log_den = math.log((1 << k) - 1) if k <= 50 else _log_expm1(k * math.log(2.0))
     delta_out = k * (2 ** (k - 1) / (2**k - 1)) * delta
     return bounded_params(log_num - log_den, delta_out)
 
@@ -252,15 +251,6 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def _log1mexp(a: float) -> float:
-    """ln(1 - e^-a) for a > 0."""
-    if a <= 0:
-        raise ValueError(f"need a > 0, got {a}")
-    return math.log(-math.expm1(-a))
-
-
-def _log_pow2_minus1(k: int) -> float:
-    """ln(2^k - 1); switches to log space beyond exact float range."""
-    if k <= 50:
-        return math.log((1 << k) - 1)
-    return k * math.log(2.0) + _log1mexp(k * math.log(2.0))
+def _log_expm1(a: float) -> float:
+    """ln(e^a - 1) for a > 0, overflow-safe: a + ln(1 - e^-a)."""
+    return a + math.log(-math.expm1(-a))

@@ -37,6 +37,9 @@ from .errors import (
 
 MAX_VIEW_SPACE = 10_000_000
 
+# Atoms x views one mixture may cost: about ten seconds, every preset up to k = 16.
+MAX_MIXTURE_WORK = 2**32
+
 # Absolute slack on delta comparisons; covers accumulated rounding in
 # product measures over up to MAX_VIEW_SPACE entries.
 SOUNDNESS_SLACK = 1e-12
@@ -115,13 +118,15 @@ def randomized_response_guarantee(q: float) -> PrivacyParams:
     return PrivacyParams(math.log((1.0 - q) / q), 0.0)
 
 
-def _check_view_space(mechs: Sequence[DiscreteMechanism], k: int) -> int:
+def _check_view_space(mechs: Sequence[DiscreteMechanism], k: int, atoms: int = 1) -> int:
     """Check one mechanism per position and a bounded view space; return its size."""
     if len(mechs) != k:
         raise MixedLengthError(f"{len(mechs)} mechanisms but vector of length {k}")
     total = math.prod(len(m.absent) for m in mechs)
     if total > MAX_VIEW_SPACE:
         raise ViewSpaceTooLargeError(f"view space exceeds {MAX_VIEW_SPACE} entries")
+    if atoms * total > MAX_MIXTURE_WORK:
+        raise ViewSpaceTooLargeError(f"{atoms} atoms x {total} views exceeds {MAX_MIXTURE_WORK}")
     return total
 
 
@@ -137,16 +142,16 @@ def mixture_view_distribution(
 
     Each atom's product measure is built left to right, one outer
     product per mechanism, and added with its weight in the
-    hypothesis's sorted atom order, so results are deterministic;
+    hypothesis's ascending word order, so results are deterministic;
     memory stays bounded by the view space even for hypotheses with
-    thousands of atoms.
+    thousands of atoms. Work beyond ``MAX_MIXTURE_WORK`` is refused up front.
     """
-    mixture = np.zeros(_check_view_space(mechs, h.k))
+    mixture = np.zeros(_check_view_space(mechs, h.k, len(h)))
     tables = [(m.probs_for(0), m.probs_for(1)) for m in mechs]
-    for vec, w in h.atoms:
+    for word, w in zip(h.words.tolist(), h.weights.tolist()):
         p = np.ones(1)
-        for table, bit in zip(tables, vec.bits()):
-            p = np.multiply.outer(table[bit], p).ravel()
+        for i, table in enumerate(tables):  # position 0 is the most significant bit
+            p = np.multiply.outer(table[(word >> (h.k - 1 - i)) & 1], p).ravel()
         mixture += w * p
     # Each view's product is taken left to right, but the new axis goes
     # first so numpy's inner loop runs over the long axis; one transpose

@@ -43,27 +43,27 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
     subtracted from the larger side. Residuals below
     ``WEIGHT_PRUNE_TOLERANCE`` are floating-point dust from subtracting
     near-equal weights and are dropped. The pair count is at most
-    ``len(p0.atoms) + len(p1.atoms) - 1``.
+    ``len(p0) + len(p1) - 1``.
     """
     if p0.k != p1.k:
         raise MixedLengthError(f"hypotheses have k={p0.k} and k={p1.k}")
 
-    # Atoms are already sorted lexicographically; a residual left at a
-    # front position stays the smallest vector on its side, so walking
-    # with two iterators is exactly the smallest-first consumption order.
-    atoms0, atoms1 = iter(p0.atoms), iter(p1.atoms)
-    (vec0, w0), (vec1, w1) = next(atoms0), next(atoms1)
+    # Words are already sorted; a residual left at a front position stays
+    # the smallest vector on its side, so walking with two iterators is
+    # exactly the smallest-first consumption order.
+    atoms0, atoms1 = (zip(p.words.tolist(), p.weights.tolist()) for p in (p0, p1))
+    (word0, w0), (word1, w1) = next(atoms0), next(atoms1)
     rows = []
     try:
         while True:
             w = min(w0, w1)
-            rows.append((w, vec0.word, vec1.word))
+            rows.append((w, word0, word1))
             w0 -= w
             w1 -= w
             if w0 <= WEIGHT_PRUNE_TOLERANCE:
-                vec0, w0 = next(atoms0)
+                word0, w0 = next(atoms0)
             if w1 <= WEIGHT_PRUNE_TOLERANCE:
-                vec1, w1 = next(atoms1)
+                word1, w1 = next(atoms1)
     except StopIteration:  # the walk ends when either side runs out
         pass
     return MatchedRefinement(p0.k, np.array(rows, dtype=PAIR_DTYPE))

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 import yaml
@@ -225,6 +226,13 @@ class TestLargeK:
         path = write(tmp_path, "s.yaml", homogeneous(24))
         assert main(["hdp", "--scenario", path]) == EXIT_BAD_SCENARIO
         assert "hypotheses.p1" in capsys.readouterr().err
+
+    def test_verify_beyond_the_oracle_budget_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "s.yaml", homogeneous(17))
+        start = time.perf_counter()
+        assert main(["verify", "--scenario", path]) == EXIT_COMPUTATION
+        assert time.perf_counter() - start < 5.0
+        assert "atoms x" in capsys.readouterr().err
 
     def test_subsample_under_advanced(self, tmp_path, capsys):
         path = write(tmp_path, "s.yaml", homogeneous(8, "theorem: {advanced: {delta_slack: 1.0e-6}}\n"))

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hypodp import core
 from hypodp.core import (
     BitVector,
     Hypothesis,
@@ -149,6 +151,83 @@ class TestHypothesis:
     def test_uniform_enumeration_guard(self):
         with pytest.raises(KTooLargeError):
             Hypothesis.uniform_nonzero(40)
+
+
+class _Forbidden:
+    """Stands in for numpy and BitVector: any call through it fails the test."""
+
+    def __getattr__(self, name):
+        return self
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("allocated before the enumeration guard")
+
+
+class TestEnumerationGuard:
+    @pytest.mark.parametrize("k", [-1, 0, 24, 64])
+    @pytest.mark.parametrize(
+        "enumerate_k",
+        [all_vectors, Hypothesis.uniform_all, Hypothesis.uniform_nonzero],
+        ids=["all_vectors", "uniform_all", "uniform_nonzero"],
+    )
+    def test_refused_before_any_allocation(self, monkeypatch, enumerate_k, k):
+        monkeypatch.setattr(core, "np", _Forbidden())
+        monkeypatch.setattr(core, "BitVector", _Forbidden())
+        with pytest.raises(KTooLargeError):
+            enumerate_k(k)
+
+
+def random_items(rng, k, n):
+    words = rng.choice(1 << k, size=n, replace=False)
+    weights = rng.dirichlet(np.ones(n))
+    return [(BitVector(int(w), k), float(p)) for w, p in zip(words, weights)]
+
+
+class TestArrays:
+    def assert_invariants(self, h):
+        assert h.words.dtype == np.uint64 and h.weights.dtype == np.float64
+        assert len(h.words) == len(h.weights) == len(h)
+        assert np.all(h.words[1:] > h.words[:-1])
+        for arr in (h.words, h.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_mixtures(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(100):
+            k = int(rng.integers(1, 13))
+            items = random_items(rng, k, int(rng.integers(1, min(60, 1 << k) + 1)))
+            h = Hypothesis(items)
+            self.assert_invariants(h)
+            assert h.atoms == tuple(sorted(items, key=lambda a: a[0].word))
+            shuffled = Hypothesis([items[i] for i in rng.permutation(len(items))])
+            assert shuffled == h and hash(shuffled) == hash(h)
+            assert shuffled.words.tobytes() == h.words.tobytes()
+            assert shuffled.weights.tobytes() == h.weights.tobytes()
+
+    def test_presets(self):
+        for k in (1, 2, 7, 12):
+            for h in (Hypothesis.point_mass(BitVector.ones(k)),
+                      Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k)):
+                self.assert_invariants(h)
+
+    def test_presets_equal_generic_uniform(self):
+        for k in range(1, 11):
+            vectors = all_vectors(k)
+            assert Hypothesis.uniform_all(k) == Hypothesis.uniform(vectors)
+            assert Hypothesis.uniform_nonzero(k) == Hypothesis.uniform(vectors[1:])
+
+    def test_views_follow_the_arrays(self):
+        h = Hypothesis({BitVector.from_string("110"): 0.75, BitVector.from_string("001"): 0.25})
+        assert h.words.tolist() == [1, 6] and h.weights.tolist() == [0.25, 0.75]
+        assert [str(v) for v in h.support()] == ["001", "110"]
+        assert h.weight(BitVector.from_string("110")) == 0.75
+        assert h.weight(BitVector.from_string("111")) == 0.0
+        assert h.weight(BitVector.from_string("1")) == 0.0
+        assert repr(h) == "Hypothesis({001: 0.25, 110: 0.75})"
+        assert h != Hypothesis({BitVector.from_string("0110"): 0.75,
+                                BitVector.from_string("0001"): 0.25})
 
 
 class TestMechanismSequence:

@@ -19,6 +19,7 @@ from hypodp.constraints import (
     NeighborhoodMode,
     PatternSet,
     constrained_bound,
+    exclusive_groups_bound,
 )
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
 from hypodp.hypothesis_dp import _aggregate, hdp_guarantee, pair_guarantee
@@ -346,6 +347,32 @@ class TestConstrainedBoundSound:
                 mechs, Hypothesis.point_mass(a), Hypothesis.point_mass(b), bound
             )
             assert report.sound, (str(a), str(b))
+
+
+class TestExclusiveGroupsSound:
+    def test_random_boundaries_with_delta(self):
+        # Bounded mode claims all three pairs of the first-group pattern,
+        # the second-group pattern and zero; unbounded mode drops
+        # second vs zero.
+        rng = np.random.default_rng(1729)
+        for _ in range(150):
+            total = int(rng.integers(2, 7))
+            shared_end = int(rng.integers(0, total - 1))
+            first_only_end = int(rng.integers(shared_end + 1, total))
+            params = random_params(rng, total)
+            seq = MechanismSequence.from_pairs(params)
+            first = bv("1" * first_only_end + "0" * (total - first_only_end))
+            second = bv("1" * shared_end + "0" * (first_only_end - shared_end)
+                        + "1" * (total - first_only_end))
+            zero = BitVector.zeros(total)
+            for mode in NeighborhoodMode:
+                claimed = exclusive_groups_bound(seq, shared_end, first_only_end, total, mode)
+                pairs = [(first, second), (first, zero)]
+                if mode is NeighborhoodMode.BOUNDED:
+                    pairs.append((second, zero))
+                assert point_pairs_sound(params, pairs, claimed), (
+                    params, shared_end, first_only_end, mode, claimed
+                )
 
 
 class TestClaimsAreSharp:

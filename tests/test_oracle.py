@@ -1,9 +1,11 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+from hypodp import oracle
 from hypodp.composition import Simple, simple_compose
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
 from hypodp.errors import (
@@ -151,6 +153,29 @@ class TestMixture:
         h = Hypothesis.uniform_nonzero(3)
         d = mixture_view_distribution(mechs, h)
         assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestWorkBudget:
+    def test_boundary(self, monkeypatch):
+        # uniform_all(3) costs 8 atoms x 8 views.
+        mechs = [randomized_response(0.25)] * 3
+        monkeypatch.setattr(oracle, "MAX_MIXTURE_WORK", 64)
+        mixture_view_distribution(mechs, Hypothesis.uniform_all(3))
+        monkeypatch.setattr(oracle, "MAX_MIXTURE_WORK", 63)
+        with pytest.raises(ViewSpaceTooLargeError, match="8 atoms x 8 views"):
+            mixture_view_distribution(mechs, Hypothesis.uniform_all(3))
+
+    def test_k17_refused_at_once(self):
+        # 2^17 - 1 atoms x 2^17 views; the flat oracle would need minutes.
+        k = 17
+        mechs = [randomized_response(0.25)] * k
+        zero, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
+        start = time.perf_counter()
+        with pytest.raises(ViewSpaceTooLargeError):
+            mixture_view_distribution(mechs, nonzero)
+        with pytest.raises(ViewSpaceTooLargeError):
+            verify_hdp(mechs, zero, nonzero, PrivacyParams(1.0, 0.0))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestReference:

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hypodp.core import BitVector, Hypothesis
+from hypodp.composition import Simple
+from hypodp.core import BitVector, Hypothesis, MechanismSequence, WEIGHT_PRUNE_TOLERANCE
 from hypodp.errors import MixedLengthError
-from hypodp.refinement import refine_tuples
+from hypodp.hypothesis_dp import hdp_guarantee
+from hypodp.oracle import randomized_response, verify_hdp
+from hypodp.refinement import PAIR_DTYPE, refine_tuples
 
 
 def bv(s):
@@ -106,3 +109,74 @@ class TestProperties:
         p1 = hyp({"100": 0.375, "101": 0.375, "110": 0.25})
         r = refine_tuples(p0, p1)
         assert len(r.pairs) <= len(p0) + len(p1) - 1
+
+
+def reference_pairs(p0, p1):
+    """The smallest-first walk over per-atom ``(BitVector, weight)`` objects.
+
+    The reference the array walk must reproduce byte for byte.
+    """
+    atoms0, atoms1 = iter(p0.atoms), iter(p1.atoms)
+    (vec0, w0), (vec1, w1) = next(atoms0), next(atoms1)
+    rows = []
+    try:
+        while True:
+            w = min(w0, w1)
+            rows.append((w, vec0.word, vec1.word))
+            w0 -= w
+            w1 -= w
+            if w0 <= WEIGHT_PRUNE_TOLERANCE:
+                vec0, w0 = next(atoms0)
+            if w1 <= WEIGHT_PRUNE_TOLERANCE:
+                vec1, w1 = next(atoms1)
+    except StopIteration:
+        pass
+    return np.array(rows, dtype=PAIR_DTYPE)
+
+
+def presets(k):
+    return (Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.point_mass(BitVector.ones(k)),
+            Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k))
+
+
+class TestArrayWalk:
+    def assert_matches_reference(self, p0, p1):
+        for a, b in ((p0, p1), (p1, p0)):
+            assert refine_tuples(a, b).pairs.tobytes() == reference_pairs(a, b).tobytes()
+
+    def test_seeded_mixtures(self):
+        for p0, p1 in random_pairs(seed=99, count=300):
+            self.assert_matches_reference(p0, p1)
+        # A 1e-10 residual lies above the prune tolerance and stays a piece.
+        self.assert_matches_reference(hyp({"0": 0.5, "1": 0.5}),
+                                      hyp({"0": 0.5 + 1e-10, "1": 0.5 - 1e-10}))
+        rng = np.random.default_rng(1018)
+        for k, n0, n1 in ((10, 200, 700), (14, 3000, 1000), (16, 5000, 5000)):
+            sides = []
+            for n in (n0, n1):
+                words = rng.choice(1 << k, size=n, replace=False)
+                weights = rng.dirichlet(np.ones(n))
+                sides.append(Hypothesis([(BitVector(int(w), k), float(p))
+                                         for w, p in zip(words, weights)]))
+            self.assert_matches_reference(*sides)
+
+    def test_presets(self):
+        for k in range(1, 13):
+            for p0 in presets(k):
+                for p1 in presets(k):
+                    self.assert_matches_reference(p0, p1)
+
+    def test_no_per_atom_view_is_built(self, monkeypatch):
+        k = 8
+        p0, p1 = Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k)
+
+        def refuse(*_args):
+            raise AssertionError("a per-atom view was built")
+
+        monkeypatch.setattr(Hypothesis, "atoms", property(refuse))
+        monkeypatch.setattr(Hypothesis, "support", refuse)
+        monkeypatch.setattr(Hypothesis, "weight", refuse)
+        refine_tuples(p0, p1)
+        claimed = hdp_guarantee(p0, p1, MechanismSequence.homogeneous(math.log(3.0), 0.0, k),
+                                Simple())
+        assert verify_hdp([randomized_response(0.25)] * k, p0, p1, claimed).sound
