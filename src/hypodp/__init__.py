@@ -16,6 +16,7 @@ from .composition import (
     advanced_compose,
     best_classic_bound,
     compose,
+    compose_selections,
     simple_compose,
 )
 from .constraints import (
@@ -49,6 +50,7 @@ from .oracle import (
     DiscreteMechanism,
     VerifyReport,
     ViewDistribution,
+    leaky_rr,
     mixture_view_distribution,
     randomized_response,
     randomized_response_guarantee,
@@ -93,11 +95,13 @@ __all__ = [
     "amplify",
     "best_classic_bound",
     "compose",
+    "compose_selections",
     "constrained_bound",
     "differing_indices",
     "exclusive_groups_bound",
     "hdp_guarantee",
     "hdp_guarantee_over_set",
+    "leaky_rr",
     "mixture_view_distribution",
     "pair_guarantee",
     "parallel_bound",

@@ -523,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
-    except ValueError as exc:  # AccountingError and plain validation errors
+    except (ValueError, OverflowError) as exc:  # AccountingError, validation, overflow
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
     _emit(report, args.out, human, args.quiet)

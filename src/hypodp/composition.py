@@ -11,14 +11,24 @@ Epsilons stay in plain double precision throughout; anything that needs
 ``exp`` of a composed epsilon is expected to work in log space on the
 caller's side. Delta sums use ``math.fsum`` (exact compensated
 summation), which also makes the sums order-independent.
+``compose_selections`` composes many position subsets of one sequence
+in one call and returns plain float rows, bit-identical to ``compose``.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from itertools import compress
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .core import PrivacyParams, bounded_params
-from .errors import HeterogeneousInputError, IncompatibleTheoremError, InvalidSlackError
+from .errors import (
+    HeterogeneousInputError,
+    IncompatibleTheoremError,
+    InvalidSlackError,
+    MixedLengthError,
+)
 
 
 @dataclass(frozen=True)
@@ -117,13 +127,49 @@ def compose(guarantees: Iterable[PrivacyParams], theorem: CompositionTheorem) ->
     raise IncompatibleTheoremError(f"unknown composition theorem: {theorem!r}")
 
 
+def compose_selections(
+    guarantees: Sequence[PrivacyParams], rows: np.ndarray, theorem: CompositionTheorem
+) -> np.ndarray:
+    """Compose the guarantees each boolean row selects; an ``(n, 2)`` float64 array.
+
+    Row r of the result is ``compose(selected, theorem).as_tuple()`` bit
+    for bit, where ``selected`` lists the guarantees at the positions
+    ``rows[r]`` marks, in sequence order. Under ``Simple`` that is two
+    ``math.fsum`` calls on plain floats, with the delta capped at 1;
+    every other theorem calls ``compose``.
+
+    Raises:
+        MixedLengthError: if the rows are not as long as the sequence.
+    """
+    guarantees = list(guarantees)
+    rows = np.asarray(rows, dtype=bool)
+    if rows.ndim != 2 or rows.shape[1] != len(guarantees):
+        raise MixedLengthError(
+            f"selections of shape {rows.shape} for {len(guarantees)} mechanisms"
+        )
+    if isinstance(theorem, Simple):
+        eps = [g.epsilon for g in guarantees]
+        delta = [g.delta for g in guarantees]
+        out = [(math.fsum(compress(eps, row)), min(1.0, math.fsum(compress(delta, row))))
+               for row in rows.tolist()]
+    else:
+        out = [compose(list(compress(guarantees, row)), theorem).as_tuple()
+               for row in rows.tolist()]
+    return np.array(out, dtype=np.float64).reshape(len(rows), 2)
+
+
 def best_classic_bound(guarantees: Iterable[PrivacyParams], delta_slack: float) -> PrivacyParams:
     """The epsilon-smaller of simple and (when applicable) advanced composition.
 
-    Ties on epsilon break toward the smaller delta.
+    Ties on epsilon break toward the smaller delta. Advanced composition
+    is skipped where its epsilon overflows, since simple composition's is
+    finite and smaller.
     """
     guarantees = list(guarantees)
     candidates = [simple_compose(guarantees)]
     if is_compatible(guarantees, Advanced(delta_slack)):
-        candidates.append(advanced_compose(guarantees, delta_slack))
+        try:
+            candidates.append(advanced_compose(guarantees, delta_slack))
+        except OverflowError:
+            pass
     return min(candidates, key=lambda g: (g.epsilon, g.delta))

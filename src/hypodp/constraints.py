@@ -35,7 +35,7 @@ from .errors import (
     MixedLengthError,
     NonzeroDeltaError,
 )
-from .hypothesis_dp import componentwise_max as _pick, pair_guarantee
+from .hypothesis_dp import componentwise_max as _pick, compose_differences
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,8 @@ def _max_over_pairs(
 ) -> PrivacyParams:
     if not vector_pairs:
         return PrivacyParams(0.0, 0.0)
-    return _pick([pair_guarantee(a, b, seq, theorem) for a, b in vector_pairs])
+    composed = compose_differences([a.word ^ b.word for a, b in vector_pairs], seq, theorem)
+    return _pick([PrivacyParams(eps, delta) for eps, delta in composed.tolist()])
 
 
 def constrained_bound(
@@ -238,4 +239,4 @@ def parallel_bound(
     if any(g.delta != 0.0 for g in guarantees):
         raise NonzeroDeltaError("parallel composition applies to delta=0 mechanisms only")
     count = m if mode is NeighborhoodMode.UNBOUNDED else min(2 * m, len(guarantees))
-    return PrivacyParams(count * max(g.epsilon for g in guarantees), 0.0)
+    return bounded_params(count * max(g.epsilon for g in guarantees), 0.0)

@@ -51,8 +51,10 @@ class PrivacyParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.epsilon >= 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        # An infinite epsilon would turn the log-space aggregation's
+        # inf - inf into NaN, so a vacuous guarantee is refused outright.
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
 
@@ -65,8 +67,11 @@ def bounded_params(epsilon: float, delta: float) -> PrivacyParams:
 
     A statement with delta >= 1 is vacuous but well formed; clamping keeps
     comparisons total. Tiny negative epsilon can only arise from rounding
-    in log-space aggregation and is mathematically zero.
+    in log-space aggregation and is mathematically zero. An epsilon that
+    overflowed to infinity raises ``OverflowError``, as ``math.fsum`` does.
     """
+    if epsilon == math.inf:
+        raise OverflowError("composed epsilon overflows a double")
     if -1e-9 < epsilon < 0.0:
         epsilon = 0.0
     return PrivacyParams(epsilon, min(1.0, delta))
@@ -222,7 +227,7 @@ class Hypothesis:
         vectors = list(vectors)
         if not vectors:
             raise NonNormalizedError("cannot build a uniform hypothesis over nothing")
-        return cls({v: 1.0 / len(vectors) for v in vectors})
+        return cls([(v, 1.0 / len(vectors)) for v in vectors])
 
     @classmethod
     def uniform_all(cls, k: int) -> "Hypothesis":

@@ -9,7 +9,8 @@ group-wise.
 
 A piece's key counts, per distinct guarantee of the sequence, the
 differing positions that carry it. Each key composes once, on one
-representative: at most k + 1 times for a homogeneous sequence. Pieces
+representative: at most k + 1 times for a homogeneous sequence, all
+keys in one ``composition.compose_selections`` call. Pieces
 with one key differ in the same multiset of guarantees, so this is
 exact: simple composition sums with ``math.fsum``, which is order-free,
 and advanced composition only composes identical guarantees. A fixed
@@ -51,7 +52,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .composition import CompositionTheorem, compose
+from .composition import CompositionTheorem, compose_selections
 from .core import (
     BitVector,
     Hypothesis,
@@ -85,7 +86,26 @@ def pair_guarantee(
     """
     if len(seq) != b0.k:
         raise MixedLengthError(f"sequence has {len(seq)} mechanisms, vectors have k={b0.k}")
-    return compose([seq[i] for i in differing_indices(b0, b1)], theorem)
+    if b0.k != b1.k:
+        raise MixedLengthError(f"vectors have k={b0.k} and k={b1.k}")
+    (eps, delta), = compose_differences([b0.word ^ b1.word], seq, theorem).tolist()
+    return PrivacyParams(eps, delta)
+
+
+def compose_differences(
+    diffs: Sequence[int] | np.ndarray, seq: Sequence[PrivacyParams], theorem: CompositionTheorem
+) -> np.ndarray:
+    """Compose, per XOR word, the mechanisms at its set positions; an ``(n, 2)`` array.
+
+    Row r is ``pair_guarantee(...).as_tuple()`` for any two vectors whose
+    words differ by ``diffs[r]``. One numpy bit-unpack turns the words
+    into selections: position 0, the word's top bit of ``k = len(seq)``,
+    comes first.
+    """
+    k = len(seq)
+    octets = np.asarray(diffs, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    rows = np.unpackbits(octets, axis=1)[:, 64 - k:].view(bool)
+    return compose_selections(seq, rows, theorem)
 
 
 def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> PrivacyParams:
@@ -181,7 +201,11 @@ def hdp_guarantee(
     where that epsilon reaches a direction's ``eps_G``, else that
     direction's ``delta_J``. The module docstring gives ``delta_J`` and
     the proofs. Aggregation never sees unmatched weights: refinement
-    always runs first.
+    always runs first. Pieces sharing a key (per distinct guarantee, the
+    count of differing positions carrying it) compose once: one bit-unpack
+    of the keys' representative XOR words, then one
+    ``composition.compose_selections`` call for every key, with results
+    bit-identical to composing each piece on its own.
     """
     k = p0.k
     if len(seq) != k:
@@ -198,10 +222,7 @@ def hdp_guarantee(
     for mask in masks.values():
         keys = keys * np.uint64(mask.bit_count() + 1) + np.bitwise_count(diffs & np.uint64(mask))
     _, first, key_of_diff = np.unique(keys, return_index=True, return_inverse=True)
-    composed = np.array([
-        pair_guarantee(BitVector.zeros(k), BitVector(int(d), k), seq, theorem).as_tuple()
-        for d in diffs[first]
-    ])
+    composed = compose_differences(diffs[first], seq, theorem)
     eps, delta = composed[key_of_diff[piece_diff]].T
     return _aggregate(pairs, eps, delta)
 

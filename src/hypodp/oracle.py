@@ -111,6 +111,25 @@ def randomized_response(q: float) -> DiscreteMechanism:
     return DiscreteMechanism(absent={1: q, 0: 1.0 - q}, present={1: 1.0 - q, 0: q})
 
 
+def leaky_rr(eps: float, delta: float) -> DiscreteMechanism:
+    """The canonical (eps, delta)-DP mechanism on four symbols.
+
+    Symbols ``a`` and ``b`` answer as randomized response at ``eps``;
+    ``r0`` and ``r1`` reveal the absent and present database with
+    probability ``delta``. Every (eps, delta)-DP mechanism is a
+    post-processing of this one (Kairouz, Oh, Viswanath 2015), so a
+    claim the oracle accepts on it holds for every mechanism with those
+    guarantees.
+    """
+    PrivacyParams(eps, delta)  # rejects an invalid pair
+    hi = (1.0 - delta) * math.exp(eps) / (1.0 + math.exp(eps))
+    lo = (1.0 - delta) / (1.0 + math.exp(eps))
+    return DiscreteMechanism(
+        absent={"a": hi, "b": lo, "r0": delta, "r1": 0.0},
+        present={"a": lo, "b": hi, "r0": 0.0, "r1": delta},
+    )
+
+
 def randomized_response_guarantee(q: float) -> PrivacyParams:
     """The (ln((1-q)/q), 0) guarantee of :func:`randomized_response`."""
     if not 0.0 < q < 0.5:

@@ -43,27 +43,38 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
     subtracted from the larger side. Residuals below
     ``WEIGHT_PRUNE_TOLERANCE`` are floating-point dust from subtracting
     near-equal weights and are dropped. The pair count is at most
-    ``len(p0) + len(p1) - 1``.
+    ``len(p0) + len(p1) - 1``. The walk keeps two atom indices over plain
+    float lists; the word columns are then gathered from ``words`` by
+    index in one numpy step.
     """
     if p0.k != p1.k:
         raise MixedLengthError(f"hypotheses have k={p0.k} and k={p1.k}")
 
     # Words are already sorted; a residual left at a front position stays
-    # the smallest vector on its side, so walking with two iterators is
+    # the smallest vector on its side, so walking two atom indices is
     # exactly the smallest-first consumption order.
-    atoms0, atoms1 = (zip(p.words.tolist(), p.weights.tolist()) for p in (p0, p1))
-    (word0, w0), (word1, w1) = next(atoms0), next(atoms1)
-    rows = []
+    weights0, weights1 = p0.weights.tolist(), p1.weights.tolist()
+    i = j = 0
+    w0, w1 = weights0[0], weights1[0]
+    weight, at0, at1 = [], [], []
     try:
         while True:
-            w = min(w0, w1)
-            rows.append((w, word0, word1))
+            w = w1 if w1 < w0 else w0
+            weight.append(w)
+            at0.append(i)
+            at1.append(j)
             w0 -= w
             w1 -= w
             if w0 <= WEIGHT_PRUNE_TOLERANCE:
-                word0, w0 = next(atoms0)
+                i += 1
+                w0 = weights0[i]
             if w1 <= WEIGHT_PRUNE_TOLERANCE:
-                word1, w1 = next(atoms1)
-    except StopIteration:  # the walk ends when either side runs out
+                j += 1
+                w1 = weights1[j]
+    except IndexError:  # the walk ends when either side runs out
         pass
-    return MatchedRefinement(p0.k, np.array(rows, dtype=PAIR_DTYPE))
+    pairs = np.empty(len(weight), dtype=PAIR_DTYPE)
+    pairs["weight"] = weight
+    pairs["word0"] = p0.words[at0]
+    pairs["word1"] = p1.words[at1]
+    return MatchedRefinement(p0.k, pairs)

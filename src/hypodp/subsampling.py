@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .composition import CompositionTheorem, compose
+from .composition import CompositionTheorem, Simple, compose
 from .core import PrivacyParams, bounded_params
 from .errors import InvalidRateError
 from .hypothesis_dp import _aggregate, uniform_nonzero_closed_form
@@ -79,6 +79,12 @@ def uniform_prior_bound(
     epsilon is ln(sum_i w_i e^eps_hat_i) and delta is at least
     sum_i w_i delta_hat_i. Weights that underflow to 0 drop out, so any
     k works.
+
+    Under ``Simple`` all k tails come from one backward pass in O(k):
+    each is the exact suffix sum rounded once, which is the double
+    ``math.fsum`` returns for that slice. Other theorems compose each
+    tail on its own. A block epsilon that overflows raises
+    ``OverflowError``.
     """
     guarantees = list(seq)
     k = len(guarantees)
@@ -86,11 +92,48 @@ def uniform_prior_bound(
         raise ValueError("sequence must be non-empty")
     halved = [amplify(g, 0.5) for g in guarantees]
     norm = -math.expm1(-k * LN2)
-    tails = [compose(halved[i + 1 :], theorem) for i in range(k)]
+    if isinstance(theorem, Simple):
+        tail_eps = _exact_suffix_sums([g.epsilon for g in halved])[1:]
+        tail_delta = [min(1.0, d) for d in _exact_suffix_sums([g.delta for g in halved])[1:]]
+    else:
+        tails = [compose(halved[i + 1 :], theorem) for i in range(k)]
+        tail_eps, tail_delta = [t.epsilon for t in tails], [t.delta for t in tails]
+    eps = [g.epsilon + t for g, t in zip(guarantees, tail_eps)]
+    if math.inf in eps:
+        raise OverflowError("a uniform-prior block epsilon overflows a double")
+    delta = [g.delta + t for g, t in zip(guarantees, tail_delta)]
     rows = [(math.ldexp(1.0, -(i + 1)) / norm, 0, i + 1) for i in range(k)]
-    eps = np.array([g.epsilon + t.epsilon for g, t in zip(guarantees, tails)])
-    delta = np.array([g.delta + t.delta for g, t in zip(guarantees, tails)])
-    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), eps, delta)
+    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), np.array(eps), np.array(delta))
+
+
+def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
+    """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` in O(n).
+
+    The running suffix sum is kept exactly as Shewchuk's non-overlapping
+    expansion, the same ``partials`` list ``math.fsum`` builds, and each
+    suffix is rounded once by ``math.fsum(partials)``. Correct rounding
+    makes that double independent of the summation order. A partial
+    that overflows raises ``OverflowError``, as ``math.fsum`` does.
+    """
+    partials: list[float] = []
+    sums = [0.0] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        x = values[i]
+        kept = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[kept] = lo
+                kept += 1
+            x = hi
+        if math.isinf(x):
+            raise OverflowError("intermediate overflow in fsum")
+        partials[kept:] = [x]
+        sums[i] = math.fsum(partials)
+    return sums
 
 
 # Public aliases: the split shape is this pipeline's, and the closed form

@@ -203,6 +203,22 @@ theorem: {advanced: {delta_slack: 1.0e-5}}
         assert code == EXIT_COMPUTATION
         assert "homogeneous" in err
 
+    @pytest.mark.parametrize("command", ["hdp", "subsample", "compose"])
+    def test_infinite_epsilon_exits_1(self, tmp_path, capsys, command):
+        scenario = "mechanisms:\n  - {epsilon: .inf, delta: 0.0}\n  - {epsilon: 0.5}\n"
+        path = write(tmp_path, "s.yaml", scenario)
+        code, out, err = self.run(capsys, command, "--scenario", path)
+        assert code == EXIT_BAD_SCENARIO
+        assert "mechanisms[0]" in err and "epsilon" in err
+        assert out == ""
+
+    def test_overflow_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "s.yaml", "mechanisms:\n" + "  - {epsilon: 1.0e+308}\n" * 3)
+        for command in ("compose", "hdp", "subsample"):
+            code, _, err = self.run(capsys, command, "--scenario", path)
+            assert code == EXIT_COMPUTATION
+            assert "overflow" in err
+
     def test_bad_scenario_exits_1(self, tmp_path, capsys):
         path = write(tmp_path, "s.yaml", "mechanisms: []\n")
         code, _, _ = self.run(capsys, "compose", "--scenario", path)

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from hypodp.composition import (
     advanced_compose,
     best_classic_bound,
     compose,
+    compose_selections,
     simple_compose,
 )
 from hypodp.core import MechanismSequence, PrivacyParams
@@ -16,6 +19,7 @@ from hypodp.errors import (
     HeterogeneousInputError,
     IncompatibleTheoremError,
     InvalidSlackError,
+    MixedLengthError,
 )
 
 # Frozen via direct 50-digit evaluation of
@@ -160,6 +164,85 @@ class TestBestClassicBound:
     def test_heterogeneous_falls_back_to_simple(self):
         seq = [PrivacyParams(0.1, 0.0), PrivacyParams(0.2, 0.0)]
         assert best_classic_bound(seq, 1e-6) == simple_compose(seq)
+
+    def test_overflowing_advanced_falls_back_to_simple(self):
+        for seq in ([PrivacyParams(700.0, 0.0)] * 1000, [PrivacyParams(710.0, 0.0)] * 2):
+            with pytest.raises(OverflowError):
+                advanced_compose(seq, 1e-6)
+            assert best_classic_bound(seq, 1e-6) == simple_compose(seq)
+
+
+class Capped:
+    """A pluggable theorem: simple composition with epsilon capped at 1."""
+
+    def compose_guarantees(self, guarantees):
+        g = simple_compose(guarantees)
+        return PrivacyParams(min(g.epsilon, 1.0), g.delta)
+
+
+def selections(k, rng, count):
+    """Every selection for small k, else ``count`` seeded ones plus none and all."""
+    if k <= 6:
+        return np.array(list(itertools.product((False, True), repeat=k)), dtype=bool)
+    rows = rng.random((count, k)) < rng.random((count, 1))
+    return np.vstack([rows, np.zeros(k, bool), np.ones(k, bool)])
+
+
+class TestComposeSelections:
+    """Each row equals ``compose`` on the selected guarantees, bit for bit."""
+
+    def assert_rows_match(self, seq, rows, theorem):
+        got = compose_selections(seq, rows, theorem)
+        assert got.shape == (len(rows), 2) and got.dtype == np.float64
+        for row, out in zip(rows.tolist(), got.tolist()):
+            picked = [g for g, keep in zip(seq, row) if keep]
+            assert tuple(out) == compose(picked, theorem).as_tuple()
+
+    def test_simple_and_pluggable(self):
+        rng = np.random.default_rng(77)
+        for k in (1, 2, 5, 6, 13, 40):
+            seq = [PrivacyParams(float(e), float(d)) for e, d in
+                   zip(rng.exponential(0.5, k), rng.choice([0.0, 1e-7, 3e-3], k))]
+            rows = selections(k, rng, 60)
+            for theorem in (Simple(), Capped()):
+                self.assert_rows_match(seq, rows, theorem)
+
+    def test_advanced_on_homogeneous(self):
+        rng = np.random.default_rng(78)
+        for k in (1, 4, 20):
+            seq = MechanismSequence.homogeneous(0.2, 1e-8, k)
+            self.assert_rows_match(seq, selections(k, rng, 30), Advanced(1e-6))
+
+    def test_advanced_on_heterogeneous_raises_like_compose(self):
+        seq = [PrivacyParams(0.1, 0.0), PrivacyParams(0.2, 0.0)]
+        self.assert_rows_match(seq, np.array([[True, False], [False, True]]), Advanced(1e-6))
+        with pytest.raises(IncompatibleTheoremError):
+            compose_selections(seq, np.array([[True, True]]), Advanced(1e-6))
+
+    def test_empty_selection_and_no_rows(self):
+        seq = [PrivacyParams(0.3, 1e-6)] * 3
+        for theorem in (Simple(), Advanced(1e-6), Capped()):
+            assert compose_selections(seq, np.zeros((1, 3), bool), theorem).tolist() == [[0.0, 0.0]]
+            assert compose_selections(seq, np.zeros((0, 3), bool), theorem).shape == (0, 2)
+
+    def test_delta_sum_above_one_is_capped(self):
+        seq = [PrivacyParams(1.0, 0.7), PrivacyParams(0.5, 0.6), PrivacyParams(0.1, 0.2)]
+        rows = selections(3, None, 0)
+        self.assert_rows_match(seq, rows, Simple())
+        assert compose_selections(seq, np.ones((1, 3), bool), Simple())[0, 1] == 1.0
+
+    def test_overflow_raises_like_compose(self):
+        seq = [PrivacyParams(1e308, 0.0)] * 3
+        with pytest.raises(OverflowError):
+            compose(seq, Simple())
+        with pytest.raises(OverflowError):
+            compose_selections(seq, np.ones((1, 3), bool), Simple())
+
+    def test_row_length_must_match(self):
+        with pytest.raises(MixedLengthError):
+            compose_selections([PrivacyParams(0.1, 0.0)] * 3, np.ones((2, 4), bool), Simple())
+        with pytest.raises(MixedLengthError):
+            compose_selections([PrivacyParams(0.1, 0.0)] * 3, np.ones(3, bool), Simple())
 
 
 def test_advanced_formula_shape():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -151,6 +152,32 @@ class TestPatternSetBound:
         g = constrained_bound(self.seq, patterns, UNBOUNDED, Simple())
         assert g == PrivacyParams(0.0, 0.0)
 
+    def test_equals_max_of_compose_per_pair(self):
+        # All pattern pairs compose in one call; each must equal its own compose.
+        rng = np.random.default_rng(515)
+        for _ in range(40):
+            k = int(rng.integers(2, 20))
+            words = {0} | set(rng.integers(1, 1 << k, size=int(rng.integers(1, 12))).tolist())
+            patterns = PatternSet.of(BitVector(w, k) for w in words)
+            het = MechanismSequence.from_pairs(
+                zip(rng.uniform(0.0, 2.0, k).tolist(), rng.choice([0.0, 1e-6, 0.3], k).tolist())
+            )
+            cases = [(het, Simple()), (MechanismSequence.homogeneous(0.3, 1e-7, k), Advanced(1e-6))]
+            for seq, theorem in cases:
+                for mode in (UNBOUNDED, BOUNDED):
+                    pairs = sorted(patterns.patterns, key=lambda p: p.word)
+                    if mode is UNBOUNDED:
+                        pairs = [(pairs[0], p) for p in pairs[1:]]
+                    else:
+                        pairs = list(itertools.combinations(pairs, 2))
+                    per_pair = [
+                        compose([seq[i] for i in range(k) if a.bit(i) != b.bit(i)], theorem)
+                        for a, b in pairs
+                    ]
+                    want = PrivacyParams(max(g.epsilon for g in per_pair),
+                                         max(g.delta for g in per_pair))
+                    assert constrained_bound(seq, patterns, mode, theorem) == want
+
 
 class TestExclusiveGroupsBound:
     def test_homogeneous_unbounded(self):
@@ -201,6 +228,11 @@ class TestParallelBound:
         seq = MechanismSequence.homogeneous(0.01, 1e-9, 10)
         with pytest.raises(NonzeroDeltaError):
             parallel_bound(seq, 2, UNBOUNDED)
+
+    def test_overflow_raises(self):
+        seq = MechanismSequence.homogeneous(1e308, 0.0, 3)
+        with pytest.raises(OverflowError):
+            parallel_bound(seq, 3, UNBOUNDED)
 
 
 class TestInvariants:

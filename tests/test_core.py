@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +43,19 @@ class TestPrivacyParams:
 
     def test_bounded_params_zeroes_rounding_dust(self):
         assert bounded_params(-1e-16, 0.0).epsilon == 0.0
+
+    def test_non_finite_epsilon_rejected(self):
+        for eps in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                PrivacyParams(eps, 0.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            MechanismSequence.from_pairs([(math.inf, 0.0), (0.5, 0.0)])
+        with pytest.raises(ValueError, match="epsilon"):
+            MechanismSequence.homogeneous(math.inf, 0.0, 3)
+
+    def test_bounded_params_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            bounded_params(math.inf, 0.0)
 
 
 class TestBitVector:
@@ -126,6 +141,10 @@ class TestHypothesis:
         a, b = BitVector.from_string("01"), BitVector.from_string("10")
         with pytest.raises(DuplicateAtomError):
             Hypothesis([(a, 0.5), (a, 0.25), (b, 0.25)])
+        with pytest.raises(DuplicateAtomError):
+            Hypothesis.uniform([a, a])
+        with pytest.raises(DuplicateAtomError):
+            Hypothesis.uniform([a, b, a])
 
     def test_normalization_tolerance(self):
         # 1e-10 off is inside the 1e-9 tolerance, 1e-8 off is not.

@@ -154,10 +154,11 @@ class TestHdpGuarantee:
 
 
 def per_row_reference(p0, p1, seq, theorem):
-    """hdp_guarantee with pair_guarantee run on every refined piece."""
+    """hdp_guarantee with ``compose`` run on every refined piece's differing positions."""
     r = refine_tuples(p0, p1)
     per_row = [
-        pair_guarantee(BitVector(w0, r.k), BitVector(w1, r.k), seq, theorem)
+        compose([seq[i] for i in differing_indices(BitVector(w0, r.k), BitVector(w1, r.k))],
+                theorem)
         for _, w0, w1 in r.pairs.tolist()
     ]
     eps = np.array([g.epsilon for g in per_row])
@@ -202,20 +203,48 @@ class TestDistinctKeys:
 
     def test_homogeneous_sequence_composes_once_per_key(self, monkeypatch):
         k = 12
-        calls = []
-        original = hypothesis_dp.pair_guarantee
+        rows = []
+        original = hypothesis_dp.compose_selections
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(seq, selected, theorem):
+            rows.extend(selected.tolist())
+            return original(seq, selected, theorem)
 
-        monkeypatch.setattr(hypothesis_dp, "pair_guarantee", counted)
+        monkeypatch.setattr(hypothesis_dp, "compose_selections", counted)
         zero, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
         seq = MechanismSequence.homogeneous(0.1, 1e-6, k)
         g = hdp_guarantee(zero, nonzero, seq, Simple())
         # One key per number of ones, against 4095 pieces.
-        assert len(calls) <= k + 1
+        assert len(rows) <= k + 1
         assert g.epsilon == pytest.approx(UNIFORM_K12_EPS01, abs=1e-12)
+
+    def test_overflow_raises_like_compose(self):
+        k = 4
+        seq = [PrivacyParams(1e308, 0.0)] * k
+        zero, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
+        with pytest.raises(OverflowError):
+            compose(seq, Simple())
+        with pytest.raises(OverflowError):
+            hdp_guarantee(zero, nonzero, seq, Simple())
+        with pytest.raises(OverflowError):
+            pair_guarantee(BitVector.zeros(k), BitVector.ones(k), seq, Simple())
+
+
+class TestComposeDifferences:
+    def test_pair_guarantee_equals_compose_of_differing_indices(self):
+        rng = np.random.default_rng(606)
+        for k in (1, 2, 7, 31, 63):
+            seq = MechanismSequence.from_pairs(
+                (float(rng.uniform(0.0, 2.0)), float(rng.choice([0.0, 1e-6]))) for _ in range(k)
+            )
+            words = rng.integers(0, 1 << k, size=(20, 2), dtype=np.uint64, endpoint=False)
+            for w0, w1 in words.tolist() + [[0, (1 << k) - 1], [0, 0]]:
+                b0, b1 = BitVector(w0, k), BitVector(w1, k)
+                expected = compose([seq[i] for i in differing_indices(b0, b1)], Simple())
+                assert pair_guarantee(b0, b1, seq, Simple()) == expected
+                assert hypothesis_dp.compose_differences(
+                    [w0 ^ w1], seq, Simple()
+                ).tolist() == [list(expected.as_tuple())]
 
 
 class TestAggregate:

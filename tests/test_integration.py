@@ -25,6 +25,7 @@ from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
 from hypodp.hypothesis_dp import _aggregate, hdp_guarantee, pair_guarantee
 from hypodp.oracle import (
     DiscreteMechanism,
+    leaky_rr,
     randomized_response,
     randomized_response_guarantee,
     verify_hdp,
@@ -38,21 +39,6 @@ def rr_setup(qs):
     mechs = [randomized_response(q) for q in qs]
     seq = MechanismSequence(tuple(randomized_response_guarantee(q) for q in qs))
     return mechs, seq
-
-
-def leaky_rr(eps, delta):
-    """The canonical (eps, delta)-DP mechanism on four symbols.
-
-    Every (eps, delta)-DP mechanism is a post-processing of this one
-    (Kairouz, Oh, Viswanath 2015), so a claim the oracle accepts on it
-    holds for every mechanism with those guarantees.
-    """
-    hi = (1.0 - delta) * math.exp(eps) / (1.0 + math.exp(eps))
-    lo = (1.0 - delta) / (1.0 + math.exp(eps))
-    return DiscreteMechanism(
-        absent={"a": hi, "b": lo, "r0": delta, "r1": 0.0},
-        present={"a": lo, "b": hi, "r0": 0.0, "r1": delta},
-    )
 
 
 def bv(s):

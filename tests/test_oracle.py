@@ -18,6 +18,7 @@ from hypodp.hypothesis_dp import uniform_nonzero_closed_form
 from hypodp.oracle import (
     DiscreteMechanism,
     ViewDistribution,
+    leaky_rr,
     mixture_view_distribution,
     randomized_response,
     randomized_response_guarantee,
@@ -30,17 +31,6 @@ from hypodp.oracle import (
 
 def bv(s):
     return BitVector.from_string(s)
-
-
-def leaky_rr(eps, delta):
-    """The canonical 4-symbol (eps, delta)-DP mechanism; ``r1`` has
-    probability zero when the record is absent, ``r0`` when present."""
-    hi = (1.0 - delta) * math.exp(eps) / (1.0 + math.exp(eps))
-    lo = (1.0 - delta) / (1.0 + math.exp(eps))
-    return DiscreteMechanism(
-        absent={"a": hi, "b": lo, "r0": delta, "r1": 0.0},
-        present={"a": lo, "b": hi, "r0": 0.0, "r1": delta},
-    )
 
 
 def reference_mixture(mechs, h):

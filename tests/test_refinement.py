@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -165,6 +166,9 @@ class TestArrayWalk:
             for p0 in presets(k):
                 for p1 in presets(k):
                     self.assert_matches_reference(p0, p1)
+        # Each pair of distinct presets once; the helper checks both orders.
+        for p0, p1 in itertools.combinations(presets(16), 2):
+            self.assert_matches_reference(p0, p1)
 
     def test_no_per_atom_view_is_built(self, monkeypatch):
         k = 8

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ import pytest
 from hypodp.composition import Advanced, Simple, compose
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
 from hypodp.errors import IncompatibleTheoremError, InvalidRateError
-from hypodp.hypothesis_dp import uniform_nonzero_closed_form
+from hypodp.hypothesis_dp import _aggregate, uniform_nonzero_closed_form
 from hypodp.oracle import randomized_response, verify_hdp
+from hypodp.refinement import PAIR_DTYPE
 from hypodp.subsampling import (
+    LN2,
+    _exact_suffix_sums,
     amplify,
     uniform_prior_bound,
     uniform_prior_closed_form,
@@ -176,3 +180,69 @@ class TestPipelineEquality:
             got = uniform_prior_bound(seq, Simple())
             classic = compose(seq, Simple())
             assert got.epsilon <= classic.epsilon + 1e-12
+
+
+def per_tail_reference(seq, theorem):
+    """uniform_prior_bound with one ``compose`` per tail: O(k^2) under Simple."""
+    guarantees = list(seq)
+    k = len(guarantees)
+    halved = [amplify(g, 0.5) for g in guarantees]
+    norm = -math.expm1(-k * LN2)
+    tails = [compose(halved[i + 1 :], theorem) for i in range(k)]
+    rows = [(math.ldexp(1.0, -(i + 1)) / norm, 0, i + 1) for i in range(k)]
+    eps = np.array([g.epsilon + t.epsilon for g, t in zip(guarantees, tails)])
+    delta = np.array([g.delta + t.delta for g, t in zip(guarantees, tails)])
+    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), eps, delta)
+
+
+class TestExactTails:
+    """The one-pass tails give the per-tail result bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 1000, 3000])
+    def test_equals_per_tail_reference(self, k):
+        rng = np.random.default_rng(k)
+        homog = MechanismSequence.homogeneous(0.37, 3e-7, k)
+        het = MechanismSequence.from_pairs(
+            zip(rng.exponential(0.4, k).tolist(), rng.choice([0.0, 1e-9, 2e-6, 0.4], k).tolist())
+        )
+        for seq in (homog, het):
+            assert uniform_prior_bound(seq, Simple()) == per_tail_reference(seq, Simple())
+
+    def test_advanced_equals_per_tail_reference(self):
+        seq = MechanismSequence.homogeneous(0.2, 1e-8, 40)
+        assert uniform_prior_bound(seq, Advanced(1e-6)) == per_tail_reference(seq, Advanced(1e-6))
+
+    def test_suffix_sums_equal_fsum_of_each_slice(self):
+        rng = np.random.default_rng(31)
+        for n in (0, 1, 2, 5, 200):
+            for scale in (1e-300, 1e-12, 1.0, 1e150):
+                values = (rng.exponential(scale, n) * (rng.random(n) < 0.8)).tolist()
+                assert _exact_suffix_sums(values) == [math.fsum(values[i:]) for i in range(n + 1)]
+
+    def test_overflow_raises_like_compose(self):
+        for k in (2, 3, 50):
+            seq = [PrivacyParams(1e308, 0.0)] * k
+            with pytest.raises(OverflowError):
+                uniform_prior_bound(seq, Simple())
+        with pytest.raises(OverflowError):
+            per_tail_reference([PrivacyParams(1e308, 0.0)] * 3, Simple())
+        with pytest.raises(OverflowError):
+            _exact_suffix_sums([1e308, 1e308])
+        # Every tail sum is finite, but block 0's head plus its rounded
+        # tail overflows; summing that infinity would report (0, 0).
+        seq = [PrivacyParams(e, 0.0)
+               for e in (6.688135203187133e307, 4.163036948621316e307, 7.125759196814709e307)]
+        assert math.isfinite(math.fsum(amplify(g, 0.5).epsilon for g in seq))
+        with pytest.raises(OverflowError, match="block"):
+            uniform_prior_bound(seq, Simple())
+
+    def test_linear_time(self):
+        rng = np.random.default_rng(20000)
+        k = 20000
+        seq = MechanismSequence.from_pairs(
+            zip(rng.uniform(0.01, 1.0, k).tolist(), rng.uniform(0.0, 1e-6, k).tolist())
+        )
+        start = time.perf_counter()
+        g = uniform_prior_bound(seq, Simple())
+        assert time.perf_counter() - start < 2.0
+        assert 0.0 < g.epsilon < compose(seq, Simple()).epsilon
