@@ -204,7 +204,7 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"cannot parse scenario file: {exc}") from exc

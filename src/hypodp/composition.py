@@ -3,7 +3,7 @@
 Two theorems are provided: simple composition (sum the epsilons and the
 deltas) and advanced composition for k identical (epsilon, delta)
 mechanisms, which trades a small additive delta slack for a much smaller
-epsilon. The dispatch also accepts any object exposing a
+epsilon. Every theorem, these two included, is an object exposing a
 ``compose_guarantees(guarantees)`` method, so tighter theorems can be
 plugged in without touching callers.
 
@@ -35,6 +35,9 @@ from .errors import (
 class Simple:
     """Simple composition: epsilons and deltas add up."""
 
+    def compose_guarantees(self, guarantees: list[PrivacyParams]) -> PrivacyParams:
+        return simple_compose(guarantees)
+
 
 @dataclass(frozen=True)
 class Advanced:
@@ -49,6 +52,11 @@ class Advanced:
     def __post_init__(self):
         if not 0.0 < self.delta_slack < 1.0:
             raise InvalidSlackError(f"delta_slack must be in (0, 1), got {self.delta_slack}")
+
+    def compose_guarantees(self, guarantees: list[PrivacyParams]) -> PrivacyParams:
+        if any(g != guarantees[0] for g in guarantees):
+            raise IncompatibleTheoremError("the advanced theorem requires a homogeneous sequence")
+        return advanced_compose(guarantees, self.delta_slack)
 
 
 CompositionTheorem = Union[Simple, Advanced]
@@ -92,18 +100,8 @@ def advanced_compose(guarantees: Iterable[PrivacyParams], delta_slack: float) ->
     return bounded_params(eps_total, delta_total)
 
 
-def is_compatible(guarantees: Iterable[PrivacyParams], theorem: CompositionTheorem) -> bool:
-    """Whether ``theorem`` can be applied to the sequence."""
-    if isinstance(theorem, Simple):
-        return True
-    if isinstance(theorem, Advanced):
-        guarantees = list(guarantees)
-        return bool(guarantees) and all(g == guarantees[0] for g in guarantees)
-    return hasattr(theorem, "compose_guarantees")
-
-
 def compose(guarantees: Iterable[PrivacyParams], theorem: CompositionTheorem) -> PrivacyParams:
-    """Compose a sequence under the chosen theorem.
+    """Compose a sequence under the chosen theorem's ``compose_guarantees``.
 
     The empty sequence composes to (0, 0) under every theorem.
 
@@ -114,17 +112,9 @@ def compose(guarantees: Iterable[PrivacyParams], theorem: CompositionTheorem) ->
     guarantees = list(guarantees)
     if not guarantees:
         return PrivacyParams(0.0, 0.0)
-    if isinstance(theorem, Simple):
-        return simple_compose(guarantees)
-    if isinstance(theorem, Advanced):
-        if not is_compatible(guarantees, theorem):
-            raise IncompatibleTheoremError(
-                "the advanced theorem requires a homogeneous sequence"
-            )
-        return advanced_compose(guarantees, theorem.delta_slack)
-    if hasattr(theorem, "compose_guarantees"):
-        return theorem.compose_guarantees(guarantees)
-    raise IncompatibleTheoremError(f"unknown composition theorem: {theorem!r}")
+    if not hasattr(theorem, "compose_guarantees"):
+        raise IncompatibleTheoremError(f"unknown composition theorem: {theorem!r}")
+    return theorem.compose_guarantees(guarantees)
 
 
 def compose_selections(
@@ -167,9 +157,8 @@ def best_classic_bound(guarantees: Iterable[PrivacyParams], delta_slack: float) 
     """
     guarantees = list(guarantees)
     candidates = [simple_compose(guarantees)]
-    if is_compatible(guarantees, Advanced(delta_slack)):
-        try:
-            candidates.append(advanced_compose(guarantees, delta_slack))
-        except OverflowError:
-            pass
+    try:
+        candidates.append(advanced_compose(guarantees, delta_slack))
+    except (HeterogeneousInputError, OverflowError):
+        pass
     return min(candidates, key=lambda g: (g.epsilon, g.delta))

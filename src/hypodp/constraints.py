@@ -25,8 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .composition import Advanced, CompositionTheorem, Simple, compose
-from .core import BitVector, MAX_ENUMERATION, MAX_K, PrivacyParams, bounded_params
+from .composition import Advanced, CompositionTheorem, Simple, compose, compose_selections
+from .core import (
+    BitVector, MAX_ENUMERATION, MAX_K, PrivacyParams, bit_rows, bounded_params, word_of,
+)
 from .errors import (
     IncompatibleModeError,
     IncompatibleTheoremError,
@@ -35,7 +37,7 @@ from .errors import (
     MixedLengthError,
     NonzeroDeltaError,
 )
-from .hypothesis_dp import componentwise_max as _pick, compose_differences
+from .hypothesis_dp import componentwise_max as _pick
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,8 @@ def allowed_vectors(constraint: MembershipConstraint, k: int) -> set[BitVector]:
     count = sum(math.comb(k, j) for j in range(m + 1))
     if count > MAX_ENUMERATION:
         raise KTooLargeError(f"constraint admits {count} vectors; enumeration refused")
-    vectors = set()
-    for j in range(m + 1):
-        for positions in itertools.combinations(range(k), j):
-            word = 0
-            for p in positions:
-                word |= 1 << (k - 1 - p)
-            vectors.add(BitVector(word, k))
-    return vectors
+    subsets = (c for j in range(m + 1) for c in itertools.combinations(range(k), j))
+    return {BitVector(word_of(positions, k), k) for positions in subsets}
 
 
 def _max_over_subsets(
@@ -109,27 +105,22 @@ def _max_over_subsets(
 ) -> PrivacyParams:
     """Worst composition over all index subsets of the given size.
 
-    Under simple composition each of the top-``size`` sums is the exact
-    maximum of its component over subsets.
+    Composes the top-``size`` epsilons with the top-``size`` deltas. Under
+    simple composition each sum is the exact maximum of its component over
+    subsets; advanced composition sees equal guarantees in every subset.
     """
-    k = len(seq)
-    size = min(size, k)
-    if size == 0:
+    if not seq:
         return PrivacyParams(0.0, 0.0)
-    if isinstance(theorem, Simple):
-        top_eps = sorted((g.epsilon for g in seq), reverse=True)[:size]
-        top_delta = sorted((g.delta for g in seq), reverse=True)[:size]
-        return bounded_params(math.fsum(top_eps), math.fsum(top_delta))
-    if isinstance(theorem, Advanced):
-        # Advanced composition needs identical guarantees, so any subset of
-        # a homogeneous sequence gives the same value; a heterogeneous
-        # sequence makes some candidate subset incompatible.
-        if any(g != seq[0] for g in seq):
-            raise IncompatibleTheoremError(
-                "the advanced theorem requires a homogeneous sequence"
-            )
-        return compose(seq[:size], theorem)
-    raise IncompatibleTheoremError("a max-ones constraint needs the simple or advanced theorem")
+    if not isinstance(theorem, (Simple, Advanced)):
+        raise IncompatibleTheoremError("a max-ones constraint needs the simple or advanced theorem")
+    # Advanced composition needs identical guarantees, so any subset of a
+    # homogeneous sequence gives the same value; a heterogeneous sequence
+    # makes some candidate subset incompatible, even where its top values tie.
+    if isinstance(theorem, Advanced) and any(g != seq[0] for g in seq):
+        raise IncompatibleTheoremError("the advanced theorem requires a homogeneous sequence")
+    top_eps = sorted((g.epsilon for g in seq), reverse=True)[:size]
+    top_delta = sorted((g.delta for g in seq), reverse=True)[:size]
+    return compose([PrivacyParams(e, d) for e, d in zip(top_eps, top_delta)], theorem)
 
 
 def _pattern_pairs(
@@ -154,7 +145,8 @@ def _max_over_pairs(
 ) -> PrivacyParams:
     if not vector_pairs:
         return PrivacyParams(0.0, 0.0)
-    composed = compose_differences([a.word ^ b.word for a, b in vector_pairs], seq, theorem)
+    rows = bit_rows([a.word ^ b.word for a, b in vector_pairs], len(seq))
+    composed = compose_selections(seq, rows, theorem)
     return _pick([PrivacyParams(eps, delta) for eps, delta in composed.tolist()])
 
 

@@ -10,7 +10,9 @@ Conventions:
 * A :class:`BitVector` of length ``k`` selects, per iteration, which of
   the two neighboring databases a mechanism is invoked on. Vectors are
   stored as machine words, which caps ``k`` at 63; position 0 is the
-  first iteration (the leftmost character of the string form).
+  first iteration (the leftmost character of the string form) and the
+  most significant of the word's k bits. ``word_of`` and ``bit_rows``
+  convert between positions and words for every module.
 * A :class:`Hypothesis` is a finite probability distribution over bit
   vectors, a composite belief about database membership, held as two
   read-only arrays: ascending ``uint64`` ``words`` and ``float64`` ``weights``.
@@ -19,7 +21,7 @@ Conventions:
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,6 +139,17 @@ class BitVector:
 
     def __str__(self) -> str:
         return format(self.word, f"0{self.k}b")
+
+
+def word_of(positions: Iterable[int], k: int) -> int:
+    """The length-k word whose set bits are the given distinct 0-based positions."""
+    return sum(1 << (k - 1 - p) for p in positions)
+
+
+def bit_rows(words: Sequence[int] | np.ndarray, k: int) -> np.ndarray:
+    """The words' bits as a boolean ``(n, k)`` array, position 0 (the top bit of k) first."""
+    octets = np.asarray(words, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1)[:, 64 - k:].view(bool)
 
 
 def _enumeration_size(k: int) -> int:

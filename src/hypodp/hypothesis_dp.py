@@ -58,7 +58,9 @@ from .core import (
     Hypothesis,
     HypothesisPairSet,
     PrivacyParams,
+    bit_rows,
     bounded_params,
+    word_of,
 )
 from .errors import EmptySetError, MixedLengthError
 from .refinement import refine_tuples
@@ -88,24 +90,8 @@ def pair_guarantee(
         raise MixedLengthError(f"sequence has {len(seq)} mechanisms, vectors have k={b0.k}")
     if b0.k != b1.k:
         raise MixedLengthError(f"vectors have k={b0.k} and k={b1.k}")
-    (eps, delta), = compose_differences([b0.word ^ b1.word], seq, theorem).tolist()
+    (eps, delta), = compose_selections(seq, bit_rows([b0.word ^ b1.word], b0.k), theorem).tolist()
     return PrivacyParams(eps, delta)
-
-
-def compose_differences(
-    diffs: Sequence[int] | np.ndarray, seq: Sequence[PrivacyParams], theorem: CompositionTheorem
-) -> np.ndarray:
-    """Compose, per XOR word, the mechanisms at its set positions; an ``(n, 2)`` array.
-
-    Row r is ``pair_guarantee(...).as_tuple()`` for any two vectors whose
-    words differ by ``diffs[r]``. One numpy bit-unpack turns the words
-    into selections: position 0, the word's top bit of ``k = len(seq)``,
-    comes first.
-    """
-    k = len(seq)
-    octets = np.asarray(diffs, dtype=">u8").view(np.uint8).reshape(-1, 8)
-    rows = np.unpackbits(octets, axis=1)[:, 64 - k:].view(bool)
-    return compose_selections(seq, rows, theorem)
 
 
 def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> PrivacyParams:
@@ -202,8 +188,8 @@ def hdp_guarantee(
     direction's ``delta_J``. The module docstring gives ``delta_J`` and
     the proofs. Aggregation never sees unmatched weights: refinement
     always runs first. Pieces sharing a key (per distinct guarantee, the
-    count of differing positions carrying it) compose once: one bit-unpack
-    of the keys' representative XOR words, then one
+    count of differing positions carrying it) compose once: one
+    ``core.bit_rows`` unpack of the keys' representative XOR words, then one
     ``composition.compose_selections`` call for every key, with results
     bit-identical to composing each piece on its own.
     """
@@ -211,10 +197,10 @@ def hdp_guarantee(
     if len(seq) != k:
         raise MixedLengthError(f"sequence has {len(seq)} mechanisms, hypotheses have k={k}")
     pairs = refine_tuples(p0, p1).pairs
-    # One position mask per distinct guarantee; the check above keeps k - 1 - i >= 0.
+    # One position mask per distinct guarantee; the check above keeps each position below k.
     masks: dict[PrivacyParams, int] = {}
     for i, g in enumerate(seq):
-        masks[g] = masks.get(g, 0) | (1 << (k - 1 - i))
+        masks[g] = masks.get(g, 0) | word_of([i], k)
     diffs, piece_diff = np.unique(pairs["word0"] ^ pairs["word1"], return_inverse=True)
     # A key packs its per-mask counts in mixed radix, each count below
     # popcount(mask) + 1; the radices multiply to at most 2^k < 2^64.
@@ -222,7 +208,7 @@ def hdp_guarantee(
     for mask in masks.values():
         keys = keys * np.uint64(mask.bit_count() + 1) + np.bitwise_count(diffs & np.uint64(mask))
     _, first, key_of_diff = np.unique(keys, return_index=True, return_inverse=True)
-    composed = compose_differences(diffs[first], seq, theorem)
+    composed = compose_selections(seq, bit_rows(diffs[first], k), theorem)
     eps, delta = composed[key_of_diff[piece_diff]].T
     return _aggregate(pairs, eps, delta)
 

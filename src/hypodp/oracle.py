@@ -27,7 +27,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BitVector, Hypothesis, PrivacyParams
+from .core import BitVector, Hypothesis, PrivacyParams, bit_rows
 from .errors import (
     InvalidRateError,
     MismatchedSupportError,
@@ -167,10 +167,10 @@ def mixture_view_distribution(
     """
     mixture = np.zeros(_check_view_space(mechs, h.k, len(h)))
     tables = [(m.probs_for(0), m.probs_for(1)) for m in mechs]
-    for word, w in zip(h.words.tolist(), h.weights.tolist()):
+    for bits, w in zip(bit_rows(h.words, h.k).tolist(), h.weights.tolist()):
         p = np.ones(1)
-        for i, table in enumerate(tables):  # position 0 is the most significant bit
-            p = np.multiply.outer(table[(word >> (h.k - 1 - i)) & 1], p).ravel()
+        for table, bit in zip(tables, bits):
+            p = np.multiply.outer(table[bit], p).ravel()
         mixture += w * p
     # Each view's product is taken left to right, but the new axis goes
     # first so numpy's inner loop runs over the long axis; one transpose
@@ -191,12 +191,14 @@ def required_delta(p0: ViewDistribution, p1: ViewDistribution, eps: float) -> fl
         raise MismatchedSupportError("view distributions cover different view spaces")
     if not eps >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
-    factor = math.exp(eps) if eps < 700.0 else math.inf
-    # Where P1(v) = 0 the gap is P0(v); scaling only the nonzero entries
-    # keeps inf * 0 out of the sum.
+    # Where P1(v) = 0 the gap is P0(v). From 700 nats on, e^eps would
+    # overflow, so e^eps P1 is exp(eps + ln P1), capped at e^700 > P0(v).
     gaps = p0.probs.copy()
     scaled = p1.probs != 0.0
-    gaps[scaled] -= factor * p1.probs[scaled]
+    if eps < 700.0:
+        gaps[scaled] -= math.exp(eps) * p1.probs[scaled]
+    else:
+        gaps[scaled] -= np.exp(np.minimum(eps + np.log(p1.probs[scaled]), 700.0))
     return math.fsum(gaps[gaps > 0.0].tolist())
 
 

@@ -30,6 +30,7 @@ record that varies.
 """
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -109,31 +110,19 @@ def uniform_prior_bound(
 def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
     """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` in O(n).
 
-    The running suffix sum is kept exactly as Shewchuk's non-overlapping
-    expansion, the same ``partials`` list ``math.fsum`` builds, and each
-    suffix is rounded once by ``math.fsum(partials)``. Correct rounding
-    makes that double independent of the summation order. A partial
-    that overflows raises ``OverflowError``, as ``math.fsum`` does.
+    Each double is ``n / d`` with ``d`` a power of two, so scaled by the
+    largest ``d`` every value and every suffix sum is an exact integer.
+    One int true division rounds each suffix correctly, half to even, to
+    the double ``math.fsum`` returns. A sum too large for a double raises
+    ``OverflowError``, as ``math.fsum`` does.
     """
-    partials: list[float] = []
-    sums = [0.0] * (len(values) + 1)
-    for i in range(len(values) - 1, -1, -1):
-        x = values[i]
-        kept = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[kept] = lo
-                kept += 1
-            x = hi
-        if math.isinf(x):
-            raise OverflowError("intermediate overflow in fsum")
-        partials[kept:] = [x]
-        sums[i] = math.fsum(partials)
-    return sums
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = max((d for _, d in ratios), default=1)
+    sums = accumulate(reversed([n * (scale // d) for n, d in ratios]), initial=0)
+    try:
+        return [s / scale for s in sums][::-1]
+    except OverflowError as exc:
+        raise OverflowError("intermediate overflow in fsum") from exc
 
 
 # Public aliases: the split shape is this pipeline's, and the closed form

@@ -1,6 +1,9 @@
+import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -16,6 +19,9 @@ from hypodp.cli import (
 from hypodp.composition import Advanced, Simple
 from hypodp.constraints import MaxOnes, NeighborhoodMode
 from hypodp.errors import ScenarioParseError, ScenarioValidationError
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path, name, content):
@@ -219,6 +225,17 @@ theorem: {advanced: {delta_slack: 1.0e-5}}
             assert code == EXIT_COMPUTATION
             assert "overflow" in err
 
+    def test_verify_counts_views_beyond_700_nats(self, tmp_path, capsys):
+        # The claim (705, 0) needs delta 1 - e^705 1e-310 = 0.99985.
+        path = write(tmp_path, "s.yaml",
+                      "mechanisms:\n  - {epsilon: 705.0}\noracle: {rr_q: 1.0e-310}\n")
+        code, out, err = self.run(capsys, "verify", "--scenario", path)
+        assert code == EXIT_UNSOUND
+        assert "UNSOUND" in err
+        report = yaml.safe_load(out)
+        assert report["delta_needed_fwd"] == pytest.approx(-math.expm1(705.0 + math.log(1e-310)),
+                                                           rel=1e-9)
+
     def test_bad_scenario_exits_1(self, tmp_path, capsys):
         path = write(tmp_path, "s.yaml", "mechanisms: []\n")
         code, _, _ = self.run(capsys, "compose", "--scenario", path)
@@ -292,12 +309,30 @@ class TestReports:
         assert eps == pytest.approx(0.3, rel=1e-15)
 
 
-def test_module_entry_point(tmp_path):
-    path = write(tmp_path, "s.yaml", TRIPLE)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypodp", "compose", "--scenario", path, "--quiet"],
+def run_module(*argv):
+    """``python -m hypodp`` in a child process that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hypodp", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point(tmp_path):
+    path = write(tmp_path, "s.yaml", TRIPLE)
+    proc = run_module("compose", "--scenario", path, "--quiet")
     assert proc.returncode == 0
     assert yaml.safe_load(proc.stdout)["result"]["epsilon"] == pytest.approx(0.3, rel=1e-15)
+
+
+def test_non_utf8_scenario_exits_1_without_traceback(tmp_path):
+    path = tmp_path / "s.yaml"
+    path.write_bytes(b"mechanisms:\n  - {epsilon: 0.5}\n# \xff\xfe not UTF-8\n")
+    with pytest.raises(ScenarioParseError, match="cannot read scenario file"):
+        load_scenario(str(path))
+    proc = run_module("compose", "--scenario", str(path))
+    assert proc.returncode == EXIT_BAD_SCENARIO
+    assert proc.stderr.startswith("error: cannot read scenario file")
+    assert "Traceback" not in proc.stderr

@@ -138,6 +138,40 @@ class TestComposeDispatch:
             compose([PrivacyParams(1.0, 0.0)], object())
 
 
+class TestBuiltinProtocol:
+    """The built-in theorems compose through the pluggable-theorem method."""
+
+    def test_simple_method_is_simple_compose(self):
+        rng = np.random.default_rng(8)
+        for k in (1, 2, 17, 300):
+            seq = [PrivacyParams(e, d) for e, d in
+                   zip(rng.exponential(0.5, k).tolist(), rng.uniform(0.0, 1e-3, k).tolist())]
+            assert Simple().compose_guarantees(seq) == simple_compose(seq)
+            assert compose(seq, Simple()) == simple_compose(seq)
+
+    def test_advanced_method_is_advanced_compose(self):
+        for eps, delta, k, slack in [(0.1, 1e-8, 100, 1e-5), (0.5, 0.0, 2, 1e-6), (2.0, 1e-3, 7, 0.3)]:
+            seq = [PrivacyParams(eps, delta)] * k
+            assert Advanced(slack).compose_guarantees(seq) == advanced_compose(seq, slack)
+            assert compose(seq, Advanced(slack)) == advanced_compose(seq, slack)
+
+    def test_heterogeneous_errors_unchanged(self):
+        seq = [PrivacyParams(0.1, 0.0), PrivacyParams(0.1, 1e-9)]
+        with pytest.raises(IncompatibleTheoremError, match="requires a homogeneous sequence"):
+            compose(seq, Advanced(1e-5))
+        with pytest.raises(IncompatibleTheoremError, match="requires a homogeneous sequence"):
+            Advanced(1e-5).compose_guarantees(seq)
+        with pytest.raises(HeterogeneousInputError, match="requires identical guarantees"):
+            advanced_compose(seq, 1e-5)
+
+    def test_best_classic_bound_skips_heterogeneous_advanced(self):
+        seq = [PrivacyParams(0.1, 0.0), PrivacyParams(0.2, 0.0)]
+        assert best_classic_bound(seq, 1e-6) == simple_compose(seq)
+        assert best_classic_bound([], 1e-6) == PrivacyParams(0.0, 0.0)
+        with pytest.raises(InvalidSlackError):
+            best_classic_bound(seq, 0.0)
+
+
 class TestBestClassicBound:
     def test_simple_wins_small_k(self):
         g = best_classic_bound([PrivacyParams(0.5, 0.0)] * 2, 1e-6)

@@ -12,7 +12,9 @@ from hypodp.core import (
     MechanismSequence,
     PrivacyParams,
     all_vectors,
+    bit_rows,
     bounded_params,
+    word_of,
 )
 from hypodp.errors import (
     DuplicateAtomError,
@@ -100,6 +102,28 @@ class TestBitVector:
     def test_lexicographic_word_order(self):
         vecs = all_vectors(3)
         assert [str(v) for v in vecs] == sorted(str(v) for v in vecs)
+
+
+class TestWordLayout:
+    """``bit_rows`` and ``word_of`` agree with ``BitVector``'s own shifts."""
+
+    @pytest.mark.parametrize("k", [1, 2, 31, 63])
+    def test_bit_rows_and_word_of_match_bitvector(self, k):
+        rng = np.random.default_rng(k)
+        top = 1 << (k - 1)
+        words = [0, (1 << k) - 1, top, top | 1] + rng.integers(0, 1 << k, 40, dtype=np.uint64,
+                                                               endpoint=False).tolist()
+        vecs = [BitVector(w, k) for w in words]
+        expected = [list(map(bool, v.bits())) for v in vecs]
+        assert bit_rows(words, k).tolist() == expected
+        assert bit_rows(np.array(words, dtype=np.uint64), k).tolist() == expected
+        assert bit_rows(words, k).shape == (len(words), k)
+        for v in vecs:
+            positions = [i for i, b in enumerate(v.bits()) if b]
+            assert word_of(positions, k) == v.word == BitVector.from_bits(v.bits()).word
+        assert bit_rows([], k).shape == (0, k)
+        assert word_of([], k) == 0
+        assert word_of([0], k) == top
 
 
 class TestHypothesis:

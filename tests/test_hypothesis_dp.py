@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hypodp import hypothesis_dp
-from hypodp.composition import Advanced, Simple, compose, simple_compose
-from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
+from hypodp.composition import Advanced, Simple, compose, compose_selections, simple_compose
+from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, bit_rows
 from hypodp.errors import EmptySetError, IncompatibleTheoremError, MixedLengthError
 from hypodp.hypothesis_dp import (
     _aggregate,
@@ -242,8 +242,8 @@ class TestComposeDifferences:
                 b0, b1 = BitVector(w0, k), BitVector(w1, k)
                 expected = compose([seq[i] for i in differing_indices(b0, b1)], Simple())
                 assert pair_guarantee(b0, b1, seq, Simple()) == expected
-                assert hypothesis_dp.compose_differences(
-                    [w0 ^ w1], seq, Simple()
+                assert compose_selections(
+                    seq, bit_rows([w0 ^ w1], k), Simple()
                 ).tolist() == [list(expected.as_tuple())]
 
 

@@ -52,9 +52,16 @@ def reference_mixture(mechs, h):
 
 def reference_required_delta(q0s, q1s, eps):
     """Per-view reference for required_delta on two probability lists."""
-    factor = math.exp(eps) if eps < 700.0 else math.inf
-    gaps = (q0 if q1 == 0.0 else q0 - factor * q1 for q0, q1 in zip(q0s, q1s))
-    return math.fsum(g for g in gaps if g > 0.0)
+    def gap(q0, q1):
+        if q1 == 0.0:
+            return q0
+        if eps < 700.0:
+            return q0 - math.exp(eps) * q1
+        # e^eps alone would overflow; e^eps q1 exceeds 1 >= q0 once its log is positive.
+        log_scaled = eps + math.log(q1)
+        return q0 - math.exp(log_scaled) if log_scaled < 0.0 else -1.0
+
+    return math.fsum(g for g in map(gap, q0s, q1s) if g > 0.0)
 
 
 class TestRandomizedResponse:
@@ -242,6 +249,28 @@ class TestRequiredDelta:
         p1 = view_distribution(mechs, bv("11"))
         values = [required_delta(p0, p1, eps) for eps in np.linspace(0.0, 3.0, 31)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_views_count_beyond_700_nats(self):
+        # View 00 has P0 = 1 and P1 = q^2 = 1e-310, so 1 - e^eps 1e-310 is
+        # needed until e^eps 1e-310 reaches 1 near 713.8 nats.
+        mechs = [randomized_response(1e-155)] * 2
+        p0, p1 = view_distribution(mechs, bv("00")), view_distribution(mechs, bv("11"))
+        assert p0.probs[0] == 1.0
+        values = [required_delta(p0, p1, eps) for eps in np.arange(690.0, 760.25, 0.25)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert values[-1] == 0.0
+        for eps in (699.0, 700.0, 705.0, 710.0):
+            exact = -math.expm1(eps + math.log(1e-310))
+            for d0, d1 in ((p0, p1), (p1, p0)):
+                assert required_delta(d0, d1, eps) == pytest.approx(exact, rel=1e-9)
+                reference = reference_required_delta(d0.probs.tolist(), d1.probs.tolist(), eps)
+                assert required_delta(d0, d1, eps) == pytest.approx(reference, rel=1e-12)
+        for eps in (700.0, 705.0, 710.0):
+            h0, h1 = Hypothesis.point_mass(bv("00")), Hypothesis.point_mass(bv("11"))
+            report = verify_hdp(mechs, h0, h1, PrivacyParams(eps, 0.0))
+            assert not report.sound
+            assert report.delta_needed == pytest.approx(-math.expm1(eps + math.log(1e-310)),
+                                                        rel=1e-9)
 
     def test_mismatched_support(self):
         p0 = view_distribution([randomized_response(0.25)], bv("0"))

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -218,6 +219,38 @@ class TestExactTails:
             for scale in (1e-300, 1e-12, 1.0, 1e150):
                 values = (rng.exponential(scale, n) * (rng.random(n) < 0.8)).tolist()
                 assert _exact_suffix_sums(values) == [math.fsum(values[i:]) for i in range(n + 1)]
+
+    def test_subnormal_suffix_sums_equal_fsum(self):
+        tiny = [5e-324, 1e-310, 2.2250738585072014e-308, 2.225073858507201e-308, 0.0, 1e-300]
+        rng = np.random.default_rng(47)
+        for n in (1, 3, 40):
+            for _ in range(50):
+                values = rng.choice(tiny, n).tolist()
+                values = [v * int(m) for v, m in zip(values, rng.integers(1, 9, n))]
+                assert _exact_suffix_sums(values) == [math.fsum(values[i:]) for i in range(n + 1)]
+
+    def test_suffix_sums_at_the_overflow_edge(self):
+        # DBL_MAX plus just under half its ulp still rounds to DBL_MAX.
+        below = [sys.float_info.max, 9.9792015476735e291]
+        sums = _exact_suffix_sums(below)
+        assert sums == [math.fsum(below), below[1], 0.0]
+        assert sums[0] == sys.float_info.max
+        with pytest.raises(OverflowError, match="overflow"):
+            _exact_suffix_sums([sys.float_info.max, 9.9792015476736e291])
+        with pytest.raises(OverflowError):
+            math.fsum([sys.float_info.max, 9.9792015476736e291])
+
+    def test_heterogeneous_advanced_k2_composes_each_tail(self):
+        # Each tail holds one guarantee or none, so Advanced applies even
+        # though the whole sequence is heterogeneous.
+        seq = MechanismSequence.from_pairs([(0.3, 1e-6), (0.9, 0.0)])
+        with pytest.raises(IncompatibleTheoremError):
+            compose(seq, Advanced(1e-6))
+        got = uniform_prior_bound(seq, Advanced(1e-6))
+        assert got == per_tail_reference(seq, Advanced(1e-6))
+        with pytest.raises(IncompatibleTheoremError):
+            uniform_prior_bound(MechanismSequence.from_pairs([(0.3, 0), (0.9, 0), (0.1, 0)]),
+                                Advanced(1e-6))
 
     def test_overflow_raises_like_compose(self):
         for k in (2, 3, 50):
