@@ -20,6 +20,9 @@ presets are "zero" (point mass on the all-absent vector),
 "uniform_nonzero" and "uniform_all". A preset is built only when
 ``hdp``, ``verify`` or ``simulate`` reads it, so the other commands
 accept any k; a preset too large to enumerate fails those with exit 1.
+Every key but ``mechanisms`` may be absent or null, which takes the value
+shown (no constraint for ``constraint``); ``max_ones``, ``trials`` and
+``seed`` must be integers, so a fraction is refused, not truncated.
 
 Exit codes: 0 success, 1 bad scenario file, 2 computation error,
 3 verification found the claim unsound (verify only). The machine
@@ -49,16 +52,29 @@ EXIT_COMPUTATION = 2
 EXIT_UNSOUND = 3
 
 
+# The README's defaults, one table per section; an absent or null key
+# takes its default, and ``mechanisms`` has none.
+DEFAULTS = {
+    "mechanisms": None,
+    "theorem": "simple",
+    "mode": "unbounded",
+    "constraint": None,
+    "hypotheses": {"p0": "zero", "p1": "uniform_nonzero"},
+    "subsample_rate": 0.5,
+    "oracle": {"rr_q": 0.25, "trials": 100_000, "seed": 0},
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated in-memory scenario; ``p0``/``p1`` are built on first read."""
+    """A fully validated in-memory scenario; a preset named in a spec is built on first read."""
 
     mechanisms: MechanismSequence
     theorem: CompositionTheorem
     mode: con.NeighborhoodMode
     constraint: con.MembershipConstraint | None
-    p0_spec: "str | dict"
-    p1_spec: "str | dict"
+    p0_spec: "str | Hypothesis"
+    p1_spec: "str | Hypothesis"
     subsample_rate: float
     rr_q: float
     trials: int
@@ -70,15 +86,52 @@ class Scenario:
 
     @cached_property
     def p0(self) -> Hypothesis:
-        return _build_hypothesis(self.p0_spec, self.k, "hypotheses.p0")
+        return _hypothesis(self.p0_spec, self.k, "hypotheses.p0")
 
     @cached_property
     def p1(self) -> Hypothesis:
-        return _build_hypothesis(self.p1_spec, self.k, "hypotheses.p1")
+        return _hypothesis(self.p1_spec, self.k, "hypotheses.p1")
 
 
 def _fail(field: str, message: str) -> ScenarioValidationError:
     return ScenarioValidationError(f"{field}: {message}")
+
+
+def _checked(field: str, build, *args):
+    """``build(*args)``, with a domain error (a ValueError) reported against ``field``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise _fail(field, str(exc)) from exc
+
+
+def _section(raw, defaults: dict, field: str) -> dict:
+    """``raw`` with each absent or null key set to its default; refuses unknown keys."""
+    if not isinstance(raw, dict):
+        raise _fail(field, f"expected a mapping, got {raw!r}")
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        raise _fail(field, f"unknown keys {sorted(map(str, unknown))}")
+    return {k: default if raw.get(k) is None else raw[k] for k, default in defaults.items()}
+
+
+def _number(raw, field: str, integer: bool = False):
+    """The one reader of scenario numbers.
+
+    Refuses booleans. An integer field keeps an integer as written and
+    refuses a fraction instead of truncating it; ``1.0e+5`` is 100000.
+    """
+    try:
+        if isinstance(raw, bool):
+            raise TypeError(f"expected a number, got {raw!r}")
+        if integer and isinstance(raw, int):
+            return raw
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _fail(field, str(exc)) from exc
+    if integer and not value.is_integer():
+        raise _fail(field, f"expected an integer, got {raw!r}")
+    return int(value) if integer else value
 
 
 def _parse_mechanisms(raw) -> MechanismSequence:
@@ -88,52 +141,33 @@ def _parse_mechanisms(raw) -> MechanismSequence:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise _fail(f"mechanisms[{i}]", "expected a mapping with epsilon/delta")
-        eps = entry.get("epsilon", 0.0)
-        delta = entry.get("delta", 0.0)
         unknown = set(entry) - {"epsilon", "delta"}
         if unknown:
             raise _fail(f"mechanisms[{i}]", f"unknown keys {sorted(unknown)}")
-        try:
-            guarantees.append(PrivacyParams(float(eps), float(delta)))
-        except (TypeError, ValueError) as exc:
-            raise _fail(f"mechanisms[{i}]", str(exc)) from exc
+        eps = _number(entry.get("epsilon", 0.0), f"mechanisms[{i}].epsilon")
+        delta = _number(entry.get("delta", 0.0), f"mechanisms[{i}].delta")
+        guarantees.append(_checked(f"mechanisms[{i}]", PrivacyParams, eps, delta))
     return MechanismSequence(tuple(guarantees))
 
 
 def _parse_theorem(raw) -> CompositionTheorem:
-    if raw is None or raw == "simple":
+    if raw == "simple":
         return Simple()
     if isinstance(raw, dict) and set(raw) == {"advanced"}:
         body = raw["advanced"]
         if not isinstance(body, dict) or "delta_slack" not in body:
             raise _fail("theorem.advanced", "expected {delta_slack: <float>}")
-        try:
-            # InvalidSlackError is a ValueError, so a bad range lands here too.
-            return Advanced(float(body["delta_slack"]))
-        except (TypeError, ValueError) as exc:
-            raise _fail("theorem.advanced.delta_slack", str(exc)) from exc
+        field = "theorem.advanced.delta_slack"
+        return _checked(field, Advanced, _number(body["delta_slack"], field))
     raise _fail("theorem", f"expected 'simple' or {{advanced: ...}}, got {raw!r}")
 
 
-def _parse_mode(raw) -> con.NeighborhoodMode:
-    if raw is None:
-        return con.NeighborhoodMode.UNBOUNDED
-    try:
-        return con.NeighborhoodMode(raw)
-    except ValueError as exc:
-        raise _fail("mode", f"expected 'unbounded' or 'bounded', got {raw!r}") from exc
-
-
-def _parse_constraint(raw, k: int) -> con.MembershipConstraint | None:
-    if raw is None:
-        return None
+def _parse_constraint(raw, k: int) -> con.MembershipConstraint:
     if raw == "at_most_one":
         return con.AT_MOST_ONE
     if isinstance(raw, dict) and set(raw) == {"max_ones"}:
-        try:
-            return con.MaxOnes(int(raw["max_ones"]))
-        except (TypeError, ValueError) as exc:
-            raise _fail("constraint.max_ones", str(exc)) from exc
+        field = "constraint.max_ones"
+        return _checked(field, con.MaxOnes, _number(raw["max_ones"], field, integer=True))
     if isinstance(raw, dict) and set(raw) == {"patterns"}:
         patterns = raw["patterns"]
         if not isinstance(patterns, list) or not patterns:
@@ -149,10 +183,7 @@ def _parse_constraint(raw, k: int) -> con.MembershipConstraint | None:
 def _parse_bitvector(raw, k: int, field: str) -> BitVector:
     if not isinstance(raw, str):
         raise _fail(field, f"expected a bit string, got {raw!r}")
-    try:
-        vec = BitVector.from_string(raw)
-    except ValueError as exc:
-        raise _fail(field, str(exc)) from exc
+    vec = _checked(field, BitVector.from_string, raw)
     if vec.k != k:
         raise _fail(field, f"bit string has length {vec.k}, expected {k}")
     return vec
@@ -167,31 +198,25 @@ HYPOTHESIS_PRESETS = {
 }
 
 
-def _parse_hypothesis(raw, k: int, field: str) -> "str | dict":
-    """Validate a hypothesis spec; returns the spec as echoed in reports.
-
-    Presets are checked by name only, since building one can take 2^k atoms.
-    """
-    if raw is None:
-        return "zero"
+def _parse_hypothesis(raw, k: int, field: str) -> "str | Hypothesis":
+    """A preset's name, unbuilt (a preset can take 2^k atoms), or a map's built hypothesis."""
     if isinstance(raw, str):
         if raw not in HYPOTHESIS_PRESETS:
             raise _fail(field, f"unknown preset {raw!r}; options: {', '.join(HYPOTHESIS_PRESETS)}")
         return raw
     if isinstance(raw, dict):
-        return {str(v): w for v, w in _build_hypothesis(raw, k, field).atoms}
+        atoms = {
+            _parse_bitvector(s, k, f"{field}[{s!r}]"): _number(w, f"{field}[{s!r}]")
+            for s, w in raw.items()
+        }
+        return _checked(field, Hypothesis, atoms)
     raise _fail(field, f"expected a preset name or a {{bitstring: weight}} map, got {raw!r}")
 
 
-def _build_hypothesis(spec: "str | dict", k: int, field: str) -> Hypothesis:
-    try:
-        if isinstance(spec, str):
-            return HYPOTHESIS_PRESETS[spec](k)
-        return Hypothesis({
-            _parse_bitvector(s, k, f"{field}[{s!r}]"): float(w) for s, w in spec.items()
-        })
-    except (ValueError, TypeError) as exc:  # domain errors are ValueErrors too
-        raise _fail(field, str(exc)) from exc
+def _hypothesis(spec: "str | Hypothesis", k: int, field: str) -> Hypothesis:
+    if isinstance(spec, Hypothesis):
+        return spec
+    return _checked(field, HYPOTHESIS_PRESETS[spec], k)
 
 
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
@@ -211,47 +236,29 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioParseError("scenario must be a mapping at the top level")
 
-    known = {
-        "mechanisms", "theorem", "mode", "constraint", "hypotheses",
-        "subsample_rate", "oracle",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ScenarioValidationError(f"unknown top-level keys {sorted(unknown)}")
-
-    mechanisms = _parse_mechanisms(raw.get("mechanisms"))
+    top = _section(raw, DEFAULTS, "scenario")
+    mechanisms = _parse_mechanisms(top["mechanisms"])
     k = mechanisms.k
-    theorem = _parse_theorem(raw.get("theorem"))
-    mode = _parse_mode(raw.get("mode"))
-    constraint = _parse_constraint(raw.get("constraint"), k)
+    theorem = _parse_theorem(top["theorem"])
+    mode = _checked("mode", con.NeighborhoodMode, top["mode"])
+    constraint = None if top["constraint"] is None else _parse_constraint(top["constraint"], k)
 
-    hyp = raw.get("hypotheses") or {}
-    if not isinstance(hyp, dict) or set(hyp) - {"p0", "p1"}:
-        raise _fail("hypotheses", "expected a mapping with keys p0 and p1")
-    p0_spec = _parse_hypothesis(hyp.get("p0", "zero"), k, "hypotheses.p0")
-    p1_spec = _parse_hypothesis(hyp.get("p1", "uniform_nonzero"), k, "hypotheses.p1")
+    hyp = _section(top["hypotheses"], DEFAULTS["hypotheses"], "hypotheses")
+    p0_spec = _parse_hypothesis(hyp["p0"], k, "hypotheses.p0")
+    p1_spec = _parse_hypothesis(hyp["p1"], k, "hypotheses.p1")
 
-    rate = raw.get("subsample_rate", 0.5)
-    try:
-        rate = float(rate)
-    except (TypeError, ValueError) as exc:
-        raise _fail("subsample_rate", str(exc)) from exc
+    rate = _number(top["subsample_rate"], "subsample_rate")
     if not 0.0 <= rate <= 1.0:
         raise _fail("subsample_rate", f"must be in [0, 1], got {rate}")
 
-    oracle_raw = raw.get("oracle") or {}
-    if not isinstance(oracle_raw, dict) or set(oracle_raw) - {"rr_q", "trials", "seed"}:
-        raise _fail("oracle", "expected a mapping with keys rr_q, trials, seed")
-    try:
-        rr_q = float(oracle_raw.get("rr_q", 0.25))
-        trials = int(oracle_raw.get("trials", 100_000))
-        seed = int(oracle_raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise _fail("oracle", str(exc)) from exc
+    oracle = _section(top["oracle"], DEFAULTS["oracle"], "oracle")
+    rr_q = _number(oracle["rr_q"], "oracle.rr_q")
     if not 0.0 < rr_q < 0.5:
         raise _fail("oracle.rr_q", f"must be in (0, 0.5), got {rr_q}")
+    trials = _number(oracle["trials"], "oracle.trials", integer=True)
     if trials < 1:
         raise _fail("oracle.trials", f"must be >= 1, got {trials}")
+    seed = _number(oracle["seed"], "oracle.seed", integer=True)
     if seed_override is not None:
         seed = seed_override
     if not 0 <= seed < 2**63:
@@ -316,7 +323,10 @@ def _scenario_echo(s: Scenario) -> dict:
             echo["constraint"] = {
                 "patterns": sorted(str(p) for p in s.constraint.patterns)
             }
-    echo["hypotheses"] = {"p0": s.p0_spec, "p1": s.p1_spec}
+    echo["hypotheses"] = {
+        name: spec if isinstance(spec, str) else {str(v): w for v, w in spec.atoms}
+        for name, spec in (("p0", s.p0_spec), ("p1", s.p1_spec))
+    }
     echo["subsample_rate"] = s.subsample_rate
     echo["oracle"] = {"rr_q": s.rr_q, "trials": s.trials, "seed": s.seed}
     return echo
@@ -340,8 +350,6 @@ def _emit(report: dict, out_path: str | None, human_lines: list[str], quiet: boo
 def _cmd_compose(s: Scenario) -> tuple[dict, list[str], int]:
     result = compose(s.mechanisms, s.theorem)
     report = {
-        "command": "compose",
-        "scenario": _scenario_echo(s),
         "method": _theorem_name(s.theorem),
         "result": _params_dict(result),
     }
@@ -355,8 +363,6 @@ def _cmd_compose(s: Scenario) -> tuple[dict, list[str], int]:
 def _cmd_hdp(s: Scenario) -> tuple[dict, list[str], int]:
     result = hdp.hdp_guarantee(s.p0, s.p1, s.mechanisms, s.theorem)
     report = {
-        "command": "hdp",
-        "scenario": _scenario_echo(s),
         "method": f"hypothesis pair refinement + {_theorem_name(s.theorem)}",
         "result": _params_dict(result),
     }
@@ -373,8 +379,6 @@ def _cmd_constrain(s: Scenario) -> tuple[dict, list[str], int]:
         raise ScenarioValidationError("constraint: required for the constrain command")
     bound = con.constrained_bound(s.mechanisms, s.constraint, s.mode, s.theorem)
     report = {
-        "command": "constrain",
-        "scenario": _scenario_echo(s),
         "method": f"constraint-restricted worst case + {_theorem_name(s.theorem)}",
         "result": _params_dict(bound),
     }
@@ -401,27 +405,22 @@ def _cmd_subsample(s: Scenario) -> tuple[dict, list[str], int]:
     bound = sub.uniform_prior_bound(s.mechanisms, s.theorem)
     # Both keys name the one pipeline; reports keep their layout.
     results = {"block_bound": bound, "split_bound": bound}
-    report = {
-        "command": "subsample",
-        "scenario": _scenario_echo(s),
-        "method": f"uniform-prior subsampling bounds + {_theorem_name(s.theorem)}",
-        "results": {name: _params_dict(g) for name, g in results.items()},
-    }
-    human = [f"uniform-prior bounds for k={s.k} mechanisms:"]
-    for name, g in results.items():
-        human.append(f"  {name:12s} epsilon = {g.epsilon:.6g}   delta = {g.delta:.6g}")
     if s.mechanisms.is_homogeneous():
         g0 = s.mechanisms[0]
-        closed = sub.uniform_prior_closed_form(g0.epsilon, g0.delta, s.k)
-        report["results"]["closed_form"] = _params_dict(closed)
-        human.append(
-            f"  closed_form  epsilon = {closed.epsilon:.6g}   delta = {closed.delta:.6g}"
-        )
+        results["closed_form"] = sub.uniform_prior_closed_form(g0.epsilon, g0.delta, s.k)
     amplified = [sub.amplify(g, s.subsample_rate) for g in s.mechanisms]
-    report["amplified_mechanisms"] = {
-        "rate": s.subsample_rate,
-        "guarantees": [_params_dict(g) for g in amplified],
+    report = {
+        "method": f"uniform-prior subsampling bounds + {_theorem_name(s.theorem)}",
+        "results": {name: _params_dict(g) for name, g in results.items()},
+        "amplified_mechanisms": {
+            "rate": s.subsample_rate,
+            "guarantees": [_params_dict(g) for g in amplified],
+        },
     }
+    human = [f"uniform-prior bounds for k={s.k} mechanisms:"] + [
+        f"  {name:12s} epsilon = {g.epsilon:.6g}   delta = {g.delta:.6g}"
+        for name, g in results.items()
+    ]
     return report, human, EXIT_OK
 
 
@@ -433,8 +432,6 @@ def _cmd_verify(s: Scenario) -> tuple[dict, list[str], int]:
     claimed = hdp.hdp_guarantee(s.p0, s.p1, s.mechanisms, s.theorem)
     outcome = orc.verify_hdp(_rr_mechs(s), s.p0, s.p1, claimed)
     report = {
-        "command": "verify",
-        "scenario": _scenario_echo(s),
         "method": f"exact enumeration against randomized response q={s.rr_q!r}",
         "claimed": _params_dict(claimed),
         "delta_needed_fwd": outcome.delta_needed_fwd,
@@ -478,8 +475,6 @@ def _cmd_simulate(s: Scenario) -> tuple[dict, list[str], int]:
             f"({'ok' if within else 'OUTSIDE'} 4-sigma)"
         )
     report = {
-        "command": "simulate",
-        "scenario": _scenario_echo(s),
         "method": f"Philox Monte-Carlo of randomized response q={s.rr_q!r}",
         "results": rows,
     }
@@ -515,10 +510,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario, seed_override=args.seed)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
-    try:
         report, human, code = COMMANDS[args.command](scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -526,6 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError) as exc:  # AccountingError, validation, overflow
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
+    report = {"command": args.command, "scenario": _scenario_echo(scenario), **report}
     _emit(report, args.out, human, args.quiet)
     return code
 

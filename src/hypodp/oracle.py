@@ -22,6 +22,7 @@ i-th view that ``itertools.product(*alphabets)`` yields.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -119,11 +120,16 @@ def leaky_rr(eps: float, delta: float) -> DiscreteMechanism:
     probability ``delta``. Every (eps, delta)-DP mechanism is a
     post-processing of this one (Kairouz, Oh, Viswanath 2015), so a
     claim the oracle accepts on it holds for every mechanism with those
-    guarantees.
+    guarantees. Built from ``e^-eps``, so nothing overflows. From about
+    708 nats ``(1 - delta) e^-eps`` is subnormal, too coarse to keep
+    ``hi <= e^eps lo``, and it raises ``ValueError`` unless delta is 1.
     """
     PrivacyParams(eps, delta)  # rejects an invalid pair
-    hi = (1.0 - delta) * math.exp(eps) / (1.0 + math.exp(eps))
-    lo = (1.0 - delta) / (1.0 + math.exp(eps))
+    r = math.exp(-eps)
+    hi = (1.0 - delta) / (1.0 + r)
+    lo = (1.0 - delta) * r / (1.0 + r)
+    if lo < sys.float_info.min and delta < 1.0:
+        raise ValueError(f"leaky_rr: (1 - delta) e^-eps is subnormal at eps={eps!r}")
     return DiscreteMechanism(
         absent={"a": hi, "b": lo, "r0": delta, "r1": 0.0},
         present={"a": lo, "b": hi, "r0": 0.0, "r1": delta},

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -336,3 +337,107 @@ def test_non_utf8_scenario_exits_1_without_traceback(tmp_path):
     assert proc.returncode == EXIT_BAD_SCENARIO
     assert proc.stderr.startswith("error: cannot read scenario file")
     assert "Traceback" not in proc.stderr
+
+
+PAIR = "mechanisms:\n  - {epsilon: 0.5, delta: 1.0e-6}\n  - {epsilon: 0.25, delta: 0.0}\n"
+
+
+class TestPatternConstraint:
+    def run(self, tmp_path, capsys, scenario):
+        code = main(["constrain", "--scenario", write(tmp_path, "s.yaml", scenario), "--quiet"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_bounded(self, tmp_path, capsys):
+        code, out, _ = self.run(tmp_path, capsys,
+                                PAIR + 'mode: bounded\nconstraint: {patterns: ["10", "01"]}\n')
+        assert code == EXIT_OK
+        report = yaml.safe_load(out)
+        assert report["scenario"]["constraint"] == {"patterns": ["01", "10"]}
+        # "10" against "01" differs in both positions.
+        assert report["result"] == {"epsilon": 0.75, "delta": 1e-6}
+        assert "parallel_comparison" not in report
+
+    def test_unbounded_with_the_zero_pattern(self, tmp_path, capsys):
+        code, out, _ = self.run(tmp_path, capsys, PAIR + 'constraint: {patterns: ["01", "00"]}\n')
+        assert code == EXIT_OK
+        assert yaml.safe_load(out)["result"] == {"epsilon": 0.25, "delta": 0.0}
+
+    def test_unbounded_without_the_zero_pattern_exits_2(self, tmp_path, capsys):
+        code, out, err = self.run(tmp_path, capsys, PAIR + 'constraint: {patterns: ["01", "10"]}\n')
+        assert code == EXIT_COMPUTATION
+        assert out == "" and "zero" in err
+
+    def test_wrong_length_exits_1(self, tmp_path, capsys):
+        code, out, err = self.run(tmp_path, capsys, PAIR + 'constraint: {patterns: ["1", "00"]}\n')
+        assert code == EXIT_BAD_SCENARIO
+        assert out == "" and "constraint.patterns[0]" in err
+
+
+class TestDefaults:
+    def report(self, tmp_path, capsys, scenario):
+        path = write(tmp_path, "s.yaml", scenario)
+        assert main(["hdp", "--scenario", path, "--quiet"]) == EXIT_OK
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("null", [
+        "theorem:\n", "mode:\n", "constraint:\n", "subsample_rate:\n",
+        "hypotheses:\n", "hypotheses: {p0: }\n", "hypotheses: {p0: zero, p1: }\n",
+        "oracle:\n", "oracle: {rr_q: }\n", "oracle: {trials: }\n", "oracle: {seed: }\n",
+    ])
+    def test_null_takes_the_default(self, tmp_path, capsys, null):
+        assert self.report(tmp_path, capsys, PAIR + null) == self.report(tmp_path, capsys, PAIR)
+
+    def test_defaults_as_written(self, tmp_path, capsys):
+        written = PAIR + """\
+theorem: simple
+mode: unbounded
+hypotheses: {p0: zero, p1: uniform_nonzero}
+subsample_rate: 0.5
+oracle: {rr_q: 0.25, trials: 100000, seed: 0}
+"""
+        assert self.report(tmp_path, capsys, written) == self.report(tmp_path, capsys, PAIR)
+
+    def test_float_integer_accepted(self, tmp_path, capsys):
+        s = load_scenario(write(tmp_path, "s.yaml", PAIR + "oracle: {trials: 1.0e+5, seed: 3.0}\n"))
+        assert (s.trials, s.seed) == (100_000, 3)
+        assert type(s.trials) is int and type(s.seed) is int
+        written = self.report(tmp_path, capsys, PAIR + "oracle: {trials: 1.0e+5}\n")
+        assert written == self.report(tmp_path, capsys, PAIR)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("extra, field", [
+        ("constraint: {max_ones: 1.9}\n", "constraint.max_ones"),
+        ("oracle: {trials: 2.5}\n", "oracle.trials"),
+        ("oracle: {seed: 3.9}\n", "oracle.seed"),
+        ("oracle: {trials: .inf}\n", "oracle.trials"),
+        ("constraint: {max_ones: true}\n", "constraint.max_ones"),
+        ("oracle: {trials: true}\n", "oracle.trials"),
+        ("oracle: {seed: false}\n", "oracle.seed"),
+        ("oracle: {rr_q: true}\n", "oracle.rr_q"),
+        ("subsample_rate: true\n", "subsample_rate"),
+        ("theorem: {advanced: {delta_slack: false}}\n", "theorem.advanced.delta_slack"),
+        ('hypotheses: {p0: {"00": true}}\n', "hypotheses.p0['00']"),
+        ("hypotheses: {p0: zero, p2: zero}\n", "p2"),
+        ("oracle: {rr_q: 0.25, tries: 3}\n", "tries"),
+        ("hypotheses: []\n", "hypotheses"),
+        ("hypotheses: 0\n", "hypotheses"),
+        ("oracle: []\n", "oracle"),
+        ("oracle: 0\n", "oracle"),
+        ("1: 2\nzz: 3\n", "'1', 'zz'"),
+    ])
+    def test_exits_1_naming_the_field(self, tmp_path, capsys, extra, field):
+        path = write(tmp_path, "s.yaml", PAIR + extra)
+        with pytest.raises(ScenarioValidationError, match=re.escape(field)):
+            load_scenario(path)
+        assert main(["compose", "--scenario", path]) == EXIT_BAD_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == "" and field in captured.err
+
+    @pytest.mark.parametrize("entry", ["{epsilon: true}", "{epsilon: 1" + "0" * 400 + "}"],
+                             ids=["boolean", "beyond_float"])
+    def test_mechanism_numbers(self, tmp_path, capsys, entry):
+        path = write(tmp_path, "s.yaml", f"mechanisms:\n  - {entry}\n")
+        assert main(["compose", "--scenario", path]) == EXIT_BAD_SCENARIO
+        assert "mechanisms[0].epsilon" in capsys.readouterr().err

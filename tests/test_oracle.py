@@ -91,6 +91,37 @@ class TestRandomizedResponse:
             DiscreteMechanism(absent={0: math.nan, 1: 1.0}, present={0: math.nan, 1: 1.0})
 
 
+class TestLeakyRR:
+    POINTS = (Hypothesis.point_mass(bv("0")), Hypothesis.point_mass(bv("1")))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01])
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 50.0, 700.0, 708.0, 708.38])
+    def test_tight_claim_verifies(self, eps, delta):
+        mech = leaky_rr(eps, delta)
+        assert verify_hdp([mech], *self.POINTS, PrivacyParams(eps, delta)).sound
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.5])
+    def test_refused_once_lo_is_subnormal(self, delta):
+        # lo = (1 - delta) e^-eps is the smallest normal double near 708.4 nats.
+        edge = -math.log(np.finfo(float).tiny / (1.0 - delta))
+        leaky_rr(edge - 1e-9, delta)
+        for eps in (edge + 1e-9, 709.0, 710.0, 746.0, 1e308):
+            with pytest.raises(ValueError, match="subnormal"):
+                leaky_rr(eps, delta)
+
+    def test_delta_one_at_any_epsilon(self):
+        mech = leaky_rr(1000.0, 1.0)
+        assert mech.absent == {"a": 0.0, "b": 0.0, "r0": 1.0, "r1": 0.0}
+
+    def test_subnormal_lo_is_not_eps_dp(self):
+        # Why the refusal: at 718 nats the nearest-rounded subnormal lo
+        # leaves hi > e^eps lo, so the claim (718, 0) needs more delta.
+        r = math.exp(-718.0)
+        hi, lo = 1.0 / (1.0 + r), r / (1.0 + r)
+        mech = DiscreteMechanism(absent={"a": hi, "b": lo}, present={"a": lo, "b": hi})
+        assert not verify_hdp([mech], *self.POINTS, PrivacyParams(718.0, 0.0)).sound
+
+
 class TestViewDistribution:
     def test_single_factor(self):
         d = view_distribution([randomized_response(0.25)], bv("0"))

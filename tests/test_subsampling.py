@@ -169,6 +169,13 @@ class TestPipelineEquality:
                     want = uniform_prior_closed_form(eps, delta, k)
                     assert got.epsilon == pytest.approx(want.epsilon, abs=1e-9)
                     assert got.delta == pytest.approx(want.delta, abs=1e-12)
+        # eps = 0 takes _softplus's x <= 0 branch; at k = 3 the deltas
+        # differ by one ulp (1.714285714285714e-06 against ...43e-06).
+        for k in (1, 3, 51, 64, 1024):
+            got = uniform_prior_bound(MechanismSequence.homogeneous(0.0, 1e-6, k), Simple())
+            want = uniform_prior_closed_form(0.0, 1e-6, k)
+            assert got.epsilon == want.epsilon == 0.0
+            assert want.delta == pytest.approx(got.delta, rel=1e-15)
 
     def test_improves_on_worst_case_compose(self):
         rng = np.random.default_rng(77)
