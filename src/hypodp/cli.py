@@ -143,7 +143,7 @@ def _parse_mechanisms(raw) -> MechanismSequence:
             raise _fail(f"mechanisms[{i}]", "expected a mapping with epsilon/delta")
         unknown = set(entry) - {"epsilon", "delta"}
         if unknown:
-            raise _fail(f"mechanisms[{i}]", f"unknown keys {sorted(unknown)}")
+            raise _fail(f"mechanisms[{i}]", f"unknown keys {sorted(map(str, unknown))}")
         eps = _number(entry.get("epsilon", 0.0), f"mechanisms[{i}].epsilon")
         delta = _number(entry.get("delta", 0.0), f"mechanisms[{i}].delta")
         guarantees.append(_checked(f"mechanisms[{i}]", PrivacyParams, eps, delta))
@@ -157,6 +157,9 @@ def _parse_theorem(raw) -> CompositionTheorem:
         body = raw["advanced"]
         if not isinstance(body, dict) or "delta_slack" not in body:
             raise _fail("theorem.advanced", "expected {delta_slack: <float>}")
+        unknown = set(body) - {"delta_slack"}
+        if unknown:
+            raise _fail("theorem.advanced", f"unknown keys {sorted(map(str, unknown))}")
         field = "theorem.advanced.delta_slack"
         return _checked(field, Advanced, _number(body["delta_slack"], field))
     raise _fail("theorem", f"expected 'simple' or {{advanced: ...}}, got {raw!r}")

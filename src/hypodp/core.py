@@ -44,6 +44,8 @@ WEIGHT_PRUNE_TOLERANCE = 1e-12
 # Enumerating all of {0,1}^k is refused beyond this many vectors.
 MAX_ENUMERATION = 10_000_000
 
+_set_field = object.__setattr__  # how a frozen dataclass sets its own fields
+
 
 @dataclass(frozen=True)
 class PrivacyParams:
@@ -79,7 +81,7 @@ def bounded_params(epsilon: float, delta: float) -> PrivacyParams:
     return PrivacyParams(epsilon, min(1.0, delta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class BitVector:
     """A fixed-length binary vector stored as a machine word.
 
@@ -91,11 +93,14 @@ class BitVector:
     word: int
     k: int
 
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_K:
-            raise KTooLargeError(f"k must be in [1, {MAX_K}], got {self.k}")
-        if not 0 <= self.word < (1 << self.k):
-            raise ValueError(f"word {self.word} out of range for k={self.k}")
+    def __init__(self, word: int, k: int):
+        # Replaces the generated __init__ plus __post_init__: vectors are built per atom.
+        if not 1 <= k <= MAX_K:
+            raise KTooLargeError(f"k must be in [1, {MAX_K}], got {k}")
+        if not 0 <= word < (1 << k):
+            raise ValueError(f"word {word} out of range for k={k}")
+        _set_field(self, "word", word)
+        _set_field(self, "k", k)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
@@ -177,10 +182,11 @@ class Hypothesis:
         if not items:
             raise NonNormalizedError("a hypothesis needs at least one atom")
         k = items[0][0].k
-        for vec, _ in items:
-            if vec.k != k:
-                raise MixedLengthError(f"atom {vec} has k={vec.k}, expected {k}")
-        self._set(k, np.array([vec.word for vec, _ in items], dtype=np.uint64),
+        words = [vec.word for vec, _ in items if vec.k == k]
+        if len(words) < len(items):
+            vec = next(vec for vec, _ in items if vec.k != k)
+            raise MixedLengthError(f"atom {vec} has k={vec.k}, expected {k}")
+        self._set(k, np.array(words, dtype=np.uint64),
                   np.array([w for _, w in items], dtype=np.float64))
 
     def _set(self, k: int, words: np.ndarray, weights: np.ndarray) -> "Hypothesis":
@@ -189,7 +195,7 @@ class Hypothesis:
             i = int(np.argmin(weights > 0.0))
             vec = BitVector(int(words[i]), k)
             raise NonPositiveWeightError(f"atom {vec} has non-positive weight {weights[i]}")
-        order = np.argsort(words, kind="stable")
+        order = np.argsort(words)  # distinct words have one sorted order
         words, weights = words[order], weights[order]
         if np.any(words[1:] == words[:-1]):
             raise DuplicateAtomError("a vector is listed more than once")

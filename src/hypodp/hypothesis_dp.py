@@ -109,7 +109,7 @@ def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> Privacy
     side1 = _Groups(pairs["word1"][keep], weight, eps, delta)
     # P0 <= e^eps P1 + delta is bounded by (g1, j0); the reverse by (g0, j1).
     epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
-    delta_g = math.fsum(weight * delta)
+    delta_g = math.fsum((weight * delta).tolist())
     return bounded_params(epsilon, max(
         delta_g if epsilon >= side1.eps_g else side0.delta_j(epsilon),
         delta_g if epsilon >= side0.eps_g else side1.delta_j(epsilon),

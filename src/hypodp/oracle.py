@@ -38,7 +38,10 @@ from .errors import (
 
 MAX_VIEW_SPACE = 10_000_000
 
-# Atoms x views one mixture may cost: about ten seconds, every preset up to k = 16.
+# Trials one simulation may draw: about 32 bytes each, so at most about 0.5 GB.
+MAX_TRIALS = 2**24
+
+# Atoms x views one mixture may cost: about 7 s for the k = 16 presets (2-core x86 VM).
 MAX_MIXTURE_WORK = 2**32
 
 # Absolute slack on delta comparisons; covers accumulated rounding in
@@ -96,7 +99,7 @@ class ViewDistribution:
     def __post_init__(self):
         if len(self.probs) != math.prod(len(a) for a in self.alphabets):
             raise ValueError("need one probability per view of the alphabets")
-        total = math.fsum(self.probs)
+        total = math.fsum(self.probs.tolist())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"view probabilities sum to {total!r}, not 1")
 
@@ -167,17 +170,26 @@ def mixture_view_distribution(
 
     Each atom's product measure is built left to right, one outer
     product per mechanism, and added with its weight in the
-    hypothesis's ascending word order, so results are deterministic;
-    memory stays bounded by the view space even for hypotheses with
-    thousands of atoms. Work beyond ``MAX_MIXTURE_WORK`` is refused up front.
+    hypothesis's ascending word order, so results are deterministic.
+    Mechanism 0 is a word's top bit, so consecutive atoms share the
+    products over their common leading bits: a stack keeps the previous
+    atom's prefix products and only the differing tail is rebuilt, from
+    the same operands in the same order. The stack holds at most twice
+    the view space, even for thousands of atoms. Work beyond
+    ``MAX_MIXTURE_WORK`` is refused up front.
     """
     mixture = np.zeros(_check_view_space(mechs, h.k, len(h)))
     tables = [(m.probs_for(0), m.probs_for(1)) for m in mechs]
-    for bits, w in zip(bit_rows(h.words, h.k).tolist(), h.weights.tolist()):
-        p = np.ones(1)
-        for table, bit in zip(tables, bits):
-            p = np.multiply.outer(table[bit], p).ravel()
-        mixture += w * p
+    # prefix[m]: product over mechanisms 0..m-1 of the previous atom (none before the first).
+    prefix, previous = [np.ones(1)], 0
+    for word, bits, w in zip(h.words.tolist(), bit_rows(h.words, h.k).tolist(),
+                             h.weights.tolist()):
+        shared = min(len(prefix) - 1, h.k - (word ^ previous).bit_length())
+        del prefix[shared + 1:]
+        for table, bit in zip(tables[shared:], bits[shared:]):
+            prefix.append(np.multiply.outer(table[bit], prefix[-1]).ravel())
+        mixture += w * prefix[-1]
+        previous = word
     # Each view's product is taken left to right, but the new axis goes
     # first so numpy's inner loop runs over the long axis; one transpose
     # then makes mechanism 0 the most significant digit again.
@@ -255,10 +267,14 @@ def simulate_experiment(
     Uses the counter-based Philox generator with one stream per
     iteration derived from (seed, iteration index), so counts are
     bit-reproducible across platforms for a given seed. Every view in
-    the space has an entry, including zero counts.
+    the space has an entry, including zero counts. More than
+    ``MAX_TRIALS`` trials raise ``ViewSpaceTooLargeError`` before any
+    allocation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ViewSpaceTooLargeError(f"{trials} trials exceeds {MAX_TRIALS}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     total = _check_view_space(mechs, b.k)

@@ -43,38 +43,52 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
     subtracted from the larger side. Residuals below
     ``WEIGHT_PRUNE_TOLERANCE`` are floating-point dust from subtracting
     near-equal weights and are dropped. The pair count is at most
-    ``len(p0) + len(p1) - 1``. The walk keeps two atom indices over plain
-    float lists; the word columns are then gathered from ``words`` by
-    index in one numpy step.
+    ``len(p0) + len(p1) - 1``. The walk runs over plain float lists and
+    records per piece its weight and one advance code: 1 when side 0
+    moves to its next atom, 2 for side 1, 3 for both. Running sums of
+    the code bits index the word columns, gathered in one numpy step.
     """
     if p0.k != p1.k:
         raise MixedLengthError(f"hypotheses have k={p0.k} and k={p1.k}")
 
     # Words are already sorted; a residual left at a front position stays
     # the smallest vector on its side, so walking two atom indices is
-    # exactly the smallest-first consumption order.
+    # exactly the smallest-first consumption order. The consumed side's
+    # w - w is exactly 0, so only the other side needs a prune test.
     weights0, weights1 = p0.weights.tolist(), p1.weights.tolist()
     i = j = 0
     w0, w1 = weights0[0], weights1[0]
-    weight, at0, at1 = [], [], []
+    weight, codes = [], bytearray()
     try:
         while True:
-            w = w1 if w1 < w0 else w0
-            weight.append(w)
-            at0.append(i)
-            at1.append(j)
-            w0 -= w
-            w1 -= w
-            if w0 <= WEIGHT_PRUNE_TOLERANCE:
-                i += 1
-                w0 = weights0[i]
-            if w1 <= WEIGHT_PRUNE_TOLERANCE:
+            if w1 < w0:
+                weight.append(w1)
+                w0 -= w1
+                if w0 <= WEIGHT_PRUNE_TOLERANCE:
+                    codes.append(3)
+                    i += 1
+                    w0 = weights0[i]
+                else:
+                    codes.append(2)
                 j += 1
                 w1 = weights1[j]
+            else:
+                weight.append(w0)
+                w1 -= w0
+                if w1 <= WEIGHT_PRUNE_TOLERANCE:
+                    codes.append(3)
+                    j += 1
+                    w1 = weights1[j]
+                else:
+                    codes.append(1)
+                i += 1
+                w0 = weights0[i]
     except IndexError:  # the walk ends when either side runs out
         pass
+    # Piece n sits at the atoms the first n codes advanced to.
+    steps = np.frombuffer(codes, dtype=np.uint8)[:-1]
     pairs = np.empty(len(weight), dtype=PAIR_DTYPE)
     pairs["weight"] = weight
-    pairs["word0"] = p0.words[at0]
-    pairs["word1"] = p1.words[at1]
+    pairs["word0"] = p0.words[np.concatenate(([0], np.cumsum(steps & 1, dtype=np.intp)))]
+    pairs["word1"] = p1.words[np.concatenate(([0], np.cumsum(steps >> 1, dtype=np.intp)))]
     return MatchedRefinement(p0.k, pairs)

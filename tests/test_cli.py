@@ -339,6 +339,23 @@ def test_non_utf8_scenario_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_mixed_type_mechanism_keys_exit_1_without_traceback(tmp_path):
+    path = write(tmp_path, "s.yaml", "mechanisms:\n  - {epsilon: 1.0, 2: 3, x: 4}\n")
+    proc = run_module("compose", "--scenario", path)
+    assert proc.returncode == EXIT_BAD_SCENARIO
+    assert proc.stderr.startswith("error: mechanisms[0]: unknown keys ['2', 'x']")
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_refuses_too_many_trials_at_once(tmp_path, capsys):
+    path = write(tmp_path, "s.yaml", MINIMAL + "oracle: {trials: 1.0e+9}\n")
+    start = time.perf_counter()
+    assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_COMPUTATION
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "1000000000 trials exceeds" in captured.err
+
+
 PAIR = "mechanisms:\n  - {epsilon: 0.5, delta: 1.0e-6}\n  - {epsilon: 0.25, delta: 0.0}\n"
 
 
@@ -418,6 +435,10 @@ class TestRefusals:
         ("oracle: {rr_q: true}\n", "oracle.rr_q"),
         ("subsample_rate: true\n", "subsample_rate"),
         ("theorem: {advanced: {delta_slack: false}}\n", "theorem.advanced.delta_slack"),
+        ("theorem: {advanced: {delta_slack: 1.0e-5, slak: 3}}\n",
+         "theorem.advanced: unknown keys ['slak']"),
+        ("theorem: {advanced: {delta_slack: 1.0e-5, 2: 3, x: 4}}\n",
+         "theorem.advanced: unknown keys ['2', 'x']"),
         ('hypotheses: {p0: {"00": true}}\n', "hypotheses.p0['00']"),
         ("hypotheses: {p0: zero, p2: zero}\n", "p2"),
         ("oracle: {rr_q: 0.25, tries: 3}\n", "tries"),

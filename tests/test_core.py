@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -103,6 +104,27 @@ class TestBitVector:
         vecs = all_vectors(3)
         assert [str(v) for v in vecs] == sorted(str(v) for v in vecs)
 
+    def test_frozen_value_type(self):
+        b = BitVector(5, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.word = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.k = 4
+        assert (b.word, b.k) == (5, 3)
+        assert repr(b) == "BitVector(word=5, k=3)"
+        assert b == BitVector(5, 3) and hash(b) == hash(BitVector(5, 3))
+        assert b != BitVector(5, 4) and len({b, BitVector(5, 3), BitVector(5, 4)}) == 2
+        assert BitVector(word=5, k=3) == b
+
+    def test_replace_validates(self):
+        b = BitVector(5, 3)
+        assert dataclasses.replace(b, word=2) == BitVector(2, 3)
+        assert dataclasses.replace(b, k=4) == BitVector(5, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            dataclasses.replace(b, word=8)
+        with pytest.raises(KTooLargeError):
+            dataclasses.replace(b, k=64)
+
 
 class TestWordLayout:
     """``bit_rows`` and ``word_of`` agree with ``BitVector``'s own shifts."""
@@ -159,6 +181,9 @@ class TestHypothesis:
                 BitVector.from_string("01"): 0.5,
                 BitVector.from_string("100"): 0.5,
             })
+        # The first atom of another length is named.
+        with pytest.raises(MixedLengthError, match="atom 100 has k=3, expected 2"):
+            Hypothesis([(BitVector.from_string(s), 0.25) for s in ("01", "100", "10", "1")])
 
     def test_duplicate_vector_rejected(self):
         # A mapping cannot repeat a key; a list of pairs can.
@@ -182,6 +207,18 @@ class TestHypothesis:
             BitVector.from_string("01"): 0.75,
         })
         assert [str(v) for v, _ in h.atoms] == ["01", "10"]
+        # Any input order gives the same arrays, byte for byte.
+        rng = np.random.default_rng(5)
+        words = rng.choice(1 << 12, size=300, replace=False)
+        items = [(BitVector(int(w), 12), float(p))
+                 for w, p in zip(words, rng.dirichlet(np.ones(300)))]
+        first = Hypothesis(items)
+        assert np.all(first.words[1:] > first.words[:-1])
+        for _ in range(5):
+            order = rng.permutation(len(items))
+            h = Hypothesis([items[i] for i in order])
+            assert h.words.tobytes() == first.words.tobytes()
+            assert h.weights.tobytes() == first.weights.tobytes()
 
     def test_uniform_nonzero(self):
         h = Hypothesis.uniform_nonzero(3)

@@ -38,16 +38,20 @@ def reference_mixture(mechs, h):
 
     Enumerates views with itertools.product, multiplies each view's
     probabilities left to right and accumulates over atoms in atom order.
+    Each step is one elementwise numpy operation across all views, the
+    same rounding as the scalar loop, from a fresh product per atom.
     """
     views = list(itertools.product(*(m.alphabet for m in mechs)))
-    acc = dict.fromkeys(views, 0.0)
+    columns = list(zip(*views))  # column i: mechanism i's symbol in each view
+    factors = [[np.array([mech.dist_for(bit)[y] for y in column]) for bit in (0, 1)]
+               for mech, column in zip(mechs, columns)]
+    acc = np.zeros(len(views))
     for vec, w in h.atoms:
-        for view in views:
-            p = 1.0
-            for mech, bit, y in zip(mechs, vec.bits(), view):
-                p *= mech.dist_for(bit)[y]
-            acc[view] += w * p
-    return [acc[view] for view in views]
+        p = np.ones(len(views))
+        for factor, bit in zip(factors, vec.bits()):
+            p = p * factor[bit]
+        acc += w * p
+    return acc.tolist()
 
 
 def reference_required_delta(q0s, q1s, eps):
@@ -247,6 +251,33 @@ class TestReference:
                 assert required_delta(d0, d1, eps) == reference_required_delta(r0, r1, eps)
                 assert required_delta(d1, d0, eps) == reference_required_delta(r1, r0, eps)
 
+    def test_shared_prefixes_equal_reference(self):
+        # Consecutive atoms share leading bits: presets share all but the
+        # trailing ones, random mixtures share prefixes of every length.
+        rng = np.random.default_rng(20261018)
+
+        def families(k):
+            """Heterogeneous RR and heterogeneous leaky RR, k mechanisms each."""
+            return (
+                [randomized_response(float(q)) for q in rng.uniform(0.05, 0.45, k)],
+                [leaky_rr(float(e), float(d))
+                 for e, d in zip(rng.uniform(0.0, 2.0, k), rng.uniform(0.0, 0.1, k))],
+            )
+
+        for k in range(1, 9):
+            for mechs in families(k):
+                for h in (Hypothesis.point_mass(BitVector.ones(k)),
+                          Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k)):
+                    got = mixture_view_distribution(mechs, h).probs.tolist()
+                    assert got == reference_mixture(mechs, h)
+        for mechs in families(8):
+            for n in (20, 37, 60):
+                words = rng.choice(256, size=n, replace=False)
+                h = Hypothesis([(BitVector(int(w), 8), float(p))
+                                for w, p in zip(words, rng.dirichlet(np.ones(n)))])
+                assert mixture_view_distribution(mechs, h).probs.tolist() == \
+                    reference_mixture(mechs, h)
+
     def test_point_masses_equal_reference(self):
         mechs = [leaky_rr(0.7, 0.05), randomized_response(0.2), leaky_rr(1.3, 0.0)]
         for word in range(8):
@@ -387,6 +418,15 @@ class TestSimulate:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             simulate_experiment([randomized_response(0.25)], bv("1"), 0, seed=1)
+
+    def test_trials_budget(self, monkeypatch):
+        mechs = [randomized_response(0.25)]
+        with pytest.raises(ViewSpaceTooLargeError, match="trials exceeds"):
+            simulate_experiment(mechs, bv("1"), oracle.MAX_TRIALS + 1, seed=1)
+        monkeypatch.setattr(oracle, "MAX_TRIALS", 100)
+        assert simulate_experiment(mechs, bv("1"), 100, seed=1).sum() == 100
+        with pytest.raises(ViewSpaceTooLargeError):
+            simulate_experiment(mechs, bv("1"), 101, seed=1)
 
     def test_deterministic_given_seed(self):
         mechs = [randomized_response(0.25)] * 2

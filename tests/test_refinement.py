@@ -151,6 +151,17 @@ class TestArrayWalk:
         # A 1e-10 residual lies above the prune tolerance and stays a piece.
         self.assert_matches_reference(hyp({"0": 0.5, "1": 0.5}),
                                       hyp({"0": 0.5 + 1e-10, "1": 0.5 - 1e-10}))
+        # Two point masses: one piece, so no advance code is ever read.
+        self.assert_matches_reference(hyp({"101": 1.0}), hyp({"010": 1.0}))
+        assert len(refine_tuples(hyp({"101": 1.0}), hyp({"010": 1.0})).pairs) == 1
+        # Equal front weights on every piece: both sides advance each time.
+        equal = hyp({"00": 0.25, "01": 0.25, "10": 0.5}), hyp({"01": 0.25, "10": 0.25, "11": 0.5})
+        self.assert_matches_reference(*equal)
+        assert len(refine_tuples(*equal).pairs) == 3
+        # Side 0 runs out while side 1 still holds a whole atom.
+        short = hyp({"00": 0.5, "01": 0.5}), hyp({"00": 0.5, "01": 0.5, "11": 5e-10})
+        self.assert_matches_reference(*short)
+        assert rows(refine_tuples(*short)) == [("00", 0.5, "00"), ("01", 0.5, "01")]
         rng = np.random.default_rng(1018)
         for k, n0, n1 in ((10, 200, 700), (14, 3000, 1000), (16, 5000, 5000)):
             sides = []
