@@ -19,8 +19,8 @@ from hypodp import (
     SIMPLE,
     amplify,
     simple_compose,
+    uniform_nonzero_closed_form,
     uniform_prior_bound,
-    uniform_prior_closed_form,
 )
 
 # %% Amplification by subsampling on its own: running an (eps, delta)
@@ -41,7 +41,7 @@ for k in (1, 2, 4, 8, 12):
     seq = MechanismSequence.homogeneous(0.5, 0.0, k)
     worst = simple_compose(seq).epsilon
     uniform = uniform_prior_bound(seq, SIMPLE).epsilon
-    closed = uniform_prior_closed_form(0.5, 0.0, k).epsilon
+    closed = uniform_nonzero_closed_form(0.5, 0.0, k).epsilon
     print(f"{k:>4} {worst:>12.4f} {uniform:>14.4f} {closed:>12.4f}")
 
 # %% The pipeline also handles heterogeneous sequences, where no closed

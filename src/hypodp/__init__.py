@@ -33,7 +33,6 @@ from .constraints import (
 from .core import (
     BitVector,
     Hypothesis,
-    HypothesisPairSet,
     MechanismSequence,
     PrivacyParams,
     all_vectors,
@@ -60,12 +59,7 @@ from .oracle import (
     view_distribution,
 )
 from .refinement import MatchedRefinement, refine_tuples
-from .subsampling import (
-    amplify,
-    uniform_prior_bound,
-    uniform_prior_closed_form,
-    uniform_prior_split_bound,
-)
+from .subsampling import amplify, uniform_prior_bound
 
 __version__ = "0.1.0"
 
@@ -77,7 +71,6 @@ __all__ = [
     "CompositionTheorem",
     "DiscreteMechanism",
     "Hypothesis",
-    "HypothesisPairSet",
     "MatchedRefinement",
     "MaxOnes",
     "MechanismSequence",
@@ -113,8 +106,6 @@ __all__ = [
     "simulate_experiment",
     "uniform_nonzero_closed_form",
     "uniform_prior_bound",
-    "uniform_prior_closed_form",
-    "uniform_prior_split_bound",
     "verify_hdp",
     "view_distribution",
 ]

@@ -307,6 +307,11 @@ def _params_dict(g: PrivacyParams) -> dict:
     return {"epsilon": g.epsilon, "delta": g.delta}
 
 
+def _params_line(label: str, g: PrivacyParams) -> str:
+    """A summary line: ``label`` followed by the guarantee to six significant digits."""
+    return f"  {label}epsilon = {g.epsilon:.6g}   delta = {g.delta:.6g}"
+
+
 def _theorem_name(theorem: CompositionTheorem) -> str:
     if isinstance(theorem, Advanced):
         return f"advanced(delta_slack={theorem.delta_slack!r})"
@@ -350,45 +355,34 @@ def _emit(report: dict, out_path: str | None, human_lines: list[str], quiet: boo
 # ---------------------------------------------------------------- commands
 
 
+def _single_result(method: str, g: PrivacyParams, header: str) -> tuple[dict, list[str], int]:
+    """Report, summary and exit code of a command that computes one guarantee."""
+    return {"method": method, "result": _params_dict(g)}, [header, _params_line("", g)], EXIT_OK
+
+
 def _cmd_compose(s: Scenario) -> tuple[dict, list[str], int]:
-    result = compose(s.mechanisms, s.theorem)
-    report = {
-        "method": _theorem_name(s.theorem),
-        "result": _params_dict(result),
-    }
-    human = [
-        f"classic composition of k={s.k} mechanisms via {_theorem_name(s.theorem)}:",
-        f"  epsilon = {result.epsilon:.6g}   delta = {result.delta:.6g}",
-    ]
-    return report, human, EXIT_OK
+    """Classic composition of the mechanisms, ignoring membership."""
+    method = _theorem_name(s.theorem)
+    g = compose(s.mechanisms, s.theorem)
+    return _single_result(method, g, f"classic composition of k={s.k} mechanisms via {method}:")
 
 
 def _cmd_hdp(s: Scenario) -> tuple[dict, list[str], int]:
+    """Guarantee against the hypothesis pair p0 vs p1."""
     result = hdp.hdp_guarantee(s.p0, s.p1, s.mechanisms, s.theorem)
-    report = {
-        "method": f"hypothesis pair refinement + {_theorem_name(s.theorem)}",
-        "result": _params_dict(result),
-    }
-    human = [
-        f"hypothesis-pair guarantee over k={s.k} mechanisms "
-        f"({len(s.p0)} vs {len(s.p1)} atoms):",
-        f"  epsilon = {result.epsilon:.6g}   delta = {result.delta:.6g}",
-    ]
-    return report, human, EXIT_OK
+    method = f"hypothesis pair refinement + {_theorem_name(s.theorem)}"
+    header = (f"hypothesis-pair guarantee over k={s.k} mechanisms "
+              f"({len(s.p0)} vs {len(s.p1)} atoms):")
+    return _single_result(method, result, header)
 
 
 def _cmd_constrain(s: Scenario) -> tuple[dict, list[str], int]:
+    """Worst case over the membership vectors the constraint allows."""
     if s.constraint is None:
         raise ScenarioValidationError("constraint: required for the constrain command")
     bound = con.constrained_bound(s.mechanisms, s.constraint, s.mode, s.theorem)
-    report = {
-        "method": f"constraint-restricted worst case + {_theorem_name(s.theorem)}",
-        "result": _params_dict(bound),
-    }
-    human = [
-        f"constraint-derived bound ({s.mode.value}):",
-        f"  epsilon = {bound.epsilon:.6g}   delta = {bound.delta:.6g}",
-    ]
+    method = f"constraint-restricted worst case + {_theorem_name(s.theorem)}"
+    report, human, _ = _single_result(method, bound, f"constraint-derived bound ({s.mode.value}):")
     if isinstance(s.constraint, con.MaxOnes):
         # Parallel composition covers pure epsilon-DP only, so the
         # comparison is made on the epsilon parts with deltas zeroed.
@@ -405,12 +399,11 @@ def _cmd_constrain(s: Scenario) -> tuple[dict, list[str], int]:
 
 
 def _cmd_subsample(s: Scenario) -> tuple[dict, list[str], int]:
-    bound = sub.uniform_prior_bound(s.mechanisms, s.theorem)
-    # Both keys name the one pipeline; reports keep their layout.
-    results = {"block_bound": bound, "split_bound": bound}
+    """Uniform-prior bounds, and each mechanism amplified by subsampling."""
+    results = {"block_bound": sub.uniform_prior_bound(s.mechanisms, s.theorem)}
     if s.mechanisms.is_homogeneous():
         g0 = s.mechanisms[0]
-        results["closed_form"] = sub.uniform_prior_closed_form(g0.epsilon, g0.delta, s.k)
+        results["closed_form"] = hdp.uniform_nonzero_closed_form(g0.epsilon, g0.delta, s.k)
     amplified = [sub.amplify(g, s.subsample_rate) for g in s.mechanisms]
     report = {
         "method": f"uniform-prior subsampling bounds + {_theorem_name(s.theorem)}",
@@ -421,8 +414,7 @@ def _cmd_subsample(s: Scenario) -> tuple[dict, list[str], int]:
         },
     }
     human = [f"uniform-prior bounds for k={s.k} mechanisms:"] + [
-        f"  {name:12s} epsilon = {g.epsilon:.6g}   delta = {g.delta:.6g}"
-        for name, g in results.items()
+        _params_line(f"{name:12s} ", g) for name, g in results.items()
     ]
     return report, human, EXIT_OK
 
@@ -432,6 +424,7 @@ def _rr_mechs(s: Scenario) -> list[orc.DiscreteMechanism]:
 
 
 def _cmd_verify(s: Scenario) -> tuple[dict, list[str], int]:
+    """Check the hdp claim by exact enumeration against randomized response."""
     claimed = hdp.hdp_guarantee(s.p0, s.p1, s.mechanisms, s.theorem)
     outcome = orc.verify_hdp(_rr_mechs(s), s.p0, s.p1, claimed)
     report = {
@@ -452,6 +445,7 @@ def _cmd_verify(s: Scenario) -> tuple[dict, list[str], int]:
 
 
 def _cmd_simulate(s: Scenario) -> tuple[dict, list[str], int]:
+    """Monte-Carlo check of randomized response's views for each hypothesis vector."""
     mechs = _rr_mechs(s)
     rows = []
     human = [f"Monte-Carlo check, {s.trials} trials per vector, seed {s.seed}:"]

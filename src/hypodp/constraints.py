@@ -202,12 +202,8 @@ def exclusive_groups_bound(
             f"need 0 <= {shared_end} < {first_only_end} < {total} == len(seq)={len(seq)}"
         )
     k = total
-    first = BitVector.from_bits(
-        [1] * first_only_end + [0] * (k - first_only_end)
-    )
-    second = BitVector.from_bits(
-        [1] * shared_end + [0] * (first_only_end - shared_end) + [1] * (k - first_only_end)
-    )
+    first = BitVector(word_of(range(first_only_end), k), k)
+    second = BitVector(word_of([*range(shared_end), *range(first_only_end, k)], k), k)
     zero = BitVector.zeros(k)
     pairs = [(first, second), (first, zero)]
     if mode is NeighborhoodMode.BOUNDED:

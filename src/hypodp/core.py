@@ -94,7 +94,6 @@ class BitVector:
     k: int
 
     def __init__(self, word: int, k: int):
-        # Replaces the generated __init__ plus __post_init__: vectors are built per atom.
         if not 1 <= k <= MAX_K:
             raise KTooLargeError(f"k must be in [1, {MAX_K}], got {k}")
         if not 0 <= word < (1 << k):
@@ -294,10 +293,6 @@ class MechanismSequence:
     def is_homogeneous(self) -> bool:
         return all(g == self.guarantees[0] for g in self.guarantees)
 
-    def subsequence(self, indices: Iterable[int]) -> tuple[PrivacyParams, ...]:
-        """Guarantees at the given 0-based positions (may be empty)."""
-        return tuple(self.guarantees[i] for i in indices)
-
     def __iter__(self) -> Iterator[PrivacyParams]:
         return iter(self.guarantees)
 
@@ -306,25 +301,3 @@ class MechanismSequence:
 
     def __getitem__(self, i):
         return self.guarantees[i]
-
-
-@dataclass(frozen=True)
-class HypothesisPairSet:
-    """A finite set of hypothesis pairs sharing one vector length."""
-
-    pairs: tuple[tuple[Hypothesis, Hypothesis], ...]
-
-    def __post_init__(self):
-        ks = {h.k for pair in self.pairs for h in pair}
-        if len(ks) > 1:
-            raise MixedLengthError(f"hypotheses mix lengths {sorted(ks)}")
-
-    @classmethod
-    def of(cls, pairs: Iterable[tuple[Hypothesis, Hypothesis]]) -> "HypothesisPairSet":
-        return cls(tuple(pairs))
-
-    def __iter__(self) -> Iterator[tuple[Hypothesis, Hypothesis]]:
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)

@@ -56,7 +56,6 @@ from .composition import CompositionTheorem, compose_selections
 from .core import (
     BitVector,
     Hypothesis,
-    HypothesisPairSet,
     PrivacyParams,
     bit_rows,
     bounded_params,
@@ -219,7 +218,7 @@ def componentwise_max(guarantees: Sequence[PrivacyParams]) -> PrivacyParams:
 
 
 def hdp_guarantee_over_set(
-    pairs: HypothesisPairSet | Iterable[tuple[Hypothesis, Hypothesis]],
+    pairs: Iterable[tuple[Hypothesis, Hypothesis]],
     seq: Sequence[PrivacyParams],
     theorem: CompositionTheorem,
 ) -> PrivacyParams:

@@ -125,7 +125,7 @@ def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
         raise OverflowError("intermediate overflow in fsum") from exc
 
 
-# Public aliases: the split shape is this pipeline's, and the closed form
-# is the all-absent vs uniform-nonzero one.
+# Module-level aliases, not exported from the package: only the benchmark
+# harness under perfbench/ still reads them.
 uniform_prior_split_bound = uniform_prior_bound
 uniform_prior_closed_form = uniform_nonzero_closed_form

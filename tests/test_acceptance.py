@@ -19,7 +19,7 @@ from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
 from hypodp.hypothesis_dp import hdp_guarantee, uniform_nonzero_closed_form
 from hypodp.oracle import randomized_response, simulate_experiment, verify_hdp, view_distribution
 from hypodp.refinement import refine_tuples
-from hypodp.subsampling import uniform_prior_bound, uniform_prior_closed_form
+from hypodp.subsampling import uniform_prior_bound
 
 GRID_K = range(1, 13)
 GRID_EPS = (0.1, 0.5, 1.0, 2.0)
@@ -49,7 +49,7 @@ def test_criterion_1_pipeline_equals_closed_form():
         for k, eps, delta in itertools.product(GRID_K, GRID_EPS, GRID_DELTA):
             seq = MechanismSequence.homogeneous(eps, delta, k)
             got = uniform_prior_bound(seq, Simple())
-            want = uniform_prior_closed_form(eps, delta, k)
+            want = uniform_nonzero_closed_form(eps, delta, k)
             assert abs(got.epsilon - want.epsilon) <= 1e-9, (k, eps, delta)
             assert abs(got.delta - want.delta) <= 1e-12, (k, eps, delta)
         spot = uniform_prior_bound(MechanismSequence.homogeneous(1.0, 0.0, 2), Simple())
@@ -96,7 +96,6 @@ def test_criterion_3_closed_form_matches_50_digit_reference():
             tol = Decimal("1e-12")
             assert abs(Decimal(got.epsilon) - want_eps) <= tol * max(1, want_eps), (k, eps)
             assert abs(Decimal(got.delta) - want_delta) <= tol * want_delta, (k, eps, delta)
-        assert uniform_prior_closed_form is uniform_nonzero_closed_form
     _report(3, "the closed form matches a 50-digit evaluation to 1e-12", t, 1.0)
 
 

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from hypodp.cli import (
+    COMMANDS,
     EXIT_BAD_SCENARIO,
     EXIT_COMPUTATION,
     EXIT_OK,
@@ -19,10 +20,15 @@ from hypodp.cli import (
 )
 from hypodp.composition import Advanced, Simple
 from hypodp.constraints import MaxOnes, NeighborhoodMode
+from hypodp.core import MechanismSequence
 from hypodp.errors import ScenarioParseError, ScenarioValidationError
+from hypodp.subsampling import uniform_prior_bound
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+SCENARIOS = ROOT / "demos" / "scenarios"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def write(tmp_path, name, content):
@@ -185,7 +191,7 @@ hypotheses: {p0: zero, p1: uniform_nonzero}
         code, out, _ = self.run(capsys, "subsample", "--scenario", path)
         assert code == EXIT_OK
         report = yaml.safe_load(out)
-        assert set(report["results"]) == {"block_bound", "split_bound", "closed_form"}
+        assert set(report["results"]) == {"block_bound", "closed_form"}
         assert report["results"]["block_bound"]["epsilon"] == pytest.approx(
             report["results"]["closed_form"]["epsilon"], abs=1e-9
         )
@@ -272,7 +278,8 @@ class TestLargeK:
         path = write(tmp_path, "s.yaml", homogeneous(8, "theorem: {advanced: {delta_slack: 1.0e-6}}\n"))
         assert main(["subsample", "--scenario", path, "--quiet"]) == EXIT_OK
         results = yaml.safe_load(capsys.readouterr().out)["results"]
-        assert results["block_bound"] == results["split_bound"]
+        want = uniform_prior_bound(MechanismSequence.homogeneous(0.1, 1.0e-6, 8), Advanced(1e-6))
+        assert results["block_bound"] == {"epsilon": want.epsilon, "delta": want.delta}
 
 
 class TestReports:
@@ -354,6 +361,31 @@ def test_simulate_refuses_too_many_trials_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == "" and "1000000000 trials exceeds" in captured.err
+
+
+def test_help_describes_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in COMMANDS:
+        assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), f"{name} has no description"
+
+
+@pytest.mark.parametrize("command", ["compose", "hdp", "constrain", "subsample"])
+@pytest.mark.parametrize("scenario", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
+def test_demo_scenario_reports_match_golden(scenario, command, capsys):
+    # tests/golden holds the report (.yaml) and human summary (.txt) of
+    # every pair that exits 0; a pair without them must exit 1.
+    code = main([command, "--scenario", str(SCENARIOS / f"{scenario}.yaml")])
+    captured = capsys.readouterr()
+    report, summary = (GOLDEN / f"{scenario}.{command}.{ext}" for ext in ("yaml", "txt"))
+    if not report.exists():
+        assert code == EXIT_BAD_SCENARIO and captured.out == ""
+        return
+    assert code == EXIT_OK
+    assert captured.out == report.read_text()
+    assert captured.err == summary.read_text()
 
 
 PAIR = "mechanisms:\n  - {epsilon: 0.5, delta: 1.0e-6}\n  - {epsilon: 0.25, delta: 0.0}\n"

@@ -9,7 +9,6 @@ from hypodp import core
 from hypodp.core import (
     BitVector,
     Hypothesis,
-    HypothesisPairSet,
     MechanismSequence,
     PrivacyParams,
     all_vectors,
@@ -320,25 +319,6 @@ class TestMechanismSequence:
         with pytest.raises(ValueError):
             MechanismSequence(())
 
-    def test_subsequence(self):
-        seq = MechanismSequence.from_pairs([(0.1, 0.0), (0.2, 0.0), (0.3, 0.0)])
-        assert seq.subsequence([0, 2]) == (seq[0], seq[2])
-        assert seq.subsequence([]) == ()
-
     def test_long_sequences_allowed(self):
         # Only vector-enumerating operations are capped at k=63.
         assert MechanismSequence.homogeneous(0.01, 0.0, 365).k == 365
-
-
-class TestHypothesisPairSet:
-    def test_uniform_k_enforced(self):
-        a = Hypothesis.point_mass(BitVector.from_string("00"))
-        b = Hypothesis.point_mass(BitVector.from_string("000"))
-        with pytest.raises(MixedLengthError):
-            HypothesisPairSet.of([(a, b)])
-
-    def test_iteration(self):
-        a = Hypothesis.point_mass(BitVector.from_string("00"))
-        pairs = HypothesisPairSet.of([(a, a)])
-        assert len(pairs) == 1
-        assert list(pairs) == [(a, a)]

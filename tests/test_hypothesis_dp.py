@@ -286,6 +286,14 @@ class TestHdpOverSet:
         with pytest.raises(EmptySetError):
             hdp_guarantee_over_set([], self.seq, Simple())
 
+    def test_mixed_lengths_raise(self):
+        k2, k3 = (Hypothesis.point_mass(BitVector.zeros(k)) for k in (2, 3))
+        for pairs in ([(k2, k3)], [(k2, k2), (k3, k3)], [(k3, k2)]):
+            for k in (2, 3):
+                seq = MechanismSequence.homogeneous(0.5, 1e-6, k)
+                with pytest.raises(MixedLengthError):
+                    hdp_guarantee_over_set(pairs, seq, Simple())
+
 
 class TestUniformNonzeroClosedForm:
     def test_k1_is_identity(self):

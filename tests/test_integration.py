@@ -31,7 +31,7 @@ from hypodp.oracle import (
     verify_hdp,
 )
 from hypodp.refinement import PAIR_DTYPE
-from hypodp.subsampling import uniform_prior_bound, uniform_prior_split_bound
+from hypodp.subsampling import uniform_prior_bound
 
 
 def rr_setup(qs):
@@ -164,7 +164,7 @@ class TestUniformPriorSound:
 
     def test_split_pipeline_heterogeneous(self):
         mechs, seq = rr_setup([0.2, 0.35, 0.45, 0.3])
-        claimed = uniform_prior_split_bound(seq, Simple())
+        claimed = uniform_prior_bound(seq, Simple())
         report = verify_hdp(
             mechs,
             Hypothesis.point_mass(BitVector.zeros(4)),

@@ -16,8 +16,6 @@ from hypodp.subsampling import (
     _exact_suffix_sums,
     amplify,
     uniform_prior_bound,
-    uniform_prior_closed_form,
-    uniform_prior_split_bound,
 )
 
 # Frozen via direct 50-digit evaluation.
@@ -111,15 +109,17 @@ class TestUniformPriorBound:
         # Block weights 2^-(i+1) underflow past i = 1074; those blocks drop.
         seq = MechanismSequence.homogeneous(0.3, 1e-7, k)
         got = uniform_prior_bound(seq, Simple())
-        want = uniform_prior_closed_form(0.3, 1e-7, k)
+        want = uniform_nonzero_closed_form(0.3, 1e-7, k)
         assert got.epsilon == pytest.approx(want.epsilon, rel=1e-9)
         assert got.delta == pytest.approx(want.delta, rel=1e-9)
 
 
 class TestUniformPriorSplitBound:
+    """The block pipeline's split shape: each head at full strength, its tail at rate 1/2."""
+
     def test_k1_is_identity(self):
         seq = MechanismSequence.from_pairs([(0.8, 1e-7)])
-        g = uniform_prior_split_bound(seq, Simple())
+        g = uniform_prior_bound(seq, Simple())
         assert g.epsilon == pytest.approx(0.8, abs=1e-14)
         assert g.delta == pytest.approx(1e-7, rel=1e-12)
 
@@ -127,36 +127,36 @@ class TestUniformPriorSplitBound:
         # With a simple-composition tail, joining the head additively is
         # the same arithmetic as composing head and tail together.
         seq = MechanismSequence.homogeneous(1.0, 0.0, 2)
-        a = uniform_prior_bound(seq, Simple())
-        b = uniform_prior_split_bound(seq, Simple())
+        halved = [amplify(g, 0.5) for g in seq]
+        blocks = [compose([seq[i], *halved[i + 1:]], Simple()) for i in range(2)]
+        rows = np.array([(2.0 / 3.0, 0, 1), (1.0 / 3.0, 0, 2)], dtype=PAIR_DTYPE)
+        eps, delta = np.array([g.as_tuple() for g in blocks]).T
+        a = _aggregate(rows, eps, delta)
+        b = uniform_prior_bound(seq, Simple())
         assert b.epsilon == pytest.approx(a.epsilon, abs=1e-12)
         assert b.delta == pytest.approx(a.delta, abs=1e-18)
 
     def test_heterogeneous_k2(self):
         seq = MechanismSequence.from_pairs([(1.0, 0.0), (0.5, 0.0)])
-        g = uniform_prior_split_bound(seq, Simple())
+        g = uniform_prior_bound(seq, Simple())
         assert g.epsilon == pytest.approx(SPLIT_K2_HET, abs=1e-12)
 
 
 class TestUniformPriorClosedForm:
     def test_k1_is_identity(self):
-        g = uniform_prior_closed_form(0.7, 1e-6, 1)
+        g = uniform_nonzero_closed_form(0.7, 1e-6, 1)
         assert g.epsilon == pytest.approx(0.7, abs=1e-15)
         assert g.delta == pytest.approx(1e-6, rel=1e-15)
 
     def test_k2(self):
-        g = uniform_prior_closed_form(1.0, 0.0, 2)
+        g = uniform_nonzero_closed_form(1.0, 0.0, 2)
         assert g.epsilon == pytest.approx(CLOSED_K2_EPS1, abs=1e-12)
         assert g.delta == 0.0
 
     def test_k12(self):
-        g = uniform_prior_closed_form(0.1, 1e-6, 12)
+        g = uniform_nonzero_closed_form(0.1, 1e-6, 12)
         assert g.epsilon == pytest.approx(CLOSED_K12_EPS01, abs=1e-12)
         assert g.delta == pytest.approx(2048.0 / 4095.0 * 12.0 * 1e-6, rel=1e-12)
-
-    def test_matches_other_closed_form_everywhere(self):
-        # One formula, one implementation.
-        assert uniform_prior_closed_form is uniform_nonzero_closed_form
 
 
 class TestPipelineEquality:
@@ -166,14 +166,14 @@ class TestPipelineEquality:
                 for delta in (0.0, 1e-6):
                     seq = MechanismSequence.homogeneous(eps, delta, k)
                     got = uniform_prior_bound(seq, Simple())
-                    want = uniform_prior_closed_form(eps, delta, k)
+                    want = uniform_nonzero_closed_form(eps, delta, k)
                     assert got.epsilon == pytest.approx(want.epsilon, abs=1e-9)
                     assert got.delta == pytest.approx(want.delta, abs=1e-12)
         # eps = 0 takes _softplus's x <= 0 branch; at k = 3 the deltas
         # differ by one ulp (1.714285714285714e-06 against ...43e-06).
         for k in (1, 3, 51, 64, 1024):
             got = uniform_prior_bound(MechanismSequence.homogeneous(0.0, 1e-6, k), Simple())
-            want = uniform_prior_closed_form(0.0, 1e-6, k)
+            want = uniform_nonzero_closed_form(0.0, 1e-6, k)
             assert got.epsilon == want.epsilon == 0.0
             assert want.delta == pytest.approx(got.delta, rel=1e-15)
 
