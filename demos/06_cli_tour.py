@@ -10,12 +10,15 @@ Run:  python demos/06_cli_tour.py
 """
 
 import io
+import os
 import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypodp.cli import main
 
-SCENARIOS = pathlib.Path(__file__).parent / "scenarios"
+# Scenario paths are relative to demos/, so the output is the same in any checkout.
+os.chdir(pathlib.Path(__file__).resolve().parent)
+SCENARIOS = pathlib.Path("scenarios")
 
 
 def run(*argv):

@@ -194,10 +194,11 @@ class Hypothesis:
             i = int(np.argmin(weights > 0.0))
             vec = BitVector(int(words[i]), k)
             raise NonPositiveWeightError(f"atom {vec} has non-positive weight {weights[i]}")
-        order = np.argsort(words)  # distinct words have one sorted order
-        words, weights = words[order], weights[order]
-        if np.any(words[1:] == words[:-1]):
-            raise DuplicateAtomError("a vector is listed more than once")
+        if not np.all(words[1:] > words[:-1]):  # strictly ascending: sorted, no duplicates
+            order = np.argsort(words)  # distinct words have one sorted order
+            words, weights = words[order], weights[order]
+            if np.any(words[1:] == words[:-1]):
+                raise DuplicateAtomError("a vector is listed more than once")
         total = math.fsum(weights.tolist())
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NonNormalizedError(f"weights sum to {total!r}, not 1")

@@ -12,7 +12,7 @@ differing positions that carry it. Each key composes once, on one
 representative: at most k + 1 times for a homogeneous sequence, all
 keys in one ``composition.compose_selections`` call. Pieces
 with one key differ in the same multiset of guarantees, so this is
-exact: simple composition sums with ``math.fsum``, which is order-free,
+exact: simple composition's exactly rounded sums are order-free,
 and advanced composition only composes identical guarantees. A fixed
 non-adaptive multiset of mechanisms leaks the same in any order, so a
 pluggable theorem's result for the representative holds for every piece.
@@ -96,19 +96,20 @@ def pair_guarantee(
 def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> PrivacyParams:
     """Combine matched pieces with the group-wise rule of the module docstring.
 
-    Row i of the ``refinement.PAIR_DTYPE`` table ``pairs`` has the
-    guarantee ``(eps[i], delta[i])``; rows of zero weight drop out, and
-    at least one must remain. Exponents are relative to each group's
-    extreme epsilon, so epsilons far beyond 700 nats cannot overflow.
-    delta_G is an exactly rounded sum; group sums use pairwise summation.
+    Row i of the ``refinement.PAIR_DTYPE`` table ``pairs``, in the order
+    ``_Groups`` needs, has the guarantee ``(eps[i], delta[i])``; rows of
+    zero weight drop out, and at least one must remain. Exponents are
+    relative to each group's extreme epsilon, so epsilons far beyond 700
+    nats cannot overflow. delta_G is an exactly rounded sum.
     """
     keep = pairs["weight"] > 0.0  # an empty group would divide 0 by 0
-    weight, eps, delta = pairs["weight"][keep], eps[keep], delta[keep]
-    side0 = _Groups(pairs["word0"][keep], weight, eps, delta)
-    side1 = _Groups(pairs["word1"][keep], weight, eps, delta)
+    if not keep.all():
+        pairs, eps, delta = pairs[keep], eps[keep], delta[keep]
+    side0 = _Groups(pairs["word0"], pairs["weight"], eps, delta)
+    side1 = _Groups(pairs["word1"], pairs["weight"], eps, delta)
     # P0 <= e^eps P1 + delta is bounded by (g1, j0); the reverse by (g0, j1).
     epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
-    delta_g = math.fsum((weight * delta).tolist())
+    delta_g = math.fsum((pairs["weight"] * delta).tolist())
     return bounded_params(epsilon, max(
         delta_g if epsilon >= side1.eps_g else side0.delta_j(epsilon),
         delta_g if epsilon >= side0.eps_g else side1.delta_j(epsilon),
@@ -116,20 +117,23 @@ def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> Privacy
 
 
 class _Groups:
-    """Matched pieces grouped by their vector on one side.
+    """Matched pieces grouped by their vector on one side: runs of equal words.
 
+    Precondition: the words are non-decreasing, as both columns of a
+    ``refine_tuples`` or ``uniform_prior_bound`` table are; otherwise a
+    vector's pieces split into groups, a looser but valid bound.
     ``eps_g`` is the largest ``ln(sum w e^eps / p)`` over the groups and
-    ``eps_j`` the largest ``-ln(sum w e^-eps / p)``; both equal the
-    piece's epsilon for a single-piece group.
+    ``eps_j`` the largest ``-ln(sum w e^-eps / p)``.
     """
 
     def __init__(self, words, weight, eps, delta):
-        # By word, then by delta, which is the order delta_j walks a group in.
-        order = np.lexsort((delta, words))
-        words = words[order]
+        new = np.concatenate(([True], words[1:] != words[:-1], [True]))  # run starts, then the end
+        # delta_j walks each group by ascending delta; sort only runs that are not.
+        unsorted = ((delta[1:] < delta[:-1]) & ~new[1:-1]).any()
+        order = np.lexsort((delta, new[:-1].cumsum())) if unsorted else slice(None)
         self.weight, self.eps, self.delta = weight[order], eps[order], delta[order]
-        self.starts = np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
-        self.sizes = np.diff(self.starts, append=len(words))
+        edges = np.flatnonzero(new)
+        self.starts, self.sizes = edges[:-1], edges[1:] - edges[:-1]
         self.mass = np.add.reduceat(self.weight, self.starts)
         hi = np.maximum.reduceat(self.eps, self.starts)
         lo = np.minimum.reduceat(self.eps, self.starts)
@@ -137,8 +141,8 @@ class _Groups:
         rel_lo = np.exp(np.repeat(lo, self.sizes) - self.eps)
         up = np.add.reduceat(self.weight * rel_hi, self.starts) / self.mass
         down = np.add.reduceat(self.weight * rel_lo, self.starts) / self.mass
-        self.eps_g = max(0.0, float(np.max(hi + np.log(up))))
-        self.eps_j = max(0.0, float(np.max(lo - np.log(down))))
+        self.eps_g = max(0.0, float((hi + np.log(up)).max()))
+        self.eps_j = max(0.0, float((lo - np.log(down)).max()))
 
     def delta_j(self, eps: float) -> float:
         """delta_J(eps) for the direction whose source side is this one.
@@ -148,23 +152,22 @@ class _Groups:
         at t = 1. Capping ``a_i = (w_i / p) e^(eps - eps_i)`` at 1 leaves
         the maximum unchanged, since past the first breakpoint where
         ``sum a_i`` reaches 1 the bound only falls, and it keeps the sums
-        finite. Groups are handled in blocks of equal size so each prefix
-        sum stays within one group.
+        finite. Groups of equal size m form one ``(m, groups)`` block;
+        prefix sums and maxima run down its columns, one group each.
         """
         mass = np.repeat(self.mass, self.sizes)
         a = np.minimum(1.0, self.weight / mass * np.exp(np.minimum(eps - self.eps, 700.0)))
         best = np.zeros(len(self.starts))
-        for m in np.unique(self.sizes):
+        for m in np.flatnonzero(np.bincount(self.sizes)):  # each group size present
             rows = np.flatnonzero(self.sizes == m)
-            idx = self.starts[rows, None] + np.arange(m)
+            idx = self.starts[rows] + np.arange(m)[:, None]
             d, ad = self.delta[idx], a[idx]
-            sa = np.cumsum(ad, axis=1)
-            sad = np.cumsum(ad * d, axis=1)
+            sa, sad = np.add.accumulate(ad), np.add.accumulate(ad * d)
             # At breakpoint t = d_j only the pieces sorted before j count.
-            at_breaks = np.max(d * (1.0 - (sa - ad)) + (sad - ad * d), axis=1)
-            at_one = 1.0 - sa[:, -1] + sad[:, -1]
+            at_breaks = np.maximum.reduce(d * (1.0 - (sa - ad)) + (sad - ad * d))
+            at_one = 1.0 - sa[-1] + sad[-1]
             group_best = np.maximum(0.0, np.maximum(at_breaks, at_one))
-            best[rows] = np.where(d[:, -1] > 0.0, group_best, 0.0)
+            best[rows] = np.where(d[-1] > 0.0, group_best, 0.0)
         return float(np.sum(self.mass * best))
 
 

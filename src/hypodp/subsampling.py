@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .composition import CompositionTheorem, Simple, compose
+from .composition import CompositionTheorem, Simple, _fixed_point, _rounded, compose
 from .core import PrivacyParams, bounded_params
 from .errors import InvalidRateError
 from .hypothesis_dp import _aggregate, uniform_nonzero_closed_form
@@ -108,21 +108,9 @@ def uniform_prior_bound(
 
 
 def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
-    """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` in O(n).
-
-    Each double is ``n / d`` with ``d`` a power of two, so scaled by the
-    largest ``d`` every value and every suffix sum is an exact integer.
-    One int true division rounds each suffix correctly, half to even, to
-    the double ``math.fsum`` returns. A sum too large for a double raises
-    ``OverflowError``, as ``math.fsum`` does.
-    """
-    ratios = [x.as_integer_ratio() for x in values]
-    scale = max((d for _, d in ratios), default=1)
-    sums = accumulate(reversed([n * (scale // d) for n, d in ratios]), initial=0)
-    try:
-        return [s / scale for s in sums][::-1]
-    except OverflowError as exc:
-        raise OverflowError("intermediate overflow in fsum") from exc
+    """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` from exact sums, in O(n)."""
+    ints, scale = _fixed_point(values)
+    return _rounded(accumulate(reversed(ints), initial=0), scale)[::-1]
 
 
 # Module-level aliases, not exported from the package: only the benchmark

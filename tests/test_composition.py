@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypodp.composition import (
     advanced_compose,
     best_classic_bound,
     compose,
+    _exact_row_sums,
     compose_selections,
     simple_compose,
 )
@@ -263,6 +266,7 @@ class TestComposeSelections:
         seq = [PrivacyParams(1.0, 0.7), PrivacyParams(0.5, 0.6), PrivacyParams(0.1, 0.2)]
         rows = selections(3, None, 0)
         self.assert_rows_match(seq, rows, Simple())
+        self.assert_rows_match(seq, np.vstack([rows] * 3), Simple())  # past the small-call path
         assert compose_selections(seq, np.ones((1, 3), bool), Simple())[0, 1] == 1.0
 
     def test_overflow_raises_like_compose(self):
@@ -277,6 +281,68 @@ class TestComposeSelections:
             compose_selections([PrivacyParams(0.1, 0.0)] * 3, np.ones((2, 4), bool), Simple())
         with pytest.raises(MixedLengthError):
             compose_selections([PrivacyParams(0.1, 0.0)] * 3, np.ones(3, bool), Simple())
+
+
+def fsum_rows(rows, values):
+    """The reference: one ``math.fsum`` over each row's selected values."""
+    return [math.fsum(compress(values, row)) for row in rows.tolist()]
+
+
+class TestExactRowSums:
+    """Exact integer row sums round each row as ``math.fsum`` does, bit for bit.
+
+    Calls with more than 16 rows take the int64 limb path, smaller calls
+    divide Python ints; both are checked.
+    """
+
+    def assert_fsum(self, rows, values):
+        got = np.asarray(_exact_row_sums(rows, values), dtype=np.float64)
+        want = np.array(fsum_rows(rows, values), dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        for part in (rows[:1], rows[:16]):
+            small = np.asarray(_exact_row_sums(part, values), dtype=np.float64)
+            assert small.tobytes() == want[: len(part)].tobytes()
+
+    def test_magnitudes_from_1e_minus_300_to_1e300(self):
+        rng = np.random.default_rng(2024)
+        for k in (1, 7, 30, 63):
+            for lo, hi in ((-300, 300), (-20, 20), (-12, -4), (290, 300)):
+                values = (10.0 ** rng.uniform(lo, hi, k) * (rng.random(k) < 0.8)).tolist()
+                rows = rng.random((200, k)) < rng.random((200, 1))
+                self.assert_fsum(rows, values)
+
+    def test_subnormal_results(self):
+        tiny = [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 2.225073858507201e-308, 0.0]
+        rng = np.random.default_rng(2025)
+        for k in (2, 9, 63):
+            picks, counts = rng.choice(tiny, k).tolist(), rng.integers(1, 9, k).tolist()
+            values = [v * m for v, m in zip(picks, counts)]
+            self.assert_fsum(rng.random((100, k)) < 0.5, values)
+
+    def test_k63_many_limbs_and_all_zero_rows(self):
+        rng = np.random.default_rng(2026)
+        values = (10.0 ** rng.uniform(-200, 200, 63)).tolist()
+        rows = rng.random((300, 63)) < 0.5
+        rows[::7] = False
+        self.assert_fsum(rows, values)
+        assert _exact_row_sums(np.zeros((40, 63), bool), values).tolist() == [0.0] * 40
+
+    def test_ties_round_half_to_even(self):
+        # 2^53 + 1 and 2^53 + 3 are exact halfway cases between doubles.
+        values = [2.0**53, 1.0, 2.0, 2.0**-60, 0.0]
+        rows = np.array(list(itertools.product((False, True), repeat=5)) * 2, dtype=bool)
+        self.assert_fsum(rows, values)
+
+    def test_overflow_message(self):
+        for n in (1, 40):
+            with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+                _exact_row_sums(np.ones((n, 3), bool), [1e308, 1e308, 0.0])
+        # DBL_MAX plus just under half its ulp still rounds to DBL_MAX.
+        rows = np.ones((40, 2), bool)
+        edge = [sys.float_info.max, 9.9792015476735e291]
+        assert _exact_row_sums(rows, edge).tolist() == [sys.float_info.max] * 40
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            _exact_row_sums(rows, [sys.float_info.max, 9.9792015476736e291])
 
 
 def test_advanced_formula_shape():

@@ -257,6 +257,84 @@ class TestAggregate:
         assert got.epsilon > 0.4
 
 
+class LexsortGroups:
+    """The grouping ``_Groups`` replaced: a lexsort by word, then by delta."""
+
+    def __init__(self, words, weight, eps, delta):
+        order = np.lexsort((delta, words))
+        words = words[order]
+        self.weight, self.eps, self.delta = weight[order], eps[order], delta[order]
+        self.starts = np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
+        self.sizes = np.diff(self.starts, append=len(words))
+        self.mass = np.add.reduceat(self.weight, self.starts)
+        hi = np.maximum.reduceat(self.eps, self.starts)
+        lo = np.minimum.reduceat(self.eps, self.starts)
+        up = np.add.reduceat(self.weight * np.exp(self.eps - np.repeat(hi, self.sizes)),
+                             self.starts) / self.mass
+        down = np.add.reduceat(self.weight * np.exp(np.repeat(lo, self.sizes) - self.eps),
+                               self.starts) / self.mass
+        self.eps_g = max(0.0, float(np.max(hi + np.log(up))))
+        self.eps_j = max(0.0, float(np.max(lo - np.log(down))))
+
+    def delta_j(self, eps):
+        mass = np.repeat(self.mass, self.sizes)
+        a = np.minimum(1.0, self.weight / mass * np.exp(np.minimum(eps - self.eps, 700.0)))
+        best = np.zeros(len(self.starts))
+        for m in np.unique(self.sizes):
+            rows = np.flatnonzero(self.sizes == m)
+            idx = self.starts[rows, None] + np.arange(m)
+            d, ad = self.delta[idx], a[idx]
+            sa, sad = np.cumsum(ad, axis=1), np.cumsum(ad * d, axis=1)
+            at_breaks = np.max(d * (1.0 - (sa - ad)) + (sad - ad * d), axis=1)
+            at_one = 1.0 - sa[:, -1] + sad[:, -1]
+            group_best = np.maximum(0.0, np.maximum(at_breaks, at_one))
+            best[rows] = np.where(d[:, -1] > 0.0, group_best, 0.0)
+        return float(np.sum(self.mass * best))
+
+
+def lexsort_aggregate(pairs, eps, delta):
+    """``_aggregate`` on ``LexsortGroups``, with the zero-weight rows always copied out."""
+    keep = pairs["weight"] > 0.0
+    weight, eps, delta = pairs["weight"][keep], eps[keep], delta[keep]
+    side0 = LexsortGroups(pairs["word0"][keep], weight, eps, delta)
+    side1 = LexsortGroups(pairs["word1"][keep], weight, eps, delta)
+    epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
+    delta_g = math.fsum((weight * delta).tolist())
+    return PrivacyParams(epsilon, min(1.0, max(
+        delta_g if epsilon >= side1.eps_g else side0.delta_j(epsilon),
+        delta_g if epsilon >= side0.eps_g else side1.delta_j(epsilon),
+    )))
+
+
+class TestRunGroups:
+    """Groups as runs of the ascending word columns give the lexsort result bit for bit."""
+
+    def test_random_tables_out_of_order_within_runs(self):
+        rng = np.random.default_rng(9090)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            pairs = np.zeros(n, dtype=PAIR_DTYPE)
+            # Both columns non-decreasing, as refinement emits them, with long runs.
+            pairs["word0"] = np.sort(rng.integers(0, max(2, n // 3), n))
+            pairs["word1"] = np.sort(rng.integers(0, max(2, n // 4), n))
+            pairs["weight"] = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.85)
+            pairs["weight"][int(rng.integers(n))] = 0.5  # at least one positive weight
+            eps = rng.choice([0.0, 0.1, 0.7, 2.5, 900.0], n)
+            delta = rng.choice([0.0, 1e-9, 1e-6, 1e-6, 0.2], n)  # tied and unsorted
+            got = _aggregate(pairs, eps, delta)
+            assert got.as_tuple() == lexsort_aggregate(pairs, eps, delta).as_tuple()
+
+    def test_refined_pairs_with_permuted_deltas(self):
+        rng = np.random.default_rng(9091)
+        for _ in range(40):
+            k = int(rng.integers(2, 9))
+            pairs = refine_tuples(random_mixture(rng, k), random_mixture(rng, k)).pairs
+            eps = rng.uniform(0.0, 3.0, len(pairs))
+            delta = rng.permutation(rng.choice([0.0, 1e-7, 3e-6], len(pairs)))
+            got = _aggregate(pairs, eps, delta)
+            assert got.as_tuple() == lexsort_aggregate(pairs, eps, delta).as_tuple()
+
+
 class TestHdpOverSet:
     seq = MechanismSequence.from_pairs([(0.5, 1e-6)])
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypodp.composition import Simple
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, WEIGHT_PRUNE_TOLERANCE
@@ -74,6 +75,29 @@ def random_pairs(seed, count):
     for _ in range(count):
         k = int(rng.integers(1, 7))
         yield random_hypothesis(rng, k), random_hypothesis(rng, k)
+
+
+@st.composite
+def hypothesis_pairs(draw):
+    """Two hypotheses on one k, with supports and weights drawn freely."""
+    k = draw(st.integers(1, 6))
+    sides = []
+    for _ in range(2):
+        words = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=12, unique=True))
+        raw = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(words), max_size=len(words)))
+        sides.append(Hypothesis({BitVector(w, k): r / math.fsum(raw) for w, r in zip(words, raw)}))
+    return sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypothesis_pairs())
+def test_pair_table_columns_ascend_and_weights_are_positive(pair):
+    # hypothesis_dp._Groups finds each vector's group as one run of equal
+    # words, which needs both columns non-decreasing.
+    pairs = refine_tuples(*pair).pairs
+    for column in ("word0", "word1"):
+        assert np.all(pairs[column][1:] >= pairs[column][:-1])
+    assert np.all(pairs["weight"] > 0.0)
 
 
 class TestProperties:
