@@ -10,9 +10,9 @@ plugged in without touching callers.
 Epsilons stay in plain double precision throughout; anything that needs
 ``exp`` of a composed epsilon is expected to work in log space on the
 caller's side. Sums are exact and rounded once (Shewchuk 1997), so
-order-independent: ``math.fsum`` in ``simple_compose``, exact integers
-in ``compose_selections``, which composes many position subsets of one
-sequence in one call, bit-identical to ``compose``.
+order-independent: ``math.fsum``, or exact integers in large
+``compose_selections`` calls, which compose many position subsets of
+one sequence at once, bit-identical to ``compose``.
 """
 
 import math
@@ -124,9 +124,9 @@ def compose_selections(
 
     Row r of the result is ``compose(selected, theorem).as_tuple()`` bit
     for bit, where ``selected`` lists the guarantees at the positions
-    ``rows[r]`` marks, in sequence order. Under ``Simple`` each column is
-    ``_exact_row_sums`` of the epsilons or the deltas, the delta capped
-    at 1; every other theorem calls ``compose``.
+    ``rows[r]`` marks, in sequence order. Under ``Simple`` each column is an
+    exact sum (``math.fsum`` per row below ``_FSUM_ROWS`` rows, else
+    ``_exact_row_sums``), the delta capped at 1; other theorems call ``compose``.
 
     Raises:
         MixedLengthError: if the rows are not as long as the sequence.
@@ -137,13 +137,20 @@ def compose_selections(
         raise MixedLengthError(
             f"selections of shape {rows.shape} for {len(guarantees)} mechanisms"
         )
-    if isinstance(theorem, Simple):
-        out = np.empty((len(rows), 2))
-        out[:, 0] = _exact_row_sums(rows, [g.epsilon for g in guarantees])
-        out[:, 1] = np.minimum(1.0, _exact_row_sums(rows, [g.delta for g in guarantees]))
-        return out
-    out = [compose(list(compress(guarantees, row)), theorem).as_tuple() for row in rows.tolist()]
-    return np.array(out, dtype=np.float64).reshape(len(rows), 2)
+    eps, delta = [g.epsilon for g in guarantees], [g.delta for g in guarantees]
+    if not isinstance(theorem, Simple):
+        out = [compose(list(compress(guarantees, row)), theorem).as_tuple()
+               for row in rows.tolist()]
+    elif len(rows) < _FSUM_ROWS or not guarantees:
+        out = [(math.fsum(compress(eps, row)), min(1.0, math.fsum(compress(delta, row))))
+               for row in rows.tolist()]
+    else:
+        out = np.stack((_exact_row_sums(rows, eps), _exact_row_sums(rows, delta).clip(max=1.0)), 1)
+    return np.asarray(out, dtype=np.float64).reshape(len(rows), 2)
+
+
+# Fewer rows sum faster by math.fsum per row (the two cross at 48-64 rows for k 5-30).
+_FSUM_ROWS = 64
 
 
 def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
@@ -153,33 +160,21 @@ def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in ratios], scale
 
 
-def _rounded(totals: Iterable[int], scale: int) -> list[float]:
-    """Each exact ``total / scale`` rounded once, as ``math.fsum`` does, and raising like it."""
-    try:
-        return [t / scale for t in totals]
-    except OverflowError as exc:
-        raise OverflowError("intermediate overflow in fsum") from exc
+def _exact_row_sums(rows: np.ndarray, values: list[float]) -> np.ndarray:
+    """The correctly rounded sum of the (at least one) values each boolean row selects.
 
-
-def _exact_row_sums(rows: np.ndarray, values: list[float]) -> Sequence[float]:
-    """The correctly rounded sum of the values each boolean row selects.
-
-    One int64 product sums the ``_fixed_point`` integers' limbs, k of which
-    stay below 2^62. A row whose sum fits the low limb rounds once to
-    float64, and ``np.ldexp`` scales it exactly (a subnormal result is
-    exact already); other rows, and calls too small to repay numpy's
-    per-call cost, divide Python ints.
+    One int64 product sums the ``_fixed_point`` integers' limbs, k of which stay
+    below 2^62. Rows within the low limb round once to float64, and ``np.ldexp``
+    scales them exactly (subnormal results are exact); others take ``math.fsum``.
     """
     ints, scale = _fixed_point(values)
-    if len(rows) <= 16 or not ints:
-        return _rounded([sum(compress(ints, row)) for row in rows.tolist()], scale)
     bits = 62 - len(ints).bit_length()
     spans = range(0, max(ints).bit_length() or 1, bits)
     sums = rows.astype(np.int64) @ np.array([[(n >> s) & ((1 << bits) - 1) for s in spans]
                                              for n in ints], dtype=np.int64)
     out = np.ldexp(sums[:, 0].astype(np.float64), 1 - scale.bit_length())
     slow = np.flatnonzero(sums[:, 1:].any(axis=1))
-    out[slow] = _rounded([sum(compress(ints, row)) for row in rows[slow].tolist()], scale)
+    out[slow] = [math.fsum(compress(values, row)) for row in rows[slow].tolist()]
     return out
 
 

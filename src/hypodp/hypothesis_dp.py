@@ -96,11 +96,11 @@ def pair_guarantee(
 def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> PrivacyParams:
     """Combine matched pieces with the group-wise rule of the module docstring.
 
-    Row i of the ``refinement.PAIR_DTYPE`` table ``pairs``, in the order
-    ``_Groups`` needs, has the guarantee ``(eps[i], delta[i])``; rows of
-    zero weight drop out, and at least one must remain. Exponents are
-    relative to each group's extreme epsilon, so epsilons far beyond 700
-    nats cannot overflow. delta_G is an exactly rounded sum.
+    Row i of the ``refinement.PAIR_DTYPE`` table ``pairs`` has the
+    guarantee ``(eps[i], delta[i])``; rows of zero weight drop out, and
+    at least one must remain. Exponents are relative to each group's
+    extreme epsilon, so epsilons far beyond 700 nats cannot overflow.
+    delta_G is an exactly rounded sum.
     """
     keep = pairs["weight"] > 0.0  # an empty group would divide 0 by 0
     if not keep.all():
@@ -119,14 +119,16 @@ def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> Privacy
 class _Groups:
     """Matched pieces grouped by their vector on one side: runs of equal words.
 
-    Precondition: the words are non-decreasing, as both columns of a
-    ``refine_tuples`` or ``uniform_prior_bound`` table are; otherwise a
-    vector's pieces split into groups, a looser but valid bound.
+    Both columns of a ``refine_tuples`` or ``uniform_prior_bound`` table are
+    non-decreasing, so each vector is one run; other tables are sorted first.
     ``eps_g`` is the largest ``ln(sum w e^eps / p)`` over the groups and
     ``eps_j`` the largest ``-ln(sum w e^-eps / p)``.
     """
 
     def __init__(self, words, weight, eps, delta):
+        if (words[1:] < words[:-1]).any():  # one run per vector, as lexsort by word gives
+            order = np.argsort(words, kind="stable")
+            words, weight, eps, delta = words[order], weight[order], eps[order], delta[order]
         new = np.concatenate(([True], words[1:] != words[:-1], [True]))  # run starts, then the end
         # delta_j walks each group by ascending delta; sort only runs that are not.
         unsorted = ((delta[1:] < delta[:-1]) & ~new[1:-1]).any()

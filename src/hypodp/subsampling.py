@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .composition import CompositionTheorem, Simple, _fixed_point, _rounded, compose
+from .composition import CompositionTheorem, Simple, _fixed_point, compose
 from .core import PrivacyParams, bounded_params
 from .errors import InvalidRateError
 from .hypothesis_dp import _aggregate, uniform_nonzero_closed_form
@@ -108,9 +108,15 @@ def uniform_prior_bound(
 
 
 def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
-    """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` from exact sums, in O(n)."""
+    """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` in O(n).
+
+    Int true division rounds each exact ``_fixed_point`` suffix sum once, as fsum does.
+    """
     ints, scale = _fixed_point(values)
-    return _rounded(accumulate(reversed(ints), initial=0), scale)[::-1]
+    try:
+        return [s / scale for s in accumulate(reversed(ints), initial=0)][::-1]
+    except OverflowError as exc:
+        raise OverflowError("intermediate overflow in fsum") from exc
 
 
 # Module-level aliases, not exported from the package: only the benchmark

@@ -13,6 +13,7 @@ from hypodp.composition import (
     advanced_compose,
     best_classic_bound,
     compose,
+    _FSUM_ROWS,
     _exact_row_sums,
     compose_selections,
     simple_compose,
@@ -240,7 +241,7 @@ class TestComposeSelections:
         for k in (1, 2, 5, 6, 13, 40):
             seq = [PrivacyParams(float(e), float(d)) for e, d in
                    zip(rng.exponential(0.5, k), rng.choice([0.0, 1e-7, 3e-3], k))]
-            rows = selections(k, rng, 60)
+            rows = selections(k, rng, 2 * _FSUM_ROWS)  # both summation paths
             for theorem in (Simple(), Capped()):
                 self.assert_rows_match(seq, rows, theorem)
 
@@ -266,15 +267,16 @@ class TestComposeSelections:
         seq = [PrivacyParams(1.0, 0.7), PrivacyParams(0.5, 0.6), PrivacyParams(0.1, 0.2)]
         rows = selections(3, None, 0)
         self.assert_rows_match(seq, rows, Simple())
-        self.assert_rows_match(seq, np.vstack([rows] * 3), Simple())  # past the small-call path
+        self.assert_rows_match(seq, np.tile(rows, (_FSUM_ROWS, 1)), Simple())  # integer path
         assert compose_selections(seq, np.ones((1, 3), bool), Simple())[0, 1] == 1.0
 
     def test_overflow_raises_like_compose(self):
         seq = [PrivacyParams(1e308, 0.0)] * 3
         with pytest.raises(OverflowError):
             compose(seq, Simple())
-        with pytest.raises(OverflowError):
-            compose_selections(seq, np.ones((1, 3), bool), Simple())
+        for n in (1, _FSUM_ROWS):
+            with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+                compose_selections(seq, np.ones((n, 3), bool), Simple())
 
     def test_row_length_must_match(self):
         with pytest.raises(MixedLengthError):
@@ -291,8 +293,8 @@ def fsum_rows(rows, values):
 class TestExactRowSums:
     """Exact integer row sums round each row as ``math.fsum`` does, bit for bit.
 
-    Calls with more than 16 rows take the int64 limb path, smaller calls
-    divide Python ints; both are checked.
+    Rows whose selected values fit the low limb take the int64 path, the
+    others ``math.fsum``; both are checked, on calls of every size.
     """
 
     def assert_fsum(self, rows, values):

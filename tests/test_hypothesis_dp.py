@@ -307,7 +307,7 @@ def lexsort_aggregate(pairs, eps, delta):
 
 
 class TestRunGroups:
-    """Groups as runs of the ascending word columns give the lexsort result bit for bit."""
+    """Groups as runs of equal words give the lexsort result bit for bit, in any row order."""
 
     def test_random_tables_out_of_order_within_runs(self):
         rng = np.random.default_rng(9090)
@@ -331,6 +331,17 @@ class TestRunGroups:
             pairs = refine_tuples(random_mixture(rng, k), random_mixture(rng, k)).pairs
             eps = rng.uniform(0.0, 3.0, len(pairs))
             delta = rng.permutation(rng.choice([0.0, 1e-7, 3e-6], len(pairs)))
+            got = _aggregate(pairs, eps, delta)
+            assert got.as_tuple() == lexsort_aggregate(pairs, eps, delta).as_tuple()
+
+    def test_tables_in_any_row_order(self):
+        # A caller's own matching need not come in word order; each vector still is one group.
+        rng = np.random.default_rng(9092)
+        for _ in range(40):
+            k = int(rng.integers(2, 9))
+            pairs = rng.permutation(refine_tuples(random_mixture(rng, k), random_mixture(rng, k)).pairs)
+            eps = rng.uniform(0.0, 3.0, len(pairs))
+            delta = rng.choice([0.0, 1e-7, 3e-6], len(pairs))
             got = _aggregate(pairs, eps, delta)
             assert got.as_tuple() == lexsort_aggregate(pairs, eps, delta).as_tuple()
 
