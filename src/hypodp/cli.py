@@ -1,7 +1,7 @@
 """Scenario-driven command line front end.
 
 A scenario is a single YAML (or JSON) file describing the mechanism
-sequence and, depending on the subcommand, the composition theorem,
+sequence and, depending on the command, the composition theorem,
 neighborhood mode, membership constraint, hypothesis pair, and oracle
 settings:
 
@@ -24,10 +24,11 @@ Every key but ``mechanisms`` may be absent or null, which takes the value
 shown (no constraint for ``constraint``); ``max_ones``, ``trials`` and
 ``seed`` must be integers, so a fraction is refused, not truncated.
 
-Exit codes: 0 success, 1 bad scenario file, 2 computation error,
-3 verification found the claim unsound (verify only). The machine
-report goes to --out (default stdout) with round-trip-exact numbers;
-the human summary goes to stderr unless --quiet is given.
+Exit codes: 0 success, 1 bad scenario file, 2 computation error or a
+report that cannot be written, 3 verification found the claim unsound
+(verify only). The machine report goes to --out (default stdout) with
+round-trip-exact numbers; the human summary goes to stderr unless
+--quiet is given.
 """
 
 import argparse
@@ -118,11 +119,11 @@ def _section(raw, defaults: dict, field: str) -> dict:
 def _number(raw, field: str, integer: bool = False):
     """The one reader of scenario numbers.
 
-    Refuses booleans. An integer field keeps an integer as written and
+    Refuses null and booleans. An integer field keeps an integer as written and
     refuses a fraction instead of truncating it; ``1.0e+5`` is 100000.
     """
     try:
-        if isinstance(raw, bool):
+        if raw is None or isinstance(raw, bool):
             raise TypeError(f"expected a number, got {raw!r}")
         if integer and isinstance(raw, int):
             return raw
@@ -154,12 +155,7 @@ def _parse_theorem(raw) -> CompositionTheorem:
     if raw == "simple":
         return Simple()
     if isinstance(raw, dict) and set(raw) == {"advanced"}:
-        body = raw["advanced"]
-        if not isinstance(body, dict) or "delta_slack" not in body:
-            raise _fail("theorem.advanced", "expected {delta_slack: <float>}")
-        unknown = set(body) - {"delta_slack"}
-        if unknown:
-            raise _fail("theorem.advanced", f"unknown keys {sorted(map(str, unknown))}")
+        body = _section(raw["advanced"], {"delta_slack": None}, "theorem.advanced")
         field = "theorem.advanced.delta_slack"
         return _checked(field, Advanced, _number(body["delta_slack"], field))
     raise _fail("theorem", f"expected 'simple' or {{advanced: ...}}, got {raw!r}")
@@ -284,25 +280,6 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
 # ---------------------------------------------------------------- reporting
 
 
-def _float_representer(dumper, value):
-    if value != value or value in (float("inf"), float("-inf")):
-        return yaml.SafeDumper.represent_float(dumper, value)
-    # repr is round-trip exact; add the decimal point the YAML implicit
-    # float resolver insists on (repr(1e-06) == '1e-06').
-    text = repr(value)
-    if "e" in text and "." not in text:
-        mantissa, _, exponent = text.partition("e")
-        text = f"{mantissa}.0e{exponent}"
-    return dumper.represent_scalar("tag:yaml.org,2002:float", text)
-
-
-class _ReportDumper(yaml.SafeDumper):
-    pass
-
-
-_ReportDumper.add_representer(float, _float_representer)
-
-
 def _params_dict(g: PrivacyParams) -> dict:
     return {"epsilon": g.epsilon, "delta": g.delta}
 
@@ -341,7 +318,9 @@ def _scenario_echo(s: Scenario) -> dict:
 
 
 def _emit(report: dict, out_path: str | None, human_lines: list[str], quiet: bool) -> None:
-    text = yaml.dump(report, Dumper=_ReportDumper, sort_keys=False, default_flow_style=False)
+    # PyYAML writes a float as its round-trip-exact repr, adding the point
+    # its float resolver needs before a bare exponent (1e+17 -> 1.0e+17).
+    text = yaml.safe_dump(report, sort_keys=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -489,17 +468,19 @@ COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {name:<10} {fn.__doc__}" for name, fn in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="hypodp",
         description="Privacy accounting under composite membership hypotheses.",
+        epilog=f"commands:{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
-        p = subparsers.add_parser(name, help=fn.__doc__)
-        p.add_argument("--scenario", required=True, help="path to the scenario file")
-        p.add_argument("--out", default=None, help="machine report path (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--quiet", action="store_true", help="suppress the human summary")
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--scenario", required=True, help="path to the scenario file")
+    parser.add_argument("--out", default=None, help="machine report path (default stdout)")
+    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    parser.add_argument("--quiet", action="store_true", help="suppress the human summary")
     return parser
 
 
@@ -515,7 +496,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
     report = {"command": args.command, "scenario": _scenario_echo(scenario), **report}
-    _emit(report, args.out, human, args.quiet)
+    try:
+        _emit(report, args.out, human, args.quiet)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_COMPUTATION
     return code
 
 

@@ -119,21 +119,19 @@ def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> Privacy
 class _Groups:
     """Matched pieces grouped by their vector on one side: runs of equal words.
 
-    Both columns of a ``refine_tuples`` or ``uniform_prior_bound`` table are
-    non-decreasing, so each vector is one run; other tables are sorted first.
+    Rows not ascending by (word, delta) are sorted so, ties in row order:
+    each vector is then one run that ``delta_j`` walks by ascending delta.
     ``eps_g`` is the largest ``ln(sum w e^eps / p)`` over the groups and
     ``eps_j`` the largest ``-ln(sum w e^-eps / p)``.
     """
 
     def __init__(self, words, weight, eps, delta):
-        if (words[1:] < words[:-1]).any():  # one run per vector, as lexsort by word gives
-            order = np.argsort(words, kind="stable")
+        ties = words[1:] == words[:-1]
+        if ((words[1:] < words[:-1]) | (ties & (delta[1:] < delta[:-1]))).any():
+            order = np.lexsort((delta, words))
             words, weight, eps, delta = words[order], weight[order], eps[order], delta[order]
         new = np.concatenate(([True], words[1:] != words[:-1], [True]))  # run starts, then the end
-        # delta_j walks each group by ascending delta; sort only runs that are not.
-        unsorted = ((delta[1:] < delta[:-1]) & ~new[1:-1]).any()
-        order = np.lexsort((delta, new[:-1].cumsum())) if unsorted else slice(None)
-        self.weight, self.eps, self.delta = weight[order], eps[order], delta[order]
+        self.weight, self.eps, self.delta = weight, eps, delta
         edges = np.flatnonzero(new)
         self.starts, self.sizes = edges[:-1], edges[1:] - edges[:-1]
         self.mass = np.add.reduceat(self.weight, self.starts)

@@ -307,6 +307,37 @@ class TestReports:
         captured = capsys.readouterr()
         assert captured.err == ""
 
+    @pytest.mark.parametrize("value, text", [
+        (1e17, "1.0e+17"),
+        (5e-324, "5.0e-324"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+        (0.1 + 0.2, "0.30000000000000004"),
+    ])
+    def test_float_written_as_its_repr(self, tmp_path, capsys, value, text):
+        # repr gives '1e+17' and '5e-324'; YAML reads a float only with a point.
+        path = write(tmp_path, "s.yaml", f"mechanisms:\n  - {{epsilon: {text}}}\n")
+        assert main(["compose", "--scenario", path, "--quiet"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count(f" epsilon: {text}\n") == 2  # the echoed mechanism and the result
+        assert yaml.safe_load(out)["result"]["epsilon"] == value
+
+    @pytest.mark.parametrize("out", ["missing/report.yaml", "."],
+                             ids=["no_directory", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, out):
+        path = write(tmp_path, "s.yaml", TRIPLE)
+        code = main(["compose", "--scenario", path, "--out", str(tmp_path / out)])
+        assert code == EXIT_COMPUTATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write the report: ")
+
+    def test_options_before_the_command(self, tmp_path, capsys):
+        path = write(tmp_path, "s.yaml", TRIPLE)
+        assert main(["compose", "--scenario", path, "--quiet"]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["--quiet", "--scenario", path, "compose"]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
     def test_every_number_at_full_precision(self, tmp_path, capsys):
         path = write(tmp_path, "s.yaml", EXAMPLE1)
         main(["constrain", "--scenario", path, "--quiet"])
@@ -370,6 +401,25 @@ def test_help_describes_every_command(capsys):
     out = capsys.readouterr().out
     for name in COMMANDS:
         assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), f"{name} has no description"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_is_the_same_help(capsys, command):
+    for argv in (["--help"], [command, "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    first, second = capsys.readouterr().out.split("usage:")[1:]
+    assert first == second
+
+
+def test_unknown_command_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "s.yaml", TRIPLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--scenario", path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice" in captured.err
 
 
 @pytest.mark.parametrize("command", ["compose", "hdp", "constrain", "subsample"])
@@ -471,6 +521,10 @@ class TestRefusals:
          "theorem.advanced: unknown keys ['slak']"),
         ("theorem: {advanced: {delta_slack: 1.0e-5, 2: 3, x: 4}}\n",
          "theorem.advanced: unknown keys ['2', 'x']"),
+        ("theorem: {advanced: 5}\n", "theorem.advanced: expected a mapping"),
+        ("theorem: {advanced: {}}\n", "theorem.advanced.delta_slack: expected a number"),
+        ("theorem: {advanced: {delta_slack: null}}\n",
+         "theorem.advanced.delta_slack: expected a number"),
         ('hypotheses: {p0: {"00": true}}\n', "hypotheses.p0['00']"),
         ("hypotheses: {p0: zero, p2: zero}\n", "p2"),
         ("oracle: {rr_q: 0.25, tries: 3}\n", "tries"),
@@ -488,8 +542,9 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert captured.out == "" and field in captured.err
 
-    @pytest.mark.parametrize("entry", ["{epsilon: true}", "{epsilon: 1" + "0" * 400 + "}"],
-                             ids=["boolean", "beyond_float"])
+    @pytest.mark.parametrize("entry", ["{epsilon: true}", "{epsilon: 1" + "0" * 400 + "}",
+                                       "{epsilon: null}"],
+                             ids=["boolean", "beyond_float", "null"])
     def test_mechanism_numbers(self, tmp_path, capsys, entry):
         path = write(tmp_path, "s.yaml", f"mechanisms:\n  - {entry}\n")
         assert main(["compose", "--scenario", path]) == EXIT_BAD_SCENARIO
