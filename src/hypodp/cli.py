@@ -34,7 +34,7 @@ round-trip-exact numbers; the human summary goes to stderr unless
 import argparse
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import yaml
@@ -52,6 +52,9 @@ EXIT_BAD_SCENARIO = 1
 EXIT_COMPUTATION = 2
 EXIT_UNSOUND = 3
 
+# libyaml where PyYAML has it; its constructor, representer and resolver are unchanged.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # The README's defaults, one table per section; an absent or null key
 # takes its default, and ``mechanisms`` has none.
@@ -227,7 +230,7 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario file: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -320,7 +323,7 @@ def _scenario_echo(s: Scenario) -> dict:
 def _emit(report: dict, out_path: str | None, human_lines: list[str], quiet: bool) -> None:
     # PyYAML writes a float as its round-trip-exact repr, adding the point
     # its float resolver needs before a bare exponent (1e+17 -> 1.0e+17).
-    text = yaml.safe_dump(report, sort_keys=False)
+    text = yaml.dump(report, Dumper=_DUMPER, sort_keys=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -467,6 +470,7 @@ COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     commands = "".join(f"\n  {name:<10} {fn.__doc__}" for name, fn in COMMANDS.items())
     parser = argparse.ArgumentParser(

@@ -199,7 +199,9 @@ class Hypothesis:
             words, weights = words[order], weights[order]
             if np.any(words[1:] == words[:-1]):
                 raise DuplicateAtomError("a vector is listed more than once")
-        total = math.fsum(weights.tolist())
+        total = len(weights) * float(weights[0])  # n equal weights: n * w is fsum's rounding
+        if not (total < math.inf and np.all(weights == weights[0])):  # fsum raises on overflow
+            total = math.fsum(weights.tolist())
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NonNormalizedError(f"weights sum to {total!r}, not 1")
         words.flags.writeable = weights.flags.writeable = False

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from hypodp import cli
 from hypodp.cli import (
     COMMANDS,
     EXIT_BAD_SCENARIO,
@@ -29,6 +30,19 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 SCENARIOS = ROOT / "demos" / "scenarios"
 GOLDEN = ROOT / "tests" / "golden"
+
+
+@pytest.fixture
+def pure_python_yaml(monkeypatch):
+    """The CLI on PyYAML's pure-Python parser and emitter, its path where libyaml is missing."""
+    monkeypatch.setattr(cli, "_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(cli, "_DUMPER", yaml.SafeDumper)
+
+
+def test_libyaml_runs_where_pyyaml_has_it():
+    prefix = "C" if yaml.__with_libyaml__ else ""
+    assert cli._LOADER is getattr(yaml, f"{prefix}SafeLoader")
+    assert cli._DUMPER is getattr(yaml, f"{prefix}SafeDumper")
 
 
 def write(tmp_path, name, content):
@@ -307,12 +321,14 @@ class TestReports:
         captured = capsys.readouterr()
         assert captured.err == ""
 
-    @pytest.mark.parametrize("value, text", [
+    FLOATS = pytest.mark.parametrize("value, text", [
         (1e17, "1.0e+17"),
         (5e-324, "5.0e-324"),
         (1.7976931348623157e308, "1.7976931348623157e+308"),
         (0.1 + 0.2, "0.30000000000000004"),
     ])
+
+    @FLOATS
     def test_float_written_as_its_repr(self, tmp_path, capsys, value, text):
         # repr gives '1e+17' and '5e-324'; YAML reads a float only with a point.
         path = write(tmp_path, "s.yaml", f"mechanisms:\n  - {{epsilon: {text}}}\n")
@@ -320,6 +336,11 @@ class TestReports:
         out = capsys.readouterr().out
         assert out.count(f" epsilon: {text}\n") == 2  # the echoed mechanism and the result
         assert yaml.safe_load(out)["result"]["epsilon"] == value
+
+    @FLOATS
+    def test_float_written_as_its_repr_by_pure_python_yaml(
+            self, tmp_path, capsys, pure_python_yaml, value, text):
+        self.test_float_written_as_its_repr(tmp_path, capsys, value, text)
 
     @pytest.mark.parametrize("out", ["missing/report.yaml", "."],
                              ids=["no_directory", "directory"])
@@ -413,6 +434,23 @@ def test_command_help_is_the_same_help(capsys, command):
     assert first == second
 
 
+def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    first_help = capsys.readouterr().out
+    path = write(tmp_path, "s.yaml", MINIMAL + "oracle: {trials: 100, seed: 11}\n")
+    assert main(["simulate", "--scenario", path, "--seed", "5", "--quiet"]) == EXIT_OK
+    assert yaml.safe_load(capsys.readouterr().out)["scenario"]["oracle"]["seed"] == 5
+    # The parser is built once per process; an option left out must take its default again.
+    assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_OK
+    assert yaml.safe_load(capsys.readouterr().out)["scenario"]["oracle"]["seed"] == 11
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == first_help
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_unknown_command_exits_2(tmp_path, capsys):
     path = write(tmp_path, "s.yaml", TRIPLE)
     with pytest.raises(SystemExit) as exc:
@@ -422,8 +460,13 @@ def test_unknown_command_exits_2(tmp_path, capsys):
     assert captured.out == "" and "invalid choice" in captured.err
 
 
-@pytest.mark.parametrize("command", ["compose", "hdp", "constrain", "subsample"])
-@pytest.mark.parametrize("scenario", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
+GOLDEN_COMMANDS = pytest.mark.parametrize("command", ["compose", "hdp", "constrain", "subsample"])
+DEMO_SCENARIOS = pytest.mark.parametrize(
+    "scenario", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
+
+
+@GOLDEN_COMMANDS
+@DEMO_SCENARIOS
 def test_demo_scenario_reports_match_golden(scenario, command, capsys):
     # tests/golden holds the report (.yaml) and human summary (.txt) of
     # every pair that exits 0; a pair without them must exit 1.
@@ -436,6 +479,12 @@ def test_demo_scenario_reports_match_golden(scenario, command, capsys):
     assert code == EXIT_OK
     assert captured.out == report.read_text()
     assert captured.err == summary.read_text()
+
+
+@GOLDEN_COMMANDS
+@DEMO_SCENARIOS
+def test_pure_python_yaml_reports_match_golden(scenario, command, capsys, pure_python_yaml):
+    test_demo_scenario_reports_match_golden(scenario, command, capsys)
 
 
 PAIR = "mechanisms:\n  - {epsilon: 0.5, delta: 1.0e-6}\n  - {epsilon: 0.25, delta: 0.0}\n"

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hypodp import core
 from hypodp.core import (
@@ -166,6 +167,27 @@ class TestHypothesis:
                 BitVector.from_string("01"): 0.5,
                 BitVector.from_string("10"): 0.4,
             })
+        # Equal weights are summed as n * w: the message shows fsum's sum all the same.
+        total = math.fsum([0.3] * 3)
+        with pytest.raises(NonNormalizedError, match=re.escape(f"weights sum to {total!r}, not 1")):
+            Hypothesis({BitVector.from_string(s): 0.3 for s in ("00", "01", "10")})
+        # A sum beyond the double range stays fsum's error, equal weights or not.
+        for weights in ([1e308, 1e308], [1e308, 1.5e308]):
+            with pytest.raises(OverflowError):
+                Hypothesis([(BitVector.from_string(s), w) for s, w in zip(("0", "1"), weights)])
+
+    @given(st.integers(1, 1 << 10), st.floats(1e-300, 1e300))
+    @example(10, 0.1)
+    @example(49, 1 / 49)
+    def test_equal_weights_total_is_fsum(self, n, w):
+        # The reference: the correctly rounded sum the shortcut for equal weights must match.
+        total = math.fsum([w] * n)
+        atoms = [(BitVector(i, 10), w) for i in range(n)]
+        if abs(total - 1.0) <= core.NORMALIZATION_TOLERANCE:
+            assert len(Hypothesis(atoms)) == n
+        else:
+            with pytest.raises(NonNormalizedError, match=re.escape(f" {total!r}, ")):
+                Hypothesis(atoms)
 
     def test_non_positive_weight_rejected(self):
         with pytest.raises(NonPositiveWeightError):
