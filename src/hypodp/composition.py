@@ -17,7 +17,7 @@ one sequence at once, bit-identical to ``compose``.
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -141,7 +141,7 @@ def compose_selections(
     if not isinstance(theorem, Simple):
         out = [compose(list(compress(guarantees, row)), theorem).as_tuple()
                for row in rows.tolist()]
-    elif len(rows) < _FSUM_ROWS or not guarantees:
+    elif len(rows) < _FSUM_ROWS:
         out = [(math.fsum(compress(eps, row)), min(1.0, math.fsum(compress(delta, row))))
                for row in rows.tolist()]
     else:
@@ -161,21 +161,31 @@ def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
 
 
 def _exact_row_sums(rows: np.ndarray, values: list[float]) -> np.ndarray:
-    """The correctly rounded sum of the (at least one) values each boolean row selects.
+    """The correctly rounded sum of the values each boolean row selects.
 
-    One int64 product sums the ``_fixed_point`` integers' limbs, k of which stay
-    below 2^62. Rows within the low limb round once to float64, and ``np.ldexp``
-    scales them exactly (subnormal results are exact); others take ``math.fsum``.
+    One int64 product sums the ``_fixed_point`` integers below 2^(62 - bits(k)); each
+    sum rounds once to float64 and ``np.ldexp`` scales it exactly, subnormals included.
+    A row that selects a larger integer takes ``math.fsum``.
     """
     ints, scale = _fixed_point(values)
-    bits = 62 - len(ints).bit_length()
-    spans = range(0, max(ints).bit_length() or 1, bits)
-    sums = rows.astype(np.int64) @ np.array([[(n >> s) & ((1 << bits) - 1) for s in spans]
-                                             for n in ints], dtype=np.int64)
-    out = np.ldexp(sums[:, 0].astype(np.float64), 1 - scale.bit_length())
-    slow = np.flatnonzero(sums[:, 1:].any(axis=1))
+    limit = 1 << (62 - len(ints).bit_length())
+    sums = rows.astype(np.int64) @ np.array([n if n < limit else 0 for n in ints], dtype=np.int64)
+    out = np.ldexp(sums.astype(np.float64), 1 - scale.bit_length())
+    slow = np.flatnonzero(rows[:, np.array([n >= limit for n in ints], dtype=bool)].any(axis=1))
     out[slow] = [math.fsum(compress(values, row)) for row in rows[slow].tolist()]
     return out
+
+
+def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
+    """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` in O(n).
+
+    Int true division rounds each exact ``_fixed_point`` suffix sum once, as fsum does.
+    """
+    ints, scale = _fixed_point(values)
+    try:
+        return [s / scale for s in accumulate(reversed(ints), initial=0)][::-1]
+    except OverflowError as exc:
+        raise OverflowError("intermediate overflow in fsum") from exc
 
 
 def best_classic_bound(guarantees: Iterable[PrivacyParams], delta_slack: float) -> PrivacyParams:

@@ -123,30 +123,23 @@ def _max_over_subsets(
     return compose([PrivacyParams(e, d) for e, d in zip(top_eps, top_delta)], theorem)
 
 
-def _pattern_pairs(
-    patterns: frozenset[BitVector], mode: NeighborhoodMode
-) -> list[tuple[BitVector, BitVector]]:
-    ordered = sorted(patterns, key=lambda p: p.word)
+def _pattern_pairs(patterns: frozenset[BitVector], mode: NeighborhoodMode) -> list[int]:
+    """The XOR word of each compared pattern pair."""
+    words = sorted(p.word for p in patterns)
     if mode is NeighborhoodMode.BOUNDED:
-        return list(itertools.combinations(ordered, 2))
-    zero = BitVector.zeros(ordered[0].k)
-    if zero not in patterns:
-        raise IncompatibleModeError(
-            "unbounded mode compares presence against absence, which needs "
-            "the all-absent (zero) vector among the patterns"
-        )
-    return [(zero, p) for p in ordered if p.word != 0]
+        return [a ^ b for a, b in itertools.combinations(words, 2)]
+    if words[0] != 0:
+        raise IncompatibleModeError("unbounded mode compares presence against absence, which "
+                                    "needs the all-absent (zero) vector among the patterns")
+    return words[1:]
 
 
 def _max_over_pairs(
-    seq: Sequence[PrivacyParams],
-    vector_pairs: list[tuple[BitVector, BitVector]],
-    theorem: CompositionTheorem,
+    seq: Sequence[PrivacyParams], differences: list[int], theorem: CompositionTheorem
 ) -> PrivacyParams:
-    if not vector_pairs:
+    if not differences:
         return PrivacyParams(0.0, 0.0)
-    rows = bit_rows([a.word ^ b.word for a, b in vector_pairs], len(seq))
-    composed = compose_selections(seq, rows, theorem)
+    composed = compose_selections(seq, bit_rows(differences, len(seq)), theorem)
     return _pick([PrivacyParams(eps, delta) for eps, delta in composed.tolist()])
 
 
@@ -201,14 +194,14 @@ def exclusive_groups_bound(
         raise InvalidBoundariesError(
             f"need 0 <= {shared_end} < {first_only_end} < {total} == len(seq)={len(seq)}"
         )
-    k = total
-    first = BitVector(word_of(range(first_only_end), k), k)
-    second = BitVector(word_of([*range(shared_end), *range(first_only_end, k)], k), k)
-    zero = BitVector.zeros(k)
-    pairs = [(first, second), (first, zero)]
+    if total > MAX_K:
+        raise KTooLargeError(f"k must be in [1, {MAX_K}], got {total}")
+    first = word_of(range(first_only_end), total)
+    second = word_of([*range(shared_end), *range(first_only_end, total)], total)
+    differences = [first ^ second, first]
     if mode is NeighborhoodMode.BOUNDED:
-        pairs.append((second, zero))
-    return _max_over_pairs(seq, pairs, theorem)
+        differences.append(second)
+    return _max_over_pairs(seq, differences, theorem)
 
 
 def parallel_bound(

@@ -199,9 +199,11 @@ class Hypothesis:
             words, weights = words[order], weights[order]
             if np.any(words[1:] == words[:-1]):
                 raise DuplicateAtomError("a vector is listed more than once")
-        total = len(weights) * float(weights[0])  # n equal weights: n * w is fsum's rounding
-        if not (total < math.inf and np.all(weights == weights[0])):  # fsum raises on overflow
-            total = math.fsum(weights.tolist())
+        equal = np.all(weights == weights[0])  # n equal weights: n * w is fsum's rounding
+        try:
+            total = len(weights) * float(weights[0]) if equal else math.fsum(weights.tolist())
+        except OverflowError:  # a sum beyond the double range is not 1 either
+            total = math.inf
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NonNormalizedError(f"weights sum to {total!r}, not 1")
         words.flags.writeable = weights.flags.writeable = False

@@ -30,12 +30,11 @@ record that varies.
 """
 
 import math
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .composition import CompositionTheorem, Simple, _fixed_point, compose
+from .composition import CompositionTheorem, Simple, _exact_suffix_sums, compose
 from .core import PrivacyParams, bounded_params
 from .errors import InvalidRateError
 from .hypothesis_dp import _aggregate, uniform_nonzero_closed_form
@@ -105,18 +104,6 @@ def uniform_prior_bound(
     delta = [g.delta + t for g, t in zip(guarantees, tail_delta)]
     rows = [(math.ldexp(1.0, -(i + 1)) / norm, 0, i + 1) for i in range(k)]
     return _aggregate(np.array(rows, dtype=PAIR_DTYPE), np.array(eps), np.array(delta))
-
-
-def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
-    """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` in O(n).
-
-    Int true division rounds each exact ``_fixed_point`` suffix sum once, as fsum does.
-    """
-    ints, scale = _fixed_point(values)
-    try:
-        return [s / scale for s in accumulate(reversed(ints), initial=0)][::-1]
-    except OverflowError as exc:
-        raise OverflowError("intermediate overflow in fsum") from exc
 
 
 # Module-level aliases, not exported from the package: only the benchmark

@@ -258,9 +258,12 @@ theorem: {advanced: {delta_slack: 1.0e-5}}
                                                            rel=1e-9)
 
     def test_bad_scenario_exits_1(self, tmp_path, capsys):
-        path = write(tmp_path, "s.yaml", "mechanisms: []\n")
-        code, _, _ = self.run(capsys, "compose", "--scenario", path)
-        assert code == EXIT_BAD_SCENARIO
+        for text, field in [("mechanisms: []\n", "mechanisms"),
+                            ("mechanisms: [5]\n", "mechanisms[0]"),
+                            ("- 1\n- 2\n", "top level")]:
+            path = write(tmp_path, "s.yaml", text)
+            code, out, err = self.run(capsys, "compose", "--scenario", path)
+            assert code == EXIT_BAD_SCENARIO and out == "" and field in err
 
 
 def homogeneous(k, extra=""):
@@ -582,6 +585,19 @@ class TestRefusals:
         ("oracle: []\n", "oracle"),
         ("oracle: 0\n", "oracle"),
         ("1: 2\nzz: 3\n", "'1', 'zz'"),
+        ('hypotheses: {p1: {"1": 1.0e+308, "0": 1.5e+308}}\n', "hypotheses.p1"),
+        ("theorem: fancy\n", "theorem: expected 'simple' or {advanced: ...}"),
+        ("constraint: {patterns: []}\n", "constraint.patterns"),
+        ("constraint: {patterns: '01'}\n", "constraint.patterns"),
+        ("constraint: {min_ones: 1}\n", "constraint: unrecognized"),
+        ("constraint: {patterns: [10]}\n", "constraint.patterns[0]"),
+        ("hypotheses: {p1: everything}\n", "hypotheses.p1: unknown preset"),
+        ("hypotheses: {p0: [1]}\n", "hypotheses.p0"),
+        ("subsample_rate: 1.5\n", "subsample_rate"),
+        ("oracle: {rr_q: 0.5}\n", "oracle.rr_q"),
+        ("oracle: {trials: 0}\n", "oracle.trials"),
+        ("oracle: {seed: -1}\n", "oracle.seed"),
+        ("oracle: {seed: 9223372036854775808}\n", "oracle.seed"),
     ])
     def test_exits_1_naming_the_field(self, tmp_path, capsys, extra, field):
         path = write(tmp_path, "s.yaml", PAIR + extra)

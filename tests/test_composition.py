@@ -262,6 +262,9 @@ class TestComposeSelections:
         for theorem in (Simple(), Advanced(1e-6), Capped()):
             assert compose_selections(seq, np.zeros((1, 3), bool), theorem).tolist() == [[0.0, 0.0]]
             assert compose_selections(seq, np.zeros((0, 3), bool), theorem).shape == (0, 2)
+            for n in (1, _FSUM_ROWS):  # k = 0 on both summation paths
+                got = compose_selections([], np.zeros((n, 0), bool), theorem)
+                assert got.tolist() == [[0.0, 0.0]] * n
 
     def test_delta_sum_above_one_is_capped(self):
         seq = [PrivacyParams(1.0, 0.7), PrivacyParams(0.5, 0.6), PrivacyParams(0.1, 0.2)]
@@ -293,8 +296,8 @@ def fsum_rows(rows, values):
 class TestExactRowSums:
     """Exact integer row sums round each row as ``math.fsum`` does, bit for bit.
 
-    Rows whose selected values fit the low limb take the int64 path, the
-    others ``math.fsum``; both are checked, on calls of every size.
+    Rows that select only integers below 2^(62 - bits(k)) take the int64 path,
+    the others ``math.fsum``; both are checked, on calls of every size.
     """
 
     def assert_fsum(self, rows, values):
@@ -307,7 +310,7 @@ class TestExactRowSums:
 
     def test_magnitudes_from_1e_minus_300_to_1e300(self):
         rng = np.random.default_rng(2024)
-        for k in (1, 7, 30, 63):
+        for k in (0, 1, 7, 30, 63):
             for lo, hi in ((-300, 300), (-20, 20), (-12, -4), (290, 300)):
                 values = (10.0 ** rng.uniform(lo, hi, k) * (rng.random(k) < 0.8)).tolist()
                 rows = rng.random((200, k)) < rng.random((200, 1))

@@ -21,6 +21,7 @@ from hypodp.errors import (
     IncompatibleTheoremError,
     InvalidBoundariesError,
     KTooLargeError,
+    MixedLengthError,
     NonzeroDeltaError,
 )
 
@@ -49,6 +50,8 @@ class TestAllowedVectors:
     def test_pattern_set_identity(self):
         patterns = PatternSet.of([bv("110"), bv("101"), bv("000")])
         assert allowed_vectors(patterns, 3) == set(patterns.patterns)
+        with pytest.raises(MixedLengthError):
+            allowed_vectors(patterns, 4)
 
     def test_k_cap(self):
         with pytest.raises(KTooLargeError):
@@ -88,6 +91,14 @@ class TestMaxOnesBound:
         seq = MechanismSequence.from_pairs([(0.1, 1e-7), (0.4, 0.0), (0.2, 2e-7)])
         g = constrained_bound(seq, MaxOnes(3), UNBOUNDED, Simple())
         assert g == compose(seq, Simple())
+        for mode in (UNBOUNDED, BOUNDED):
+            assert constrained_bound([], MaxOnes(2), mode, Simple()) == PrivacyParams(0.0, 0.0)
+
+    def test_m_below_one_refused(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            MaxOnes(0)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            parallel_bound(MechanismSequence.homogeneous(0.1, 0.0, 3), 0, UNBOUNDED)
 
     def test_advanced_homogeneous_no_search(self):
         seq = MechanismSequence.homogeneous(0.01, 0.0, 365)
@@ -149,8 +160,17 @@ class TestPatternSetBound:
 
     def test_single_pattern_leaks_nothing(self):
         patterns = PatternSet.of([bv("000")])
-        g = constrained_bound(self.seq, patterns, UNBOUNDED, Simple())
-        assert g == PrivacyParams(0.0, 0.0)
+        for mode in (UNBOUNDED, BOUNDED):  # no pair to compare: the empty word list
+            assert constrained_bound(self.seq, patterns, mode, Simple()) == PrivacyParams(0.0, 0.0)
+
+    def test_malformed_pattern_sets_refused(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            PatternSet.of([])
+        with pytest.raises(MixedLengthError):
+            PatternSet.of([bv("00"), bv("000")])
+        for mode in (UNBOUNDED, BOUNDED):
+            with pytest.raises(MixedLengthError):
+                constrained_bound(self.seq, PatternSet.of([bv("00"), bv("11")]), mode, Simple())
 
     def test_equals_max_of_compose_per_pair(self):
         # All pattern pairs compose in one call; each must equal its own compose.
@@ -201,6 +221,10 @@ class TestExclusiveGroupsBound:
         seq = MechanismSequence.from_pairs([(0.1, 0.0), (0.4, 0.0)])
         g = exclusive_groups_bound(seq, 0, 1, 2, UNBOUNDED, Simple())
         assert g.epsilon == pytest.approx(0.5, rel=1e-15)
+
+    def test_k_cap(self):
+        with pytest.raises(KTooLargeError):
+            exclusive_groups_bound(MechanismSequence.homogeneous(0.1, 0.0, 64), 1, 2, 64, BOUNDED)
 
     @pytest.mark.parametrize("bounds", [(2, 2, 3), (1, 1, 3), (0, 3, 3), (1, 2, 4)])
     def test_invalid_boundaries(self, bounds):

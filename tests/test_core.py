@@ -171,9 +171,9 @@ class TestHypothesis:
         total = math.fsum([0.3] * 3)
         with pytest.raises(NonNormalizedError, match=re.escape(f"weights sum to {total!r}, not 1")):
             Hypothesis({BitVector.from_string(s): 0.3 for s in ("00", "01", "10")})
-        # A sum beyond the double range stays fsum's error, equal weights or not.
+        # A sum beyond the double range is refused as not 1, equal weights or not.
         for weights in ([1e308, 1e308], [1e308, 1.5e308]):
-            with pytest.raises(OverflowError):
+            with pytest.raises(NonNormalizedError, match="weights sum to inf, not 1"):
                 Hypothesis([(BitVector.from_string(s), w) for s, w in zip(("0", "1"), weights)])
 
     @given(st.integers(1, 1 << 10), st.floats(1e-300, 1e300))

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from hypodp.composition import Advanced, Simple, compose
+from hypodp.composition import Advanced, Simple, _exact_suffix_sums, compose
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
 from hypodp.errors import IncompatibleTheoremError, InvalidRateError
 from hypodp.hypothesis_dp import _aggregate, uniform_nonzero_closed_form
@@ -13,7 +13,6 @@ from hypodp.oracle import randomized_response, verify_hdp
 from hypodp.refinement import PAIR_DTYPE
 from hypodp.subsampling import (
     LN2,
-    _exact_suffix_sums,
     amplify,
     uniform_prior_bound,
 )
