@@ -35,7 +35,6 @@ from .core import (
     Hypothesis,
     MechanismSequence,
     PrivacyParams,
-    all_vectors,
 )
 from .errors import AccountingError
 from .hypothesis_dp import (
@@ -83,7 +82,6 @@ __all__ = [
     "VerifyReport",
     "ViewDistribution",
     "advanced_compose",
-    "all_vectors",
     "allowed_vectors",
     "amplify",
     "best_classic_bound",

@@ -24,9 +24,10 @@ Every key but ``mechanisms`` may be absent or null, which takes the value
 shown (no constraint for ``constraint``); ``max_ones``, ``trials`` and
 ``seed`` must be integers, so a fraction is refused, not truncated.
 
-Exit codes: 0 success, 1 bad scenario file, 2 computation error or a
-report that cannot be written, 3 verification found the claim unsound
-(verify only). The machine report goes to --out (default stdout) with
+Exit codes: 0 success, 1 bad scenario file, 2 a bad command line
+(argparse's usage error), 3 verification found the claim unsound
+(verify only), 4 computation error or a report that cannot be written.
+The machine report goes to --out (default stdout) with
 round-trip-exact numbers; the human summary goes to stderr unless
 --quiet is given.
 """
@@ -49,8 +50,8 @@ from .errors import ScenarioError, ScenarioParseError, ScenarioValidationError
 
 EXIT_OK = 0
 EXIT_BAD_SCENARIO = 1
-EXIT_COMPUTATION = 2
 EXIT_UNSOUND = 3
+EXIT_COMPUTATION = 4
 
 # libyaml where PyYAML has it; its constructor, representer and resolver are unchanged.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)

@@ -59,6 +59,7 @@ from .core import (
     PrivacyParams,
     bit_rows,
     bounded_params,
+    exact_sum,
     word_of,
 )
 from .errors import EmptySetError, MixedLengthError
@@ -93,23 +94,25 @@ def pair_guarantee(
     return PrivacyParams(eps, delta)
 
 
-def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> PrivacyParams:
+def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> PrivacyParams:
     """Combine matched pieces with the group-wise rule of the module docstring.
 
     Row i of the ``refinement.PAIR_DTYPE`` table ``pairs`` has the
-    guarantee ``(eps[i], delta[i])``; rows of zero weight drop out, and
-    at least one must remain. Exponents are relative to each group's
-    extreme epsilon, so epsilons far beyond 700 nats cannot overflow.
-    delta_G is an exactly rounded sum.
+    guarantee ``table[key[i]]``, a row ``(eps, delta)`` of the
+    ``(keys, 2)`` per-key table; rows of zero weight drop out, and at least one must
+    remain. Exponents are relative to each group's extreme epsilon, so
+    epsilons far beyond 700 nats cannot overflow. delta_G is an exactly
+    rounded sum.
     """
     keep = pairs["weight"] > 0.0  # an empty group would divide 0 by 0
     if not keep.all():
-        pairs, eps, delta = pairs[keep], eps[keep], delta[keep]
-    side0 = _Groups(pairs["word0"], pairs["weight"], eps, delta)
-    side1 = _Groups(pairs["word1"], pairs["weight"], eps, delta)
+        pairs, key = pairs[keep], key[keep]
+    eps, delta = table.T
+    side0 = _Groups(pairs["word0"], pairs["weight"], key, eps, delta)
+    side1 = _Groups(pairs["word1"], pairs["weight"], key, eps, delta)
     # P0 <= e^eps P1 + delta is bounded by (g1, j0); the reverse by (g0, j1).
     epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
-    delta_g = math.fsum((pairs["weight"] * delta).tolist())
+    delta_g = exact_sum(side1.weight * side1.delta)  # an exact sum of the pieces in any order
     return bounded_params(epsilon, max(
         delta_g if epsilon >= side1.eps_g else side0.delta_j(epsilon),
         delta_g if epsilon >= side0.eps_g else side1.delta_j(epsilon),
@@ -119,26 +122,43 @@ def _aggregate(pairs: np.ndarray, eps: np.ndarray, delta: np.ndarray) -> Privacy
 class _Groups:
     """Matched pieces grouped by their vector on one side: runs of equal words.
 
-    Rows not ascending by (word, delta) are sorted so, ties in row order:
-    each vector is then one run that ``delta_j`` walks by ascending delta.
+    Piece i reads its ``eps`` and ``delta`` at index ``key[i]`` of the
+    per-key columns. Rows not ascending by (word, delta) are sorted so,
+    ties in row order: each vector is then one run that ``delta_j`` walks
+    by ascending delta. A table not in word order is first sorted stably
+    by word. The sort within runs is one stable integer argsort of
+    ``run * len(delta) + rank``: ``run`` numbers the runs, and ``rank``
+    is the position of the piece's key delta among the sorted key
+    deltas, equal for equal deltas; a side that is one run sorts by its
+    deltas alone. The result is the permutation
+    ``np.lexsort((delta, words))`` gives, without its float sort of every
+    piece ahead of the word sort.
     ``eps_g`` is the largest ``ln(sum w e^eps / p)`` over the groups and
     ``eps_j`` the largest ``-ln(sum w e^-eps / p)``.
     """
 
-    def __init__(self, words, weight, eps, delta):
-        ties = words[1:] == words[:-1]
-        if ((words[1:] < words[:-1]) | (ties & (delta[1:] < delta[:-1]))).any():
-            order = np.lexsort((delta, words))
-            words, weight, eps, delta = words[order], weight[order], eps[order], delta[order]
+    def __init__(self, words, weight, key, eps, delta):
+        if (words[1:] < words[:-1]).any():  # a table not in word order
+            by_word = words.argsort(kind="stable")
+            words, weight, key = words[by_word], weight[by_word], key[by_word]
+        self.weight, self.eps, self.delta = weight, eps[key], delta[key]
         new = np.concatenate(([True], words[1:] != words[:-1], [True]))  # run starts, then the end
-        self.weight, self.eps, self.delta = weight, eps, delta
-        edges = np.flatnonzero(new)
+        if ((self.delta[1:] < self.delta[:-1]) & ~new[1:-1]).any():
+            if new[1:-1].any():  # run number, then the rank of the key's delta
+                sort_key = new[:-1].astype(np.intp).cumsum()
+                sort_key *= len(delta)
+                sort_key += np.sort(delta).searchsorted(delta)[key]
+            else:  # one run: its deltas alone order it
+                sort_key = self.delta
+            order = sort_key.argsort(kind="stable")  # within runs, so each run stays in place
+            self.weight, self.eps, self.delta = self.weight[order], self.eps[order], self.delta[order]
+        edges = new.nonzero()[0]
         self.starts, self.sizes = edges[:-1], edges[1:] - edges[:-1]
         self.mass = np.add.reduceat(self.weight, self.starts)
         hi = np.maximum.reduceat(self.eps, self.starts)
         lo = np.minimum.reduceat(self.eps, self.starts)
-        rel_hi = np.exp(self.eps - np.repeat(hi, self.sizes))
-        rel_lo = np.exp(np.repeat(lo, self.sizes) - self.eps)
+        rel_hi = np.exp(self.eps - hi.repeat(self.sizes))
+        rel_lo = np.exp(lo.repeat(self.sizes) - self.eps)
         up = np.add.reduceat(self.weight * rel_hi, self.starts) / self.mass
         down = np.add.reduceat(self.weight * rel_lo, self.starts) / self.mass
         self.eps_g = max(0.0, float((hi + np.log(up)).max()))
@@ -155,11 +175,11 @@ class _Groups:
         finite. Groups of equal size m form one ``(m, groups)`` block;
         prefix sums and maxima run down its columns, one group each.
         """
-        mass = np.repeat(self.mass, self.sizes)
+        mass = self.mass.repeat(self.sizes)
         a = np.minimum(1.0, self.weight / mass * np.exp(np.minimum(eps - self.eps, 700.0)))
         best = np.zeros(len(self.starts))
-        for m in np.flatnonzero(np.bincount(self.sizes)):  # each group size present
-            rows = np.flatnonzero(self.sizes == m)
+        for m in np.bincount(self.sizes).nonzero()[0]:  # each group size present
+            rows = (self.sizes == m).nonzero()[0]
             idx = self.starts[rows] + np.arange(m)[:, None]
             d, ad = self.delta[idx], a[idx]
             sa, sad = np.add.accumulate(ad), np.add.accumulate(ad * d)
@@ -168,7 +188,7 @@ class _Groups:
             at_one = 1.0 - sa[-1] + sad[-1]
             group_best = np.maximum(0.0, np.maximum(at_breaks, at_one))
             best[rows] = np.where(d[-1] > 0.0, group_best, 0.0)
-        return float(np.sum(self.mass * best))
+        return float((self.mass * best).sum())
 
 
 def hdp_guarantee(
@@ -199,7 +219,17 @@ def hdp_guarantee(
     if len(seq) != k:
         raise MixedLengthError(f"sequence has {len(seq)} mechanisms, hypotheses have k={k}")
     pairs = refine_tuples(p0, p1).pairs
-    # One position mask per distinct guarantee; the check above keeps each position below k.
+    return _aggregate(pairs, *_piece_keys(pairs, seq, theorem, k))
+
+
+def _piece_keys(
+    pairs: np.ndarray, seq: Sequence[PrivacyParams], theorem: CompositionTheorem, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each piece's key index and the ``(keys, 2)`` table of the keys' composed guarantees.
+
+    Its per-piece temporaries are freed before aggregation starts.
+    """
+    # One position mask per distinct guarantee; the caller keeps each position below k.
     masks: dict[PrivacyParams, int] = {}
     for i, g in enumerate(seq):
         masks[g] = masks.get(g, 0) | word_of([i], k)
@@ -210,9 +240,7 @@ def hdp_guarantee(
     for mask in masks.values():
         keys = keys * np.uint64(mask.bit_count() + 1) + np.bitwise_count(diffs & np.uint64(mask))
     _, first, key_of_diff = np.unique(keys, return_index=True, return_inverse=True)
-    composed = compose_selections(seq, bit_rows(diffs[first], k), theorem)
-    eps, delta = composed[key_of_diff[piece_diff]].T
-    return _aggregate(pairs, eps, delta)
+    return key_of_diff[piece_diff], compose_selections(seq, bit_rows(diffs[first], k), theorem)
 
 
 def componentwise_max(guarantees: Sequence[PrivacyParams]) -> PrivacyParams:

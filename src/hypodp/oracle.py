@@ -28,7 +28,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BitVector, Hypothesis, PrivacyParams, bit_rows
+from .core import BitVector, Hypothesis, PrivacyParams, bit_rows, exact_sum
 from .errors import (
     InvalidRateError,
     MismatchedSupportError,
@@ -217,7 +217,7 @@ def required_delta(p0: ViewDistribution, p1: ViewDistribution, eps: float) -> fl
         gaps[scaled] -= math.exp(eps) * p1.probs[scaled]
     else:
         gaps[scaled] -= np.exp(np.minimum(eps + np.log(p1.probs[scaled]), 700.0))
-    return math.fsum(gaps[gaps > 0.0].tolist())
+    return exact_sum(gaps[gaps > 0.0])
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def simulate_experiment(
 
     combined = np.zeros(trials, dtype=np.int64)
     stride = total
-    for i, (mech, bit) in enumerate(zip(mechs, b.bits())):
+    for i, (mech, bit) in enumerate(zip(mechs, bit_rows([b.word], b.k)[0].tolist())):
         probs = mech.probs_for(bit)
         probs /= probs.sum()
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))

@@ -103,7 +103,7 @@ def uniform_prior_bound(
         raise OverflowError("a uniform-prior block epsilon overflows a double")
     delta = [g.delta + t for g, t in zip(guarantees, tail_delta)]
     rows = [(math.ldexp(1.0, -(i + 1)) / norm, 0, i + 1) for i in range(k)]
-    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), np.array(eps), np.array(delta))
+    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), np.arange(k), np.array([eps, delta]).T)
 
 
 # Module-level aliases, not exported from the package: only the benchmark

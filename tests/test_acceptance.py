@@ -188,7 +188,7 @@ def test_criterion_7_refinement_property_suite():
                     vec = BitVector(words[side], k)
                     masses[vec] = masses.get(vec, 0.0) + w
                 for vec, mass in masses.items():
-                    assert abs(mass - p.weight(vec)) <= 1e-12
+                    assert abs(mass - dict(p.atoms)[vec]) <= 1e-12
             swapped = refine_tuples(p1, p0).pairs
             assert np.array_equal(swapped["word0"], r.pairs["word1"])
             assert np.array_equal(swapped["word1"], r.pairs["word0"])

@@ -218,7 +218,7 @@ hypotheses: {p0: zero, p1: uniform_nonzero}
         report = yaml.safe_load(out)
         assert all(row["within_four_sigma"] for row in report["results"])
 
-    def test_computation_error_exits_2(self, tmp_path, capsys):
+    def test_computation_error_exits_4(self, tmp_path, capsys):
         scenario = """\
 mechanisms:
   - {epsilon: 0.1, delta: 0.0}
@@ -239,7 +239,7 @@ theorem: {advanced: {delta_slack: 1.0e-5}}
         assert "mechanisms[0]" in err and "epsilon" in err
         assert out == ""
 
-    def test_overflow_exits_2(self, tmp_path, capsys):
+    def test_overflow_exits_4(self, tmp_path, capsys):
         path = write(tmp_path, "s.yaml", "mechanisms:\n" + "  - {epsilon: 1.0e+308}\n" * 3)
         for command in ("compose", "hdp", "subsample"):
             code, _, err = self.run(capsys, command, "--scenario", path)
@@ -284,7 +284,7 @@ class TestLargeK:
         assert main(["hdp", "--scenario", path]) == EXIT_BAD_SCENARIO
         assert "hypotheses.p1" in capsys.readouterr().err
 
-    def test_verify_beyond_the_oracle_budget_exits_2(self, tmp_path, capsys):
+    def test_verify_beyond_the_oracle_budget_exits_4(self, tmp_path, capsys):
         path = write(tmp_path, "s.yaml", homogeneous(17))
         start = time.perf_counter()
         assert main(["verify", "--scenario", path]) == EXIT_COMPUTATION
@@ -347,7 +347,7 @@ class TestReports:
 
     @pytest.mark.parametrize("out", ["missing/report.yaml", "."],
                              ids=["no_directory", "directory"])
-    def test_unwritable_out_exits_2(self, tmp_path, capsys, out):
+    def test_unwritable_out_exits_4(self, tmp_path, capsys, out):
         path = write(tmp_path, "s.yaml", TRIPLE)
         code = main(["compose", "--scenario", path, "--out", str(tmp_path / out)])
         assert code == EXIT_COMPUTATION
@@ -514,7 +514,7 @@ class TestPatternConstraint:
         assert code == EXIT_OK
         assert yaml.safe_load(out)["result"] == {"epsilon": 0.25, "delta": 0.0}
 
-    def test_unbounded_without_the_zero_pattern_exits_2(self, tmp_path, capsys):
+    def test_unbounded_without_the_zero_pattern_exits_4(self, tmp_path, capsys):
         code, out, err = self.run(tmp_path, capsys, PAIR + 'constraint: {patterns: ["01", "10"]}\n')
         assert code == EXIT_COMPUTATION
         assert out == "" and "zero" in err

@@ -191,7 +191,7 @@ class TestPatternSetBound:
                     else:
                         pairs = list(itertools.combinations(pairs, 2))
                     per_pair = [
-                        compose([seq[i] for i in range(k) if a.bit(i) != b.bit(i)], theorem)
+                        compose([seq[i] for i in range(k) if str(a)[i] != str(b)[i]], theorem)
                         for a, b in pairs
                     ]
                     want = PrivacyParams(max(g.epsilon for g in per_pair),

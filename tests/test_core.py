@@ -12,9 +12,10 @@ from hypodp.core import (
     Hypothesis,
     MechanismSequence,
     PrivacyParams,
-    all_vectors,
+    EXACT_SUM_MIN,
     bit_rows,
     bounded_params,
+    exact_sum,
     word_of,
 )
 from hypodp.errors import (
@@ -24,6 +25,34 @@ from hypodp.errors import (
     NonNormalizedError,
     NonPositiveWeightError,
 )
+
+
+def flip(b):
+    """Every bit of ``b`` inverted."""
+    return BitVector(b.word ^ ((1 << b.k) - 1), b.k)
+
+
+def bits(b):
+    """The bits of ``b``, position 0 first."""
+    return tuple(map(int, str(b)))
+
+
+def bit(b, i):
+    return bits(b)[i]
+
+
+def from_bits(bit_list):
+    return BitVector.from_string("".join(map(str, bit_list)))
+
+
+def all_vectors(k):
+    """Every vector of {0,1}^k in lexicographic order, behind the library's enumeration guard."""
+    return [BitVector(w, k) for w in range(core._enumeration_size(k))]
+
+
+def weight(h, vec):
+    """The weight ``h`` puts on ``vec``; 0 off its support."""
+    return dict(h.atoms).get(vec, 0.0)
 
 
 class TestPrivacyParams:
@@ -63,19 +92,19 @@ class TestPrivacyParams:
 
 class TestBitVector:
     def test_flip_examples(self):
-        assert str(BitVector.from_string("000").flip()) == "111"
-        assert str(BitVector.from_string("101").flip()) == "010"
+        assert str(flip(BitVector.from_string("000"))) == "111"
+        assert str(flip(BitVector.from_string("101"))) == "010"
 
     def test_flip_is_involution(self):
         b = BitVector.from_string("0110")
-        assert b.flip().flip() == b
+        assert flip(flip(b)) == b
 
     @given(st.integers(min_value=1, max_value=63), st.data())
     def test_flip_involution_property(self, k, data):
         word = data.draw(st.integers(min_value=0, max_value=(1 << k) - 1))
         b = BitVector(word, k)
-        assert b.flip().flip() == b
-        assert b.flip().k == k
+        assert flip(flip(b)) == b
+        assert flip(b).k == k
 
     def test_string_roundtrip(self):
         for s in ("0", "1", "0101", "111000"):
@@ -83,11 +112,11 @@ class TestBitVector:
 
     def test_bits_and_bit(self):
         b = BitVector.from_string("101")
-        assert b.bits() == (1, 0, 1)
-        assert [b.bit(i) for i in range(3)] == [1, 0, 1]
+        assert bits(b) == (1, 0, 1)
+        assert [bit(b, i) for i in range(3)] == [1, 0, 1]
 
     def test_from_bits(self):
-        assert BitVector.from_bits([1, 0, 1]) == BitVector.from_string("101")
+        assert from_bits([1, 0, 1]) == BitVector.from_string("101")
 
     def test_k_cap(self):
         with pytest.raises(KTooLargeError):
@@ -136,13 +165,13 @@ class TestWordLayout:
         words = [0, (1 << k) - 1, top, top | 1] + rng.integers(0, 1 << k, 40, dtype=np.uint64,
                                                                endpoint=False).tolist()
         vecs = [BitVector(w, k) for w in words]
-        expected = [list(map(bool, v.bits())) for v in vecs]
+        expected = [list(map(bool, bits(v))) for v in vecs]
         assert bit_rows(words, k).tolist() == expected
         assert bit_rows(np.array(words, dtype=np.uint64), k).tolist() == expected
         assert bit_rows(words, k).shape == (len(words), k)
         for v in vecs:
-            positions = [i for i, b in enumerate(v.bits()) if b]
-            assert word_of(positions, k) == v.word == BitVector.from_bits(v.bits()).word
+            positions = [i for i, b in enumerate(bits(v)) if b]
+            assert word_of(positions, k) == v.word == from_bits(bits(v)).word
         assert bit_rows([], k).shape == (0, k)
         assert word_of([], k) == 0
         assert word_of([0], k) == top
@@ -159,7 +188,7 @@ class TestHypothesis:
             BitVector.from_string("01"): 0.5,
             BitVector.from_string("10"): 0.5,
         })
-        assert h.weight(BitVector.from_string("01")) == 0.5
+        assert weight(h, BitVector.from_string("01")) == 0.5
 
     def test_non_normalized_rejected(self):
         with pytest.raises(NonNormalizedError):
@@ -323,9 +352,9 @@ class TestArrays:
         h = Hypothesis({BitVector.from_string("110"): 0.75, BitVector.from_string("001"): 0.25})
         assert h.words.tolist() == [1, 6] and h.weights.tolist() == [0.25, 0.75]
         assert [str(v) for v in h.support()] == ["001", "110"]
-        assert h.weight(BitVector.from_string("110")) == 0.75
-        assert h.weight(BitVector.from_string("111")) == 0.0
-        assert h.weight(BitVector.from_string("1")) == 0.0
+        assert weight(h, BitVector.from_string("110")) == 0.75
+        assert weight(h, BitVector.from_string("111")) == 0.0
+        assert weight(h, BitVector.from_string("1")) == 0.0
         assert repr(h) == "Hypothesis({001: 0.25, 110: 0.75})"
         assert h != Hypothesis({BitVector.from_string("0110"): 0.75,
                                 BitVector.from_string("0001"): 0.25})
@@ -344,3 +373,78 @@ class TestMechanismSequence:
     def test_long_sequences_allowed(self):
         # Only vector-enumerating operations are capped at k=63.
         assert MechanismSequence.homogeneous(0.01, 0.0, 365).k == 365
+
+
+def fsum_bits(values):
+    """``math.fsum`` of the array as ``float.hex()``, or the exception type it raises."""
+    try:
+        return math.fsum(values.tolist()).hex()
+    except OverflowError as exc:
+        return type(exc)
+
+
+def exact_sum_bits(values):
+    try:
+        return exact_sum(values).hex()
+    except OverflowError as exc:
+        return type(exc)
+
+
+class TestExactSum:
+    """``exact_sum`` returns ``math.fsum``'s double bit for bit, on either side of its threshold."""
+
+    SIZES = (0, 1, 7, EXACT_SUM_MIN - 1, EXACT_SUM_MIN, 3 * EXACT_SUM_MIN, (1 << 16) + 3,
+             3 * (1 << 16) + 1)
+
+    def assert_matches(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        assert exact_sum_bits(values) == fsum_bits(values)
+
+    def test_magnitudes_from_1e_minus_300_to_1e300(self):
+        rng = np.random.default_rng(1616)
+        for n in self.SIZES:
+            for lo, hi in ((-300, 300), (-300, -250), (-20, 0), (250, 300), (-8, -5)):
+                magnitudes = 10.0 ** rng.uniform(lo, hi, n)
+                self.assert_matches(magnitudes)
+                self.assert_matches(magnitudes * rng.choice([-1.0, 1.0], n))
+                # Cancelling pairs leave a small remainder for the sum to keep.
+                self.assert_matches(np.concatenate((magnitudes, -magnitudes[::-1], [1e-300])))
+
+    def test_subnormal_results(self):
+        rng = np.random.default_rng(1617)
+        tiny = 5e-324
+        for n in self.SIZES[1:]:
+            counts = rng.integers(-2**40, 2**40, n).astype(np.float64)
+            self.assert_matches(counts * tiny)
+            self.assert_matches(rng.uniform(0.0, 1.0, n) * 2.0**-1022)
+            big = 10.0 ** rng.uniform(-300, 0, n)
+            # Every large value cancels; only a subnormal remainder survives.
+            self.assert_matches(np.concatenate((big, -big, [3 * tiny, -tiny])))
+
+    def test_ties_round_to_even(self):
+        half_ulp = 2.0**-53
+        for n in self.SIZES[2:]:
+            zeros = np.zeros(n)
+            for head in ([1.0, half_ulp], [1.0 + 2 * half_ulp, half_ulp],
+                         [1.0, half_ulp, -half_ulp / 2**20, half_ulp / 2**20],
+                         [2.0**1000, 2.0**946], [-3.0, -half_ulp * 3]):
+                values = np.concatenate((head, zeros))
+                self.assert_matches(values)
+                self.assert_matches(values[::-1])
+            # A halfway case built from several small values.
+            self.assert_matches(np.concatenate(([1.0], np.full(8, half_ulp / 8), zeros)))
+
+    def test_zeros_infinities_and_the_overflow_guard(self):
+        for n in self.SIZES[1:]:
+            self.assert_matches(np.zeros(n))
+            self.assert_matches(np.full(n, -0.0))
+            self.assert_matches(np.concatenate(([-0.0], np.zeros(n))))
+            for odd in ([math.inf], [-math.inf, 1.0], [math.nan], [1e308, 1e308, -1e308],
+                        [1.7e308, 1e292]):
+                values = np.concatenate((odd, np.ones(n)))
+                assert repr(exact_sum_bits(values)) == repr(fsum_bits(values))
+
+    def test_strided_views(self):
+        x = np.random.default_rng(1618).uniform(-1.0, 1.0, (3 * EXACT_SUM_MIN, 2))
+        self.assert_matches(x[:, 1])
+        assert exact_sum(x[:, 1]) == math.fsum(x[:, 1].tolist())

@@ -64,11 +64,11 @@ class TestPairGuarantee:
         seq = MechanismSequence.from_pairs([(0.1, 0.0), (0.2, 1e-7), (0.3, 1e-6)])
         for word in range(8):
             b = BitVector(word, 3)
-            assert pair_guarantee(b, b.flip(), seq, Simple()) == simple_compose(seq)
+            assert pair_guarantee(b, BitVector(word ^ 0b111, 3), seq, Simple()) == simple_compose(seq)
         homog = MechanismSequence.homogeneous(0.2, 1e-7, 3)
         for word in range(8):
             b = BitVector(word, 3)
-            assert pair_guarantee(b, b.flip(), homog, Advanced(1e-6)) == compose(
+            assert pair_guarantee(b, BitVector(word ^ 0b111, 3), homog, Advanced(1e-6)) == compose(
                 homog, Advanced(1e-6)
             )
 
@@ -161,9 +161,8 @@ def per_row_reference(p0, p1, seq, theorem):
                 theorem)
         for _, w0, w1 in r.pairs.tolist()
     ]
-    eps = np.array([g.epsilon for g in per_row])
-    delta = np.array([g.delta for g in per_row])
-    return _aggregate(r.pairs, eps, delta)
+    return _aggregate(r.pairs, np.arange(len(per_row)),
+                      np.array([g.as_tuple() for g in per_row]).reshape(-1, 2))
 
 
 def random_mixture(rng, k):
@@ -247,13 +246,24 @@ class TestComposeDifferences:
                 ).tolist() == [list(expected.as_tuple())]
 
 
+def aggregate(pairs, eps, delta):
+    """``_aggregate`` with one key per piece: the guarantee of row i is ``(eps[i], delta[i])``."""
+    return _aggregate(pairs, np.arange(len(pairs)), np.stack((eps, delta), 1))
+
+
+def shared_keys(eps, delta):
+    """One key per distinct ``(eps, delta)``, as ``hdp_guarantee`` passes them: (key, table)."""
+    table, key = np.unique(np.stack((eps, delta), 1), axis=0, return_inverse=True)
+    return key.reshape(-1), table
+
+
 class TestAggregate:
     def test_zero_weight_piece_is_ignored(self):
         # A block weight that underflows to 0 must not turn into 0/0.
         pairs = np.array([(0.5, 0, 1), (0.5, 0, 2), (0.0, 0, 3)], dtype=PAIR_DTYPE)
         eps, delta = np.array([0.4, 1.1, 2.0]), np.array([1e-6, 3e-6, 1e-3])
-        got = _aggregate(pairs, eps, delta)
-        assert got == _aggregate(pairs[:2], eps[:2], delta[:2])
+        got = aggregate(pairs, eps, delta)
+        assert got == aggregate(pairs[:2], eps[:2], delta[:2])
         assert got.epsilon > 0.4
 
 
@@ -306,8 +316,42 @@ def lexsort_aggregate(pairs, eps, delta):
     )))
 
 
+def assert_matches_lexsort(pairs, eps, delta):
+    want = lexsort_aggregate(pairs, eps, delta).as_tuple()
+    assert aggregate(pairs, eps, delta).as_tuple() == want
+    assert _aggregate(pairs, *shared_keys(eps, delta)).as_tuple() == want
+
+
 class TestRunGroups:
     """Groups as runs of equal words give the lexsort result bit for bit, in any row order."""
+
+    def test_equal_deltas_on_distinct_keys_keep_row_order(self):
+        # Many epsilons, two deltas: keys tie on their delta's rank, and the
+        # sum order inside a group (row order among ties) shows in the bits.
+        rng = np.random.default_rng(9093)
+        for _ in range(200):
+            n = int(rng.integers(2, 80))
+            pairs = np.zeros(n, dtype=PAIR_DTYPE)
+            pairs["word0"] = np.sort(rng.integers(0, max(2, n // 8), n))
+            pairs["word1"] = np.sort(rng.integers(0, max(2, n // 2), n))
+            pairs["weight"] = rng.dirichlet(np.ones(n))
+            eps = rng.uniform(0.0, 3.0, n)
+            delta = rng.choice([1e-6, 3e-7], n)
+            assert_matches_lexsort(pairs, eps, delta)
+            assert_matches_lexsort(pairs, eps, np.zeros(n))
+
+    def test_words_not_non_decreasing(self):
+        rng = np.random.default_rng(9094)
+        for _ in range(100):
+            n = int(rng.integers(2, 60))
+            pairs = np.zeros(n, dtype=PAIR_DTYPE)
+            # Descending runs on one side, interleaved words on the other.
+            pairs["word0"] = np.sort(rng.integers(0, max(2, n // 3), n))[::-1]
+            pairs["word1"] = rng.integers(0, max(2, n // 4), n)
+            pairs["weight"] = rng.dirichlet(np.ones(n))
+            eps = rng.uniform(0.0, 3.0, n)
+            delta = rng.choice([0.0, 1e-7, 3e-6], n)
+            assert_matches_lexsort(pairs, eps, delta)
 
     def test_random_tables_out_of_order_within_runs(self):
         rng = np.random.default_rng(9090)
@@ -321,8 +365,7 @@ class TestRunGroups:
             pairs["weight"][int(rng.integers(n))] = 0.5  # at least one positive weight
             eps = rng.choice([0.0, 0.1, 0.7, 2.5, 900.0], n)
             delta = rng.choice([0.0, 1e-9, 1e-6, 1e-6, 0.2], n)  # tied and unsorted
-            got = _aggregate(pairs, eps, delta)
-            assert got.as_tuple() == lexsort_aggregate(pairs, eps, delta).as_tuple()
+            assert_matches_lexsort(pairs, eps, delta)
 
     def test_refined_pairs_with_permuted_deltas(self):
         rng = np.random.default_rng(9091)
@@ -331,8 +374,7 @@ class TestRunGroups:
             pairs = refine_tuples(random_mixture(rng, k), random_mixture(rng, k)).pairs
             eps = rng.uniform(0.0, 3.0, len(pairs))
             delta = rng.permutation(rng.choice([0.0, 1e-7, 3e-6], len(pairs)))
-            got = _aggregate(pairs, eps, delta)
-            assert got.as_tuple() == lexsort_aggregate(pairs, eps, delta).as_tuple()
+            assert_matches_lexsort(pairs, eps, delta)
 
     def test_tables_in_any_row_order(self):
         # A caller's own matching need not come in word order; each vector still is one group.
@@ -342,8 +384,7 @@ class TestRunGroups:
             pairs = rng.permutation(refine_tuples(random_mixture(rng, k), random_mixture(rng, k)).pairs)
             eps = rng.uniform(0.0, 3.0, len(pairs))
             delta = rng.choice([0.0, 1e-7, 3e-6], len(pairs))
-            got = _aggregate(pairs, eps, delta)
-            assert got.as_tuple() == lexsort_aggregate(pairs, eps, delta).as_tuple()
+            assert_matches_lexsort(pairs, eps, delta)
 
 
 class TestHdpOverSet:

@@ -21,7 +21,7 @@ from hypodp.constraints import (
     constrained_bound,
     exclusive_groups_bound,
 )
-from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
+from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, word_of
 from hypodp.hypothesis_dp import _aggregate, hdp_guarantee, pair_guarantee
 from hypodp.oracle import (
     DiscreteMechanism,
@@ -119,9 +119,7 @@ class TestHdpGuaranteeSound:
         matching = ((0.5, bv("01"), bv("01")), (0.5, bv("00"), bv("10")))
         pairs = np.array([(w, b0.word, b1.word) for w, b0, b1 in matching], dtype=PAIR_DTYPE)
         per_pair = [pair_guarantee(b0, b1, seq, Simple()) for _, b0, b1 in matching]
-        claimed = _aggregate(
-            pairs, np.array([g.epsilon for g in per_pair]), np.array([g.delta for g in per_pair])
-        )
+        claimed = _aggregate(pairs, np.arange(2), np.array([g.as_tuple() for g in per_pair]))
         report = verify_hdp(mechs, p0, p1, claimed)
         assert report.sound, (claimed, report)
 
@@ -241,7 +239,7 @@ def max_ones_pairs(k, size):
     """
     zero = BitVector.zeros(k)
     return [
-        (zero, BitVector.from_bits(int(i in ones) for i in range(k)))
+        (zero, BitVector(word_of(ones, k), k))
         for ones in itertools.combinations(range(k), min(size, k))
     ]
 

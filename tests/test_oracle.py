@@ -48,7 +48,7 @@ def reference_mixture(mechs, h):
     acc = np.zeros(len(views))
     for vec, w in h.atoms:
         p = np.ones(len(views))
-        for factor, bit in zip(factors, vec.bits()):
+        for factor, bit in zip(factors, map(int, str(vec))):
             p = p * factor[bit]
         acc += w * p
     return acc.tolist()

@@ -115,7 +115,7 @@ class TestProperties:
                 masses = side_masses(r, side)
                 assert set(masses) == set(p.support())
                 for vec, mass in masses.items():
-                    assert abs(mass - p.weight(vec)) <= 1e-12
+                    assert abs(mass - dict(p.atoms)[vec]) <= 1e-12
             swapped = refine_tuples(p1, p0).pairs
             assert np.array_equal(swapped["word0"], r.pairs["word1"])
             assert np.array_equal(swapped["word1"], r.pairs["word0"])
@@ -196,6 +196,47 @@ class TestArrayWalk:
                                          for w, p in zip(words, weights)]))
             self.assert_matches_reference(*sides)
 
+    def test_point_mass_against_seeded_mixtures(self):
+        rng = np.random.default_rng(1019)
+        for _ in range(200):
+            k = int(rng.integers(1, 11))
+            point = Hypothesis.point_mass(BitVector(int(rng.integers(1 << k)), k))
+            self.assert_matches_reference(point, random_hypothesis(rng, k))
+        for k, n in ((12, 4000), (16, 20000)):
+            words = rng.choice(1 << k, size=n, replace=False)
+            mixture = Hypothesis([(BitVector(int(w), k), float(p))
+                                  for w, p in zip(words, rng.dirichlet(np.ones(n)))])
+            for word in (0, int(words[n // 2]), (1 << k) - 1):
+                self.assert_matches_reference(Hypothesis.point_mass(BitVector(word, k)), mixture)
+
+    def test_last_residual_at_the_prune_tolerance(self):
+        # Residuals of 1 - 0.5 - (0.5 - r) are exact multiples of 2^-54: the
+        # nearest ones above and below the tolerance.
+        ulp = 2.0**-54
+        above = math.ceil(WEIGHT_PRUNE_TOLERANCE / ulp) * ulp
+        below = math.floor(WEIGHT_PRUNE_TOLERANCE / ulp) * ulp
+        assert below < WEIGHT_PRUNE_TOLERANCE < above
+        for r, pieces in ((above, 3), (below, 2)):
+            three = hyp({"00": 0.5, "01": 0.5 - r, "11": r})
+            for other in (hyp({"10": 1.0}), hyp({"01": 0.5, "10": 0.5})):
+                self.assert_matches_reference(other, three)
+            # Above: the last weight equals the residual, one piece; below: pruned.
+            assert len(refine_tuples(hyp({"10": 1.0}), three).pairs) == pieces
+            assert len(refine_tuples(three, hyp({"10": 1.0})).pairs) == pieces
+        # 1 - (1 - 2^-39) - (2^-39 - tol) leaves exactly the tolerance, which is pruned.
+        at = hyp({"00": 1.0 - 2.0**-39, "01": 2.0**-39 - WEIGHT_PRUNE_TOLERANCE,
+                  "11": WEIGHT_PRUNE_TOLERANCE})
+        point = hyp({"10": 1.0})
+        assert (1.0 - (1.0 - 2.0**-39)) - (2.0**-39 - WEIGHT_PRUNE_TOLERANCE) == WEIGHT_PRUNE_TOLERANCE
+        self.assert_matches_reference(point, at)
+        assert len(refine_tuples(point, at).pairs) == 2
+
+    def test_fresh_weight_equal_to_the_residual(self):
+        point = hyp({"01": 1.0})
+        for mixture in (hyp({"00": 0.25, "10": 0.75}), hyp({"00": 0.5, "01": 0.25, "11": 0.25})):
+            self.assert_matches_reference(point, mixture)
+            assert len(refine_tuples(point, mixture).pairs) == len(mixture)
+
     def test_presets(self):
         for k in range(1, 13):
             for p0 in presets(k):
@@ -214,7 +255,6 @@ class TestArrayWalk:
 
         monkeypatch.setattr(Hypothesis, "atoms", property(refuse))
         monkeypatch.setattr(Hypothesis, "support", refuse)
-        monkeypatch.setattr(Hypothesis, "weight", refuse)
         refine_tuples(p0, p1)
         claimed = hdp_guarantee(p0, p1, MechanismSequence.homogeneous(math.log(3.0), 0.0, k),
                                 Simple())

@@ -129,8 +129,7 @@ class TestUniformPriorSplitBound:
         halved = [amplify(g, 0.5) for g in seq]
         blocks = [compose([seq[i], *halved[i + 1:]], Simple()) for i in range(2)]
         rows = np.array([(2.0 / 3.0, 0, 1), (1.0 / 3.0, 0, 2)], dtype=PAIR_DTYPE)
-        eps, delta = np.array([g.as_tuple() for g in blocks]).T
-        a = _aggregate(rows, eps, delta)
+        a = _aggregate(rows, np.arange(2), np.array([g.as_tuple() for g in blocks]))
         b = uniform_prior_bound(seq, Simple())
         assert b.epsilon == pytest.approx(a.epsilon, abs=1e-12)
         assert b.delta == pytest.approx(a.delta, abs=1e-18)
@@ -199,7 +198,7 @@ def per_tail_reference(seq, theorem):
     rows = [(math.ldexp(1.0, -(i + 1)) / norm, 0, i + 1) for i in range(k)]
     eps = np.array([g.epsilon + t.epsilon for g, t in zip(guarantees, tails)])
     delta = np.array([g.delta + t.delta for g, t in zip(guarantees, tails)])
-    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), eps, delta)
+    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), np.arange(k), np.stack((eps, delta), 1))
 
 
 class TestExactTails:
