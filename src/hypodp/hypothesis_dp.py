@@ -99,10 +99,10 @@ def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> Privacy
 
     Row i of the ``refinement.PAIR_DTYPE`` table ``pairs`` has the
     guarantee ``table[key[i]]``, a row ``(eps, delta)`` of the
-    ``(keys, 2)`` per-key table; rows of zero weight drop out, and at least one must
-    remain. Exponents are relative to each group's extreme epsilon, so
-    epsilons far beyond 700 nats cannot overflow. delta_G is an exactly
-    rounded sum.
+    ``(keys, 2)`` per-key table; rows of zero weight drop out, and at
+    least one must remain. Exponents are relative to each group's extreme
+    epsilon, so epsilons far beyond 700 nats cannot overflow. delta_G is
+    an exactly rounded sum.
     """
     keep = pairs["weight"] > 0.0  # an empty group would divide 0 by 0
     if not keep.all():
@@ -151,7 +151,7 @@ class _Groups:
             else:  # one run: its deltas alone order it
                 sort_key = self.delta
             order = sort_key.argsort(kind="stable")  # within runs, so each run stays in place
-            self.weight, self.eps, self.delta = self.weight[order], self.eps[order], self.delta[order]
+            self.weight, self.eps, self.delta = (a[order] for a in (self.weight, self.eps, self.delta))
         edges = new.nonzero()[0]
         self.starts, self.sizes = edges[:-1], edges[1:] - edges[:-1]
         self.mass = np.add.reduceat(self.weight, self.starts)

@@ -64,7 +64,8 @@ class TestPairGuarantee:
         seq = MechanismSequence.from_pairs([(0.1, 0.0), (0.2, 1e-7), (0.3, 1e-6)])
         for word in range(8):
             b = BitVector(word, 3)
-            assert pair_guarantee(b, BitVector(word ^ 0b111, 3), seq, Simple()) == simple_compose(seq)
+            flipped = BitVector(word ^ 0b111, 3)
+            assert pair_guarantee(b, flipped, seq, Simple()) == simple_compose(seq)
         homog = MechanismSequence.homogeneous(0.2, 1e-7, 3)
         for word in range(8):
             b = BitVector(word, 3)

@@ -175,7 +175,7 @@ class TestArrayWalk:
         # A 1e-10 residual lies above the prune tolerance and stays a piece.
         self.assert_matches_reference(hyp({"0": 0.5, "1": 0.5}),
                                       hyp({"0": 0.5 + 1e-10, "1": 0.5 - 1e-10}))
-        # Two point masses: one piece, so no advance code is ever read.
+        # Two point masses: one piece.
         self.assert_matches_reference(hyp({"101": 1.0}), hyp({"010": 1.0}))
         assert len(refine_tuples(hyp({"101": 1.0}), hyp({"010": 1.0})).pairs) == 1
         # Equal front weights on every piece: both sides advance each time.
@@ -227,7 +227,8 @@ class TestArrayWalk:
         at = hyp({"00": 1.0 - 2.0**-39, "01": 2.0**-39 - WEIGHT_PRUNE_TOLERANCE,
                   "11": WEIGHT_PRUNE_TOLERANCE})
         point = hyp({"10": 1.0})
-        assert (1.0 - (1.0 - 2.0**-39)) - (2.0**-39 - WEIGHT_PRUNE_TOLERANCE) == WEIGHT_PRUNE_TOLERANCE
+        tol = WEIGHT_PRUNE_TOLERANCE
+        assert (1.0 - (1.0 - 2.0**-39)) - (2.0**-39 - tol) == tol
         self.assert_matches_reference(point, at)
         assert len(refine_tuples(point, at).pairs) == 2
 
