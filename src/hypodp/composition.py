@@ -10,19 +10,20 @@ plugged in without touching callers.
 Epsilons stay in plain double precision throughout; anything that needs
 ``exp`` of a composed epsilon is expected to work in log space on the
 caller's side. Sums are exact and rounded once (Shewchuk 1997), so
-order-independent: ``math.fsum``, or exact integers in large
-``compose_selections`` calls, which compose many position subsets of
-one sequence at once, bit-identical to ``compose``.
+order-independent: ``math.fsum``, or exact integers
+(``core._exact_row_sums``) in large ``compose_selections`` calls, which
+compose many position subsets of one sequence at once, bit-identical to
+``compose``.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import PrivacyParams, bounded_params
+from .core import PrivacyParams, _exact_row_sums, bounded_params
 from .errors import (
     HeterogeneousInputError,
     IncompatibleTheoremError,
@@ -126,7 +127,7 @@ def compose_selections(
     for bit, where ``selected`` lists the guarantees at the positions
     ``rows[r]`` marks, in sequence order. Under ``Simple`` each column is an
     exact sum (``math.fsum`` per row below ``_FSUM_ROWS`` rows, else
-    ``_exact_row_sums``), the delta capped at 1; other theorems call ``compose``.
+    ``core._exact_row_sums``), the delta capped at 1; other theorems call ``compose``.
 
     Raises:
         MixedLengthError: if the rows are not as long as the sequence.
@@ -151,41 +152,6 @@ def compose_selections(
 
 # Fewer rows sum faster by math.fsum per row (the two cross at 48-64 rows for k 5-30).
 _FSUM_ROWS = 64
-
-
-def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
-    """``(ints, scale)``: the doubles as integers over their largest power-of-two denominator."""
-    ratios = [float(x).as_integer_ratio() for x in values]  # as math.fsum reads each value
-    scale = max((d for _, d in ratios), default=1)
-    return [n * (scale // d) for n, d in ratios], scale
-
-
-def _exact_row_sums(rows: np.ndarray, values: list[float]) -> np.ndarray:
-    """The correctly rounded sum of the values each boolean row selects.
-
-    One int64 product sums the ``_fixed_point`` integers below 2^(62 - bits(k)); each
-    sum rounds once to float64 and ``np.ldexp`` scales it exactly, subnormals included.
-    A row that selects a larger integer takes ``math.fsum``.
-    """
-    ints, scale = _fixed_point(values)
-    limit = 1 << (62 - len(ints).bit_length())
-    sums = rows.astype(np.int64) @ np.array([n if n < limit else 0 for n in ints], dtype=np.int64)
-    out = np.ldexp(sums.astype(np.float64), 1 - scale.bit_length())
-    slow = np.flatnonzero(rows[:, np.array([n >= limit for n in ints], dtype=bool)].any(axis=1))
-    out[slow] = [math.fsum(compress(values, row)) for row in rows[slow].tolist()]
-    return out
-
-
-def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
-    """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` in O(n).
-
-    Int true division rounds each exact ``_fixed_point`` suffix sum once, as fsum does.
-    """
-    ints, scale = _fixed_point(values)
-    try:
-        return [s / scale for s in accumulate(reversed(ints), initial=0)][::-1]
-    except OverflowError as exc:
-        raise OverflowError("intermediate overflow in fsum") from exc
 
 
 def best_classic_bound(guarantees: Iterable[PrivacyParams], delta_slack: float) -> PrivacyParams:

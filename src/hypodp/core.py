@@ -16,10 +16,14 @@ Conventions:
 * A :class:`Hypothesis` is a finite probability distribution over bit
   vectors, a composite belief about database membership, held as two
   read-only arrays: ascending ``uint64`` ``words`` and ``float64`` ``weights``.
+* Sums of doubles are exact and rounded once, so ``math.fsum``'s double:
+  ``exact_sum`` for an array, ``_exact_row_sums`` for the subsets that
+  boolean rows select, ``_exact_suffix_sums`` for every suffix.
 """
 
 import math
 from collections.abc import Mapping
+from itertools import accumulate, compress
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -178,6 +182,41 @@ def exact_sum(values: np.ndarray) -> float:
     total = sum(((h << 26) + lo) << b
                 for h, lo, b in zip(high[bins].tolist(), low[bins].tolist(), bins.tolist()))
     return total / (1 << 1126)  # mantissa 2^53, exponent offset 1073
+
+
+def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
+    """``(ints, scale)``: the doubles as integers over their largest power-of-two denominator."""
+    ratios = [float(x).as_integer_ratio() for x in values]  # as math.fsum reads each value
+    scale = max((d for _, d in ratios), default=1)
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def _exact_row_sums(rows: np.ndarray, values: list[float]) -> np.ndarray:
+    """The correctly rounded sum of the values each boolean row selects.
+
+    One int64 product sums the ``_fixed_point`` integers below 2^(62 - bits(k)); each
+    sum rounds once to float64 and ``np.ldexp`` scales it exactly, subnormals included.
+    A row that selects a larger integer takes ``math.fsum``.
+    """
+    ints, scale = _fixed_point(values)
+    limit = 1 << (62 - len(ints).bit_length())
+    sums = rows.astype(np.int64) @ np.array([n if n < limit else 0 for n in ints], dtype=np.int64)
+    out = np.ldexp(sums.astype(np.float64), 1 - scale.bit_length())
+    slow = np.flatnonzero(rows[:, np.array([n >= limit for n in ints], dtype=bool)].any(axis=1))
+    out[slow] = [math.fsum(compress(values, row)) for row in rows[slow].tolist()]
+    return out
+
+
+def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
+    """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` in O(n).
+
+    Int true division rounds each exact ``_fixed_point`` suffix sum once, as fsum does.
+    """
+    ints, scale = _fixed_point(values)
+    try:
+        return [s / scale for s in accumulate(reversed(ints), initial=0)][::-1]
+    except OverflowError as exc:
+        raise OverflowError("intermediate overflow in fsum") from exc
 
 
 def _enumeration_size(k: int) -> int:

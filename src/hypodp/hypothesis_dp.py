@@ -129,8 +129,7 @@ class _Groups:
     by word. The sort within runs is one stable integer argsort of
     ``run * len(delta) + rank``: ``run`` numbers the runs, and ``rank``
     is the position of the piece's key delta among the sorted key
-    deltas, equal for equal deltas; a side that is one run sorts by its
-    deltas alone. The result is the permutation
+    deltas, equal for equal deltas. The result is the permutation
     ``np.lexsort((delta, words))`` gives, without its float sort of every
     piece ahead of the word sort.
     ``eps_g`` is the largest ``ln(sum w e^eps / p)`` over the groups and
@@ -144,12 +143,9 @@ class _Groups:
         self.weight, self.eps, self.delta = weight, eps[key], delta[key]
         new = np.concatenate(([True], words[1:] != words[:-1], [True]))  # run starts, then the end
         if ((self.delta[1:] < self.delta[:-1]) & ~new[1:-1]).any():
-            if new[1:-1].any():  # run number, then the rank of the key's delta
-                sort_key = new[:-1].astype(np.intp).cumsum()
-                sort_key *= len(delta)
-                sort_key += np.sort(delta).searchsorted(delta)[key]
-            else:  # one run: its deltas alone order it
-                sort_key = self.delta
+            sort_key = new[:-1].astype(np.intp).cumsum()  # run number, then the rank of the key's delta
+            sort_key *= len(delta)
+            sort_key += np.sort(delta).searchsorted(delta)[key]
             order = sort_key.argsort(kind="stable")  # within runs, so each run stays in place
             self.weight, self.eps, self.delta = (a[order] for a in (self.weight, self.eps, self.delta))
         edges = new.nonzero()[0]

@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .composition import CompositionTheorem, Simple, _exact_suffix_sums, compose
-from .core import PrivacyParams, bounded_params
+from .composition import CompositionTheorem, Simple, compose
+from .core import PrivacyParams, _exact_suffix_sums, bounded_params
 from .errors import InvalidRateError
 from .hypothesis_dp import _aggregate, uniform_nonzero_closed_form
 from .refinement import PAIR_DTYPE

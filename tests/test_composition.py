@@ -14,11 +14,10 @@ from hypodp.composition import (
     best_classic_bound,
     compose,
     _FSUM_ROWS,
-    _exact_row_sums,
     compose_selections,
     simple_compose,
 )
-from hypodp.core import MechanismSequence, PrivacyParams
+from hypodp.core import MechanismSequence, PrivacyParams, _exact_row_sums
 from hypodp.errors import (
     HeterogeneousInputError,
     IncompatibleTheoremError,

@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from hypodp.composition import Advanced, Simple, _exact_suffix_sums, compose
-from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
+from hypodp.composition import Advanced, Simple, compose
+from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, _exact_suffix_sums
 from hypodp.errors import IncompatibleTheoremError, InvalidRateError
 from hypodp.hypothesis_dp import _aggregate, uniform_nonzero_closed_form
 from hypodp.oracle import randomized_response, verify_hdp
