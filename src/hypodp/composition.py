@@ -55,8 +55,6 @@ class Advanced:
             raise InvalidSlackError(f"delta_slack must be in (0, 1), got {self.delta_slack}")
 
     def compose_guarantees(self, guarantees: list[PrivacyParams]) -> PrivacyParams:
-        if any(g != guarantees[0] for g in guarantees):
-            raise IncompatibleTheoremError("the advanced theorem requires a homogeneous sequence")
         return advanced_compose(guarantees, self.delta_slack)
 
 
@@ -90,10 +88,7 @@ def advanced_compose(guarantees: Iterable[PrivacyParams], delta_slack: float) ->
         raise HeterogeneousInputError("advanced composition needs at least one mechanism")
     first = guarantees[0]
     if any(g != first for g in guarantees):
-        raise HeterogeneousInputError(
-            "advanced composition requires identical guarantees; "
-            "use simple composition for heterogeneous sequences"
-        )
+        raise HeterogeneousInputError("the advanced theorem requires a homogeneous sequence")
     k = len(guarantees)
     eps = first.epsilon
     eps_total = math.sqrt(2.0 * k * math.log(1.0 / delta_slack)) * eps + k * eps * math.expm1(eps)

@@ -3,7 +3,8 @@
 Every domain error derives from :class:`AccountingError`, which itself
 derives from ``ValueError`` so that generic callers can catch a single
 base class. Scenario-file problems get their own branch so the CLI can
-map them to a distinct exit code.
+map them to a distinct exit code. ``HeterogeneousInputError`` is an
+``IncompatibleTheoremError``: one ``except`` catches every theorem refusal.
 """
 
 
@@ -27,16 +28,16 @@ class DuplicateAtomError(AccountingError):
     """A hypothesis lists the same bit vector more than once."""
 
 
-class HeterogeneousInputError(AccountingError):
-    """An operation requiring identical per-iteration guarantees got a mix."""
-
-
 class InvalidSlackError(AccountingError):
     """Advanced composition slack outside (0, 1)."""
 
 
 class IncompatibleTheoremError(AccountingError):
     """The selected composition theorem cannot be applied to the sequence."""
+
+
+class HeterogeneousInputError(IncompatibleTheoremError):
+    """Advanced composition got no guarantees or guarantees that are not all identical."""
 
 
 class IncompatibleModeError(AccountingError):

@@ -100,9 +100,10 @@ def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> Privacy
     Row i of the ``refinement.PAIR_DTYPE`` table ``pairs`` has the
     guarantee ``table[key[i]]``, a row ``(eps, delta)`` of the
     ``(keys, 2)`` per-key table; rows of zero weight drop out, and at
-    least one must remain. Exponents are relative to each group's extreme
-    epsilon, so epsilons far beyond 700 nats cannot overflow. delta_G is
-    an exactly rounded sum.
+    least one must remain. Both word columns must be non-decreasing, as
+    ``refine_tuples`` and ``uniform_prior_bound`` emit them. Exponents are
+    relative to each group's extreme epsilon, so epsilons far beyond 700
+    nats cannot overflow. delta_G is an exactly rounded sum.
     """
     keep = pairs["weight"] > 0.0  # an empty group would divide 0 by 0
     if not keep.all():
@@ -123,23 +124,19 @@ class _Groups:
     """Matched pieces grouped by their vector on one side: runs of equal words.
 
     Piece i reads its ``eps`` and ``delta`` at index ``key[i]`` of the
-    per-key columns. Rows not ascending by (word, delta) are sorted so,
-    ties in row order: each vector is then one run that ``delta_j`` walks
-    by ascending delta. A table not in word order is first sorted stably
-    by word. The sort within runs is one stable integer argsort of
-    ``run * len(delta) + rank``: ``run`` numbers the runs, and ``rank``
-    is the position of the piece's key delta among the sorted key
-    deltas, equal for equal deltas. The result is the permutation
-    ``np.lexsort((delta, words))`` gives, without its float sort of every
-    piece ahead of the word sort.
+    per-key columns. The words are non-decreasing, so each vector is one
+    run; runs not ascending by delta are sorted so, ties in row order, and
+    ``delta_j`` walks each run by ascending delta. The sort is one stable
+    integer argsort of ``run * len(delta) + rank``: ``run`` numbers the
+    runs, and ``rank`` is the position of the piece's key delta among the
+    sorted key deltas, equal for equal deltas. The result is the
+    permutation ``np.lexsort((delta, words))`` gives, without its float
+    sort of every piece ahead of the word sort.
     ``eps_g`` is the largest ``ln(sum w e^eps / p)`` over the groups and
     ``eps_j`` the largest ``-ln(sum w e^-eps / p)``.
     """
 
     def __init__(self, words, weight, key, eps, delta):
-        if (words[1:] < words[:-1]).any():  # a table not in word order
-            by_word = words.argsort(kind="stable")
-            words, weight, key = words[by_word], weight[by_word], key[by_word]
         self.weight, self.eps, self.delta = weight, eps[key], delta[key]
         new = np.concatenate(([True], words[1:] != words[:-1], [True]))  # run starts, then the end
         if ((self.delta[1:] < self.delta[:-1]) & ~new[1:-1]).any():

@@ -99,7 +99,7 @@ class ViewDistribution:
     def __post_init__(self):
         if len(self.probs) != math.prod(len(a) for a in self.alphabets):
             raise ValueError("need one probability per view of the alphabets")
-        total = math.fsum(self.probs.tolist())
+        total = exact_sum(self.probs)
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"view probabilities sum to {total!r}, not 1")
 

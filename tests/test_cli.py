@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from hypodp import cli
+from hypodp import cli, oracle
 from hypodp.cli import (
     COMMANDS,
     EXIT_BAD_SCENARIO,
@@ -210,13 +210,13 @@ hypotheses: {p0: zero, p1: uniform_nonzero}
             report["results"]["closed_form"]["epsilon"], abs=1e-9
         )
 
-    def test_simulate_within_four_sigma(self, tmp_path, capsys):
+    def test_simulate_within_bound(self, tmp_path, capsys):
         scenario = MINIMAL + 'hypotheses:\n  p0: {"0": 1.0}\n  p1: {"1": 1.0}\noracle: {trials: 20000, seed: 3}\n'
         path = write(tmp_path, "s.yaml", scenario)
         code, out, _ = self.run(capsys, "simulate", "--scenario", path)
         assert code == EXIT_OK
         report = yaml.safe_load(out)
-        assert all(row["within_four_sigma"] for row in report["results"])
+        assert all(row["within_bound"] for row in report["results"])
 
     def test_computation_error_exits_4(self, tmp_path, capsys):
         scenario = """\
@@ -416,6 +416,25 @@ def test_simulate_refuses_too_many_trials_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == "" and "1000000000 trials exceeds" in captured.err
+
+
+def test_simulate_flags_a_wrong_simulator_only(tmp_path, capsys, monkeypatch):
+    # A correct simulator fails a vector with probability at most SIMULATE_ALPHA;
+    # one whose randomized response lies with probability 0.26, not 0.25, fails.
+    extra = "hypotheses: {p0: zero, p1: uniform_all}\noracle: {trials: 100000, seed: 17}\n"
+    path = write(tmp_path, "s.yaml", homogeneous(5, extra))
+
+    def flagged():
+        assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_OK
+        rows = yaml.safe_load(capsys.readouterr().out)["results"]
+        assert len(rows) == 32
+        return sum(not row["within_bound"] for row in rows)
+
+    assert flagged() == 0
+    simulate, wrong = oracle.simulate_experiment, [oracle.randomized_response(0.26)] * 5
+    monkeypatch.setattr(oracle, "simulate_experiment",
+                        lambda mechs, b, trials, seed: simulate(wrong, b, trials, seed))
+    assert flagged() == 32
 
 
 def test_help_describes_every_command(capsys):

@@ -24,6 +24,7 @@ from hypodp.errors import (
     InvalidSlackError,
     MixedLengthError,
 )
+from hypodp.subsampling import uniform_prior_bound
 
 # Frozen via direct 50-digit evaluation of
 # sqrt(2 k ln(1/slack)) eps + k eps (e^eps - 1).
@@ -159,13 +160,21 @@ class TestBuiltinProtocol:
             assert compose(seq, Advanced(slack)) == advanced_compose(seq, slack)
 
     def test_heterogeneous_errors_unchanged(self):
+        # One check, in advanced_compose: every entry point raises its type and message.
         seq = [PrivacyParams(0.1, 0.0), PrivacyParams(0.1, 1e-9)]
-        with pytest.raises(IncompatibleTheoremError, match="requires a homogeneous sequence"):
-            compose(seq, Advanced(1e-5))
-        with pytest.raises(IncompatibleTheoremError, match="requires a homogeneous sequence"):
-            Advanced(1e-5).compose_guarantees(seq)
-        with pytest.raises(HeterogeneousInputError, match="requires identical guarantees"):
-            advanced_compose(seq, 1e-5)
+        calls = [
+            lambda: compose(seq, Advanced(1e-5)),
+            lambda: Advanced(1e-5).compose_guarantees(seq),
+            lambda: advanced_compose(seq, 1e-5),
+            lambda: compose_selections(seq, np.ones((1, 2), dtype=bool), Advanced(1e-5)),
+            lambda: uniform_prior_bound(seq + [PrivacyParams(0.1, 0.0)], Advanced(1e-5)),
+        ]
+        for call in calls:
+            with pytest.raises(HeterogeneousInputError) as exc:
+                call()
+            assert isinstance(exc.value, IncompatibleTheoremError)
+            assert str(exc.value) == "the advanced theorem requires a homogeneous sequence"
+        assert best_classic_bound(seq, 1e-5) == simple_compose(seq)
 
     def test_best_classic_bound_skips_heterogeneous_advanced(self):
         seq = [PrivacyParams(0.1, 0.0), PrivacyParams(0.2, 0.0)]

