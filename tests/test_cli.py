@@ -419,22 +419,25 @@ def test_simulate_refuses_too_many_trials_at_once(tmp_path, capsys):
 
 
 def test_simulate_flags_a_wrong_simulator_only(tmp_path, capsys, monkeypatch):
-    # A correct simulator fails a vector with probability at most SIMULATE_ALPHA;
-    # one whose randomized response lies with probability 0.26, not 0.25, fails.
-    extra = "hypotheses: {p0: zero, p1: uniform_all}\noracle: {trials: 100000, seed: 17}\n"
-    path = write(tmp_path, "s.yaml", homogeneous(5, extra))
+    # A correct simulator fails a vector with probability at most SIMULATE_ALPHA,
+    # also where many of the 1024 views have expected counts below 100, which
+    # per-view normal bands misjudge; one whose randomized response lies with
+    # probability 0.26, not 0.25, fails every vector.
+    p1 = ", ".join(f'"{w:010b}": {1 / 15!r}' for w in range(1, 16))
+    extra = f"hypotheses: {{p0: zero, p1: {{{p1}}}}}\noracle: {{trials: 100000, seed: 17}}\n"
+    path = write(tmp_path, "s.yaml", homogeneous(10, extra))
 
     def flagged():
         assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_OK
         rows = yaml.safe_load(capsys.readouterr().out)["results"]
-        assert len(rows) == 32
+        assert len(rows) == 16
         return sum(not row["within_bound"] for row in rows)
 
     assert flagged() == 0
-    simulate, wrong = oracle.simulate_experiment, [oracle.randomized_response(0.26)] * 5
+    simulate, wrong = oracle.simulate_experiment, [oracle.randomized_response(0.26)] * 10
     monkeypatch.setattr(oracle, "simulate_experiment",
                         lambda mechs, b, trials, seed: simulate(wrong, b, trials, seed))
-    assert flagged() == 32
+    assert flagged() == 16
 
 
 def test_help_describes_every_command(capsys):
