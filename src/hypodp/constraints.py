@@ -12,6 +12,11 @@ min(2m, k) positions differ.
 Every bound is the componentwise maximum over the candidate pairs, as
 one claim must cover them all. For ``MaxOnes`` under simple composition
 that is the sum of the top epsilons with the sum of the top deltas.
+Pattern and group pairs reach ``hypothesis_dp._piece_keys`` as ``uint64``
+XOR words and compose once per key, exactly: ``Simple``'s exactly rounded
+sums are order-free, ``Advanced`` sees only homogeneous rows (a heterogeneous
+row raises the same error from its key's representative), and a fixed
+non-adaptive multiset of mechanisms leaks the same in any order.
 
 ``parallel_bound`` reproduces what classic parallel composition would
 give for the same setting (the count times the worst per-mechanism
@@ -25,9 +30,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .composition import Advanced, CompositionTheorem, Simple, compose, compose_selections
+import numpy as np
+
+from .composition import Advanced, CompositionTheorem, Simple, compose
 from .core import (
-    BitVector, MAX_ENUMERATION, MAX_K, PrivacyParams, bit_rows, bounded_params, word_of,
+    BitVector, MAX_ENUMERATION, MAX_K, PrivacyParams, bounded_params, word_of,
 )
 from .errors import (
     IncompatibleModeError,
@@ -37,7 +44,8 @@ from .errors import (
     MixedLengthError,
     NonzeroDeltaError,
 )
-from .hypothesis_dp import componentwise_max as _pick
+# _pick is not called here: only the benchmark harness under perfbench/ still wraps it.
+from .hypothesis_dp import _piece_keys, componentwise_max as _pick
 
 
 @dataclass(frozen=True)
@@ -123,11 +131,12 @@ def _max_over_subsets(
     return compose([PrivacyParams(e, d) for e, d in zip(top_eps, top_delta)], theorem)
 
 
-def _pattern_pairs(patterns: frozenset[BitVector], mode: NeighborhoodMode) -> list[int]:
-    """The XOR word of each compared pattern pair."""
-    words = sorted(p.word for p in patterns)
+def _pattern_pairs(patterns: frozenset[BitVector], mode: NeighborhoodMode) -> np.ndarray:
+    """The ``uint64`` XOR word of each compared pattern pair."""
+    words = np.sort(np.array([p.word for p in patterns], dtype=np.uint64))
     if mode is NeighborhoodMode.BOUNDED:
-        return [a ^ b for a, b in itertools.combinations(words, 2)]
+        first, second = np.triu_indices(len(words), 1)
+        return words[first] ^ words[second]
     if words[0] != 0:
         raise IncompatibleModeError("unbounded mode compares presence against absence, which "
                                     "needs the all-absent (zero) vector among the patterns")
@@ -135,12 +144,10 @@ def _pattern_pairs(patterns: frozenset[BitVector], mode: NeighborhoodMode) -> li
 
 
 def _max_over_pairs(
-    seq: Sequence[PrivacyParams], differences: list[int], theorem: CompositionTheorem
+    seq: Sequence[PrivacyParams], differences: np.ndarray, theorem: CompositionTheorem
 ) -> PrivacyParams:
-    if not differences:
-        return PrivacyParams(0.0, 0.0)
-    composed = compose_selections(seq, bit_rows(differences, len(seq)), theorem)
-    return _pick([PrivacyParams(eps, delta) for eps, delta in composed.tolist()])
+    _, table = _piece_keys(differences, seq, theorem, len(seq))
+    return PrivacyParams(*table.max(axis=0, initial=0.0).tolist())  # no pair leaks nothing
 
 
 def constrained_bound(
@@ -201,7 +208,7 @@ def exclusive_groups_bound(
     differences = [first ^ second, first]
     if mode is NeighborhoodMode.BOUNDED:
         differences.append(second)
-    return _max_over_pairs(seq, differences, theorem)
+    return _max_over_pairs(seq, np.array(differences, dtype=np.uint64), theorem)
 
 
 def parallel_bound(
@@ -211,13 +218,13 @@ def parallel_bound(
 
     Parallel composition covers pure epsilon-DP only and charges the
     worst per-mechanism epsilon once per position in which neighboring
-    merged databases can differ: m positions unbounded, min(2m, k)
-    bounded.
+    merged databases can differ: m positions unbounded, 2m bounded, and
+    never more than the k positions there are.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     guarantees = list(seq)
     if any(g.delta != 0.0 for g in guarantees):
         raise NonzeroDeltaError("parallel composition applies to delta=0 mechanisms only")
-    count = m if mode is NeighborhoodMode.UNBOUNDED else min(2 * m, len(guarantees))
+    count = min(m if mode is NeighborhoodMode.UNBOUNDED else 2 * m, len(guarantees))
     return bounded_params(count * max(g.epsilon for g in guarantees), 0.0)

@@ -60,7 +60,6 @@ from .core import (
     bit_rows,
     bounded_params,
     exact_sum,
-    word_of,
 )
 from .errors import EmptySetError, MixedLengthError
 from .refinement import refine_tuples
@@ -202,31 +201,30 @@ def hdp_guarantee(
     where that epsilon reaches a direction's ``eps_G``, else that
     direction's ``delta_J``. The module docstring gives ``delta_J`` and
     the proofs. Aggregation never sees unmatched weights: refinement
-    always runs first. Pieces sharing a key (per distinct guarantee, the
-    count of differing positions carrying it) compose once: one
-    ``core.bit_rows`` unpack of the keys' representative XOR words, then one
-    ``composition.compose_selections`` call for every key, with results
-    bit-identical to composing each piece on its own.
+    always runs first. Pieces sharing a key compose once, through
+    ``_piece_keys``, bit-identical to composing each piece on its own.
     """
     k = p0.k
     if len(seq) != k:
         raise MixedLengthError(f"sequence has {len(seq)} mechanisms, hypotheses have k={k}")
     pairs = refine_tuples(p0, p1).pairs
-    return _aggregate(pairs, *_piece_keys(pairs, seq, theorem, k))
+    return _aggregate(pairs, *_piece_keys(pairs["word0"] ^ pairs["word1"], seq, theorem, k))
 
 
 def _piece_keys(
-    pairs: np.ndarray, seq: Sequence[PrivacyParams], theorem: CompositionTheorem, k: int
+    xor_words: np.ndarray, seq: Sequence[PrivacyParams], theorem: CompositionTheorem, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each piece's key index and the ``(keys, 2)`` table of the keys' composed guarantees.
+    """Each XOR word's key index and the ``(keys, 2)`` table of the keys' composed guarantees.
 
-    Its per-piece temporaries are freed before aggregation starts.
+    The one composer of ``uint64`` XOR words below 2^k, for ``hdp_guarantee`` and ``constraints``.
     """
-    # One position mask per distinct guarantee; the caller keeps each position below k.
+    # One position mask per distinct guarantee, in position order.
     masks: dict[PrivacyParams, int] = {}
     for i, g in enumerate(seq):
-        masks[g] = masks.get(g, 0) | word_of([i], k)
-    diffs, piece_diff = np.unique(pairs["word0"] ^ pairs["word1"], return_inverse=True)
+        masks[g] = masks.get(g, 0) | 1 << (k - 1 - i)
+    diffs, piece_diff = np.unique(xor_words, return_inverse=True)
+    if len(masks) == k:  # single-bit masks in position order: each word is its own key
+        return piece_diff, compose_selections(seq, bit_rows(diffs, k), theorem)
     # A key packs its per-mask counts in mixed radix, each count below
     # popcount(mask) + 1; the radices multiply to at most 2^k < 2^64.
     keys = np.zeros(len(diffs), dtype=np.uint64)

@@ -629,6 +629,14 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert captured.out == "" and field in captured.err
 
+    def test_unknown_mechanism_key(self, tmp_path, capsys):
+        path = write(tmp_path, "s.yaml", "mechanisms:\n  - {epsilon: 0.1, epsilom: 0.2}\n")
+        message = "mechanisms[0]: unknown keys ['epsilom']"
+        with pytest.raises(ScenarioValidationError, match=re.escape(message)):
+            load_scenario(path)
+        assert main(["compose", "--scenario", path]) == EXIT_BAD_SCENARIO
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["{epsilon: true}", "{epsilon: 1" + "0" * 400 + "}",
                                        "{epsilon: null}"],
                              ids=["boolean", "beyond_float", "null"])

@@ -103,6 +103,8 @@ class TestAdvancedCompose:
     def test_invalid_slack_rejected(self, slack):
         with pytest.raises(InvalidSlackError):
             advanced_compose([PrivacyParams(0.1, 0.0)], slack)
+        with pytest.raises(InvalidSlackError, match="delta_slack must be in"):
+            Advanced(slack)  # refused at construction, before any composition
 
     def test_monotone_in_k_eps_delta(self):
         base = advanced_compose([PrivacyParams(0.1, 1e-7)] * 10, 1e-6)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypodp.constraints import (
     exclusive_groups_bound,
     parallel_bound,
 )
-from hypodp.core import BitVector, MechanismSequence, PrivacyParams
+from hypodp.core import BitVector, MechanismSequence, PrivacyParams, bounded_params
 from hypodp.errors import (
     IncompatibleModeError,
     IncompatibleTheoremError,
@@ -35,6 +37,39 @@ ADV_K365 = 0.9534401981542315
 
 def bv(s):
     return BitVector.from_string(s)
+
+
+class CountTimesWorst:
+    """A pluggable order-independent theorem: the count times the worst epsilon, deltas summed."""
+
+    def compose_guarantees(self, guarantees):
+        return bounded_params(len(guarantees) * max(g.epsilon for g in guarantees),
+                              math.fsum(g.delta for g in guarantees))
+
+
+def assert_max_of_compose_per_pair(bound, seq, differences, theorem):
+    """``bound()`` is the componentwise maximum of composing each pair's positions on its own.
+
+    Where composing some pair refuses, ``bound()`` raises the same type with the same message.
+    """
+    try:
+        per_pair = [compose([seq[i] for i in sorted(d)], theorem) for d in differences]
+    except Exception as err:
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            bound()
+        return
+    assert bound() == PrivacyParams(max(g.epsilon for g in per_pair),
+                                    max(g.delta for g in per_pair))
+
+
+def random_sequences(rng, k):
+    """Heterogeneous, grouped (three guarantees cycling) and homogeneous sequences of length k."""
+    het = MechanismSequence.from_pairs(
+        zip(rng.uniform(0.0, 2.0, k).tolist(), rng.choice([0.0, 1e-6, 0.3], k).tolist())
+    )
+    cycle = [(0.1, 0.0), (0.7, 1e-6), (0.3, 1e-9)]
+    grouped = MechanismSequence.from_pairs([cycle[i % 3] for i in range(k)])
+    return het, grouped, MechanismSequence.homogeneous(0.3, 1e-7, k)
 
 
 class TestAllowedVectors:
@@ -173,16 +208,18 @@ class TestPatternSetBound:
                 constrained_bound(self.seq, PatternSet.of([bv("00"), bv("11")]), mode, Simple())
 
     def test_equals_max_of_compose_per_pair(self):
-        # All pattern pairs compose in one call; each must equal its own compose.
+        # Pairs compose once per key; each must equal its own compose. Grouped sequences
+        # put many pairs on one key, and Advanced refuses a heterogeneous pair as it did
+        # pair by pair.
         rng = np.random.default_rng(515)
         for _ in range(40):
             k = int(rng.integers(2, 20))
             words = {0} | set(rng.integers(1, 1 << k, size=int(rng.integers(1, 12))).tolist())
             patterns = PatternSet.of(BitVector(w, k) for w in words)
-            het = MechanismSequence.from_pairs(
-                zip(rng.uniform(0.0, 2.0, k).tolist(), rng.choice([0.0, 1e-6, 0.3], k).tolist())
-            )
-            cases = [(het, Simple()), (MechanismSequence.homogeneous(0.3, 1e-7, k), Advanced(1e-6))]
+            het, grouped, homogeneous = random_sequences(rng, k)
+            cases = [(het, Simple()), (homogeneous, Advanced(1e-6)), (grouped, Simple()),
+                     (het, CountTimesWorst()), (grouped, CountTimesWorst()),
+                     (het, Advanced(1e-6)), (grouped, Advanced(1e-6))]
             for seq, theorem in cases:
                 for mode in (UNBOUNDED, BOUNDED):
                     pairs = sorted(patterns.patterns, key=lambda p: p.word)
@@ -190,13 +227,37 @@ class TestPatternSetBound:
                         pairs = [(pairs[0], p) for p in pairs[1:]]
                     else:
                         pairs = list(itertools.combinations(pairs, 2))
-                    per_pair = [
-                        compose([seq[i] for i in range(k) if str(a)[i] != str(b)[i]], theorem)
-                        for a, b in pairs
-                    ]
-                    want = PrivacyParams(max(g.epsilon for g in per_pair),
-                                         max(g.delta for g in per_pair))
-                    assert constrained_bound(seq, patterns, mode, theorem) == want
+                    differences = [{i for i in range(k) if str(a)[i] != str(b)[i]}
+                                   for a, b in pairs]
+                    assert_max_of_compose_per_pair(
+                        lambda: constrained_bound(seq, patterns, mode, theorem),
+                        seq, differences, theorem)
+
+    @pytest.mark.parametrize("k, kind, theorem", [
+        (20, "homogeneous", Simple()), (20, "homogeneous", Advanced(1e-6)),
+        (16, "heterogeneous", Simple()),
+    ])
+    def test_3000_bounded_patterns_within_10s(self, k, kind, theorem):
+        # About 4.5 million pairs: only their distinct keys compose.
+        rng = np.random.default_rng(2718)
+        words = rng.choice(1 << k, size=3000, replace=False).astype(np.uint64)
+        patterns = PatternSet.of(BitVector(w, k) for w in words.tolist())
+        if kind == "homogeneous":
+            seq = MechanismSequence.homogeneous(0.1, 1e-7, k)
+            # The worst pair differs in the most positions.
+            widest = max(int(np.bitwise_count(words[i + 1:] ^ w).max())
+                         for i, w in enumerate(words[:-1]))
+            want = compose([seq[0]] * widest, theorem)
+        else:
+            seq = MechanismSequence.from_pairs(
+                zip(rng.uniform(0.0, 2.0, k).tolist(), rng.uniform(0.0, 1e-5, k).tolist()))
+            # Some pair is complementary, so the worst pair composes every position.
+            assert np.isin(words ^ np.uint64((1 << k) - 1), words).any()
+            want = compose(seq, theorem)
+        start = time.perf_counter()
+        got = constrained_bound(seq, patterns, BOUNDED, theorem)
+        assert time.perf_counter() - start < 10.0
+        assert got == want
 
 
 class TestExclusiveGroupsBound:
@@ -226,6 +287,22 @@ class TestExclusiveGroupsBound:
         with pytest.raises(KTooLargeError):
             exclusive_groups_bound(MechanismSequence.homogeneous(0.1, 0.0, 64), 1, 2, 64, BOUNDED)
 
+    def test_equals_max_of_compose_per_pair(self):
+        rng = np.random.default_rng(808)
+        for _ in range(40):
+            k = int(rng.integers(2, 30))
+            shared = int(rng.integers(0, k - 1))
+            first_only = int(rng.integers(shared + 1, k))
+            first, second = set(range(first_only)), {*range(shared), *range(first_only, k)}
+            for seq in random_sequences(rng, k):
+                for theorem in (Simple(), Advanced(1e-6), CountTimesWorst()):
+                    for mode in (UNBOUNDED, BOUNDED):
+                        differences = [first ^ second, first] + [second] * (mode is BOUNDED)
+                        assert_max_of_compose_per_pair(
+                            lambda: exclusive_groups_bound(seq, shared, first_only, k, mode,
+                                                           theorem),
+                            seq, differences, theorem)
+
     @pytest.mark.parametrize("bounds", [(2, 2, 3), (1, 1, 3), (0, 3, 3), (1, 2, 4)])
     def test_invalid_boundaries(self, bounds):
         seq = MechanismSequence.homogeneous(0.1, 0.0, 3)
@@ -247,6 +324,13 @@ class TestParallelBound:
         seq = MechanismSequence.homogeneous(0.01, 0.0, 730)
         g = parallel_bound(seq, 365, BOUNDED)
         assert g.epsilon == 730 * 0.01
+
+    def test_count_capped_at_k(self):
+        # At most k positions can differ, in either mode, as constrained_bound counts them.
+        seq = MechanismSequence.homogeneous(0.1, 0.0, 3)
+        for mode in (UNBOUNDED, BOUNDED):
+            assert parallel_bound(seq, 5, mode) == PrivacyParams(0.30000000000000004, 0.0)
+            assert parallel_bound(seq, 5, mode) == constrained_bound(seq, MaxOnes(5), mode, Simple())
 
     def test_nonzero_delta_rejected(self):
         seq = MechanismSequence.homogeneous(0.01, 1e-9, 10)

@@ -106,6 +106,11 @@ class TestBitVector:
         assert flip(flip(b)) == b
         assert flip(b).k == k
 
+    @pytest.mark.parametrize("s", ["", "012", "1 0"])
+    def test_from_string_refuses_non_bit_strings(self, s):
+        with pytest.raises(ValueError, match="nonempty string of 0/1"):
+            BitVector.from_string(s)
+
     def test_string_roundtrip(self):
         for s in ("0", "1", "0101", "111000"):
             assert str(BitVector.from_string(s)) == s
@@ -189,6 +194,12 @@ class TestHypothesis:
             BitVector.from_string("10"): 0.5,
         })
         assert weight(h, BitVector.from_string("01")) == 0.5
+
+    def test_empty_hypotheses_refused(self):
+        with pytest.raises(NonNormalizedError, match="at least one atom"):
+            Hypothesis({})
+        with pytest.raises(NonNormalizedError, match="uniform hypothesis over nothing"):
+            Hypothesis.uniform([])
 
     def test_non_normalized_rejected(self):
         with pytest.raises(NonNormalizedError):

@@ -56,6 +56,10 @@ class TestPairGuarantee:
         g = pair_guarantee(bv("000"), bv("111"), self.seq, Simple())
         assert g == simple_compose(self.seq)
 
+    def test_vectors_of_unequal_k_refused(self):
+        with pytest.raises(MixedLengthError, match="vectors have k=3 and k=2"):
+            pair_guarantee(bv("010"), bv("01"), self.seq, Simple())
+
     def test_single_differing_index(self):
         g = pair_guarantee(bv("010"), bv("011"), self.seq, Simple())
         assert g == PrivacyParams(0.1, 1e-6)
@@ -404,6 +408,10 @@ class TestHdpOverSet:
 
 
 class TestUniformNonzeroClosedForm:
+    def test_k0_refused(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            uniform_nonzero_closed_form(0.5, 0.0, 0)
+
     def test_k1_is_identity(self):
         g = uniform_nonzero_closed_form(0.7, 1e-6, 1)
         assert g.epsilon == pytest.approx(0.7, abs=1e-15)

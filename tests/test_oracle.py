@@ -90,6 +90,18 @@ class TestRandomizedResponse:
         with pytest.raises(InvalidRateError):
             randomized_response(q)
 
+    def test_q_half_has_no_guarantee(self):
+        with pytest.raises(InvalidRateError, match="q must be in"):
+            randomized_response_guarantee(0.5)
+
+    def test_mismatched_alphabets_rejected(self):
+        with pytest.raises(MismatchedSupportError, match="share one alphabet"):
+            DiscreteMechanism(absent={0: 0.5, 1: 0.5}, present={0: 0.5, 2: 0.5})
+
+    def test_unnormalized_distribution_rejected(self):
+        with pytest.raises(ValueError, match="present distribution sums to 0.9"):
+            DiscreteMechanism(absent={0: 0.5, 1: 0.5}, present={0: 0.5, 1: 0.4})
+
     def test_nan_probability_rejected(self):
         with pytest.raises(ValueError):
             DiscreteMechanism(absent={0: math.nan, 1: 1.0}, present={0: math.nan, 1: 1.0})
@@ -127,6 +139,10 @@ class TestLeakyRR:
 
 
 class TestViewDistribution:
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="one probability per view"):
+            ViewDistribution(np.array([0.5, 0.5]), ((0, 1), (0, 1)))
+
     def test_single_factor(self):
         d = view_distribution([randomized_response(0.25)], bv("0"))
         assert d.alphabets == ((0, 1),)
@@ -418,6 +434,11 @@ class TestSimulate:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             simulate_experiment([randomized_response(0.25)], bv("1"), 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_fit_in_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            simulate_experiment([randomized_response(0.25)], bv("1"), 10, seed=seed)
 
     def test_trials_budget(self, monkeypatch):
         mechs = [randomized_response(0.25)]

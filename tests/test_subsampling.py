@@ -67,6 +67,10 @@ class TestAmplify:
 
 
 class TestUniformPriorBound:
+    def test_empty_sequence_refused(self):
+        with pytest.raises(ValueError, match="sequence must be non-empty"):
+            uniform_prior_bound([], Simple())
+
     def test_k1_is_identity(self):
         seq = MechanismSequence.from_pairs([(0.8, 1e-7)])
         g = uniform_prior_bound(seq, Simple())
