@@ -513,7 +513,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,11 +9,16 @@ plugged in without touching callers.
 
 Epsilons stay in plain double precision throughout; anything that needs
 ``exp`` of a composed epsilon is expected to work in log space on the
-caller's side. Sums are exact and rounded once (Shewchuk 1997), so
-order-independent: ``math.fsum``, or exact integers
-(``core._exact_row_sums``) in large ``compose_selections`` calls, which
-compose many position subsets of one sequence at once, bit-identical to
-``compose``.
+caller's side.
+
+Batches compose here, each member bit-identical to its own ``compose``:
+``compose_selections`` boolean-row subsets, ``compose_suffixes`` every suffix
+and ``_piece_keys`` XOR words, once per key: a word's count of differing
+positions per distinct guarantee. Words with one key select one multiset of
+guarantees, so the key's representative is exact for all: ``Simple``'s sums
+are exact and rounded once (Shewchuk 1997), ``Advanced`` composes only
+identical guarantees (a heterogeneous row raises from its representative),
+and a fixed non-adaptive multiset of mechanisms leaks the same in any order.
 """
 
 import math
@@ -23,7 +28,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import PrivacyParams, _exact_row_sums, bounded_params
+from .core import PrivacyParams, _exact_row_sums, _exact_suffix_sums, bit_rows, bounded_params
 from .errors import (
     HeterogeneousInputError,
     IncompatibleTheoremError,
@@ -89,11 +94,14 @@ def advanced_compose(guarantees: Iterable[PrivacyParams], delta_slack: float) ->
     first = guarantees[0]
     if any(g != first for g in guarantees):
         raise HeterogeneousInputError("the advanced theorem requires a homogeneous sequence")
-    k = len(guarantees)
-    eps = first.epsilon
+    return _advanced_closed_form(first, len(guarantees), delta_slack)
+
+
+def _advanced_closed_form(g: PrivacyParams, k: int, delta_slack: float) -> PrivacyParams:
+    """``advanced_compose`` of k copies of ``g``, unchecked."""
+    eps = g.epsilon
     eps_total = math.sqrt(2.0 * k * math.log(1.0 / delta_slack)) * eps + k * eps * math.expm1(eps)
-    delta_total = k * first.delta + delta_slack
-    return bounded_params(eps_total, delta_total)
+    return bounded_params(eps_total, k * g.delta + delta_slack)
 
 
 def compose(guarantees: Iterable[PrivacyParams], theorem: CompositionTheorem) -> PrivacyParams:
@@ -147,6 +155,45 @@ def compose_selections(
 
 # Fewer rows sum faster by math.fsum per row (the two cross at 48-64 rows for k 5-30).
 _FSUM_ROWS = 64
+
+
+def compose_suffixes(guarantees: Sequence[PrivacyParams], theorem: CompositionTheorem) -> np.ndarray:
+    """Row i of the ``(n + 1, 2)`` result is ``compose(guarantees[i:], theorem).as_tuple()``.
+
+    ``Simple`` takes two exact suffix-sum passes; ``Advanced`` checks homogeneity
+    once, then takes the closed form at each suffix's length.
+    """
+    guarantees = list(guarantees)
+    if isinstance(theorem, Simple):
+        eps = _exact_suffix_sums([g.epsilon for g in guarantees])
+        delta = _exact_suffix_sums([g.delta for g in guarantees])
+        return np.stack((eps, np.minimum(delta, 1.0)), 1)
+    n = len(guarantees)
+    if isinstance(theorem, Advanced):
+        compose(guarantees, theorem)  # the one homogeneity check, raising as compose does
+        rows = [_advanced_closed_form(g, n - i, theorem.delta_slack).as_tuple()
+                for i, g in enumerate(guarantees)] + [(0.0, 0.0)]
+    else:
+        rows = [compose(guarantees[i:], theorem).as_tuple() for i in range(n + 1)]
+    return np.array(rows, dtype=np.float64)
+
+
+def _piece_keys(
+    xor_words: np.ndarray, seq: Sequence[PrivacyParams], theorem: CompositionTheorem, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each ``uint64`` XOR word's key index and the ``(keys, 2)`` table of composed keys."""
+    # One position mask per distinct guarantee, in position order.
+    masks: dict[PrivacyParams, int] = {}
+    for i, g in enumerate(seq):
+        masks[g] = masks.get(g, 0) | 1 << (k - 1 - i)
+    diffs, piece_diff = np.unique(xor_words, return_inverse=True)
+    # A key packs its per-mask counts in mixed radix, each count below
+    # popcount(mask) + 1; the radices multiply to at most 2^k < 2^64.
+    keys = np.zeros(len(diffs), dtype=np.uint64)
+    for mask in masks.values():
+        keys = keys * np.uint64(mask.bit_count() + 1) + np.bitwise_count(diffs & np.uint64(mask))
+    _, first, key_of_diff = np.unique(keys, return_index=True, return_inverse=True)
+    return key_of_diff[piece_diff], compose_selections(seq, bit_rows(diffs[first], k), theorem)
 
 
 def best_classic_bound(guarantees: Iterable[PrivacyParams], delta_slack: float) -> PrivacyParams:

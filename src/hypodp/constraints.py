@@ -12,11 +12,8 @@ min(2m, k) positions differ.
 Every bound is the componentwise maximum over the candidate pairs, as
 one claim must cover them all. For ``MaxOnes`` under simple composition
 that is the sum of the top epsilons with the sum of the top deltas.
-Pattern and group pairs reach ``hypothesis_dp._piece_keys`` as ``uint64``
-XOR words and compose once per key, exactly: ``Simple``'s exactly rounded
-sums are order-free, ``Advanced`` sees only homogeneous rows (a heterogeneous
-row raises the same error from its key's representative), and a fixed
-non-adaptive multiset of mechanisms leaks the same in any order.
+Pattern and group pairs compose as ``uint64`` XOR words, once per key,
+through ``composition._piece_keys``, whose module says why that is exact.
 
 ``parallel_bound`` reproduces what classic parallel composition would
 give for the same setting (the count times the worst per-mechanism
@@ -32,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .composition import Advanced, CompositionTheorem, Simple, compose
+from .composition import Advanced, CompositionTheorem, Simple, _piece_keys, compose
 from .core import (
     BitVector, MAX_ENUMERATION, MAX_K, PrivacyParams, bounded_params, word_of,
 )
@@ -45,7 +42,7 @@ from .errors import (
     NonzeroDeltaError,
 )
 # _pick is not called here: only the benchmark harness under perfbench/ still wraps it.
-from .hypothesis_dp import _piece_keys, componentwise_max as _pick
+from .hypothesis_dp import componentwise_max as _pick
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,7 @@ its two vectors differ; iterations where they agree contribute no
 evidence either way. The per-pair guarantees are then aggregated
 group-wise.
 
-A piece's key counts, per distinct guarantee of the sequence, the
-differing positions that carry it. Each key composes once, on one
-representative: at most k + 1 times for a homogeneous sequence, all
-keys in one ``composition.compose_selections`` call. Pieces
-with one key differ in the same multiset of guarantees, so this is
-exact: simple composition's exactly rounded sums are order-free,
-and advanced composition only composes identical guarantees. A fixed
-non-adaptive multiset of mechanisms leaks the same in any order, so a
-pluggable theorem's result for the representative holds for every piece.
+Pieces compose once per key, through ``composition._piece_keys``.
 
 Aggregation rule, for one direction ``P_X(S) <= e^eps P_Y(S) + delta``.
 Matched piece ``i`` has weight ``w_i``, vectors ``x_i`` and ``y_i`` and
@@ -52,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .composition import CompositionTheorem, compose_selections
+from .composition import CompositionTheorem, _piece_keys, compose_selections
 from .core import (
     BitVector,
     Hypothesis,
@@ -201,37 +193,13 @@ def hdp_guarantee(
     where that epsilon reaches a direction's ``eps_G``, else that
     direction's ``delta_J``. The module docstring gives ``delta_J`` and
     the proofs. Aggregation never sees unmatched weights: refinement
-    always runs first. Pieces sharing a key compose once, through
-    ``_piece_keys``, bit-identical to composing each piece on its own.
+    always runs first.
     """
     k = p0.k
     if len(seq) != k:
         raise MixedLengthError(f"sequence has {len(seq)} mechanisms, hypotheses have k={k}")
     pairs = refine_tuples(p0, p1).pairs
     return _aggregate(pairs, *_piece_keys(pairs["word0"] ^ pairs["word1"], seq, theorem, k))
-
-
-def _piece_keys(
-    xor_words: np.ndarray, seq: Sequence[PrivacyParams], theorem: CompositionTheorem, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each XOR word's key index and the ``(keys, 2)`` table of the keys' composed guarantees.
-
-    The one composer of ``uint64`` XOR words below 2^k, for ``hdp_guarantee`` and ``constraints``.
-    """
-    # One position mask per distinct guarantee, in position order.
-    masks: dict[PrivacyParams, int] = {}
-    for i, g in enumerate(seq):
-        masks[g] = masks.get(g, 0) | 1 << (k - 1 - i)
-    diffs, piece_diff = np.unique(xor_words, return_inverse=True)
-    if len(masks) == k:  # single-bit masks in position order: each word is its own key
-        return piece_diff, compose_selections(seq, bit_rows(diffs, k), theorem)
-    # A key packs its per-mask counts in mixed radix, each count below
-    # popcount(mask) + 1; the radices multiply to at most 2^k < 2^64.
-    keys = np.zeros(len(diffs), dtype=np.uint64)
-    for mask in masks.values():
-        keys = keys * np.uint64(mask.bit_count() + 1) + np.bitwise_count(diffs & np.uint64(mask))
-    _, first, key_of_diff = np.unique(keys, return_index=True, return_inverse=True)
-    return key_of_diff[piece_diff], compose_selections(seq, bit_rows(diffs[first], k), theorem)
 
 
 def componentwise_max(guarantees: Sequence[PrivacyParams]) -> PrivacyParams:

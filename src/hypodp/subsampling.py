@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .composition import CompositionTheorem, Simple, compose
-from .core import PrivacyParams, _exact_suffix_sums, bounded_params
+from .composition import CompositionTheorem, compose_suffixes
+from .core import PrivacyParams, bounded_params
 from .errors import InvalidRateError
 from .hypothesis_dp import _aggregate, uniform_nonzero_closed_form
 from .refinement import PAIR_DTYPE
@@ -80,11 +80,8 @@ def uniform_prior_bound(
     sum_i w_i delta_hat_i. Weights that underflow to 0 drop out, so any
     k works.
 
-    Under ``Simple`` all k tails come from one backward pass in O(k):
-    each is the exact suffix sum rounded once, which is the double
-    ``math.fsum`` returns for that slice. Other theorems compose each
-    tail on its own. A block epsilon that overflows raises
-    ``OverflowError``.
+    The k tails, the suffixes of ``halved[1:]``, are one ``compose_suffixes``
+    call. A block epsilon that overflows raises ``OverflowError``.
     """
     guarantees = list(seq)
     k = len(guarantees)
@@ -92,12 +89,7 @@ def uniform_prior_bound(
         raise ValueError("sequence must be non-empty")
     halved = [amplify(g, 0.5) for g in guarantees]
     norm = -math.expm1(-k * LN2)
-    if isinstance(theorem, Simple):
-        tail_eps = _exact_suffix_sums([g.epsilon for g in halved])[1:]
-        tail_delta = [min(1.0, d) for d in _exact_suffix_sums([g.delta for g in halved])[1:]]
-    else:
-        tails = [compose(halved[i + 1 :], theorem) for i in range(k)]
-        tail_eps, tail_delta = [t.epsilon for t in tails], [t.delta for t in tails]
+    tail_eps, tail_delta = compose_suffixes(halved[1:], theorem).T.tolist()
     eps = [g.epsilon + t for g, t in zip(guarantees, tail_eps)]
     if math.inf in eps:
         raise OverflowError("a uniform-prior block epsilon overflows a double")

@@ -15,6 +15,7 @@ from hypodp.composition import (
     compose,
     _FSUM_ROWS,
     compose_selections,
+    compose_suffixes,
     simple_compose,
 )
 from hypodp.core import MechanismSequence, PrivacyParams, _exact_row_sums
@@ -366,3 +367,45 @@ def test_advanced_formula_shape():
     expected = math.sqrt(2 * k * math.log(1 / slack)) * eps + k * eps * (math.exp(eps) - 1)
     g = advanced_compose([PrivacyParams(eps, 0.0)] * k, slack)
     assert g.epsilon == pytest.approx(expected, rel=1e-12)
+
+
+class TestComposeSuffixes:
+    """Row i equals ``compose(guarantees[i:])`` bit for bit, and refusals match it too."""
+
+    def assert_suffixes_match(self, seq, theorem):
+        got = compose_suffixes(seq, theorem)
+        assert got.shape == (len(seq) + 1, 2) and got.dtype == np.float64
+        assert [tuple(row) for row in got.tolist()] == [
+            compose(seq[i:], theorem).as_tuple() for i in range(len(seq) + 1)]
+
+    def test_simple_advanced_and_pluggable(self):
+        rng = np.random.default_rng(91)
+        for k in (1, 2, 7, 64, 300):
+            het = [PrivacyParams(float(e), float(d)) for e, d in
+                   zip(rng.exponential(0.5, k), rng.choice([0.0, 1e-7, 0.4], k))]
+            homog = list(MechanismSequence.homogeneous(float(rng.exponential(0.3)), 1e-8, k))
+            for theorem in (Simple(), Capped()):
+                self.assert_suffixes_match(het, theorem)
+            for slack in (1e-9, 1e-6, 0.3):
+                self.assert_suffixes_match(homog, Advanced(slack))
+
+    def test_empty_list(self):
+        for theorem in (Simple(), Advanced(1e-6), Capped()):
+            assert compose_suffixes([], theorem).tolist() == [[0.0, 0.0]]
+
+    def test_advanced_on_heterogeneous_raises_like_compose(self):
+        rest = [PrivacyParams(0.2, 1e-8)] * 5
+        for seq in ([PrivacyParams(0.3, 1e-8)] + rest, rest + [PrivacyParams(0.2, 0.0)]):
+            with pytest.raises(HeterogeneousInputError) as expected:
+                compose(seq, Advanced(1e-6))
+            with pytest.raises(HeterogeneousInputError) as got:
+                compose_suffixes(seq, Advanced(1e-6))
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+
+    def test_delta_capped_and_overflow_raised_like_compose(self):
+        seq = [PrivacyParams(1.0, 0.7), PrivacyParams(0.5, 0.6), PrivacyParams(0.1, 0.2)]
+        self.assert_suffixes_match(seq, Simple())
+        assert compose_suffixes(seq, Simple())[0, 1] == 1.0
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            compose_suffixes([PrivacyParams(1e308, 0.0)] * 3, Simple())

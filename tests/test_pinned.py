@@ -8,6 +8,7 @@ the exact sums that moves one bit of a reported double fails here.
 
 import math
 import random
+import time
 
 from hypodp.composition import Advanced, Simple
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
@@ -169,3 +170,12 @@ def test_hdp_guarantee_bits():
 def test_uniform_prior_bound_bits():
     got = {name: as_hex(uniform_prior_bound(*case)) for name, case in uniform_prior_cases().items()}
     assert got == UNIFORM_PRIOR_PINNED
+
+
+def test_advanced_uniform_prior_bound_at_k20000_within_budget():
+    # One homogeneity check, then each tail by its length: O(k), where a fresh
+    # Advanced composition per tail took about a minute at this k.
+    start = time.perf_counter()
+    got = uniform_prior_bound(MechanismSequence.homogeneous(0.01, 1e-9, 20000), Advanced(1e-6))
+    assert time.perf_counter() - start < 10.0
+    assert as_hex(got) == ("0x1.0f57f07cd100bp+2", "0x1.711947cfa26a3p-17")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import time
@@ -239,8 +240,11 @@ class TestExactTails:
             assert uniform_prior_bound(seq, Simple()) == per_tail_reference(seq, Simple())
 
     def test_advanced_equals_per_tail_reference(self):
-        seq = MechanismSequence.homogeneous(0.2, 1e-8, 40)
-        assert uniform_prior_bound(seq, Advanced(1e-6)) == per_tail_reference(seq, Advanced(1e-6))
+        firsts = (PrivacyParams(0.2, 1e-8), PrivacyParams(1.3, 0.0), PrivacyParams(0.05, 1e-5))
+        for k, first, slack in itertools.product((1, 2, 40, 400), firsts, (1e-9, 1e-6, 0.05)):
+            # Tail 0 is halved[1:], so only the rest must be homogeneous.
+            seq = [first] + [PrivacyParams(0.2, 1e-8)] * (k - 1)
+            assert uniform_prior_bound(seq, Advanced(slack)) == per_tail_reference(seq, Advanced(slack))
 
     def test_suffix_sums_equal_fsum_of_each_slice(self):
         rng = np.random.default_rng(31)
