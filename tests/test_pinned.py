@@ -173,8 +173,8 @@ def test_uniform_prior_bound_bits():
 
 
 def test_advanced_uniform_prior_bound_at_k20000_within_budget():
-    # One homogeneity check, then each tail by its length: O(k), where a fresh
-    # Advanced composition per tail took about a minute at this k.
+    # The budget fails an O(k^2) composition of each tail on its own, which
+    # takes about a minute at this k on a 2-core Xeon.
     start = time.perf_counter()
     got = uniform_prior_bound(MechanismSequence.homogeneous(0.01, 1e-9, 20000), Advanced(1e-6))
     assert time.perf_counter() - start < 10.0
