@@ -160,8 +160,8 @@ _FSUM_ROWS = 64
 def compose_suffixes(guarantees: Sequence[PrivacyParams], theorem: CompositionTheorem) -> np.ndarray:
     """Row i of the ``(n + 1, 2)`` result is ``compose(guarantees[i:], theorem).as_tuple()``.
 
-    ``Simple`` takes two exact suffix-sum passes; ``Advanced`` checks homogeneity
-    once, then takes the closed form at each suffix's length.
+    ``Simple`` takes two exact suffix-sum passes; ``Advanced`` composes the whole
+    list once (row 0 and the homogeneity check), then each shorter suffix in closed form.
     """
     guarantees = list(guarantees)
     if isinstance(theorem, Simple):
@@ -169,10 +169,10 @@ def compose_suffixes(guarantees: Sequence[PrivacyParams], theorem: CompositionTh
         delta = _exact_suffix_sums([g.delta for g in guarantees])
         return np.stack((eps, np.minimum(delta, 1.0)), 1)
     n = len(guarantees)
-    if isinstance(theorem, Advanced):
-        compose(guarantees, theorem)  # the one homogeneity check, raising as compose does
-        rows = [_advanced_closed_form(g, n - i, theorem.delta_slack).as_tuple()
-                for i, g in enumerate(guarantees)] + [(0.0, 0.0)]
+    if isinstance(theorem, Advanced) and n:
+        rows = [compose(guarantees, theorem).as_tuple()]
+        rows += [_advanced_closed_form(guarantees[0], n - i, theorem.delta_slack).as_tuple()
+                 for i in range(1, n)] + [(0.0, 0.0)]
     else:
         rows = [compose(guarantees[i:], theorem).as_tuple() for i in range(n + 1)]
     return np.array(rows, dtype=np.float64)

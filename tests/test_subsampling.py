@@ -290,6 +290,10 @@ class TestExactTails:
             seq = [PrivacyParams(1e308, 0.0)] * k
             with pytest.raises(OverflowError):
                 uniform_prior_bound(seq, Simple())
+        # At k=2 the one tail is finite, so the refusal comes from block 0,
+        # whose head plus tail overflows, not from summing the tails.
+        with pytest.raises(OverflowError, match="^a uniform-prior block epsilon overflows a double$"):
+            uniform_prior_bound([PrivacyParams(1e308, 0.0)] * 2, Simple())
         with pytest.raises(OverflowError):
             per_tail_reference([PrivacyParams(1e308, 0.0)] * 3, Simple())
         with pytest.raises(OverflowError):
