@@ -80,11 +80,17 @@ def hdp_cases():
     return cases
 
 
+# From k = 1075 on the weights of blocks 1074 and beyond round to zero.
+BOUNDARY_KS = (1074, 1075, 1076, 1100)
+
+
 def uniform_prior_cases():
     return {
-        **{f"simple-homog-k{k}": (homog(k, 0.4, 1e-7), Simple()) for k in (1, 5, 20, 80)},
-        **{f"simple-hetero-k{k}": (hetero(k), Simple()) for k in (3, 17, 64)},
-        **{f"advanced-homog-k{k}": (homog(k, 0.2, 1e-7), Advanced(1e-6)) for k in (4, 30)},
+        **{f"simple-homog-k{k}": (homog(k, 0.4, 1e-7), Simple())
+           for k in (1, 5, 20, 80, *BOUNDARY_KS)},
+        **{f"simple-hetero-k{k}": (hetero(k), Simple()) for k in (3, 17, 64, *BOUNDARY_KS)},
+        **{f"advanced-homog-k{k}": (homog(k, 0.2, 1e-7), Advanced(1e-6))
+           for k in (4, 30, *BOUNDARY_KS)},
     }
 
 
@@ -154,11 +160,23 @@ UNIFORM_PRIOR_PINNED = {
     "simple-homog-k5": ("0x1.1ee14eb481f2dp+0", "0x1.15183beab47cbp-22"),
     "simple-homog-k20": ("0x1.196e629d55136p+2", "0x1.0c6f8ad25785fp-20"),
     "simple-homog-k80": ("0x1.196e5ea9efe28p+4", "0x1.0c6f7a0b5ed8dp-18"),
+    "simple-homog-k1074": ("0x1.d846d0752cf4fp+7", "0x1.c277df34ae5d7p-15"),
+    "simple-homog-k1075": ("0x1.d8b7630170ee8p+7", "0x1.c2e33eff19503p-15"),
+    "simple-homog-k1076": ("0x1.d927f58db4e81p+7", "0x1.c34e9ec98442fp-15"),
+    "simple-homog-k1100": ("0x1.e3b5b2b4144d6p+7", "0x1.cd5f99c38b04bp-15"),
     "simple-hetero-k3": ("0x1.0fddc61e63b76p-2", "0x1.dc43c98248a1dp-20"),
     "simple-hetero-k17": ("0x1.7bc4681212fc9p+1", "0x1.05ba0041afcdep-17"),
     "simple-hetero-k64": ("0x1.8a134ba20aeabp+3", "0x1.110c97bdf746fp-15"),
+    "simple-hetero-k1074": ("0x1.a250f84ebf34ep+7", "0x1.22ed6ad205f1bp-11"),
+    "simple-hetero-k1075": ("0x1.a2b25ec9465adp+7", "0x1.22ed6ad205f1bp-11"),
+    "simple-hetero-k1076": ("0x1.a3326c1ff4ce8p+7", "0x1.22f420ceaca0ep-11"),
+    "simple-hetero-k1100": ("0x1.acd1b208884e0p+7", "0x1.29746d9026535p-11"),
     "advanced-homog-k4": ("0x1.0c13962db9c76p+0", "0x1.33ce5554b7d9ep-20"),
     "advanced-homog-k30": ("0x1.b97182398779dp+1", "0x1.4f8b588f42fe7p-19"),
+    "advanced-homog-k1074": ("0x1.ebac9fe3a107ap+4", "0x1.cadb5b0509543p-15"),
+    "advanced-homog-k1075": ("0x1.ebfebe69b8686p+4", "0x1.cb46bacf7446fp-15"),
+    "advanced-homog-k1076": ("0x1.ec50d8d221fc5p+4", "0x1.cbb21a99df39bp-15"),
+    "advanced-homog-k1100": ("0x1.f3fe8e9315710p+4", "0x1.d5c31593e5fb7p-15"),
 }
 
 
