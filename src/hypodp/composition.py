@@ -129,8 +129,8 @@ def compose_selections(
     Row r of the result is ``compose(selected, theorem).as_tuple()`` bit
     for bit, where ``selected`` lists the guarantees at the positions
     ``rows[r]`` marks, in sequence order. Under ``Simple`` each column is an
-    exact sum (``math.fsum`` per row below ``_FSUM_ROWS`` rows, else
-    ``core._exact_row_sums``), the delta capped at 1; other theorems call ``compose``.
+    exact sum, ``core._exact_row_sums``, the delta capped at 1; other theorems
+    call ``compose``.
 
     Raises:
         MixedLengthError: if the rows are not as long as the sequence.
@@ -145,16 +145,9 @@ def compose_selections(
     if not isinstance(theorem, Simple):
         out = [compose(list(compress(guarantees, row)), theorem).as_tuple()
                for row in rows.tolist()]
-    elif len(rows) < _FSUM_ROWS:
-        out = [(math.fsum(compress(eps, row)), min(1.0, math.fsum(compress(delta, row))))
-               for row in rows.tolist()]
     else:
         out = np.stack((_exact_row_sums(rows, eps), _exact_row_sums(rows, delta).clip(max=1.0)), 1)
     return np.asarray(out, dtype=np.float64).reshape(len(rows), 2)
-
-
-# Fewer rows sum faster by math.fsum per row (the two cross at 48-64 rows for k 5-30).
-_FSUM_ROWS = 64
 
 
 def compose_suffixes(guarantees: Sequence[PrivacyParams], theorem: CompositionTheorem) -> np.ndarray:

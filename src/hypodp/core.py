@@ -16,9 +16,9 @@ Conventions:
 * A :class:`Hypothesis` is a finite probability distribution over bit
   vectors, a composite belief about database membership, held as two
   read-only arrays: ascending ``uint64`` ``words`` and ``float64`` ``weights``.
-* Sums of doubles are exact and rounded once, so ``math.fsum``'s double:
-  ``exact_sum`` for an array, ``_exact_row_sums`` for the subsets that
-  boolean rows select, ``_exact_suffix_sums`` for every suffix.
+* Returned sums of doubles are exact, rounded once as by ``math.fsum``:
+  ``exact_sum`` for an array, ``_exact_row_sums`` for boolean-row subsets,
+  ``_exact_suffix_sums`` for every suffix; tolerance checks use numpy's sum.
 """
 
 import math
@@ -69,17 +69,14 @@ class PrivacyParams:
 
 
 def bounded_params(epsilon: float, delta: float) -> PrivacyParams:
-    """Build a guarantee, clamping delta to 1 and epsilon rounding dust to 0.
+    """Build a guarantee, clamping delta to 1.
 
     A statement with delta >= 1 is vacuous but well formed; clamping keeps
-    comparisons total. Tiny negative epsilon can only arise from rounding
-    in log-space aggregation and is mathematically zero. An epsilon that
-    overflowed to infinity raises ``OverflowError``, as ``math.fsum`` does.
+    comparisons total. An epsilon that overflowed to infinity raises
+    ``OverflowError``, as ``math.fsum`` does.
     """
     if epsilon == math.inf:
         raise OverflowError("composed epsilon overflows a double")
-    if -1e-9 < epsilon < 0.0:
-        epsilon = 0.0
     return PrivacyParams(epsilon, min(1.0, delta))
 
 
@@ -142,6 +139,8 @@ def bit_rows(words: Sequence[int] | np.ndarray, k: int) -> np.ndarray:
 # From this many values on exact_sum beats math.fsum over a list: fsum is faster at
 # 1024 values, exact_sum at 2048 (2-core Xeon, Python 3.11.7, numpy 2.4.6).
 EXACT_SUM_MIN = 1536
+# Fewer rows sum faster by math.fsum per row (the two cross at 48-64 rows for k 5-30).
+_FSUM_ROWS = 64
 # Chunk length: bounds the temporaries and keeps each chunk's per-exponent float sums
 # of 27-bit integers below 2^53, so exact.
 _SUM_CHUNK = 1 << 16
@@ -194,10 +193,13 @@ def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
 def _exact_row_sums(rows: np.ndarray, values: list[float]) -> np.ndarray:
     """The correctly rounded sum of the values each boolean row selects.
 
-    One int64 product sums the ``_fixed_point`` integers below 2^(62 - bits(k)); each
-    sum rounds once to float64 and ``np.ldexp`` scales it exactly, subnormals included.
-    A row that selects a larger integer takes ``math.fsum``.
+    Fewer than ``_FSUM_ROWS`` rows take ``math.fsum`` per row. Otherwise one int64
+    product sums the ``_fixed_point`` integers below 2^(62 - bits(k)); each sum rounds
+    once to float64 and ``np.ldexp`` scales it exactly, subnormals included. A row that
+    selects a larger integer takes ``math.fsum``.
     """
+    if len(rows) < _FSUM_ROWS:
+        return np.array([math.fsum(compress(values, row)) for row in rows.tolist()])
     ints, scale = _fixed_point(values)
     limit = 1 << (62 - len(ints).bit_length())
     sums = rows.astype(np.int64) @ np.array([n if n < limit else 0 for n in ints], dtype=np.int64)
@@ -257,11 +259,8 @@ class Hypothesis:
             words, weights = words[order], weights[order]
             if np.any(words[1:] == words[:-1]):
                 raise DuplicateAtomError("a vector is listed more than once")
-        equal = np.all(weights == weights[0])  # n equal weights: n * w is fsum's rounding
-        try:
-            total = len(weights) * float(weights[0]) if equal else exact_sum(weights)
-        except OverflowError:  # a sum beyond the double range is not 1 either
-            total = math.inf
+        with np.errstate(over="ignore"):  # a sum beyond the double range is inf, not 1
+            total = float(weights.sum())  # pairwise: off by far less than the tolerance
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NonNormalizedError(f"weights sum to {total!r}, not 1")
         words.flags.writeable = weights.flags.writeable = False

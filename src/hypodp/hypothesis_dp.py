@@ -90,15 +90,12 @@ def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> Privacy
 
     Row i of the ``refinement.PAIR_DTYPE`` table ``pairs`` has the
     guarantee ``table[key[i]]``, a row ``(eps, delta)`` of the
-    ``(keys, 2)`` per-key table; rows of zero weight drop out, and at
-    least one must remain. Both word columns must be non-decreasing, as
-    ``refine_tuples`` and ``uniform_prior_bound`` emit them. Exponents are
-    relative to each group's extreme epsilon, so epsilons far beyond 700
-    nats cannot overflow. delta_G is an exactly rounded sum.
+    ``(keys, 2)`` per-key table. ``pairs`` must be non-empty, with positive
+    weights (a zero-mass group would divide 0 by 0) and non-decreasing word
+    columns, as ``refine_tuples`` and ``uniform_prior_bound`` emit them.
+    Exponents are relative to each group's extreme epsilon, so epsilons far
+    beyond 700 nats cannot overflow. delta_G is an exactly rounded sum.
     """
-    keep = pairs["weight"] > 0.0  # an empty group would divide 0 by 0
-    if not keep.all():
-        pairs, key = pairs[keep], key[keep]
     eps, delta = table.T
     side0 = _Groups(pairs["word0"], pairs["weight"], key, eps, delta)
     side1 = _Groups(pairs["word1"], pairs["weight"], key, eps, delta)
@@ -229,15 +226,17 @@ def uniform_nonzero_closed_form(eps: float, delta: float, k: int) -> PrivacyPara
         delta   = k 2^(k-1) / (2^k - 1) * delta
 
     The epsilon part is evaluated in log space so large k cannot
-    overflow.
+    overflow; it is non-negative, so its rounding dust below 0 (to about
+    -1.8e-15 at eps = 0) is taken as 0. The delta part costs O(1) at any k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     log_num = _log_expm1(k * _softplus(eps))
     # 2^k - 1 is exact in a double up to k = 50.
     log_den = math.log((1 << k) - 1) if k <= 50 else _log_expm1(k * math.log(2.0))
-    delta_out = k * (2 ** (k - 1) / (2**k - 1)) * delta
-    return bounded_params(log_num - log_den, delta_out)
+    # 2^(k-1) / (2^k - 1) correctly rounded: the denominator is exact to k = 53, then rounds to 2.
+    delta_out = k * (1.0 / (2.0 - 2.0 ** (1 - k))) * delta
+    return bounded_params(max(0.0, log_num - log_den), delta_out)
 
 
 def _softplus(x: float) -> float:

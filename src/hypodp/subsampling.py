@@ -77,8 +77,8 @@ def uniform_prior_bound(
     Block i is the table row (w_i, 0, i + 1) with the guarantee
     (eps_hat_i, delta_hat_i), combined by ``hypothesis_dp._aggregate``:
     epsilon is ln(sum_i w_i e^eps_hat_i) and delta is at least
-    sum_i w_i delta_hat_i. Weights that underflow to 0 drop out, so any
-    k works.
+    sum_i w_i delta_hat_i. Blocks whose weight underflows to 0 (i >= 1074)
+    are left out of the table, so any k works.
 
     The k tails, the suffixes of ``halved[1:]``, are one ``compose_suffixes``
     call. A block epsilon that overflows raises ``OverflowError``.
@@ -94,8 +94,9 @@ def uniform_prior_bound(
     if math.inf in eps:
         raise OverflowError("a uniform-prior block epsilon overflows a double")
     delta = [g.delta + t for g, t in zip(guarantees, tail_delta)]
-    rows = [(math.ldexp(1.0, -(i + 1)) / norm, 0, i + 1) for i in range(k)]
-    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), np.arange(k), np.array([eps, delta]).T)
+    n = min(k, 1074)  # block i weighs at most 2^-(i+1) / norm, which is 0 from i = 1074 on
+    rows = [(math.ldexp(1.0, -(i + 1)) / norm, 0, i + 1) for i in range(n)]
+    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), np.arange(n), np.array([eps, delta]).T[:n])
 
 
 # Module-level aliases, not exported from the package: only the benchmark

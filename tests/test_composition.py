@@ -13,12 +13,11 @@ from hypodp.composition import (
     advanced_compose,
     best_classic_bound,
     compose,
-    _FSUM_ROWS,
     compose_selections,
     compose_suffixes,
     simple_compose,
 )
-from hypodp.core import MechanismSequence, PrivacyParams, _exact_row_sums
+from hypodp.core import _FSUM_ROWS, MechanismSequence, PrivacyParams, _exact_row_sums
 from hypodp.errors import (
     HeterogeneousInputError,
     IncompatibleTheoremError,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -73,8 +74,10 @@ class TestPrivacyParams:
     def test_bounded_params_clamps_delta_to_one(self):
         assert bounded_params(1.0, 3.0).delta == 1.0
 
-    def test_bounded_params_zeroes_rounding_dust(self):
-        assert bounded_params(-1e-16, 0.0).epsilon == 0.0
+    def test_bounded_params_refuses_negative_epsilon(self):
+        # Rounding dust below 0 is uniform_nonzero_closed_form's to clamp, not this helper's.
+        with pytest.raises(ValueError, match="epsilon"):
+            bounded_params(-1e-16, 0.0)
 
     def test_non_finite_epsilon_rejected(self):
         for eps in (math.inf, math.nan, -math.inf):
@@ -207,7 +210,7 @@ class TestHypothesis:
                 BitVector.from_string("01"): 0.5,
                 BitVector.from_string("10"): 0.4,
             })
-        # Equal weights are summed as n * w: the message shows fsum's sum all the same.
+        # The message shows the rejected total.
         total = math.fsum([0.3] * 3)
         with pytest.raises(NonNormalizedError, match=re.escape(f"weights sum to {total!r}, not 1")):
             Hypothesis({BitVector.from_string(s): 0.3 for s in ("00", "01", "10")})
@@ -216,17 +219,37 @@ class TestHypothesis:
             with pytest.raises(NonNormalizedError, match="weights sum to inf, not 1"):
                 Hypothesis([(BitVector.from_string(s), w) for s, w in zip(("0", "1"), weights)])
 
-    @given(st.integers(1, 1 << 10), st.floats(1e-300, 1e300))
-    @example(10, 0.1)
-    @example(49, 1 / 49)
-    def test_equal_weights_total_is_fsum(self, n, w):
-        # The reference: the correctly rounded sum the shortcut for equal weights must match.
-        total = math.fsum([w] * n)
-        atoms = [(BitVector(i, 10), w) for i in range(n)]
-        if abs(total - 1.0) <= core.NORMALIZATION_TOLERANCE:
-            assert len(Hypothesis(atoms)) == n
+    @given(st.integers(1, 1 << 20))
+    @example(1 << 20)
+    @example(49)
+    @example(10)
+    def test_equal_weights_pass(self, n):
+        # _set is the path every constructor takes; n atoms via BitVector objects would be slow.
+        h = Hypothesis.__new__(Hypothesis)._set(20, np.arange(n, dtype=np.uint64), np.full(n, 1.0 / n))
+        assert len(h) == n
+
+    @given(st.integers(8, 64), st.floats(3e-17, 5e-17), st.sampled_from((-1.0, 1.0)),
+           st.floats(0.0, 0.99) | st.floats(1.01, 3.0))
+    def test_total_off_by_ulps_decided_as_by_the_exact_sum(self, m, tiny, sign, factor):
+        # Each tiny weight is below half an ulp of the head, so a sequential sum loses
+        # them all and misses the exact sum by a few ulps. A total clear of the tolerance
+        # by 1% is accepted or refused as its exact sum is.
+        head = 1.0 + sign * factor * core.NORMALIZATION_TOLERANCE - m * tiny
+        weights = [head] + [tiny] * m
+        exact = math.fsum(weights)
+        assert sum(weights) == head != exact
+        atoms = [(BitVector(i, 7), w) for i, w in enumerate(weights)]
+        if abs(exact - 1.0) <= core.NORMALIZATION_TOLERANCE:
+            assert len(Hypothesis(atoms)) == m + 1
         else:
-            with pytest.raises(NonNormalizedError, match=re.escape(f" {total!r}, ")):
+            with pytest.raises(NonNormalizedError, match="weights sum to"):
+                Hypothesis(atoms)
+
+    def test_overflowing_total_refused_without_warning(self):
+        atoms = [(BitVector(i, 4), 1e308) for i in range(10)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning must not escape
+            with pytest.raises(NonNormalizedError, match="weights sum to inf, not 1"):
                 Hypothesis(atoms)
 
     def test_non_positive_weight_rejected(self):

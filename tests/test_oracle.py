@@ -169,6 +169,10 @@ class TestViewDistribution:
         with pytest.raises(ValueError):
             ViewDistribution(np.array([math.nan, 1.0]), ((0, 1),))
 
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(ValueError, match="sum to inf, not 1"):
+            ViewDistribution(np.array([1e308, 1e308]), ((0, 1),))
+
     def test_length_mismatch(self):
         with pytest.raises(MixedLengthError):
             view_distribution([randomized_response(0.25)] * 2, bv("0"))

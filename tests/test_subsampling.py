@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from hypodp import subsampling
+from hypodp import hypothesis_dp, subsampling
 from hypodp.composition import Advanced, Simple, compose
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, _exact_suffix_sums
 from hypodp.errors import IncompatibleTheoremError, InvalidRateError
@@ -134,8 +134,25 @@ class TestUniformPriorBound:
         (pairs,) = tables
         for column in ("word0", "word1"):
             assert np.all(pairs[column][1:] >= pairs[column][:-1])
-        # Past block 1074 the weights underflow to 0, and _aggregate filters those rows.
-        assert (pairs["weight"] == 0.0).any() == (k > 1074)
+        # Past block 1074 the weights underflow to 0; those rows never reach _aggregate.
+        assert (pairs["weight"] > 0.0).all()
+
+    @pytest.mark.parametrize("k", [1074, 1075, 1500])
+    def test_zero_weight_blocks_are_left_out(self, k, monkeypatch):
+        # Block weights 2^-(i+1) round to 0 from i = 1074 on. _aggregate takes
+        # positive weights only (a zero-mass group would divide 0 by 0).
+        tables = []
+
+        def capture(pairs, key, table):
+            tables.append((pairs.copy(), key.copy(), table.copy()))
+            return _aggregate(pairs, key, table)
+
+        monkeypatch.setattr(subsampling, "_aggregate", capture)
+        got = uniform_prior_bound(MechanismSequence.homogeneous(0.3, 1e-7, k), Simple())
+        ((pairs, key, table),) = tables
+        assert len(pairs) == len(key) == len(table) == 1074
+        assert pairs["weight"].min() == 2.0**-1074
+        assert got.epsilon > 0.3 and got.delta > 1e-7
 
 
 class TestUniformPriorSplitBound:
@@ -181,6 +198,28 @@ class TestUniformPriorClosedForm:
         assert g.epsilon == pytest.approx(CLOSED_K12_EPS01, abs=1e-12)
         assert g.delta == pytest.approx(2048.0 / 4095.0 * 12.0 * 1e-6, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3, 14])
+    def test_eps_zero_rounding_dust_is_zero(self, k):
+        # ln(2^k - 1) - ln(2^k - 1) through two roundings: unclamped, a few ulps below 0.
+        unclamped = hypothesis_dp._log_expm1(k * hypothesis_dp._softplus(0.0)) - math.log(2**k - 1)
+        assert unclamped < 0.0
+        g = uniform_nonzero_closed_form(0.0, 1e-6, k)
+        assert math.copysign(1.0, g.epsilon) == 1.0 and g.epsilon == 0.0
+
+    def test_delta_ratio_equals_big_integer_ratio(self):
+        # 2^(k-1) / (2^k - 1) as a float ratio: the same correctly rounded double.
+        for k in range(1, 5001):
+            assert 1.0 / (2.0 - 2.0 ** (1 - k)) == 2 ** (k - 1) / (2**k - 1), k
+            want = k * (2 ** (k - 1) / (2**k - 1)) * 3e-7
+            assert uniform_nonzero_closed_form(0.2, 3e-7, k).delta == want, k
+
+    def test_huge_k_in_constant_time(self):
+        # The delta ratio once built two k-bit integers: 125 MB each at this k.
+        start = time.perf_counter()
+        g = uniform_nonzero_closed_form(0.1, 1e-12, 10**9)
+        assert time.perf_counter() - start < 1.0
+        assert g.delta == 10**9 * 0.5 * 1e-12
+
 
 class TestPipelineEquality:
     def test_block_bound_equals_closed_form_on_grid(self):
@@ -214,7 +253,10 @@ class TestPipelineEquality:
 
 
 def per_tail_reference(seq, theorem):
-    """uniform_prior_bound with one ``compose`` per tail: O(k^2) under Simple."""
+    """uniform_prior_bound with one ``compose`` per tail: O(k^2) under Simple.
+
+    Blocks whose weight rounds to 0 are dropped, as uniform_prior_bound drops them.
+    """
     guarantees = list(seq)
     k = len(guarantees)
     halved = [amplify(g, 0.5) for g in guarantees]
@@ -223,7 +265,9 @@ def per_tail_reference(seq, theorem):
     rows = [(math.ldexp(1.0, -(i + 1)) / norm, 0, i + 1) for i in range(k)]
     eps = np.array([g.epsilon + t.epsilon for g, t in zip(guarantees, tails)])
     delta = np.array([g.delta + t.delta for g, t in zip(guarantees, tails)])
-    return _aggregate(np.array(rows, dtype=PAIR_DTYPE), np.arange(k), np.stack((eps, delta), 1))
+    table = np.array(rows, dtype=PAIR_DTYPE)
+    keep = table["weight"] > 0.0
+    return _aggregate(table[keep], np.arange(k)[keep], np.stack((eps, delta), 1))
 
 
 class TestExactTails:
