@@ -214,7 +214,7 @@ class TestUniformPriorClosedForm:
             assert uniform_nonzero_closed_form(0.2, 3e-7, k).delta == want, k
 
     def test_huge_k_in_constant_time(self):
-        # The delta ratio once built two k-bit integers: 125 MB each at this k.
+        # As a ratio of two k-bit integers the delta factor would take 125 MB each at this k.
         start = time.perf_counter()
         g = uniform_nonzero_closed_form(0.1, 1e-12, 10**9)
         assert time.perf_counter() - start < 1.0
