@@ -225,8 +225,8 @@ class TestHypothesis:
     @example(10)
     def test_equal_weights_pass(self, n):
         # _set is the path every constructor takes; n atoms via BitVector objects would be slow.
-        h = Hypothesis.__new__(Hypothesis)._set(20, np.arange(n, dtype=np.uint64), np.full(n, 1.0 / n))
-        assert len(h) == n
+        words, weights = np.arange(n, dtype=np.uint64), np.full(n, 1.0 / n)
+        assert len(Hypothesis.__new__(Hypothesis)._set(20, words, weights)) == n
 
     @given(st.integers(8, 64), st.floats(3e-17, 5e-17), st.sampled_from((-1.0, 1.0)),
            st.floats(0.0, 0.99) | st.floats(1.01, 3.0))
