@@ -39,11 +39,10 @@ from .errors import (
 
 MAX_K = 63
 
-# User-facing normalization tolerance; internal refinement prunes at the
-# much finer WEIGHT_PRUNE_TOLERANCE so input noise and arithmetic dust
-# stay two orders of magnitude apart.
+# How far from 1 a hypothesis's total may be. Weights are not rescaled,
+# and refinement keeps every residual, so up to this much mass can be
+# left unmatched when the walk ends.
 NORMALIZATION_TOLERANCE = 1e-9
-WEIGHT_PRUNE_TOLERANCE = 1e-12
 
 # Enumerating all of {0,1}^k is refused beyond this many vectors.
 MAX_ENUMERATION = 10_000_000

@@ -229,6 +229,7 @@ def uniform_nonzero_closed_form(eps: float, delta: float, k: int) -> PrivacyPara
     overflow; it is non-negative, so its rounding dust below 0 (to about
     -1.8e-15 at eps = 0) is taken as 0. The delta part costs O(1) at any k.
     """
+    PrivacyParams(eps, delta)  # rejects an invalid pair
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     log_num = _log_expm1(k * _softplus(eps))

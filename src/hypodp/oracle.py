@@ -90,7 +90,7 @@ class ViewDistribution:
     """Exact probability of every view on the flat view index.
 
     ``probs[i]`` is the probability of the i-th view of ``itertools.product(*alphabets)``
-    and ``len(probs)`` the view count; their numpy sum must be 1 within 1e-9.
+    and ``len(probs)`` the view count; each is >= 0, and their numpy sum is 1 within 1e-9.
     """
 
     probs: np.ndarray
@@ -103,6 +103,8 @@ class ViewDistribution:
             total = float(self.probs.sum())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"view probabilities sum to {total!r}, not 1")
+        if self.probs.min() < 0.0:
+            raise ValueError("view probabilities must be non-negative")
 
 
 def randomized_response(q: float) -> DiscreteMechanism:

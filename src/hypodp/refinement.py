@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypothesis, WEIGHT_PRUNE_TOLERANCE
+from .core import Hypothesis
 from .errors import MixedLengthError
 
 # One matched piece: its weight and the word of its vector on each side.
@@ -40,10 +40,10 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
 
     Both sides are walked in lexicographic vector order; at each step the
     smaller of the two front weights is emitted as a matched pair and
-    subtracted from the larger side. Residuals below
-    ``WEIGHT_PRUNE_TOLERANCE`` are floating-point dust from subtracting
-    near-equal weights and are dropped. The pair count is at most
-    ``len(p0) + len(p1) - 1``. When either side is a point mass the
+    subtracted from the larger side. A side advances only when its front
+    atom is used up, so every residual, however small, becomes a piece,
+    and weights are compared only with each other. The pair count is at
+    most ``len(p0) + len(p1) - 1``. When either side is a point mass the
     walk is ``_point_mass_run``, one vectorized pass. Otherwise it runs
     over plain float lists and records per piece its weight and one
     advance code: 1 when side 0 moves to its next atom, 2 for side 1, 3
@@ -56,38 +56,29 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
         return MatchedRefinement(p0.k, _point_mass_run(p0, p1))
 
     # Words are already sorted; a residual left at a front position stays
-    # the smallest vector on its side, so walking two atom indices is
-    # exactly the smallest-first consumption order. The consumed side's
-    # w - w is exactly 0, so only the other side needs a prune test.
-    weights0, weights1 = p0.weights.tolist(), p1.weights.tolist()
-    i = j = 0
-    w0, w1 = weights0[0], weights1[0]
+    # the smallest vector on its side, so walking each side in order is
+    # exactly the smallest-first consumption order. A difference of
+    # unequal doubles is never 0, so a residual left behind is positive.
+    weights0, weights1 = iter(p0.weights.tolist()), iter(p1.weights.tolist())
+    w0, w1 = next(weights0), next(weights1)
     weight, codes = [], bytearray()
     try:
         while True:
-            if w1 < w0:
+            if w0 < w1:
+                weight.append(w0)
+                codes.append(1)
+                w1 -= w0
+                w0 = next(weights0)
+            elif w1 < w0:
                 weight.append(w1)
+                codes.append(2)
                 w0 -= w1
-                if w0 <= WEIGHT_PRUNE_TOLERANCE:
-                    codes.append(3)
-                    i += 1
-                    w0 = weights0[i]
-                else:
-                    codes.append(2)
-                j += 1
-                w1 = weights1[j]
+                w1 = next(weights1)
             else:
                 weight.append(w0)
-                w1 -= w0
-                if w1 <= WEIGHT_PRUNE_TOLERANCE:
-                    codes.append(3)
-                    j += 1
-                    w1 = weights1[j]
-                else:
-                    codes.append(1)
-                i += 1
-                w0 = weights0[i]
-    except IndexError:  # the walk ends when either side runs out
+                codes.append(3)
+                w0, w1 = next(weights0), next(weights1)
+    except StopIteration:  # the walk ends when either side runs out
         pass
     # Piece n sits at the atoms the first n codes advanced to.
     steps = np.frombuffer(codes, dtype=np.uint8)[:-1]
@@ -104,16 +95,16 @@ def _point_mass_run(p0: Hypothesis, p1: Hypothesis) -> np.ndarray:
     The single atom's residual before step t is its weight minus the
     first t weights of the other side, subtracted one at a time;
     ``np.subtract.accumulate`` performs those IEEE subtractions in the
-    walk's order. Step t continues the run iff the next residual stays
-    above ``WEIGHT_PRUNE_TOLERANCE``. That also holds the walk's strict
-    ``w1 < w0``: a weight at or above the residual leaves a residual of
-    0 or below, since a difference of doubles is 0 only for equal ones.
-    Every piece weighs the smaller of its weight and its residual.
+    walk's order. Step t continues the run iff the next residual is
+    positive, which is the walk's strict comparison: a weight at or
+    above the residual leaves a residual of 0 or below, since a
+    difference of doubles is 0 only for equal ones. Every piece weighs
+    the smaller of its weight and its residual.
     """
     point, other = (p0, p1) if len(p0) == 1 else (p1, p0)
     weights = other.weights
     residual = np.subtract.accumulate(np.concatenate((point.weights, weights)))
-    go_on = residual[1:] > WEIGHT_PRUNE_TOLERANCE
+    go_on = residual[1:] > 0.0
     n = len(weights) if go_on.all() else int(np.argmin(go_on)) + 1
     pairs = np.empty(n, dtype=PAIR_DTYPE)
     np.minimum(weights[:n], residual[:n], out=pairs["weight"])

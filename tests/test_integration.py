@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypodp.composition import Simple
+from hypodp.composition import Advanced, Simple
 from hypodp.constraints import (
     MaxOnes,
     NeighborhoodMode,
@@ -144,6 +145,87 @@ class TestHdpGuaranteeSound:
             claimed = hdp_guarantee(p0, p1, seq, Simple())
             report = verify_hdp(mechs, p0, p1, claimed)
             assert report.sound, (p0, p1, params, claimed, report)
+
+
+
+def shifted_uniform(k, shift):
+    """``uniform_all(k)`` and the same weights moved by +shift, -shift, ... in word order."""
+    p0 = Hypothesis.uniform_all(k)
+    moved = p0.weights + np.where(np.arange(1 << k) % 2 == 0, shift, -shift)
+    return p0, Hypothesis([(BitVector(i, k), float(w)) for i, w in enumerate(moved)])
+
+
+class TestEveryUnitOfMassIsMatched:
+    # Every step of these walks leaves a residual below 1e-12. Each must
+    # become a piece: without them all pieces are diagonal and claim (0, 0).
+    def test_near_uniform_pair_with_randomized_response(self):
+        k = 10
+        p0, p1 = shifted_uniform(k, 9e-13)
+        mechs, seq = rr_setup([0.25] * k)
+        claimed = hdp_guarantee(p0, p1, seq, Simple())
+        report = verify_hdp(mechs, p0, p1, claimed)
+        assert report.sound, (claimed, report)
+
+    def test_near_uniform_pair_with_leaky_rr(self):
+        k = 7
+        p0, p1 = shifted_uniform(k, 9e-13)
+        claimed = hdp_guarantee(p0, p1, MechanismSequence.homogeneous(0.5, 1e-3, k), Simple())
+        report = verify_hdp([leaky_rr(0.5, 1e-3)] * k, p0, p1, claimed)
+        assert report.sound, (claimed, report)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "totals may differ by up to NORMALIZATION_TOLERANCE and the walk ends with that "
+        "mass unmatched; ROADMAP item 1 charges the uncovered mass to delta"))
+    def test_totals_apart_within_the_normalization_tolerance(self):
+        p0 = Hypothesis({bv("00"): 0.5, bv("11"): 0.5})
+        p1 = Hypothesis({bv("00"): 0.5 - 5e-10, bv("11"): 0.5 - 4e-10})
+        claimed = hdp_guarantee(p0, p1, MechanismSequence.homogeneous(1.0, 0.0, 2), Simple())
+        assert verify_hdp([leaky_rr(1.0, 0.0)] * 2, p0, p1, claimed).sound
+
+
+@st.composite
+def near_equal_pairs(draw):
+    """A shared support whose weights move in +/- pairs by 1e-13 to 1e-11,
+    mostly below 1e-12; either side may instead be a point mass."""
+    k = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 1 << k))
+    start, stride = draw(st.integers(0, (1 << k) - 1)), 2 * draw(st.integers(0, 255)) + 1
+    words = [(start + stride * i) % (1 << k) for i in range(n)]  # distinct: stride is odd
+    raw = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    base = [r / math.fsum(raw) for r in raw]
+    moved = list(base)
+    for i in range(0, n - 1, 2):
+        shift = draw(st.one_of(st.floats(1e-13, 1e-12), st.floats(1e-13, 1e-11)))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        moved[i] += sign * shift
+        moved[i + 1] -= sign * shift
+    sides = [Hypothesis([(BitVector(w, k), x) for w, x in zip(words, ws)]) for ws in (base, moved)]
+    for i in range(2):
+        if draw(st.integers(0, 4)) == 0:
+            sides[i] = Hypothesis.point_mass(BitVector(draw(st.integers(0, (1 << k) - 1)), k))
+    if draw(st.booleans()):
+        sides.reverse()
+    return k, *sides
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(near_equal_pairs(), st.sampled_from([0.05, 0.25, 0.45]),
+       st.sampled_from([0.0, 1e-6, 1e-3, 0.05]),
+       st.sampled_from([Simple(), Advanced(1e-12), Advanced(1e-6)]))
+def test_hdp_guarantee_holds_on_near_equal_pairs(pair, q, delta, theorem):
+    # Randomized response at delta 0; leaky_rr, four views a position,
+    # only at k <= 7, where the oracle stays fast.
+    k, p0, p1 = pair
+    if k > 7:
+        delta = 0.0
+    if delta == 0.0:
+        mechs, seq = rr_setup([q] * k)
+    else:
+        eps = randomized_response_guarantee(q).epsilon
+        mechs, seq = [leaky_rr(eps, delta)] * k, MechanismSequence.homogeneous(eps, delta, k)
+    claimed = hdp_guarantee(p0, p1, seq, theorem)
+    report = verify_hdp(mechs, p0, p1, claimed)
+    assert report.sound, (claimed, report)
 
 
 class TestUniformPriorSound:

@@ -169,6 +169,11 @@ class TestViewDistribution:
         with pytest.raises(ValueError):
             ViewDistribution(np.array([math.nan, 1.0]), ((0, 1),))
 
+    def test_negative_probability_rejected(self):
+        # The total is 1, but a hockey-stick sum over a signed measure means nothing.
+        with pytest.raises(ValueError, match="non-negative"):
+            ViewDistribution(np.array([1.5, -0.5]), ((0, 1),))
+
     def test_overflowing_sum_rejected(self):
         with pytest.raises(ValueError, match="sum to inf, not 1"):
             ViewDistribution(np.array([1e308, 1e308]), ((0, 1),))

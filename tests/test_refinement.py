@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypodp.composition import Simple
-from hypodp.core import BitVector, Hypothesis, MechanismSequence, WEIGHT_PRUNE_TOLERANCE
+from hypodp.core import BitVector, Hypothesis, MechanismSequence
 from hypodp.errors import MixedLengthError
 from hypodp.hypothesis_dp import hdp_guarantee
 from hypodp.oracle import randomized_response, verify_hdp
@@ -150,9 +150,9 @@ def reference_pairs(p0, p1):
             rows.append((w, vec0.word, vec1.word))
             w0 -= w
             w1 -= w
-            if w0 <= WEIGHT_PRUNE_TOLERANCE:
+            if w0 <= 0.0:
                 vec0, w0 = next(atoms0)
-            if w1 <= WEIGHT_PRUNE_TOLERANCE:
+            if w1 <= 0.0:
                 vec1, w1 = next(atoms1)
     except StopIteration:
         pass
@@ -172,7 +172,7 @@ class TestArrayWalk:
     def test_seeded_mixtures(self):
         for p0, p1 in random_pairs(seed=99, count=300):
             self.assert_matches_reference(p0, p1)
-        # A 1e-10 residual lies above the prune tolerance and stays a piece.
+        # A 1e-10 residual stays a piece.
         self.assert_matches_reference(hyp({"0": 0.5, "1": 0.5}),
                                       hyp({"0": 0.5 + 1e-10, "1": 0.5 - 1e-10}))
         # Two point masses: one piece.
@@ -209,28 +209,26 @@ class TestArrayWalk:
             for word in (0, int(words[n // 2]), (1 << k) - 1):
                 self.assert_matches_reference(Hypothesis.point_mass(BitVector(word, k)), mixture)
 
-    def test_last_residual_at_the_prune_tolerance(self):
-        # Residuals of 1 - 0.5 - (0.5 - r) are exact multiples of 2^-54: the
-        # nearest ones above and below the tolerance.
-        ulp = 2.0**-54
-        above = math.ceil(WEIGHT_PRUNE_TOLERANCE / ulp) * ulp
-        below = math.floor(WEIGHT_PRUNE_TOLERANCE / ulp) * ulp
-        assert below < WEIGHT_PRUNE_TOLERANCE < above
-        for r, pieces in ((above, 3), (below, 2)):
-            three = hyp({"00": 0.5, "01": 0.5 - r, "11": r})
-            for other in (hyp({"10": 1.0}), hyp({"01": 0.5, "10": 0.5})):
-                self.assert_matches_reference(other, three)
-            # Above: the last weight equals the residual, one piece; below: pruned.
-            assert len(refine_tuples(hyp({"10": 1.0}), three).pairs) == pieces
-            assert len(refine_tuples(three, hyp({"10": 1.0})).pairs) == pieces
-        # 1 - (1 - 2^-39) - (2^-39 - tol) leaves exactly the tolerance, which is pruned.
-        at = hyp({"00": 1.0 - 2.0**-39, "01": 2.0**-39 - WEIGHT_PRUNE_TOLERANCE,
-                  "11": WEIGHT_PRUNE_TOLERANCE})
-        point = hyp({"10": 1.0})
-        tol = WEIGHT_PRUNE_TOLERANCE
-        assert (1.0 - (1.0 - 2.0**-39)) - (2.0**-39 - tol) == tol
-        self.assert_matches_reference(point, at)
-        assert len(refine_tuples(point, at).pairs) == 2
+    def test_every_tiny_residual_is_one_piece(self):
+        for r in (2.0**-54, 1e-300, 5e-324):
+            # Subtracted from 1.0 in order, the chain's weights leave exactly
+            # these residuals: powers of two 52 binades apart, the power of
+            # two just above r, then r. The last atom weighs r.
+            residuals = [1.0]
+            top = math.ldexp(1.0, math.frexp(r)[1])
+            while residuals[-1] * 2.0**-52 > top:
+                residuals.append(residuals[-1] * 2.0**-52)
+            residuals += [x for x in (top, r) if x < residuals[-1]]
+            weights = [a - b for a, b in zip(residuals, residuals[1:])] + [r]
+            assert residuals[-1] == r
+            assert all(a - w == b for a, w, b in zip(residuals, weights, residuals[1:]))
+            chain = Hypothesis([(BitVector(i, 5), w) for i, w in enumerate(weights)])
+            point, halves = hyp({"11111": 1.0}), hyp({"11110": 0.5, "11111": 0.5})
+            for other, pieces in ((point, len(weights)), (halves, len(weights) + 1)):
+                self.assert_matches_reference(other, chain)
+                for pairs in (refine_tuples(other, chain).pairs, refine_tuples(chain, other).pairs):
+                    assert len(pairs) == pieces
+                    assert pairs["weight"][-1] == r
 
     def test_fresh_weight_equal_to_the_residual(self):
         point = hyp({"01": 1.0})
@@ -246,6 +244,14 @@ class TestArrayWalk:
         # Each pair of distinct presets once; the helper checks both orders.
         for p0, p1 in itertools.combinations(presets(16), 2):
             self.assert_matches_reference(p0, p1)
+
+    def test_uniform_all_against_uniform_nonzero_keeps_every_residual(self):
+        # 2^(k+1) - 2 pieces at every k; from k = 20 on the residuals fall
+        # below 1e-12, and a walk that pruned them kept 2^k - 1.
+        k = 20
+        pairs = refine_tuples(Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k)).pairs
+        assert len(pairs) == 2 ** (k + 1) - 2
+        assert np.all(pairs["weight"] > 0.0)
 
     def test_no_per_atom_view_is_built(self, monkeypatch):
         k = 8

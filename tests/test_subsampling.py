@@ -206,6 +206,13 @@ class TestUniformPriorClosedForm:
         g = uniform_nonzero_closed_form(0.0, 1e-6, k)
         assert math.copysign(1.0, g.epsilon) == 1.0 and g.epsilon == 0.0
 
+    @pytest.mark.parametrize("eps, delta", [
+        (math.nan, 0.0), (-1.0, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, 2.0), (0.1, -1e-9)])
+    def test_invalid_guarantee_refused(self, eps, delta):
+        # Unchecked, a NaN or negative epsilon yields (0, 0) and a delta of NaN or 2 is clamped to 1.
+        with pytest.raises(ValueError):
+            uniform_nonzero_closed_form(eps, delta, 3)
+
     def test_delta_ratio_equals_big_integer_ratio(self):
         # 2^(k-1) / (2^k - 1) as a float ratio: the same correctly rounded double.
         for k in range(1, 5001):
