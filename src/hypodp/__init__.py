@@ -38,10 +38,12 @@ from .core import (
 )
 from .errors import AccountingError
 from .hypothesis_dp import (
+    MatchedRefinement,
     differing_indices,
     hdp_guarantee,
     hdp_guarantee_over_set,
     pair_guarantee,
+    refine_tuples,
     uniform_nonzero_closed_form,
 )
 from .oracle import (
@@ -57,7 +59,6 @@ from .oracle import (
     verify_hdp,
     view_distribution,
 )
-from .refinement import MatchedRefinement, refine_tuples
 from .subsampling import amplify, uniform_prior_bound
 
 __version__ = "0.1.0"

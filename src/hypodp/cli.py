@@ -386,7 +386,12 @@ def _cmd_constrain(s: Scenario) -> tuple[dict, list[str], int]:
 
 
 def _cmd_subsample(s: Scenario) -> tuple[dict, list[str], int]:
-    """Uniform-prior bounds, and each mechanism amplified by subsampling."""
+    """Uniform-prior bounds, and each mechanism amplified by subsampling.
+
+    ``closed_form`` is ``uniform_nonzero_closed_form``, simple composition
+    whatever ``theorem`` says; only ``block_bound`` composes its tails under
+    ``theorem``, though the one ``method`` line names it for both.
+    """
     results = {"block_bound": sub.uniform_prior_bound(s.mechanisms, s.theorem)}
     if s.mechanisms.is_homogeneous():
         g0 = s.mechanisms[0]
@@ -479,7 +484,8 @@ COMMANDS = {
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    commands = "".join(f"\n  {name:<10} {fn.__doc__}" for name, fn in COMMANDS.items())
+    commands = "".join(f"\n  {name:<10} {fn.__doc__.splitlines()[0]}"
+                       for name, fn in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="hypodp",
         description="Privacy accounting under composite membership hypotheses.",

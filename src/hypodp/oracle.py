@@ -24,6 +24,7 @@ i-th view that ``itertools.product(*alphabets)`` yields.
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -47,6 +48,10 @@ MAX_MIXTURE_WORK = 2**32
 # Absolute slack on delta comparisons; covers accumulated rounding in
 # product measures over up to MAX_VIEW_SPACE entries.
 SOUNDNESS_SLACK = 1e-12
+
+# ln 2^-1074 and ln 2^-1022: the smallest positive double and the smallest normal one.
+LOG_SMALLEST_DOUBLE = math.log(math.ulp(0.0))
+LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
 
 Symbol = Hashable
 
@@ -78,6 +83,11 @@ class DiscreteMechanism:
     @property
     def alphabet(self) -> tuple[Symbol, ...]:
         return tuple(sorted(self.absent))
+
+    @cached_property
+    def _log_min_probability(self) -> float:
+        """ln of the smallest positive probability; the oracle reads it on every call."""
+        return math.log(min(p for d in (self.absent, self.present) for p in d.values() if p > 0))
 
     def probs_for(self, bit: int) -> np.ndarray:
         """The output probabilities for ``bit`` in ``alphabet`` order."""
@@ -149,8 +159,17 @@ def randomized_response_guarantee(q: float) -> PrivacyParams:
     return PrivacyParams(math.log((1.0 - q) / q), 0.0)
 
 
+def _log_rarest_view(mechs: Sequence[DiscreteMechanism]) -> float:
+    """ln of the smallest positive view probability: each mechanism's smallest, multiplied."""
+    return math.fsum(m._log_min_probability for m in mechs)
+
+
 def _check_view_space(mechs: Sequence[DiscreteMechanism], k: int, atoms: int = 1) -> int:
-    """Check one mechanism per position and a bounded view space; return its size."""
+    """Check one mechanism per position, a bounded view space and no view below 2^-1074.
+
+    Returns the view count. A view rounded to 0 would count the other
+    side's whole mass in ``required_delta`` at every epsilon.
+    """
     if len(mechs) != k:
         raise MixedLengthError(f"{len(mechs)} mechanisms but vector of length {k}")
     total = math.prod(len(m.absent) for m in mechs)
@@ -158,6 +177,10 @@ def _check_view_space(mechs: Sequence[DiscreteMechanism], k: int, atoms: int = 1
         raise ViewSpaceTooLargeError(f"view space exceeds {MAX_VIEW_SPACE} entries")
     if atoms * total > MAX_MIXTURE_WORK:
         raise ViewSpaceTooLargeError(f"{atoms} atoms x {total} views exceeds {MAX_MIXTURE_WORK}")
+    log_rarest = _log_rarest_view(mechs)
+    if log_rarest < LOG_SMALLEST_DOUBLE:
+        raise ValueError(f"the rarest view has probability e^{log_rarest:.6g}, "
+                         f"which underflows a double (below e^{LOG_SMALLEST_DOUBLE:.6g})")
     return total
 
 
@@ -246,8 +269,11 @@ def verify_hdp(
 
     Both directed inequalities are evaluated at the claimed epsilon; the
     claim is sound iff the larger of the two required deltas stays
-    within the claimed delta plus ``SOUNDNESS_SLACK``.
+    within the claimed delta plus ``SOUNDNESS_SLACK``. A claim the views
+    cannot resolve raises ``ValueError`` before any enumeration
+    (``_check_resolution``).
     """
+    _check_resolution(mechs, p0, p1, claimed.epsilon)
     d0 = mixture_view_distribution(mechs, p0)
     d1 = mixture_view_distribution(mechs, p1)
     fwd = required_delta(d0, d1, claimed.epsilon)
@@ -257,6 +283,27 @@ def verify_hdp(
         delta_needed_rev=rev,
         sound=max(fwd, rev) <= claimed.delta + SOUNDNESS_SLACK,
     )
+
+
+def _check_resolution(
+    mechs: Sequence[DiscreteMechanism], p0: Hypothesis, p1: Hypothesis, eps: float
+) -> None:
+    """Refuse a claimed epsilon at which view rounding could exceed ``SOUNDNESS_SLACK``.
+
+    A subnormal view probability keeps an absolute precision of 2^-1074
+    per rounding: k - 1 products per atom, and past a point mass one weight
+    product per atom and one sum per further atom. The hockey-stick scales
+    those errors by e^eps. Where no product or weight can be subnormal,
+    rounding is relative and ``SOUNDNESS_SLACK`` covers it.
+    """
+    views = _check_view_space(mechs, p0.k, max(len(p0), len(p1)))
+    k = len(mechs)
+    roundings = views * max(k - 1 if len(h) == 1 else len(h) * (k + 1) - 1 for h in (p0, p1))
+    lightest = min(float(p0.weights.min()), float(p1.weights.min()))
+    if (roundings and _log_rarest_view(mechs) + math.log(lightest) < LOG_SMALLEST_NORMAL
+            and eps + LOG_SMALLEST_DOUBLE + math.log(roundings) > math.log(SOUNDNESS_SLACK)):
+        raise ValueError(f"epsilon {eps!r} scales the rounding of subnormal view "
+                         f"probabilities past the oracle's slack of {SOUNDNESS_SLACK!r}")
 
 
 def simulate_experiment(

@@ -18,7 +18,7 @@ hard-codes rate 1/2 because those weights are specific to the uniform
 prior; ``amplify`` itself accepts any rate for standalone use.
 
 The blocks combine by the group-wise rule of ``hypothesis_dp``, each
-block one row of a ``refinement.PAIR_DTYPE`` table of the all-absent
+block one row of a ``PAIR_DTYPE`` table of the all-absent
 vs uniform-nonzero pair: a block mixes the vectors it holds, so by
 joint convexity of the hockey-stick divergence its guarantee is a valid
 per-piece guarantee.
@@ -37,8 +37,7 @@ import numpy as np
 from .composition import CompositionTheorem, compose_suffixes
 from .core import PrivacyParams, bounded_params
 from .errors import InvalidRateError
-from .hypothesis_dp import _aggregate, uniform_nonzero_closed_form
-from .refinement import PAIR_DTYPE
+from .hypothesis_dp import PAIR_DTYPE, _aggregate, uniform_nonzero_closed_form
 
 LN2 = math.log(2.0)
 

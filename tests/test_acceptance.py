@@ -16,9 +16,8 @@ import pytest
 from hypodp.composition import Advanced, Simple, compose, simple_compose
 from hypodp.constraints import MaxOnes, NeighborhoodMode, constrained_bound, parallel_bound
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
-from hypodp.hypothesis_dp import hdp_guarantee, uniform_nonzero_closed_form
+from hypodp.hypothesis_dp import hdp_guarantee, refine_tuples, uniform_nonzero_closed_form
 from hypodp.oracle import randomized_response, simulate_experiment, verify_hdp, view_distribution
-from hypodp.refinement import refine_tuples
 from hypodp.subsampling import uniform_prior_bound
 
 GRID_K = range(1, 13)

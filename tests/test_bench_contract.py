@@ -14,7 +14,7 @@ import pytest
 import hypodp
 from hypodp import cli, constraints, hypothesis_dp, subsampling
 from hypodp.core import Hypothesis
-from hypodp.refinement import refine_tuples
+from hypodp.hypothesis_dp import refine_tuples
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -257,6 +257,18 @@ theorem: {advanced: {delta_slack: 1.0e-5}}
         assert report["delta_needed_fwd"] == pytest.approx(-math.expm1(705.0 + math.log(1e-310)),
                                                            rel=1e-9)
 
+    def test_verify_refuses_a_view_that_underflows(self, tmp_path, capsys):
+        # View 00 has P1 = q^2 = 1e-600, a 0 in doubles, which made the exact
+        # composition (1381.55, 0) look UNSOUND.
+        path = write(tmp_path, "s.yaml", "mechanisms:\n" + "  - {epsilon: 690.7755278982137}\n" * 2
+                     + 'hypotheses:\n  p0: {"00": 1.0}\n  p1: {"11": 1.0}\n'
+                     + "oracle: {rr_q: 1.0e-300}\n")
+        start = time.perf_counter()
+        code, out, err = self.run(capsys, "verify", "--scenario", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_COMPUTATION and out == ""
+        assert "underflows" in err
+
     def test_bad_scenario_exits_1(self, tmp_path, capsys):
         for text, field in [("mechanisms: []\n", "mechanisms"),
                             ("mechanisms: [5]\n", "mechanisms[0]"),

@@ -9,14 +9,15 @@ from hypodp.composition import Advanced, Simple, compose, compose_selections, si
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, bit_rows
 from hypodp.errors import EmptySetError, IncompatibleTheoremError, MixedLengthError
 from hypodp.hypothesis_dp import (
+    PAIR_DTYPE,
     _aggregate,
     differing_indices,
     hdp_guarantee,
     hdp_guarantee_over_set,
     pair_guarantee,
+    refine_tuples,
     uniform_nonzero_closed_form,
 )
-from hypodp.refinement import PAIR_DTYPE, refine_tuples
 
 # Frozen via direct 50-digit evaluation of ln[((1+e^eps)^k - 1)/(2^k - 1)].
 UNIFORM_K2_EPS1 = 1.4528324252639413   # k=2, eps=1

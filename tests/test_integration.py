@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from hypodp.composition import Advanced, Simple
+from hypodp.composition import Advanced, Simple, best_classic_bound, simple_compose
 from hypodp.constraints import (
     MaxOnes,
     NeighborhoodMode,
@@ -23,7 +23,13 @@ from hypodp.constraints import (
     exclusive_groups_bound,
 )
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, word_of
-from hypodp.hypothesis_dp import _aggregate, hdp_guarantee, pair_guarantee
+from hypodp.hypothesis_dp import (
+    PAIR_DTYPE,
+    _aggregate,
+    hdp_guarantee,
+    pair_guarantee,
+    uniform_nonzero_closed_form,
+)
 from hypodp.oracle import (
     DiscreteMechanism,
     leaky_rr,
@@ -31,7 +37,6 @@ from hypodp.oracle import (
     randomized_response_guarantee,
     verify_hdp,
 )
-from hypodp.refinement import PAIR_DTYPE
 from hypodp.subsampling import uniform_prior_bound
 
 
@@ -461,3 +466,122 @@ class TestClaimsAreSharp:
         assert verify_hdp(mechs, p0, p1, claimed).sound
         shaved = PrivacyParams(claimed.epsilon - 0.05, 0.0)
         assert not verify_hdp(mechs, p0, p1, shaved).sound
+
+
+# Soundness gates, one per pipeline: every claim is judged by verify_hdp
+# with leaky_rr at each position, the canonical mechanism for its (eps,
+# delta), on guarantees drawn toward the edges.
+EDGE_EPS = st.one_of(st.sampled_from([0.0, 1e-12, 30.0, 300.0, math.nextafter(690.0, 0.0)]),
+                     st.floats(0.0, 3.0))
+EDGE_DELTA = st.one_of(st.sampled_from([0.0, 1e-6, 0.5, 0.999, 1.0]), st.floats(0.0, 1.0))
+GATE = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def edge_sequences(draw, min_k=1):
+    """(eps, delta) pairs for k <= 5 positions and a theorem: Simple, or
+    Advanced where every position carries the same pair."""
+    k = draw(st.integers(min_k, 5))
+    if draw(st.booleans()):
+        params = [(draw(EDGE_EPS), draw(EDGE_DELTA))] * k
+        theorem = draw(st.sampled_from([Simple(), Advanced(1e-12), Advanced(1e-6)]))
+    else:
+        params = [(draw(EDGE_EPS), draw(EDGE_DELTA)) for _ in range(k)]
+        theorem = Simple()
+    return params, theorem
+
+
+def zero_against(k, words):
+    """The zero point mass against the point mass on each nonzero word.
+
+    leaky_rr is symmetric under swapping absent and present, so the
+    oracle's verdict on point masses a and b is its verdict on 0 and a ^ b.
+    """
+    zero = Hypothesis.point_mass(BitVector.zeros(k))
+    return [(zero, Hypothesis.point_mass(BitVector(w, k))) for w in sorted(set(words)) if w]
+
+
+def judge(params, pairs, claimed):
+    """Assert that ``claimed`` holds on every pair; return the mechanisms.
+
+    An input the oracle refuses, since its views cannot resolve the claim,
+    is rejected.
+    """
+    mechs = [leaky_rr(e, d) for e, d in params]
+    for p0, p1 in pairs:
+        try:
+            report = verify_hdp(mechs, p0, p1, claimed)
+        except ValueError:
+            reject()
+        assert report.sound, (params, str(p1.atoms[0][0]), len(p1), claimed, report)
+    return mechs
+
+
+@GATE
+@given(edge_sequences(), st.sampled_from(list(NeighborhoodMode)), st.data())
+def test_constrained_bound_holds_on_allowed_pairs(drawn, mode, data):
+    params, theorem = drawn
+    k = len(params)
+    if data.draw(st.booleans()):
+        m = data.draw(st.integers(1, k))
+        constraint = MaxOnes(m)
+        size = m if mode is NeighborhoodMode.UNBOUNDED else 2 * m
+        words = [w for w in range(1 << k) if w.bit_count() <= size]
+    else:
+        patterns = {0} | data.draw(st.sets(st.integers(1, (1 << k) - 1), max_size=4))
+        constraint = PatternSet.of([BitVector(w, k) for w in patterns])
+        if mode is NeighborhoodMode.UNBOUNDED:
+            words = patterns
+        else:
+            words = [a ^ b for a, b in itertools.combinations(patterns, 2)]
+    claimed = constrained_bound(MechanismSequence.from_pairs(params), constraint, mode, theorem)
+    judge(params, zero_against(k, words), claimed)
+
+
+@GATE
+@given(edge_sequences(min_k=2), st.sampled_from(list(NeighborhoodMode)), st.data())
+def test_exclusive_groups_bound_holds_on_allowed_pairs(drawn, mode, data):
+    params, theorem = drawn
+    k = len(params)
+    shared_end = data.draw(st.integers(0, k - 2))
+    first_only_end = data.draw(st.integers(shared_end + 1, k - 1))
+    first = word_of(range(first_only_end), k)
+    second = word_of([*range(shared_end), *range(first_only_end, k)], k)
+    words = [first ^ second, first] + ([second] if mode is NeighborhoodMode.BOUNDED else [])
+    claimed = exclusive_groups_bound(MechanismSequence.from_pairs(params), shared_end,
+                                     first_only_end, k, mode, theorem)
+    judge(params, zero_against(k, words), claimed)
+
+
+def zero_against_uniform_nonzero(k):
+    return [(Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k))]
+
+
+@GATE
+@given(edge_sequences())
+def test_uniform_prior_bound_holds_on_zero_against_uniform_nonzero(drawn):
+    params, theorem = drawn
+    claimed = uniform_prior_bound(MechanismSequence.from_pairs(params), theorem)
+    judge(params, zero_against_uniform_nonzero(len(params)), claimed)
+
+
+@GATE
+@given(st.integers(1, 5), EDGE_EPS, EDGE_DELTA)
+def test_uniform_nonzero_closed_form_holds_on_zero_against_uniform_nonzero(k, eps, delta):
+    claimed = uniform_nonzero_closed_form(eps, delta, k)
+    judge([(eps, delta)] * k, zero_against_uniform_nonzero(k), claimed)
+
+
+@GATE
+@given(edge_sequences(), st.sampled_from([1e-12, 1e-6, 0.5]))
+def test_best_classic_bound_holds_on_zero_against_all_ones(drawn, slack):
+    params, _ = drawn
+    k = len(params)
+    seq = MechanismSequence.from_pairs(params)
+    claimed = best_classic_bound(seq, slack)
+    pair = zero_against(k, [(1 << k) - 1])
+    mechs = judge(params, pair, claimed)
+    # Simple composition at delta 0 is attained on this pair: 10 % less epsilon fails.
+    if claimed == simple_compose(seq) and claimed.delta == 0.0 and claimed.epsilon >= 0.01:
+        shaved = PrivacyParams(0.9 * claimed.epsilon, 0.0)
+        assert not verify_hdp(mechs, *pair[0], shaved).sound, (params, claimed)

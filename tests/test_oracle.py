@@ -438,6 +438,33 @@ class TestVerifyHdp:
             assert report.sound
             assert report.delta_needed <= 1e-12
 
+    def test_view_underflowing_to_zero_is_refused(self):
+        # View 00 has P1 = q^2 = 1e-600, which rounds to 0; enumerated, the
+        # claim that is exactly the composition looked UNSOUND (delta 1.0).
+        q = 1e-300
+        mechs = [randomized_response(q)] * 2
+        claimed = simple_compose([randomized_response_guarantee(q)] * 2)
+        assert claimed == PrivacyParams(1381.5510557964274, 0.0)
+        p0, p1 = Hypothesis.point_mass(bv("00")), Hypothesis.point_mass(bv("11"))
+        for a, b in ((p0, p1), (p1, p0)):
+            with pytest.raises(ValueError, match="underflows"):
+                verify_hdp(mechs, a, b, claimed)
+        with pytest.raises(ValueError, match="underflows"):
+            simulate_experiment(mechs, bv("00"), 10, seed=0)
+
+    def test_subnormal_rounding_past_the_slack_is_refused(self):
+        # Both claims are exactly tight. At 720 nats the rounding of the
+        # subnormal view a.b (e^-30 e^-690) showed as 3.9e-12 of delta.
+        eps = math.nextafter(690.0, 0.0)
+        params = [(30.0, 0.772865464008868), (eps, 0.0)]
+        mechs = [leaky_rr(e, d) for e, d in params]
+        p0, p1 = Hypothesis.point_mass(bv("00")), Hypothesis.point_mass(bv("11"))
+        claimed = simple_compose(MechanismSequence.from_pairs(params))
+        with pytest.raises(ValueError, match="subnormal"):
+            verify_hdp(mechs, p0, p1, claimed)
+        assert verify_hdp(mechs[1:], Hypothesis.point_mass(bv("0")),
+                          Hypothesis.point_mass(bv("1")), PrivacyParams(eps, 0.0)).sound
+
 
 class TestSimulate:
     def test_trials_must_be_positive(self):

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypodp.composition import Simple
 from hypodp.core import BitVector, Hypothesis, MechanismSequence
 from hypodp.errors import MixedLengthError
-from hypodp.hypothesis_dp import hdp_guarantee
+from hypodp.hypothesis_dp import PAIR_DTYPE, hdp_guarantee, refine_tuples
 from hypodp.oracle import randomized_response, verify_hdp
-from hypodp.refinement import PAIR_DTYPE, refine_tuples
 
 
 def bv(s):

@@ -10,9 +10,8 @@ from hypodp import hypothesis_dp, subsampling
 from hypodp.composition import Advanced, Simple, compose
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, _exact_suffix_sums
 from hypodp.errors import IncompatibleTheoremError, InvalidRateError
-from hypodp.hypothesis_dp import _aggregate, uniform_nonzero_closed_form
+from hypodp.hypothesis_dp import PAIR_DTYPE, _aggregate, uniform_nonzero_closed_form
 from hypodp.oracle import randomized_response, verify_hdp
-from hypodp.refinement import PAIR_DTYPE
 from hypodp.subsampling import (
     LN2,
     amplify,
