@@ -454,7 +454,7 @@ class TestVerifyHdp:
 
     def test_subnormal_rounding_past_the_slack_is_refused(self):
         # Both claims are exactly tight. At 720 nats the rounding of the
-        # subnormal view a.b (e^-30 e^-690) showed as 3.9e-12 of delta.
+        # subnormal view (b, b), about e^-720 under 00, showed as 3.9e-12 of delta.
         eps = math.nextafter(690.0, 0.0)
         params = [(30.0, 0.772865464008868), (eps, 0.0)]
         mechs = [leaky_rr(e, d) for e, d in params]
