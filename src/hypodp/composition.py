@@ -171,22 +171,33 @@ def compose_suffixes(guarantees: Sequence[PrivacyParams], theorem: CompositionTh
     return np.array(rows, dtype=np.float64)
 
 
+def _guarantee_masks(seq: Sequence[PrivacyParams], k: int) -> list[int]:
+    """One position mask per distinct guarantee, in order of its first position."""
+    masks: dict[PrivacyParams, int] = {}
+    for i, g in enumerate(seq):
+        masks[g] = masks.get(g, 0) | 1 << (k - 1 - i)
+    return list(masks.values())
+
+
+def _pack_counts(words: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+    """Each ``uint64`` word's count of ones per mask, in radix popcount + 1 (2^k in all)."""
+    keys = np.uint64(0)  # a scalar start: a zeroed array would cost a pass and fresh pages
+    for mask in masks:
+        keys = keys * np.uint64(mask.bit_count() + 1) + np.bitwise_count(words & np.uint64(mask))
+    return keys
+
+
 def _piece_keys(
     xor_words: np.ndarray, seq: Sequence[PrivacyParams], theorem: CompositionTheorem, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each ``uint64`` XOR word's key index and the ``(keys, 2)`` table of composed keys."""
-    # One position mask per distinct guarantee, in position order.
-    masks: dict[PrivacyParams, int] = {}
-    for i, g in enumerate(seq):
-        masks[g] = masks.get(g, 0) | 1 << (k - 1 - i)
+    masks = _guarantee_masks(seq, k)
     diffs, piece_diff = np.unique(xor_words, return_inverse=True)
-    # A key packs its per-mask counts in mixed radix, each count below
-    # popcount(mask) + 1; the radices multiply to at most 2^k < 2^64.
-    keys = np.zeros(len(diffs), dtype=np.uint64)
-    for mask in masks.values():
-        keys = keys * np.uint64(mask.bit_count() + 1) + np.bitwise_count(diffs & np.uint64(mask))
-    _, first, key_of_diff = np.unique(keys, return_index=True, return_inverse=True)
-    return key_of_diff[piece_diff], compose_selections(seq, bit_rows(diffs[first], k), theorem)
+    if len(masks) < k:  # else each position is its own mask and every key is its word
+        _, first, key_of_diff = np.unique(
+            _pack_counts(diffs, masks), return_index=True, return_inverse=True)
+        piece_diff, diffs = key_of_diff[piece_diff], diffs[first]
+    return piece_diff, compose_selections(seq, bit_rows(diffs, k), theorem)
 
 
 def best_classic_bound(guarantees: Iterable[PrivacyParams], delta_slack: float) -> PrivacyParams:

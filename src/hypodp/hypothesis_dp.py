@@ -44,19 +44,38 @@ delta the larger of the two directions' deltas at that epsilon:
 Both bounds hold for every valid matching, not only the one refinement
 chooses. When one side is a point mass the epsilon equals ``ln(sum_i w_i e^eps_i)``,
 and no result exceeds ``(max_i eps_i, max_i delta_i)``.
+
+Exchangeable pairs refine by class: a vector's class is its count of
+ones m_g in each group g of positions sharing one guarantee. Where both
+sides weigh all vectors of a class alike, with one group or one side a
+single class, the class laws are coupled; piece ``(c0, c1)`` is ``U_c0``
+against ``U_c1``, the outputs averaged over each class. Pairing x in c0
+with a uniform superset or subset y in c1, group by group, keeps both
+marginals uniform and x, y ``|m1_g - m0_g|`` positions apart per group, so
+joint convexity (Balle, Barthe and Gaboardi 2018) gives the piece their
+composition; as ``P_X = sum_c P_X(c) U_c``, the G/J proofs hold for classes.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .composition import CompositionTheorem, _piece_keys, compose_selections
+from .composition import (
+    CompositionTheorem,
+    _guarantee_masks,
+    _pack_counts,
+    _piece_keys,
+    compose_selections,
+)
 from .core import (
     BitVector,
     Hypothesis,
     PrivacyParams,
+    _fixed_point,
     bit_rows,
     bounded_params,
     exact_sum,
@@ -282,9 +301,10 @@ def hdp_guarantee(
 ) -> PrivacyParams:
     """Guarantee for distinguishing two composite hypotheses.
 
-    Refines the pair into matched equal-weight vector pairs, composes
-    each pair's differing iterations, and aggregates the per-pair
-    guarantees group-wise. Per direction, epsilon is the smaller of
+    Refines the pair into matched equal-weight vector pairs, or class
+    pairs where both sides are exchangeable, composes each pair's
+    differing iterations, and aggregates the per-pair guarantees
+    group-wise. Per direction, epsilon is the smaller of
     ``eps_G = ln max_y [sum_{y_i=y} w_i e^eps_i / p(y)]``, grouped by
     the target vector, and ``eps_J = -ln min_x [sum_{x_i=x} w_i
     e^-eps_i / p(x)]``, grouped by the source vector; the reported
@@ -297,8 +317,57 @@ def hdp_guarantee(
     k = p0.k
     if len(seq) != k:
         raise MixedLengthError(f"sequence has {len(seq)} mechanisms, hypotheses have k={k}")
-    pairs = refine_tuples(p0, p1).pairs
-    return _aggregate(pairs, *_piece_keys(pairs["word0"] ^ pairs["word1"], seq, theorem, k))
+    pairs, xor_words = _class_refinement(p0, p1, _guarantee_masks(seq, k)) or (None, None)
+    if pairs is None:
+        pairs = refine_tuples(p0, p1).pairs
+        xor_words = pairs["word0"] ^ pairs["word1"]
+    return _aggregate(pairs, *_piece_keys(xor_words, seq, theorem, k))
+
+
+def _class_refinement(p0: Hypothesis, p1: Hypothesis, masks: list[int]) -> tuple | None:
+    """``(pairs, xor_words)`` refined by class (module docstring), or None for the flat walk.
+
+    Words are packed class ids. The O(atoms) check needs each side's classes
+    complete at one weight, a class with two atoms and at most ``len(p0) +
+    len(p1)`` classes. Exact class masses couple as ``refine_tuples`` couples atoms.
+    """
+    radices = [mask.bit_count() + 1 for mask in masks]
+    if len(masks) == p0.k or math.prod(radices) > len(p0) + len(p1):
+        return None
+    # Class sizes prod_g C(n_g, m_g) by class id, each below 2^k.
+    sizes = math.prod(np.ix_(*[[math.comb(r - 1, m) for m in range(r)] for r in radices])).ravel()
+    laws = []
+    for p in (p0, p1):
+        ids = _pack_counts(p.words, masks).astype(np.intp)
+        count = np.bincount(ids, minlength=len(sizes))
+        present = count.nonzero()[0]
+        class_weight = np.zeros(len(sizes))
+        class_weight[ids] = p.weights  # one atom's weight per class: all are equal if any is
+        if not (np.array_equal(count[present], sizes[present])
+                and np.array_equal(class_weight[ids], p.weights)):
+            return None
+        laws.append((present, class_weight[present].tolist(), sizes[present].tolist()))
+    (ids0, w0, n0), (ids1, w1, n1) = laws
+    if (len(ids0) + len(ids1) == len(p0) + len(p1)  # no class holds two atoms
+            or len(masks) > 1 and min(len(ids0), len(ids1)) > 1):  # may be looser than flat
+        return None
+    ints, scale = _fixed_point(w0 + w1)
+    cum0 = list(accumulate(w * n for w, n in zip(ints, n0)))
+    cum1 = list(accumulate(w * n for w, n in zip(ints[len(w0):], n1)))
+    # The walk's pieces end at each side's cumulative masses, up to the smaller total.
+    ends = sorted({e for e in (*cum0, *cum1) if e <= min(cum0[-1], cum1[-1])})
+    pairs = np.empty(len(ends), dtype=PAIR_DTYPE)
+    pairs["weight"] = [(b - a) / scale for a, b in zip([0, *ends], ends)]
+    pairs["word0"] = ids0[[bisect_left(cum0, e) for e in ends]]
+    pairs["word1"] = ids1[[bisect_left(cum1, e) for e in ends]]
+    # Per group, the lowest |m1 - m0| bits of its mask; the last mask is the lowest digit.
+    c0, c1 = pairs["word0"].astype(np.intp), pairs["word1"].astype(np.intp)
+    xor_words = np.zeros(len(ends), dtype=np.uint64)
+    for mask, r in zip(masks[::-1], radices[::-1]):
+        bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+        xor_words |= np.cumsum([0, *bits], dtype=np.uint64)[np.abs(c0 % r - c1 % r)]
+        c0, c1 = c0 // r, c1 // r
+    return pairs, xor_words
 
 
 def componentwise_max(guarantees: Sequence[PrivacyParams]) -> PrivacyParams:

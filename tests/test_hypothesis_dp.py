@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from hypodp import composition
-from hypodp.composition import Advanced, Simple, compose, compose_selections, simple_compose
+from hypodp.composition import (
+    Advanced,
+    Simple,
+    _piece_keys,
+    compose,
+    compose_selections,
+    simple_compose,
+)
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, bit_rows
 from hypodp.errors import EmptySetError, IncompatibleTheoremError, MixedLengthError
 from hypodp.hypothesis_dp import (
@@ -159,6 +166,12 @@ class TestHdpGuarantee:
                     hdp_guarantee(p0, p1, seq, Simple())
 
 
+def flat_pipeline(p0, p1, seq, theorem):
+    """``hdp_guarantee`` atom by atom, as it runs wherever the class path does not."""
+    pairs = refine_tuples(p0, p1).pairs
+    return _aggregate(pairs, *_piece_keys(pairs["word0"] ^ pairs["word1"], seq, theorem, p0.k))
+
+
 def per_row_reference(p0, p1, seq, theorem):
     """hdp_guarantee with ``compose`` run on every refined piece's differing positions."""
     r = refine_tuples(p0, p1)
@@ -183,12 +196,16 @@ class TestDistinctKeys:
 
     def test_equals_per_row_reference(self):
         rng = np.random.default_rng(4242)
-        cases = []
+        presets = []
         for k in (3, 6, 10):
             zero, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
             homog = MechanismSequence.homogeneous(float(rng.uniform(0.05, 1.0)), 1e-7, k)
             for p0 in (zero, Hypothesis.uniform_all(k)):
-                cases += [(p0, nonzero, homog, Simple()), (nonzero, p0, homog, Advanced(1e-6))]
+                presets += [(p0, nonzero, homog, Simple()), (nonzero, p0, homog, Advanced(1e-6))]
+        # Exchangeable pairs take the class path, whose pieces are not vectors.
+        for p0, p1, seq, theorem in presets:
+            assert flat_pipeline(p0, p1, seq, theorem) == per_row_reference(p0, p1, seq, theorem)
+        cases = []
         for _ in range(30):
             k = int(rng.integers(2, 11))
             p0, p1 = random_mixture(rng, k), random_mixture(rng, k)

@@ -56,6 +56,12 @@ def hdp_cases():
         cases[f"all-ones-k{k}-simple"] = (all_, ones(k), homog(k), Simple())
         cases[f"all-nonzero-k{k}-simple"] = (all_, nonzero, hetero(k), Simple())
         cases[f"nonzero-all-k{k}-advanced"] = (nonzero, all_, homog(k), Advanced(1e-6))
+    for k in (16, 20):  # exchangeable pairs beyond the flat walk's reach: the class path
+        nonzero = Hypothesis.uniform_nonzero(k)
+        for p0_name, p0 in (("zero", zero(k)), ("all", Hypothesis.uniform_all(k))):
+            cases[f"{p0_name}-nonzero-k{k}-homog-simple"] = (p0, nonzero, homog(k), Simple())
+            cases[f"{p0_name}-nonzero-k{k}-homog-advanced"] = (
+                p0, nonzero, homog(k), Advanced(1e-6))
     for k in (1, 2, 3, 6, 10, 12):
         cases[f"all-nonzero-k{k}-homog"] = (
             Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k), homog(k, 0.7, 0.0), Simple())
@@ -104,25 +110,33 @@ HDP_PINNED = {
     "zero-all-k4-advanced": ("0x1.4a3b566a609d4p+1", "0x1.8a43bb40b34e7p-19"),
     "all-ones-k4-simple": ("0x1.4a277412b5f00p-1", "0x1.0c6f7a0b5ed8dp-19"),
     "all-nonzero-k4-simple": ("0x1.18c3720082daep-1", "0x1.b7617958580eap-22"),
-    "nonzero-all-k4-advanced": ("0x1.e9146175990f0p+0", "0x1.022c6e137840ep-22"),
+    "nonzero-all-k4-advanced": ("0x1.6966661e7f291p-1", "0x1.1e54c672874dcp-22"),
     "zero-nonzero-k9-simple": ("0x1.785a97f5d5f6fp+0", "0x1.38aab9a3a3475p-18"),
     "nonzero-zero-k9-simple": ("0x1.785a97f5d5f6fp+0", "0x1.38aab9a3a3475p-18"),
     "zero-all-k9-advanced": ("0x1.0113520cbde24p+2", "0x1.70f7b9e060fe4p-18"),
     "all-ones-k9-simple": ("0x1.736c62950cae1p+0", "0x1.2dfd694ccab3fp-18"),
     "all-nonzero-k9-simple": ("0x1.cda82126f893bp+0", "0x1.31372cf3e92dep-22"),
-    "nonzero-all-k9-advanced": ("0x1.97b88e1ba2769p+1", "0x1.049a4f4a87e9fp-24"),
+    "nonzero-all-k9-advanced": ("0x1.95148519de114p-2", "0x1.2e94b3a69e0c5p-26"),
     "zero-nonzero-k14-simple": ("0x1.5d93972358d26p+1", "0x1.a374bc84b645ap-18"),
     "nonzero-zero-k14-simple": ("0x1.5d93972358d26p+1", "0x1.a374bc84b645ap-18"),
     "zero-all-k14-advanced": ("0x1.492573bda27f8p+2", "0x1.0c6ef3d3a1d32p-17"),
     "all-ones-k14-simple": ("0x1.20e285905f321p+1", "0x1.d5c31593e5fb7p-18"),
     "all-nonzero-k14-simple": ("0x1.98622449020a5p+1", "0x1.5301305b06a7dp-26"),
-    "nonzero-all-k14-advanced": ("0x1.1f68a122da55dp+2", "0x1.1eb523d38bcc3p-26"),
+    "nonzero-all-k14-advanced": ("0x1.167de9ff657d4p-2", "0x1.d5ca6cbd99674p-31"),
+    "zero-nonzero-k16-homog-simple": ("0x1.4a27ea5e54831p+1", "0x1.0c70867be554bp-17"),
+    "zero-nonzero-k16-homog-advanced": ("0x1.6318d174b1d78p+2", "0x1.2dfe75bd512fdp-17"),
+    "all-nonzero-k16-homog-simple": ("0x1.6263b04986240p-6", "0x1.0c70867be555cp-33"),
+    "all-nonzero-k16-homog-advanced": ("0x1.ef1eaa8e65800p-3", "0x1.0c70867be555cp-32"),
+    "zero-nonzero-k20-homog-simple": ("0x1.9cb158c5e6b41p+1", "0x1.4f8b6d86ed677p-17"),
+    "zero-nonzero-k20-homog-advanced": ("0x1.93ab57211a2d0p+2", "0x1.71195cc859429p-17"),
+    "all-nonzero-k20-homog-simple": ("0x1.1c204b19acfc0p-6", "0x1.4f8b6d86eeb70p-37"),
+    "all-nonzero-k20-homog-advanced": ("0x1.9537905689b80p-3", "0x1.4f8b6d86eeb70p-36"),
     "all-nonzero-k1-homog": ("0x1.a3e13aa6300d7p-2", "0x0.0p+0"),
-    "all-nonzero-k2-homog": ("0x1.6666666666666p-1", "0x0.0p+0"),
-    "all-nonzero-k3-homog": ("0x1.09ae96507278bp+0", "0x0.0p+0"),
-    "all-nonzero-k6-homog": ("0x1.ce7048e18c86fp+0", "0x0.0p+0"),
-    "all-nonzero-k10-homog": ("0x1.8e9ba46a15b93p+1", "0x0.0p+0"),
-    "all-nonzero-k12-homog": ("0x1.e5ef3fa81a532p+1", "0x0.0p+0"),
+    "all-nonzero-k2-homog": ("0x1.49ee210ea2dfap-2", "0x0.0p+0"),
+    "all-nonzero-k3-homog": ("0x1.0940364cd877ep-2", "0x0.0p+0"),
+    "all-nonzero-k6-homog": ("0x1.3b1700914ae5cp-3", "0x0.0p+0"),
+    "all-nonzero-k10-homog": ("0x1.8b23de690eab0p-4", "0x0.0p+0"),
+    "all-nonzero-k12-homog": ("0x1.4c1b9f71856d0p-4", "0x0.0p+0"),
     "point-mixture-s1": ("0x1.79ce09a96cd7dp+0", "0x1.d070a12219673p-19"),
     "mixture-point-s1": ("0x1.79ce09a96cd7dp+0", "0x1.d070a12219673p-19"),
     "point-mixture-s2": ("0x1.1478f55460d30p+2", "0x1.0b568138c78abp-16"),
