@@ -94,14 +94,25 @@ def advanced_compose(guarantees: Iterable[PrivacyParams], delta_slack: float) ->
     first = guarantees[0]
     if any(g != first for g in guarantees):
         raise HeterogeneousInputError("the advanced theorem requires a homogeneous sequence")
-    return _advanced_closed_form(first, len(guarantees), delta_slack)
+    eps, delta = _advanced_closed_form(first, len(guarantees), delta_slack)
+    return bounded_params(float(eps), delta)
 
 
-def _advanced_closed_form(g: PrivacyParams, k: int, delta_slack: float) -> PrivacyParams:
-    """``advanced_compose`` of k copies of ``g``, unchecked."""
+def _advanced_closed_form(
+    g: PrivacyParams, lengths: Union[int, np.ndarray], delta_slack: float
+) -> tuple:
+    """``advanced_compose`` of n copies of ``g``, unchecked, for an int n or an integer array.
+
+    Returns ``sqrt(2 n ln(1/delta_slack)) eps + n eps (e^eps - 1)`` and the
+    uncapped ``n delta + delta_slack``, evaluated left to right. ``math.expm1``
+    raises ``OverflowError`` past about 709.78 nats, before any product. Below
+    that an int n may still give an infinite epsilon; an array must not, since
+    numpy warns on the overflow.
+    """
     eps = g.epsilon
-    eps_total = math.sqrt(2.0 * k * math.log(1.0 / delta_slack)) * eps + k * eps * math.expm1(eps)
-    return bounded_params(eps_total, k * g.delta + delta_slack)
+    growth = math.expm1(eps)
+    eps_total = np.sqrt(2.0 * lengths * math.log(1.0 / delta_slack)) * eps + lengths * eps * growth
+    return eps_total, lengths * g.delta + delta_slack
 
 
 def compose(guarantees: Iterable[PrivacyParams], theorem: CompositionTheorem) -> PrivacyParams:
@@ -153,8 +164,10 @@ def compose_selections(
 def compose_suffixes(guarantees: Sequence[PrivacyParams], theorem: CompositionTheorem) -> np.ndarray:
     """Row i of the ``(n + 1, 2)`` result is ``compose(guarantees[i:], theorem).as_tuple()``.
 
-    ``Simple`` takes two exact suffix-sum passes; ``Advanced`` composes the whole
-    list once (row 0 and the homogeneity check), then each shorter suffix in closed form.
+    ``Simple`` takes two exact suffix-sum passes. ``Advanced`` composes the whole
+    list once (row 0 and the homogeneity check), then every shorter suffix in one
+    closed-form pass over the lengths n - 1 .. 1; the closed form grows with the
+    length, so once row 0 is finite no later row overflows.
     """
     guarantees = list(guarantees)
     if isinstance(theorem, Simple):
@@ -163,11 +176,10 @@ def compose_suffixes(guarantees: Sequence[PrivacyParams], theorem: CompositionTh
         return np.stack((eps, np.minimum(delta, 1.0)), 1)
     n = len(guarantees)
     if isinstance(theorem, Advanced) and n:
-        rows = [compose(guarantees, theorem).as_tuple()]
-        rows += [_advanced_closed_form(guarantees[0], n - i, theorem.delta_slack).as_tuple()
-                 for i in range(1, n)] + [(0.0, 0.0)]
-    else:
-        rows = [compose(guarantees[i:], theorem).as_tuple() for i in range(n + 1)]
+        whole = compose(guarantees, theorem).as_tuple()
+        eps, delta = _advanced_closed_form(guarantees[0], np.arange(n - 1, 0, -1), theorem.delta_slack)
+        return np.vstack(([whole], np.stack((eps, np.minimum(delta, 1.0)), 1), [(0.0, 0.0)]))
+    rows = [compose(guarantees[i:], theorem).as_tuple() for i in range(n + 1)]
     return np.array(rows, dtype=np.float64)
 
 

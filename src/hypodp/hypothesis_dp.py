@@ -107,17 +107,14 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
     subtracted from the larger side. A side advances only when its front
     atom is used up, so every residual, however small, becomes a piece,
     and weights are compared only with each other. The pair count is at
-    most ``len(p0) + len(p1) - 1``. When either side is a point mass the
-    walk is ``_point_mass_run``, one vectorized pass. Otherwise it runs
-    over plain float lists and records per piece its weight and one
-    advance code: 1 when side 0 moves to its next atom, 2 for side 1, 3
-    for both. Running sums of the code bits index the word columns,
-    gathered in one numpy step.
+    most ``len(p0) + len(p1) - 1``; a point mass is one side like any
+    other. The walk runs over plain float lists and records per piece its
+    weight and one advance code: 1 when side 0 moves to its next atom, 2
+    for side 1, 3 for both. Running sums of the code bits index the word
+    columns, gathered in one numpy step.
     """
     if p0.k != p1.k:
         raise MixedLengthError(f"hypotheses have k={p0.k} and k={p1.k}")
-    if len(p0) == 1 or len(p1) == 1:
-        return MatchedRefinement(p0.k, _point_mass_run(p0, p1))
 
     # Words are already sorted; a residual left at a front position stays
     # the smallest vector on its side, so walking each side in order is
@@ -151,31 +148,6 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
     pairs["word0"] = p0.words[np.concatenate(([0], np.cumsum(steps & 1, dtype=np.intp)))]
     pairs["word1"] = p1.words[np.concatenate(([0], np.cumsum(steps >> 1, dtype=np.intp)))]
     return MatchedRefinement(p0.k, pairs)
-
-
-def _point_mass_run(p0: Hypothesis, p1: Hypothesis) -> np.ndarray:
-    """The walk's table when one side has a single atom: one run down the other side.
-
-    The single atom's residual before step t is its weight minus the
-    first t weights of the other side, subtracted one at a time;
-    ``np.subtract.accumulate`` performs those IEEE subtractions in the
-    walk's order. Step t continues the run iff the next residual is
-    positive, which is the walk's strict comparison: a weight at or
-    above the residual leaves a residual of 0 or below, since a
-    difference of doubles is 0 only for equal ones. Every piece weighs
-    the smaller of its weight and its residual.
-    """
-    point, other = (p0, p1) if len(p0) == 1 else (p1, p0)
-    weights = other.weights
-    residual = np.subtract.accumulate(np.concatenate((point.weights, weights)))
-    go_on = residual[1:] > 0.0
-    n = len(weights) if go_on.all() else int(np.argmin(go_on)) + 1
-    pairs = np.empty(n, dtype=PAIR_DTYPE)
-    np.minimum(weights[:n], residual[:n], out=pairs["weight"])
-    point_side, other_side = ("word0", "word1") if point is p0 else ("word1", "word0")
-    pairs[point_side] = point.words[0]
-    pairs[other_side] = other.words[:n]
-    return pairs
 
 
 def differing_indices(b0: BitVector, b1: BitVector) -> tuple[int, ...]:

@@ -235,13 +235,16 @@ def required_delta(p0: ViewDistribution, p1: ViewDistribution, eps: float) -> fl
         raise MismatchedSupportError("view distributions cover different view spaces")
     if not eps >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
-    # Where P1(v) = 0 the gap is P0(v). From 700 nats on, e^eps would
-    # overflow, so e^eps P1 is exp(eps + ln P1), capped at e^700 > P0(v).
-    gaps = p0.probs.copy()
-    scaled = p1.probs != 0.0
+    # Where P1(v) = 0 the gap is P0(v): below 700 nats e^eps is finite, so
+    # e^eps * 0 is +0.0. From 700 nats on, e^eps would overflow (and at
+    # eps = inf, inf + ln 0 is NaN), so only views with P1 > 0 are scaled,
+    # by exp(eps + ln P1) capped at e^700 > P0(v).
     if eps < 700.0:
-        gaps[scaled] -= math.exp(eps) * p1.probs[scaled]
+        gaps = math.exp(eps) * p1.probs
+        np.subtract(p0.probs, gaps, out=gaps)
     else:
+        gaps = p0.probs.copy()
+        scaled = p1.probs != 0.0
         gaps[scaled] -= np.exp(np.minimum(eps + np.log(p1.probs[scaled]), 700.0))
     return exact_sum(gaps[gaps > 0.0])
 

@@ -222,10 +222,17 @@ def near_equal_pairs(draw):
     return k, *sides
 
 
+class BestClassic:
+    """A pluggable theorem: the better of simple and advanced composition, each sound."""
+
+    def compose_guarantees(self, guarantees):
+        return best_classic_bound(guarantees, 1e-6)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(near_equal_pairs(), st.sampled_from([0.05, 0.25, 0.45]),
        st.sampled_from([0.0, 1e-6, 1e-3, 0.05]),
-       st.sampled_from([Simple(), Advanced(1e-12), Advanced(1e-6)]))
+       st.sampled_from([Simple(), Advanced(1e-12), Advanced(1e-6), BestClassic()]))
 def test_hdp_guarantee_holds_on_near_equal_pairs(pair, q, delta, theorem):
     # Randomized response at delta 0; leaky_rr, four views a position,
     # only at k <= 7, where the oracle stays fast.
@@ -616,7 +623,8 @@ def flat_pipeline(p0, p1, seq, theorem):
 @st.composite
 def exchangeable_pairs(draw, guarantee=st.tuples(EDGE_EPS, EDGE_DELTA), max_k=5):
     """Two class laws over 1-3 guarantee groups, each position's (eps, delta),
-    and a theorem: Advanced only where one group holds every position.
+    and a theorem: Simple, the pluggable BestClassic, or Advanced where one
+    group holds every position.
 
     A law is drawn, or a point mass at zero or at all-ones; the second may
     instead move the first's masses in +/- pairs by 1e-13 to 1e-11."""
@@ -647,7 +655,9 @@ def exchangeable_pairs(draw, guarantee=st.tuples(EDGE_EPS, EDGE_DELTA), max_k=5)
     laws = [law0, law1][::draw(st.sampled_from([1, -1]))]
     drawn = draw(st.lists(guarantee, min_size=len(labels), max_size=len(labels), unique=True))
     by_label = dict(zip(labels, drawn))
-    theorems = [Simple()] + ([Advanced(1e-12), Advanced(1e-6)] if len(groups) == 1 else [])
+    theorems = [Simple(), BestClassic()]
+    if len(groups) == 1:
+        theorems += [Advanced(1e-12), Advanced(1e-6)]
     return [by_label[g] for g in group_of], groups, *laws, draw(st.sampled_from(theorems))
 
 

@@ -359,6 +359,18 @@ class TestRequiredDelta:
             assert report.delta_needed == pytest.approx(-math.expm1(eps + math.log(1e-310)),
                                                         rel=1e-9)
 
+    def test_infinite_epsilon_counts_the_views_the_other_side_never_shows(self):
+        # Only P1(v) = 0 escapes an infinite e^eps; inf + ln 0 must not make it NaN.
+        mechs = [leaky_rr(0.7, 0.05), leaky_rr(1.3, 0.02)]
+        mixture = mixture_view_distribution(
+            mechs, Hypothesis({bv("00"): 0.25, bv("01"): 0.75}))
+        for d0, d1 in ((mixture, view_distribution(mechs, bv("11"))),
+                       (view_distribution(mechs, bv("00")), view_distribution(mechs, bv("10")))):
+            for a, b in ((d0, d1), (d1, d0)):
+                expected = math.fsum(a.probs[b.probs == 0.0].tolist())
+                assert expected > 0.0
+                assert required_delta(a, b, math.inf) == expected
+
     def test_mismatched_support(self):
         p0 = view_distribution([randomized_response(0.25)], bv("0"))
         other = DiscreteMechanism(absent={"a": 1.0}, present={"a": 1.0})
