@@ -37,12 +37,14 @@ from .errors import (
     ViewSpaceTooLargeError,
 )
 
+# Views one distribution may hold; also the entries one contraction step may hold.
 MAX_VIEW_SPACE = 10_000_000
 
 # Trials one simulation may draw: about 32 bytes each, so at most about 0.5 GB.
 MAX_TRIALS = 2**24
 
-# Atoms x views one mixture may cost: about 7 s for the k = 16 presets (2-core x86 VM).
+# Atoms x views one mixture may cost. At the limit the k = 16 presets take
+# about 0.01 s and 1024 scattered atoms at k = 22 about 0.45 s (2-core x86 VM).
 MAX_MIXTURE_WORK = 2**32
 
 # Absolute slack on delta comparisons; covers accumulated rounding in
@@ -80,7 +82,7 @@ class DiscreteMechanism:
     def dist_for(self, bit: int) -> Mapping[Symbol, float]:
         return self.present if bit else self.absent
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple[Symbol, ...]:
         return tuple(sorted(self.absent))
 
@@ -89,10 +91,18 @@ class DiscreteMechanism:
         """ln of the smallest positive probability; the oracle reads it on every call."""
         return math.log(min(p for d in (self.absent, self.present) for p in d.values() if p > 0))
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The absent and present probabilities in ``alphabet`` order, built once, read-only."""
+        tables = tuple(np.array([d[y] for y in self.alphabet], dtype=np.float64)
+                       for d in (self.absent, self.present))
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
     def probs_for(self, bit: int) -> np.ndarray:
-        """The output probabilities for ``bit`` in ``alphabet`` order."""
-        dist = self.dist_for(bit)
-        return np.array([dist[y] for y in self.alphabet], dtype=np.float64)
+        """The output probabilities for ``bit`` in ``alphabet`` order; a read-only array."""
+        return self._tables[bool(bit)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,34 +204,95 @@ def mixture_view_distribution(
 ) -> ViewDistribution:
     """View distribution under a composite hypothesis: the atom-weighted mixture.
 
-    Each atom's product measure is built left to right, one outer
-    product per mechanism, and added with its weight in the
-    hypothesis's ascending word order, so results are deterministic.
-    Mechanism 0 is a word's top bit, so consecutive atoms share the
-    products over their common leading bits: a stack keeps the previous
-    atom's prefix products and only the differing tail is rebuilt, from
-    the same operands in the same order. The stack holds at most twice
-    the view space, even for thousands of atoms. Work beyond
-    ``MAX_MIXTURE_WORK`` is refused up front.
+    A product-measure contraction, one step per mechanism. The state
+    starts as the weights, one row per atom's word. Step i folds in
+    mechanism i: the two rows whose words agree past bit i, ``x[0 s]``
+    and ``x[1 s]``, become the row ``s`` of ``t_i(0) x[0 s] + t_i(1)
+    x[1 s]``, each row widened by mechanism i's symbols. So the rows are
+    the atoms' distinct remaining suffixes and the columns the views'
+    prefixes, mechanism 0 the most significant digit; the last step
+    leaves one row, the flat view index. The products and the sum are
+    separate elementwise numpy operations, so the rounding is the same
+    on every platform, and a point mass multiplies each view's factors
+    left to right, ``((1 t_0) t_1) ...``. The work is about the sum over
+    steps of rows x prefixes, well under atoms x views; more than
+    ``MAX_MIXTURE_WORK`` atoms x views is refused up front. While every
+    mechanism has two or more symbols no state exceeds the view space
+    (``_contract``).
     """
-    mixture = np.zeros(_check_view_space(mechs, h.k, len(h)))
-    tables = [(m.probs_for(0), m.probs_for(1)) for m in mechs]
-    # prefix[m]: product over mechanisms 0..m-1 of the previous atom (none before the first).
-    prefix, previous = [np.ones(1)], 0
-    for word, bits, w in zip(h.words.tolist(), bit_rows(h.words, h.k).tolist(),
-                             h.weights.tolist()):
-        shared = min(len(prefix) - 1, h.k - (word ^ previous).bit_length())
-        del prefix[shared + 1:]
-        for table, bit in zip(tables[shared:], bits[shared:]):
-            prefix.append(np.multiply.outer(table[bit], prefix[-1]).ravel())
-        mixture += w * prefix[-1]
-        previous = word
-    # Each view's product is taken left to right, but the new axis goes
-    # first so numpy's inner loop runs over the long axis; one transpose
-    # then makes mechanism 0 the most significant digit again.
-    alphabets = tuple(m.alphabet for m in mechs)
-    mixture = mixture.reshape([len(a) for a in reversed(alphabets)]).transpose().ravel()
-    return ViewDistribution(mixture, alphabets)
+    _check_view_space(mechs, h.k, len(h))
+    views = _contract(h.weights[:, None], _steps(h), [m._tables for m in mechs])
+    return ViewDistribution(views, tuple(m.alphabet for m in mechs))
+
+
+def _steps(h: Hypothesis) -> list[tuple[int, int, slice | np.ndarray, slice | np.ndarray]]:
+    """Each contraction step's ``(split, rows, low, high)`` for the atoms of ``h``.
+
+    Before step i the rows are the atoms' distinct suffixes of bits i to k - 1,
+    ascending, so the first ``split`` have bit i clear. They go to the rows ``low``
+    of the step's output and the others to the rows ``high``: a slice where consecutive.
+    """
+    if len(h) == 1:  # one row throughout, in the table of each bit
+        return [(int(not bit), 1, slice(0, 1), slice(0, 1))
+                for bit in bit_rows(h.words, h.k)[0].tolist()]
+    steps, suffixes = [], h.words.astype(np.int64)
+    for i in range(h.k):
+        half = 1 << (h.k - 1 - i)
+        split = int(np.searchsorted(suffixes, half))
+        low, high = suffixes[:split], suffixes[split:] - half
+        merged = np.concatenate((low, high))
+        merged.sort(kind="stable")  # a radix sort for integers, unlike np.union1d's hash
+        fresh = np.empty(len(merged), dtype=bool)
+        fresh[0] = True
+        np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
+        suffixes = merged[fresh]
+        steps.append((split, len(suffixes), *map(_as_slice, (
+            np.searchsorted(suffixes, low), np.searchsorted(suffixes, high)))))
+    return steps
+
+
+def _as_slice(positions: np.ndarray) -> slice | np.ndarray:
+    """Ascending distinct positions, as a slice where they are consecutive."""
+    if len(positions) and positions[-1] - positions[0] == len(positions) - 1:
+        return slice(int(positions[0]), int(positions[-1]) + 1)
+    return positions
+
+
+def _contract(x: np.ndarray, steps: list, tables: list) -> np.ndarray:
+    """Fold ``tables`` into the state ``x`` by ``steps``; the flat views it yields.
+
+    ``x`` has one row per remaining suffix and one column per view
+    prefix. A step's output is at most the view space unless a later
+    mechanism has one symbol, and so keeps two suffixes apart at no gain
+    in views. Columns never mix, so a step that would hold more than
+    ``MAX_VIEW_SPACE`` entries first halves its columns, or with one
+    column its mechanism's symbols, and folds each half on its own by
+    the same operations.
+    """
+    for i, ((split, rows, low, high), (t0, t1)) in enumerate(zip(steps, tables)):
+        width = x.shape[1] if x.shape[1] > 1 else len(t0)
+        if rows * x.shape[1] * len(t0) > MAX_VIEW_SPACE and width > 1:
+            cut = width // 2
+            if x.shape[1] > 1:
+                halves = [(x[:, :cut], tables[i:]), (x[:, cut:], tables[i:])]
+            else:
+                halves = [(x, [(t0[:cut], t1[:cut])] + tables[i + 1:]),
+                          (x, [(t0[cut:], t1[cut:])] + tables[i + 1:])]
+            return np.concatenate([_contract(part, steps[i:], rest) for part, rest in halves])
+        sides = [(x[:split], t0, low), (x[split:], t1, high)]
+        if split < len(x) - split:  # addition commutes: the larger side is written first
+            sides.reverse()
+        (xa, ta, to_a), (xb, tb, to_b) = sides
+        y = (np.empty if len(xa) == rows else np.zeros)((rows, x.shape[1], len(t0)))
+        for v in range(len(t0)):  # a symbol at a time keeps numpy's inner loop long
+            if isinstance(to_a, slice):
+                np.multiply(xa, ta[v], out=y[to_a, :, v])
+            else:
+                y[to_a, :, v] = xa * ta[v]
+            if len(xb):
+                y[to_b, :, v] += xb * tb[v]
+        x = y.reshape(rows, -1)
+    return x[0]
 
 
 def required_delta(p0: ViewDistribution, p1: ViewDistribution, eps: float) -> float:
@@ -293,15 +364,29 @@ def _check_resolution(
 ) -> None:
     """Refuse a claimed epsilon at which view rounding could exceed ``SOUNDNESS_SLACK``.
 
-    A subnormal view probability keeps an absolute precision of 2^-1074
-    per rounding: k - 1 products per atom, and past a point mass one weight
-    product per atom and one sum per further atom. The hockey-stick scales
-    those errors by e^eps. Where no product or weight can be subnormal,
-    rounding is relative and ``SOUNDNESS_SLACK`` covers it.
+    Each view of ``mixture_view_distribution`` is a tree of sums over
+    products of one weight and one table entry per mechanism. Step i
+    rounds, in each view's one column, a product per input row and a sum
+    per output row with two parents: at most ``min(n, 2^(k-i))`` and
+    ``min(n, 2^(k-1-i))``, the input rows of step 0 being the n atoms.
+    So a view takes at most ``n + 2 sum_{i<k} min(n, 2^(k-1-i))``
+    roundings; a point mass takes k - 1, as its one row is never summed
+    and its first product, 1 times t_0, is exact. A subnormal result
+    keeps an absolute precision of 2^-1074 per rounding; later factors
+    are at most 1 and sums only add errors, so no error grows, and the
+    hockey-stick scales the total by e^eps. Where no product or weight
+    can be subnormal, rounding is relative and ``SOUNDNESS_SLACK`` covers it.
     """
     views = _check_view_space(mechs, p0.k, max(len(p0), len(p1)))
     k = len(mechs)
-    roundings = views * max(k - 1 if len(h) == 1 else len(h) * (k + 1) - 1 for h in (p0, p1))
+
+    def per_view(h: Hypothesis) -> int:
+        n = len(h)
+        if n == 1 and h.weights[0] == 1.0:
+            return k - 1
+        return n + 2 * sum(min(n, 1 << (k - 1 - i)) for i in range(k))
+
+    roundings = views * max(per_view(p0), per_view(p1))
     lightest = min(float(p0.weights.min()), float(p1.weights.min()))
     if (roundings and _log_rarest_view(mechs) + math.log(lightest) < LOG_SMALLEST_NORMAL
             and eps + LOG_SMALLEST_DOUBLE + math.log(roundings) > math.log(SOUNDNESS_SLACK)):
@@ -336,9 +421,13 @@ def simulate_experiment(
     stride = total
     for i, (mech, bit) in enumerate(zip(mechs, bit_rows([b.word], b.k)[0].tolist())):
         probs = mech.probs_for(bit)
-        probs /= probs.sum()
+        # Generator.choice(len(probs), trials, p=normalized) draws by this inverse CDF:
+        # a symbol is the number of CDF entries at or below a uniform draw.
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        draws = rng.choice(len(probs), size=trials, p=probs)
+        u = rng.random(trials)
         stride //= len(probs)
-        combined += draws * stride
+        for c in cdf[:-1].tolist():
+            combined += stride * (u >= c)
     return np.bincount(combined, minlength=total)

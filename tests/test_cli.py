@@ -303,6 +303,13 @@ class TestLargeK:
         assert time.perf_counter() - start < 5.0
         assert "atoms x" in capsys.readouterr().err
 
+    def test_verify_presets_at_k16_exit_0(self, tmp_path, capsys):
+        # zero vs uniform_nonzero: 2^16 - 1 atoms x 2^16 views, within the oracle budget.
+        path = write(tmp_path, "s.yaml",
+                     "mechanisms:\n" + "  - {epsilon: 1.0986122886681098, delta: 0.0}\n" * 16)
+        assert main(["verify", "--scenario", path, "--quiet"]) == EXIT_OK
+        assert yaml.safe_load(capsys.readouterr().out)["sound"] is True
+
     def test_subsample_under_advanced(self, tmp_path, capsys):
         path = write(tmp_path, "s.yaml", homogeneous(8, "theorem: {advanced: {delta_slack: 1.0e-6}}\n"))
         assert main(["subsample", "--scenario", path, "--quiet"]) == EXIT_OK

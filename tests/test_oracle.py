@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,43 @@ def reference_mixture(mechs, h):
     return acc.tolist()
 
 
+def contraction_reference(mechs, h):
+    """Scalar reference for mixture_view_distribution in its contraction order.
+
+    One list of view-prefix probabilities per distinct remaining suffix of
+    the atoms' words, starting from the weights. Mechanism i turns rows 0s
+    and 1s into row s: each prefix value x becomes x * t(y) for every symbol
+    y in turn, and the two rows' values are added elementwise.
+    """
+    rows = dict(zip(h.words.tolist(), ([w] for w in h.weights.tolist())))
+    for i, mech in enumerate(mechs):
+        half = 1 << (h.k - 1 - i)
+        merged = {}
+        for suffix, row in sorted(rows.items()):
+            dist = mech.dist_for(suffix >= half)
+            widened = [x * dist[y] for x in row for y in mech.alphabet]
+            rest = suffix % half
+            merged[rest] = [a + b for a, b in zip(merged[rest], widened)] \
+                if rest in merged else widened
+        rows = merged
+    return rows[0]
+
+
+def exact_mixture(mechs, h):
+    """Each view's probability as an exact Fraction, in view order."""
+    rows = [[Fraction(w)] for w in h.weights.tolist()]
+    for i, mech in enumerate(mechs):
+        for row, word in zip(rows, h.words.tolist()):
+            dist = mech.dist_for(word >> (h.k - 1 - i) & 1)
+            row[:] = [x * Fraction(dist[y]) for x in row for y in mech.alphabet]
+    return [sum(view) for view in zip(*rows)]
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53: the relative error of n roundings."""
+    return Fraction(n, 2**53 - n)
+
+
 def reference_required_delta(q0s, q1s, eps):
     """Per-view reference for required_delta on two probability lists."""
     def gap(q0, q1):
@@ -97,6 +135,15 @@ class TestRandomizedResponse:
     def test_mismatched_alphabets_rejected(self):
         with pytest.raises(MismatchedSupportError, match="share one alphabet"):
             DiscreteMechanism(absent={0: 0.5, 1: 0.5}, present={0: 0.5, 2: 0.5})
+
+    def test_tables_built_once_and_read_only(self):
+        m = leaky_rr(0.7, 0.05)
+        assert m.alphabet is m.alphabet == ("a", "b", "r0", "r1")
+        for bit in (0, 1):
+            assert m.probs_for(bit) is m.probs_for(bit)
+            assert m.probs_for(bit).tolist() == [m.dist_for(bit)[y] for y in m.alphabet]
+            with pytest.raises(ValueError, match="read-only"):
+                m.probs_for(bit)[0] = 0.5
 
     def test_unnormalized_distribution_rejected(self):
         with pytest.raises(ValueError, match="present distribution sums to 0.9"):
@@ -212,6 +259,48 @@ class TestMixture:
         assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestContractionSplit:
+    """A step that would exceed MAX_VIEW_SPACE entries splits and changes no bit."""
+
+    ONE = DiscreteMechanism(absent={"y": 1.0}, present={"y": 1.0})
+    EIGHT = DiscreteMechanism(absent={y: 0.125 for y in range(8)},
+                              present={y: (y + 1) / 36 for y in range(8)})
+
+    def contract_calls(self, monkeypatch, mechs, h, limit):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return contract(*args)
+
+        contract = oracle._contract
+        monkeypatch.setattr(oracle, "_contract", counting)
+        monkeypatch.setattr(oracle, "MAX_VIEW_SPACE", limit)
+        probs = mixture_view_distribution(mechs, h).probs.tolist()
+        monkeypatch.undo()
+        return probs, len(calls)
+
+    @pytest.mark.parametrize("mechs", [
+        # The first step's one column is split by its 8 symbols ...
+        [EIGHT, ONE, ONE, ONE, randomized_response(0.3), ONE],
+        # ... and the third step's 4 columns by columns.
+        [randomized_response(0.3), randomized_response(0.2), EIGHT, ONE, ONE, ONE],
+    ])
+    def test_one_symbol_mechanisms_split_bit_identically(self, monkeypatch, mechs):
+        h = Hypothesis.uniform_all(6)
+        want = mixture_view_distribution(mechs, h).probs.tolist()
+        assert want == contraction_reference(mechs, h)
+        got, calls = self.contract_calls(monkeypatch, mechs, h, 100)
+        assert got == want and calls > 1
+
+    def test_no_split_while_every_mechanism_has_two_symbols(self, monkeypatch):
+        mechs = [leaky_rr(0.5, 0.01), randomized_response(0.3), leaky_rr(1.0, 0.0),
+                 randomized_response(0.1), randomized_response(0.4)]
+        for h in (Hypothesis.uniform_all(5), Hypothesis.uniform_nonzero(5)):
+            _, calls = self.contract_calls(monkeypatch, mechs, h, 4 * 2 * 4 * 2 * 2)
+            assert calls == 1
+
+
 class TestWorkBudget:
     def test_boundary(self, monkeypatch):
         # uniform_all(3) costs 8 atoms x 8 views.
@@ -234,9 +323,27 @@ class TestWorkBudget:
             verify_hdp(mechs, zero, nonzero, PrivacyParams(1.0, 0.0))
         assert time.perf_counter() - start < 1.0
 
+    def test_k16_presets_within_two_seconds(self):
+        # 2^16 - 1 atoms x 2^16 views: just under the budget.
+        k = 16
+        mechs = [randomized_response(0.25)] * k
+        claimed = uniform_nonzero_closed_form(math.log(3.0), 0.0, k)
+        start = time.perf_counter()
+        report = verify_hdp(mechs, Hypothesis.point_mass(BitVector.zeros(k)),
+                            Hypothesis.uniform_nonzero(k), claimed)
+        assert time.perf_counter() - start < 2.0
+        assert report.sound and report.delta_needed <= 1e-12
+
 
 class TestReference:
-    """The array oracle equals a per-view reference bit for bit."""
+    """The array oracle equals a per-view reference bit for bit.
+
+    A point mass multiplies each view left to right as ``reference_mixture``
+    does. A mixture sums by suffix, as ``contraction_reference`` does; each
+    view is a sum of non-negative terms of one weight and k factors, and each
+    term meets at most k products and k sums, so it is within gamma(2k) of
+    the exact value, relatively.
+    """
 
     EPSILONS = (0.0, 0.1, 0.5, math.log(3.0), 2.0, 800.0)
 
@@ -264,21 +371,27 @@ class TestReference:
                 }))
             yield mechs, hyps[0], hyps[1]
 
+    @staticmethod
+    def reference(mechs, h):
+        return (reference_mixture if len(h) == 1 else contraction_reference)(mechs, h)
+
     def test_views_and_required_delta_equal_reference(self):
         for mechs, h0, h1 in self.cases():
             d0 = mixture_view_distribution(mechs, h0)
             d1 = mixture_view_distribution(mechs, h1)
-            r0 = reference_mixture(mechs, h0)
-            r1 = reference_mixture(mechs, h1)
-            assert d0.probs.tolist() == r0
-            assert d1.probs.tolist() == r1
+            for d, h in ((d0, h0), (d1, h1)):
+                assert d.probs.tolist() == self.reference(mechs, h)
+                bound = gamma(2 * h.k)
+                for got, exact in zip(d.probs.tolist(), exact_mixture(mechs, h)):
+                    assert abs(Fraction(got) - exact) <= bound * exact
+            r0, r1 = d0.probs.tolist(), d1.probs.tolist()
             for eps in self.EPSILONS:
                 assert required_delta(d0, d1, eps) == reference_required_delta(r0, r1, eps)
                 assert required_delta(d1, d0, eps) == reference_required_delta(r1, r0, eps)
 
     def test_shared_prefixes_equal_reference(self):
-        # Consecutive atoms share leading bits: presets share all but the
-        # trailing ones, random mixtures share prefixes of every length.
+        # Presets share all but their trailing bits; random mixtures share
+        # prefixes and suffixes of every length.
         rng = np.random.default_rng(20261018)
 
         def families(k):
@@ -294,14 +407,14 @@ class TestReference:
                 for h in (Hypothesis.point_mass(BitVector.ones(k)),
                           Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k)):
                     got = mixture_view_distribution(mechs, h).probs.tolist()
-                    assert got == reference_mixture(mechs, h)
+                    assert got == self.reference(mechs, h)
         for mechs in families(8):
             for n in (20, 37, 60):
                 words = rng.choice(256, size=n, replace=False)
                 h = Hypothesis([(BitVector(int(w), 8), float(p))
                                 for w, p in zip(words, rng.dirichlet(np.ones(n)))])
                 assert mixture_view_distribution(mechs, h).probs.tolist() == \
-                    reference_mixture(mechs, h)
+                    contraction_reference(mechs, h)
 
     def test_point_masses_equal_reference(self):
         mechs = [leaky_rr(0.7, 0.05), randomized_response(0.2), leaky_rr(1.3, 0.0)]
@@ -478,6 +591,17 @@ class TestVerifyHdp:
                           Hypothesis.point_mass(bv("1")), PrivacyParams(eps, 0.0)).sound
 
 
+    def test_mixture_roundings_are_counted_per_step(self):
+        # Views of RR(1e-160) x 2 reach 1e-320, subnormal. uniform_all(2) has 4 atoms:
+        # 4 + 2 (2 + 1) = 10 roundings per view, 40 over the 4 views, so e^eps 2^-1074 40
+        # passes the 1e-12 slack from about 713.1 nats; at 714.5 one rounding per view would not.
+        mechs = [randomized_response(1e-160)] * 2
+        p0, p1 = Hypothesis.point_mass(bv("00")), Hypothesis.uniform_all(2)
+        with pytest.raises(ValueError, match="subnormal"):
+            verify_hdp(mechs, p0, p1, PrivacyParams(714.5, 0.0))
+        verify_hdp(mechs, p0, p1, PrivacyParams(712.5, 0.0))
+
+
 class TestSimulate:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -510,6 +634,31 @@ class TestSimulate:
         counts = simulate_experiment(mechs, bv("01"), 1000, seed=7)
         assert counts.shape == view_distribution(mechs, bv("01")).probs.shape
         assert counts.sum() == 1000
+
+    def test_counts_equal_generator_choice(self):
+        # Generator.choice on the same Philox streams, with zero-probability
+        # symbols: leaky RR never shows r1 absent or r0 present.
+        def choice_counts(mechs, b, trials, seed):
+            total = math.prod(len(m.alphabet) for m in mechs)
+            combined, stride = np.zeros(trials, dtype=np.int64), total
+            for i, (mech, bit) in enumerate(zip(mechs, map(int, str(b)))):
+                probs = mech.probs_for(bit) / mech.probs_for(bit).sum()
+                rng = np.random.Generator(np.random.Philox(key=np.array([seed, i],
+                                                                        dtype=np.uint64)))
+                stride //= len(probs)
+                combined += rng.choice(len(probs), size=trials, p=probs) * stride
+            return np.bincount(combined, minlength=total)
+
+        rng = np.random.default_rng(20261019)
+        for _ in range(40):
+            k = int(rng.integers(1, 6))
+            mechs = [randomized_response(float(rng.uniform(0.05, 0.45))) if rng.integers(2)
+                     else leaky_rr(float(rng.uniform(0.0, 2.0)), float(rng.choice([0.0, 0.05])))
+                     for _ in range(k)]
+            b = BitVector(int(rng.integers(1 << k)), k)
+            trials, seed = int(rng.integers(1, 5000)), int(rng.integers(2**63))
+            assert np.array_equal(simulate_experiment(mechs, b, trials, seed),
+                                  choice_counts(mechs, b, trials, seed))
 
     def test_frequencies_concentrate(self):
         mechs = [randomized_response(0.25)]
