@@ -184,10 +184,14 @@ def compose_suffixes(guarantees: Sequence[PrivacyParams], theorem: CompositionTh
 
 
 def _guarantee_masks(seq: Sequence[PrivacyParams], k: int) -> list[int]:
-    """One position mask per distinct guarantee, in order of its first position."""
-    masks: dict[PrivacyParams, int] = {}
+    """One position mask per distinct guarantee, in order of its first position.
+
+    Keyed by ``(epsilon, delta)`` tuples, which group as equal guarantees do and hash faster.
+    """
+    masks: dict[tuple[float, float], int] = {}
     for i, g in enumerate(seq):
-        masks[g] = masks.get(g, 0) | 1 << (k - 1 - i)
+        key = g.epsilon, g.delta
+        masks[key] = masks.get(key, 0) | 1 << (k - 1 - i)
     return list(masks.values())
 
 
@@ -200,10 +204,15 @@ def _pack_counts(words: np.ndarray, masks: Sequence[int]) -> np.ndarray:
 
 
 def _piece_keys(
-    xor_words: np.ndarray, seq: Sequence[PrivacyParams], theorem: CompositionTheorem, k: int
+    xor_words: np.ndarray, seq: Sequence[PrivacyParams], theorem: CompositionTheorem, k: int,
+    masks: list[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each ``uint64`` XOR word's key index and the ``(keys, 2)`` table of composed keys."""
-    masks = _guarantee_masks(seq, k)
+    """Each ``uint64`` XOR word's key index and the ``(keys, 2)`` table of composed keys.
+
+    ``masks`` is ``_guarantee_masks(seq, k)``, built here unless the caller has it.
+    """
+    if masks is None:
+        masks = _guarantee_masks(seq, k)
     diffs, piece_diff = np.unique(xor_words, return_inverse=True)
     if len(masks) < k:  # else each position is its own mask and every key is its word
         _, first, key_of_diff = np.unique(

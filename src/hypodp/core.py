@@ -16,6 +16,7 @@ Conventions:
 * A :class:`Hypothesis` is a finite probability distribution over bit
   vectors, a composite belief about database membership, held as two
   read-only arrays: ascending ``uint64`` ``words`` and ``float64`` ``weights``.
+  The uniform presets declare their law and build their arrays on first read.
 * Returned sums of doubles are exact, rounded once as by ``math.fsum``:
   ``exact_sum`` for an array, ``_exact_row_sums`` for boolean-row subsets,
   ``_exact_suffix_sums`` for every suffix; tolerance checks use numpy's sum.
@@ -233,7 +234,15 @@ class Hypothesis:
     Validated on every construction path: weights strictly positive,
     summing to 1 within ``NORMALIZATION_TOLERANCE``, all atoms sharing
     one length, no vector listed twice. Instances are immutable.
+
+    ``_first`` is None for a hypothesis built from atoms. The uniform
+    presets set it to the first of the words ``_first, ..., 2^k - 1``
+    they weigh alike, so callers can take their structure from it
+    without reading their 2^k atoms, which are built on first read.
     """
+
+    _first: int | None = None
+    _words: np.ndarray | None = None
 
     def __init__(self, atoms: Mapping[BitVector, float] | Iterable[tuple[BitVector, float]]):
         items = list(atoms.items()) if isinstance(atoms, Mapping) else list(atoms)
@@ -266,21 +275,29 @@ class Hypothesis:
         self._k, self._words, self._weights = k, words, weights
         return self
 
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(words, weights)``; a declared preset builds and validates them on first read."""
+        if self._words is None:
+            n = len(self)
+            self._set(self._k, np.arange(self._first, self._first + n, dtype=np.uint64),
+                      np.full(n, 1.0 / n))
+        return self._words, self._weights
+
     k = property(lambda self: self._k)
-    words = property(lambda self: self._words, doc="The atoms' words, ascending; read-only.")
-    weights = property(lambda self: self._weights, doc="Their weights, aligned; read-only.")
-    _key = property(lambda self: (self._k, self._words.tobytes(), self._weights.tobytes()))
+    words = property(lambda self: self._arrays()[0], doc="The atoms' words, ascending; read-only.")
+    weights = property(lambda self: self._arrays()[1], doc="Their weights, aligned; read-only.")
+    _key = property(lambda self: (self._k, *(a.tobytes() for a in self._arrays())))
 
     @property
     def atoms(self) -> tuple[tuple[BitVector, float], ...]:
         """(vector, weight) per atom, sorted lexicographically; built on each read."""
-        return tuple(zip(self.support(), self._weights.tolist()))
+        return tuple(zip(self.support(), self.weights.tolist()))
 
     def support(self) -> tuple[BitVector, ...]:
-        return tuple(BitVector(w, self._k) for w in self._words.tolist())
+        return tuple(BitVector(w, self._k) for w in self.words.tolist())
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._words) if self._first is None else (1 << self._k) - self._first
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Hypothesis) and self._key == other._key
@@ -315,9 +332,15 @@ class Hypothesis:
 
     @classmethod
     def _uniform_from(cls, first: int, k: int) -> "Hypothesis":
-        """Uniform over the words first, ..., 2^k - 1, built without per-atom objects."""
-        words = np.arange(first, _enumeration_size(k), dtype=np.uint64)
-        return cls.__new__(cls)._set(k, words, np.full(len(words), 1.0 / len(words)))
+        """Uniform over the words first, ..., 2^k - 1, declared as such (``_first``).
+
+        k is checked here, so a k too large to enumerate fails before any
+        allocation; the words and weights ``1.0 / len`` wait for their first read.
+        """
+        _enumeration_size(k)
+        h = cls.__new__(cls)
+        h._k, h._first = k, first
+        return h
 
 
 @dataclass(frozen=True)

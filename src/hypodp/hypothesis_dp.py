@@ -289,19 +289,23 @@ def hdp_guarantee(
     k = p0.k
     if len(seq) != k:
         raise MixedLengthError(f"sequence has {len(seq)} mechanisms, hypotheses have k={k}")
-    pairs, xor_words = _class_refinement(p0, p1, _guarantee_masks(seq, k)) or (None, None)
+    masks = _guarantee_masks(seq, k)
+    pairs, xor_words = _class_refinement(p0, p1, masks) or (None, None)
     if pairs is None:
         pairs = refine_tuples(p0, p1).pairs
         xor_words = pairs["word0"] ^ pairs["word1"]
-    return _aggregate(pairs, *_piece_keys(xor_words, seq, theorem, k))
+    return _aggregate(pairs, *_piece_keys(xor_words, seq, theorem, k, masks))
 
 
 def _class_refinement(p0: Hypothesis, p1: Hypothesis, masks: list[int]) -> tuple | None:
     """``(pairs, xor_words)`` refined by class (module docstring), or None for the flat walk.
 
-    Words are packed class ids. The O(atoms) check needs each side's classes
-    complete at one weight, a class with two atoms and at most ``len(p0) +
-    len(p1)`` classes. Exact class masses couple as ``refine_tuples`` couples atoms.
+    Words are packed class ids. The pair needs each side's classes complete
+    at one weight, a class with two atoms and at most ``len(p0) + len(p1)``
+    classes. A uniform preset declares its law (``Hypothesis._first``): every
+    class at ``1.0 / len``, but for class 0, the zero vector alone, when it
+    starts at word 1. Other hypotheses take an O(atoms) check. Exact class
+    masses couple as ``refine_tuples`` couples atoms.
     """
     radices = [mask.bit_count() + 1 for mask in masks]
     if len(masks) == p0.k or math.prod(radices) > len(p0) + len(p1):
@@ -310,6 +314,10 @@ def _class_refinement(p0: Hypothesis, p1: Hypothesis, masks: list[int]) -> tuple
     sizes = math.prod(np.ix_(*[[math.comb(r - 1, m) for m in range(r)] for r in radices])).ravel()
     laws = []
     for p in (p0, p1):
+        if p._first is not None:
+            present = np.arange(p._first, len(sizes))
+            laws.append((present, [1.0 / len(p)] * len(present), sizes[present].tolist()))
+            continue
         ids = _pack_counts(p.words, masks).astype(np.intp)
         count = np.bincount(ids, minlength=len(sizes))
         present = count.nonzero()[0]

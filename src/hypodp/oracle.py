@@ -231,10 +231,17 @@ def _steps(h: Hypothesis) -> list[tuple[int, int, slice | np.ndarray, slice | np
     Before step i the rows are the atoms' distinct suffixes of bits i to k - 1,
     ascending, so the first ``split`` have bit i clear. They go to the rows ``low``
     of the step's output and the others to the rows ``high``: a slice where consecutive.
+    A uniform preset on the words ``first, ..., 2^k - 1`` (``Hypothesis._first``)
+    takes its plan in closed form, without its words: before step i its suffixes
+    are every word below 2^(k-i), word 0 excepted before step 0 when ``first`` is 1.
     """
     if len(h) == 1:  # one row throughout, in the table of each bit
         return [(int(not bit), 1, slice(0, 1), slice(0, 1))
                 for bit in bit_rows(h.words, h.k)[0].tolist()]
+    if h._first is not None:
+        top, first = 1 << (h.k - 1), h._first
+        return [(top - first, top, slice(first, top), slice(0, top))] + [
+            (half, half, slice(0, half), slice(0, half)) for half in (top >> i for i in range(1, h.k))]
     steps, suffixes = [], h.words.astype(np.int64)
     for i in range(h.k):
         half = 1 << (h.k - 1 - i)

@@ -376,6 +376,17 @@ class TestArrays:
                       Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k)):
                 self.assert_invariants(h)
 
+    def test_presets_build_their_arrays_on_first_read(self):
+        for k in (1, 2, 7, 12):
+            for make, first in ((Hypothesis.uniform_all, 0), (Hypothesis.uniform_nonzero, 1)):
+                h = make(k)
+                assert h._first == first and len(h) == (1 << k) - first
+                assert h._words is None  # declared, not built
+                assert h.weights.tolist() == [1.0 / len(h)] * len(h)
+                assert h.words.tolist() == list(range(first, 1 << k))
+                assert h == make(k) and hash(h) == hash(make(k))
+        assert Hypothesis.point_mass(BitVector.zeros(3))._first is None
+
     def test_presets_equal_generic_uniform(self):
         for k in range(1, 11):
             vectors = all_vectors(k)

@@ -18,6 +18,7 @@ from hypodp.errors import EmptySetError, IncompatibleTheoremError, MixedLengthEr
 from hypodp.hypothesis_dp import (
     PAIR_DTYPE,
     _aggregate,
+    _class_refinement,
     differing_indices,
     hdp_guarantee,
     hdp_guarantee_over_set,
@@ -467,3 +468,49 @@ class TestClosedFormAgreement:
                     want = uniform_nonzero_closed_form(eps, delta, k)
                     assert got.epsilon == pytest.approx(want.epsilon, abs=1e-9)
                     assert got.delta == pytest.approx(want.delta, abs=1e-12)
+
+
+def undeclared(h):
+    """The atoms of ``h`` built one by one: a hypothesis that declares nothing."""
+    return Hypothesis(list(zip(h.support(), h.weights.tolist())))
+
+
+def preset_pairs(k):
+    """Constructor pairs: each two presets, and each preset against a point mass, both orders."""
+    presets = [lambda: Hypothesis.uniform_all(k), lambda: Hypothesis.uniform_nonzero(k)]
+    points = [lambda v=v: Hypothesis.point_mass(v) for v in (BitVector.zeros(k), BitVector.ones(k))]
+    pairs = list(itertools.product(presets, presets))
+    for point, preset in itertools.product(points, presets):
+        pairs += [(point, preset), (preset, point)]
+    return pairs
+
+
+class TestDeclaredPresets:
+    """A preset's declared class law refines exactly as the scan of its atoms does."""
+
+    def test_class_refinement_and_guarantee_equal_the_scan(self):
+        rng = np.random.default_rng(2601)
+        class_tables = 0
+        for k in range(1, 13):
+            for n_groups in range(1, min(3, k) + 1):
+                group_of = rng.permutation([i % n_groups for i in range(k)]).tolist()
+                pool = [PrivacyParams(float(rng.uniform(0.05, 1.0)), float(rng.choice([0.0, 1e-6])))
+                        for _ in range(n_groups)]
+                seq = MechanismSequence(tuple(pool[g] for g in group_of))
+                masks = composition._guarantee_masks(seq, k)
+                theorems = [Simple()] + ([Advanced(1e-6)] if n_groups == 1 else [])
+                for make0, make1 in preset_pairs(k):
+                    p0, p1 = make0(), make1()
+                    e0, e1 = undeclared(make0()), undeclared(make1())
+                    got, want = _class_refinement(p0, p1, masks), _class_refinement(e0, e1, masks)
+                    assert (got is None) == (want is None), (k, group_of, p0, p1)
+                    if got is not None:
+                        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                        class_tables += 1
+                    for theorem in theorems:
+                        assert hdp_guarantee(p0, p1, seq, theorem) == \
+                            hdp_guarantee(e0, e1, seq, theorem), (k, group_of, theorem)
+                    # The class path never read a preset's atoms.
+                    if got is not None:
+                        assert all(p._words is None for p in (p0, p1) if p._first is not None)
+        assert class_tables >= 250, class_tables  # 284 of the 396 pairs take the class path

@@ -10,6 +10,7 @@ aggregation, constraints, and the subsampling pipelines end to end.
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -605,8 +606,14 @@ def test_best_classic_bound_holds_on_zero_against_all_ones(drawn, slack):
 
 # The class path: exchangeable pairs, whose weights depend only on the
 # count of ones in each guarantee group, refine as popcount laws.
+PRESETS = ("uniform_all", "uniform_nonzero")
+
+
 def exchangeable(k, groups, law):
-    """The hypothesis spreading ``law[c]`` evenly over class c, a tuple of counts per group."""
+    """The hypothesis spreading ``law[c]`` evenly over class c, a tuple of counts per group;
+    a law named in ``PRESETS`` is that preset, built by its constructor."""
+    if isinstance(law, str):
+        return getattr(Hypothesis, law)(k)
     classes = {w: tuple(sum(w >> (k - 1 - i) & 1 for i in g) for g in groups)
                for w in range(1 << k)}
     sizes = Counter(classes.values())
@@ -626,16 +633,19 @@ def exchangeable_pairs(draw, guarantee=st.tuples(EDGE_EPS, EDGE_DELTA), max_k=5)
     and a theorem: Simple, the pluggable BestClassic, or Advanced where one
     group holds every position.
 
-    A law is drawn, or a point mass at zero or at all-ones; the second may
-    instead move the first's masses in +/- pairs by 1e-13 to 1e-11."""
+    A law is drawn, a point mass at zero or at all-ones, or a preset; the
+    second is drawn or a preset, or may move a drawn first law's masses in
+    +/- pairs by 1e-13 to 1e-11."""
     k = draw(st.integers(2, max_k))  # at k = 1 every class is one vector
     group_of = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
     labels = sorted(set(group_of))
     groups = [[i for i in range(k) if group_of[i] == g] for g in labels]
     classes = list(itertools.product(*(range(len(g) + 1) for g in groups)))
 
-    def law(shapes=("drawn", "zero", "ones")):
+    def law(shapes=("drawn", "zero", "ones", *PRESETS)):
         shape = draw(st.sampled_from(shapes))
+        if shape in PRESETS:
+            return shape
         if shape != "drawn":
             return {classes[0 if shape == "zero" else -1]: 1.0}
         raw = draw(st.lists(st.integers(0, 3), min_size=len(classes), max_size=len(classes)))
@@ -644,8 +654,8 @@ def exchangeable_pairs(draw, guarantee=st.tuples(EDGE_EPS, EDGE_DELTA), max_k=5)
         return {c: r / sum(raw) for c, r in zip(classes, raw) if r}
 
     law0 = law()
-    if len(law0) == 1 or draw(st.booleans()):
-        law1 = law(["drawn"])
+    if isinstance(law0, str) or len(law0) == 1 or draw(st.booleans()):
+        law1 = law(["drawn", *PRESETS])
     else:
         law1, present = dict(law0), list(law0)
         for a, b in zip(present[::2], present[1::2]):
@@ -725,11 +735,27 @@ def test_point_masses_against_presets_match_the_flat_pipeline():
                     assert got.delta <= flat.delta * (1 + 1e-15), (k, seq, theorem)
 
 
-def test_uniform_all_against_uniform_nonzero_at_k22_within_budget():
-    # The flat walk's 2^23 - 2 pieces take about 9 s and 1.6 GB on a 2-core Xeon.
-    k = 22
-    start = time.perf_counter()
-    got = hdp_guarantee(Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k),
-                        MechanismSequence.homogeneous(0.3, 1e-6, k), Simple())
-    assert time.perf_counter() - start < 3.0
-    assert got.epsilon < 0.02 and got.delta < 1e-11, got
+def test_preset_pairs_at_k23_within_budget():
+    # The presets declare their class laws, so neither builds its 2^23 atoms.
+    k = 23
+    seq = MechanismSequence.homogeneous(0.3, 1e-6, k)
+    zero = Hypothesis.point_mass(BitVector.zeros(k))
+    for p0 in (Hypothesis.uniform_all(k), zero):
+        p1 = Hypothesis.uniform_nonzero(k)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            got = hdp_guarantee(p0, p1, seq, Simple())
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 1 << 20, (elapsed, peak)
+        assert all(p._words is None for p in (p0, p1) if p._first is not None)
+        if p0 is zero:
+            want = uniform_nonzero_closed_form(0.3, 1e-6, k)
+            assert got.epsilon == pytest.approx(want.epsilon, rel=1e-12)
+            assert got.delta == pytest.approx(want.delta, rel=1e-12)
+        else:
+            assert got.epsilon < 0.02 and got.delta < 1e-11, got
+    assert np.array_equal(p1.words, np.arange(1, 2**k))

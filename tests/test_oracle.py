@@ -424,6 +424,33 @@ class TestReference:
             assert got == reference_mixture(mechs, Hypothesis.point_mass(b))
 
 
+class TestDeclaredPresets:
+    """A preset's closed-form plan is the merge of its atoms', so its views are too."""
+
+    @pytest.mark.parametrize("make", [Hypothesis.uniform_all, Hypothesis.uniform_nonzero])
+    def test_steps_and_views_equal_the_atoms(self, make):
+        rng = np.random.default_rng(2602)
+        for k in range(1, 13):
+            group_of = rng.integers(0, int(rng.integers(1, 4)), size=k).tolist()
+            rr = [randomized_response(q) for q in rng.uniform(0.05, 0.45, 3)]
+            leaky = [leaky_rr(float(e), float(d))
+                     for e, d in zip(rng.uniform(0.0, 2.0, 3), rng.uniform(0.0, 0.1, 3))]
+            h = make(k)
+            steps = oracle._steps(h)
+            assert h._words is None or len(h) == 1  # a point mass reads its one word
+            atoms = Hypothesis(list(zip(h.support(), h.weights.tolist())))
+            assert steps == oracle._steps(atoms), k
+            zero = Hypothesis.point_mass(BitVector.zeros(k))
+            # From k = 11, leaky RR's atoms x views exceed MAX_MIXTURE_WORK.
+            for family in [rr] + ([leaky] if k <= 10 else []):
+                mechs = [family[g] for g in group_of]
+                assert np.array_equal(mixture_view_distribution(mechs, make(k)).probs,
+                                      mixture_view_distribution(mechs, atoms).probs), k
+                claim = PrivacyParams(0.5, 0.0)
+                assert verify_hdp(mechs, zero, make(k), claim) == \
+                    verify_hdp(mechs, zero, atoms, claim), k
+
+
 class TestRequiredDelta:
     def test_identical_distributions(self):
         mechs = [randomized_response(0.25)]
