@@ -161,19 +161,20 @@ def compose_selections(
     return np.asarray(out, dtype=np.float64).reshape(len(rows), 2)
 
 
-def compose_suffixes(guarantees: Sequence[PrivacyParams], theorem: CompositionTheorem) -> np.ndarray:
+def compose_suffixes(eps: list[float], delta: list[float], theorem: CompositionTheorem) -> np.ndarray:
     """Row i of the ``(n + 1, 2)`` result is ``compose(guarantees[i:], theorem).as_tuple()``.
 
-    ``Simple`` takes two exact suffix-sum passes. ``Advanced`` composes the whole
-    list once (row 0 and the homogeneity check), then every shorter suffix in one
-    closed-form pass over the lengths n - 1 .. 1; the closed form grows with the
-    length, so once row 0 is finite no later row overflows.
+    The guarantees come as two columns, ``guarantees[i]`` being the valid
+    pair ``(eps[i], delta[i])``. ``Simple`` takes two exact suffix-sum passes
+    over the columns. ``Advanced`` composes the whole list once (row 0 and
+    the homogeneity check), then every shorter suffix in one closed-form pass
+    over the lengths n - 1 .. 1; the closed form grows with the length, so
+    once row 0 is finite no later row overflows. Other theorems compose each
+    suffix.
     """
-    guarantees = list(guarantees)
     if isinstance(theorem, Simple):
-        eps = _exact_suffix_sums([g.epsilon for g in guarantees])
-        delta = _exact_suffix_sums([g.delta for g in guarantees])
-        return np.stack((eps, np.minimum(delta, 1.0)), 1)
+        return np.stack((_exact_suffix_sums(eps), np.minimum(_exact_suffix_sums(delta), 1.0)), 1)
+    guarantees = [PrivacyParams(e, d) for e, d in zip(eps, delta)]
     n = len(guarantees)
     if isinstance(theorem, Advanced) and n:
         whole = compose(guarantees, theorem).as_tuple()

@@ -191,21 +191,49 @@ def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
 
 
 def _exact_row_sums(rows: np.ndarray, values: list[float]) -> np.ndarray:
-    """The correctly rounded sum of the values each boolean row selects.
+    """The correctly rounded sum of the non-negative values each boolean row selects.
 
-    Fewer than ``_FSUM_ROWS`` rows take ``math.fsum`` per row. Otherwise one int64
-    product sums the ``_fixed_point`` integers below 2^(62 - bits(k)); each sum rounds
-    once to float64 and ``np.ldexp`` scales it exactly, subnormals included. A row that
-    selects a larger integer takes ``math.fsum``.
+    Fewer than ``_FSUM_ROWS`` rows take ``math.fsum`` per row. Otherwise int64
+    products sum the ``_fixed_point`` integers exactly: in one column when all are
+    below 2^(62 - bits(k)), else split into limbs of ``width`` bits, one column each.
+    Carries bring each row's limbs below 2^width, and its top 62 bits, with a sticky
+    last bit for any set bit below them, stand for the exact sum: each sum rounds
+    once to float64 and ``np.ldexp`` scales it exactly, subnormals included. A sum
+    that rounds beyond the doubles raises ``OverflowError``, as ``math.fsum`` does.
     """
     if len(rows) < _FSUM_ROWS:
         return np.array([math.fsum(compress(values, row)) for row in rows.tolist()])
     ints, scale = _fixed_point(values)
-    limit = 1 << (62 - len(ints).bit_length())
-    sums = rows.astype(np.int64) @ np.array([n if n < limit else 0 for n in ints], dtype=np.int64)
-    out = np.ldexp(sums.astype(np.float64), 1 - scale.bit_length())
-    slow = np.flatnonzero(rows[:, np.array([n >= limit for n in ints], dtype=bool)].any(axis=1))
-    out[slow] = [math.fsum(compress(values, row)) for row in rows[slow].tolist()]
+    bits = max(ints, default=0).bit_length() + len(ints).bit_length()  # bounds every row sum
+    if bits <= 62:
+        sums = rows.astype(np.int64) @ np.array(ints, dtype=np.int64)
+        return np.ldexp(sums.astype(np.float64), 1 - scale.bit_length())
+    # A limb column sums below 2^62 and a carried limb converts to float64 exactly;
+    # at 31 bits or more the top 62 bits span at most three limbs.
+    width = min(53, 62 - len(ints).bit_length())
+    mask, count = (1 << width) - 1, -(-bits // width)
+    limbs = np.array([[n >> (width * j) & mask for n in ints] for j in range(count)],
+                     dtype=np.int64)
+    sums = limbs @ rows.T.astype(np.int64)  # (count, rows): limb j of every row sum
+    for j in range(count - 1):
+        sums[j + 1] += sums[j] >> width
+        sums[j] &= mask
+    nonzero = sums != 0
+    top = np.where(nonzero.any(axis=0), count - 1 - nonzero[::-1].argmax(axis=0), 0)  # highest limb
+    cols = np.arange(sums.shape[1])
+    padded = np.vstack((np.zeros((2, len(cols)), dtype=np.int64), sums))
+    high, mid, low = padded[top + 2, cols], padded[top + 1, cols], padded[top, cols]
+    # Window bits below ``high``'s; np.frexp gives bit lengths, exact below 2^53, as int32.
+    need = 62 - np.frexp(high.astype(np.float64))[1].astype(np.int64)
+    up, down = np.clip(need - width, 0, None), np.clip(width - need, 0, None)
+    low_shift = np.minimum(2 * width - need, width)  # ``low`` fills what ``mid`` leaves
+    window = high << need | mid << up >> down | low >> low_shift
+    window |= (mid & (1 << down) - 1 | low & (1 << low_shift) - 1) != 0
+    window |= nonzero.argmax(axis=0) < top - 2  # a set bit in a limb below ``low``
+    with np.errstate(over="ignore"):
+        out = np.ldexp(window.astype(np.float64), width * top - need + 1 - scale.bit_length())
+    if np.isinf(out).any():
+        raise OverflowError("intermediate overflow in fsum")
     return out
 
 

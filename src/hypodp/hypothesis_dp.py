@@ -12,7 +12,16 @@ equal-weight piece on side 1; each piece is one row ``(weight, word0,
 word1)`` of a ``PAIR_DTYPE`` table. Both sides consume their
 lexicographically smallest remaining vector first, which makes results
 reproducible and gives the side-swap symmetry the tests exploit; any
-other order gives a different, equally valid matching.
+other order gives a different, equally valid matching. The walk is one
+signed running sum x of the atoms, side 1's added and side 0's
+subtracted, side 0's next atom entering while x > 0: |x| is the residual
+the step-by-step walk keeps, bit for bit, since IEEE subtraction is
+sign-symmetric. Long walks take x in windows: cumulative sums of the two
+sides predict which side each atom enters from, one ``np.cumsum`` adds
+the entries left to right as the steps do, and entries are kept up to
+the first whose side disagrees with the sign of x before it, where the
+walk steps. The prediction orders the entries but makes no weight, so
+the table is the step-by-step walk's, per-atom mass and end included.
 
 Pieces compose once per key, through ``composition._piece_keys``.
 
@@ -108,46 +117,181 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
     atom is used up, so every residual, however small, becomes a piece,
     and weights are compared only with each other. The pair count is at
     most ``len(p0) + len(p1) - 1``; a point mass is one side like any
-    other. The walk runs over plain float lists and records per piece its
-    weight and one advance code: 1 when side 0 moves to its next atom, 2
-    for side 1, 3 for both. Running sums of the code bits index the word
-    columns, gathered in one numpy step.
+    other.
+
+    The same walk is one signed running sum x of the atoms, each entering
+    it once: side 1's weight is added and side 0's subtracted, side 0's
+    next atom enters while x > 0 and side 1's otherwise. An entry's piece
+    weighs min(entering atom, |x| before it), and pairs the atoms last
+    entered on each side; side 1 entering x = 0 makes none. IEEE
+    subtraction is sign-symmetric, so |x| is exactly the residual the
+    step-by-step walk keeps. Walks over more than ``_SCALAR_ATOMS`` atoms
+    take x in windows: merging the two sides' cumulative sums predicts
+    which side each atom enters from, one ``np.cumsum`` adding left to
+    right gives x before every entry, and the entries up to the first
+    whose side disagrees with the sign of x before it are the walk's own.
+    There, and on short walks, the walk steps one piece at a time, so the
+    cumulative sums order the entries but never make a weight, and the
+    table is the step-by-step walk's bit for bit.
     """
     if p0.k != p1.k:
         raise MixedLengthError(f"hypotheses have k={p0.k} and k={p1.k}")
+    if len(p0) + len(p1) > _SCALAR_ATOMS:
+        return MatchedRefinement(p0.k, _signed_walk(p0, p1))
+    weight, codes = [], bytearray()
+    _steps(p0.weights.tolist(), p1.weights.tolist(), 0, 0, 0.0, weight, codes)
+    pairs = np.empty(len(weight), dtype=PAIR_DTYPE)
+    _fill(pairs, weight, *_code_atoms(codes, 0, 0), p0.words, p1.words)
+    return MatchedRefinement(p0.k, pairs)
 
+
+# Walks over at most this many atoms step one piece at a time: below it the
+# fixed cost of the windowed numpy walk exceeds the steps it saves. On random
+# mixtures the steps were faster up to 384 atoms and the windows from 512 on
+# (2-core Xeon, cold).
+_SCALAR_ATOMS = 512
+# Atoms per side in a window, at most: this bounds its temporaries.
+_WINDOW = 1 << 16
+# Atoms per side of the first steps after a wrong prediction; doubled while
+# predictions keep failing soon after.
+_BURST = 64
+
+
+def _steps(list0, list1, i0, i1, x, weight, codes, count=None):
+    """The walk one piece at a time, from state ``(i0, i1, x)``; its next state, or None at its end.
+
+    ``i0`` and ``i1`` count the atoms that have entered x on each side; the
+    side x points at holds its last atom's residual |x|. Pieces go to
+    ``weight`` and ``codes``. With ``count``, at most that many further
+    atoms of each side enter before the state is handed back; without it
+    the walk runs to its end.
+    """
     # Words are already sorted; a residual left at a front position stays
     # the smallest vector on its side, so walking each side in order is
     # exactly the smallest-first consumption order. A difference of
     # unequal doubles is never 0, so a residual left behind is positive.
-    weights0, weights1 = iter(p0.weights.tolist()), iter(p1.weights.tolist())
-    w0, w1 = next(weights0), next(weights1)
-    weight, codes = [], bytearray()
+    it0 = iter(list0[i0:] if count is None else list0[i0:i0 + count])
+    it1 = iter(list1[i1:] if count is None else list1[i1:i1 + count])
+    start = len(codes)
     try:
+        w0 = -x if x < 0.0 else next(it0)
+        w1 = x if x > 0.0 else next(it1)
         while True:
             if w0 < w1:
                 weight.append(w0)
                 codes.append(1)
                 w1 -= w0
-                w0 = next(weights0)
+                w0 = next(it0)
             elif w1 < w0:
                 weight.append(w1)
                 codes.append(2)
                 w0 -= w1
-                w1 = next(weights1)
+                w1 = next(it1)
             else:
                 weight.append(w0)
                 codes.append(3)
-                w0, w1 = next(weights0), next(weights1)
-    except StopIteration:  # the walk ends when either side runs out
+                w0, w1 = next(it0), next(it1)
+    except StopIteration:  # a side ran out: of atoms, or of this call's count
         pass
-    # Piece n sits at the atoms the first n codes advanced to.
+    if count is None or len(codes) == start:  # no first piece: the needed side is out
+        return None
+    # Atoms used up per side; the last code says which side holds a residual.
+    both = codes.count(3, start)
+    used0 = i0 - (x < 0.0) + codes.count(1, start) + both
+    used1 = i1 - (x > 0.0) + codes.count(2, start) + both
+    last = codes[-1]
+    if (last & 1 and used0 == len(list0)) or (last & 2 and used1 == len(list1)):
+        return None
+    if last == 1:
+        return used0, used1 + 1, w1
+    if last == 2:
+        return used0 + 1, used1, -w0
+    return used0, used1, 0.0
+
+
+def _code_atoms(codes, base0, base1):
+    """Each piece's atom index per side: piece n sits where the first n codes advanced to."""
     steps = np.frombuffer(codes, dtype=np.uint8)[:-1]
-    pairs = np.empty(len(weight), dtype=PAIR_DTYPE)
+    return (np.cumsum(np.concatenate(([base0], steps & 1))),
+            np.cumsum(np.concatenate(([base1], steps >> 1))))
+
+
+def _fill(pairs, weight, atom0, atom1, words0, words1):
+    """Write pieces into the ``PAIR_DTYPE`` rows ``pairs``, their words gathered by atom index."""
     pairs["weight"] = weight
-    pairs["word0"] = p0.words[np.concatenate(([0], np.cumsum(steps & 1, dtype=np.intp)))]
-    pairs["word1"] = p1.words[np.concatenate(([0], np.cumsum(steps >> 1, dtype=np.intp)))]
-    return MatchedRefinement(p0.k, pairs)
+    pairs["word0"] = words0[atom0]
+    pairs["word1"] = words1[atom1]
+
+
+def _signed_walk(p0: Hypothesis, p1: Hypothesis) -> np.ndarray:
+    """``refine_tuples``' table, by windows of the signed sum."""
+    weights0, weights1, words0, words1 = p0.weights, p1.weights, p0.words, p1.words
+    n0, n1 = len(weights0), len(weights1)
+    pairs = np.empty(n0 + n1 - 1, dtype=PAIR_DTYPE)
+    lists = None  # the float lists the one-piece steps read, built on first use
+    n = i0 = i1 = 0  # pieces written, atoms entered per side
+    x = 0.0
+    window, burst = _WINDOW, _BURST
+    while True:
+        a, b = weights0[i0:i0 + window], weights1[i1:i1 + window]
+        # Predicted order: side 0's atom j enters before side 1's atom i iff its
+        # start, the sum of the atoms before it, is below x plus side 1's. A
+        # stable sort of side 1's starts, then side 0's, merges the two runs,
+        # side 1 first on a tie.
+        starts = np.empty(len(b) + len(a))
+        for part, first, w in ((starts[:len(b)], x, b), (starts[len(b):], 0.0, a)):
+            part[:1], part[1:] = first, w[:-1]
+            part.cumsum(out=part)
+        order = starts.argsort(kind="stable")  # index i < len(b): side 1's atom i
+        entries = starts  # reused for each atom's entry: + for side 1, - for side 0
+        entries[:len(b)] = b
+        np.negative(a, out=entries[len(b):])
+        signed = np.empty(len(order) + 1)  # x, then the entries in the predicted order
+        signed[0] = x
+        entries.take(order, out=signed[1:])
+        xs = signed.cumsum()
+        from1 = order < len(b)
+        wrong = (xs[:-1] > 0.0) == from1  # the entry's side is not the one x asks for
+        f = int(wrong.argmax()) if wrong.any() else len(order)
+        # An entry's piece pairs the atoms last entered on each side.
+        atom1 = from1[:f].cumsum(dtype=np.intp)  # side 1's entries so far
+        m1 = int(atom1[-1]) if f else 0
+        atom0 = np.arange(i0, i0 + f)
+        atom0 -= atom1
+        atom1 += i1 - 1
+        weight = np.abs(signed[1:f + 1])
+        np.minimum(weight, np.abs(xs[:f]), out=weight)
+        piece = xs[:f] != 0.0  # no piece where side 1 entered x = 0
+        if not piece.all():
+            weight, atom0, atom1 = weight[piece], atom0[piece], atom1[piece]
+        _fill(pairs[n:n + len(weight)], weight, atom0, atom1, words0, words1)
+        n += len(weight)
+        i0, i1, x = i0 + f - m1, i1 + m1, float(xs[f])
+        # The next atom comes from side 0 if x > 0: the walk ends where that side is out.
+        if (i0 == n0) if x > 0.0 else (i1 == n1):
+            break
+        if f - m1 == len(a) if x > 0.0 else m1 == len(b):  # the window's end
+            window = min(4 * window, _WINDOW)
+            if n0 - i0 + n1 - i1 > _SCALAR_ATOMS:
+                continue
+            burst = None  # the rest is short
+        elif f >= burst:  # a wrong prediction after a long run: step past it
+            burst = _BURST
+        else:  # wrong again soon: step for longer before the next window
+            burst *= 2
+        if lists is None:
+            lists = weights0.tolist(), weights1.tolist()
+        weight, codes = [], bytearray()
+        state = _steps(*lists, i0, i1, x, weight, codes, burst)
+        if codes:
+            atoms = _code_atoms(codes, i0 - (x < 0.0), i1 - (x > 0.0))
+            _fill(pairs[n:n + len(weight)], weight, *atoms, words0, words1)
+            n += len(weight)
+        if state is None:
+            break
+        i0, i1, x = state
+        window = burst  # a window that fails again costs about as much as the steps
+    return pairs[:n]
 
 
 def differing_indices(b0: BitVector, b1: BitVector) -> tuple[int, ...]:
@@ -190,8 +334,16 @@ def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> Privacy
     beyond 700 nats cannot overflow. delta_G is an exactly rounded sum.
     """
     eps, delta = table.T
-    side0 = _Groups(pairs["word0"], pairs["weight"], key, eps, delta)
-    side1 = _Groups(pairs["word1"], pairs["weight"], key, eps, delta)
+    pieces = pairs["weight"], eps[key], delta[key]
+    ranks = []  # each piece's key delta ranked, built once for the sides that sort
+
+    def rank():
+        if not ranks:
+            ranks.append(_delta_ranks(delta)[key])
+        return ranks[0]
+
+    side0 = _Groups(pairs["word0"], *pieces, rank, len(delta))
+    side1 = _Groups(pairs["word1"], *pieces, rank, len(delta))
     # P0 <= e^eps P1 + delta is bounded by (g1, j0); the reverse by (g0, j1).
     epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
     delta_g = exact_sum(side1.weight * side1.delta)  # an exact sum of the pieces in any order
@@ -201,36 +353,70 @@ def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> Privacy
     ))
 
 
+# From this many groups on, extremes take one ``ufunc.at`` pass: ``reduceat``
+# calls its loop once per group, which costs more than ``at``'s set-up. On
+# refined random mixtures of about two pieces a group, ``reduceat`` was faster
+# up to 256 groups and the two were even at 320 (2-core Xeon, cold).
+_AT_GROUPS = 320
+
+
+def _delta_ranks(delta: np.ndarray) -> np.ndarray:
+    """Each delta's position among the sorted deltas, the first of its equals."""
+    order = delta.argsort()
+    ranked = delta[order]
+    ranks = np.empty(len(delta), dtype=np.intp)
+    ranks[order] = ranked.searchsorted(ranked)
+    return ranks
+
+
 class _Groups:
     """Matched pieces grouped by their vector on one side: runs of equal words.
 
-    Piece i reads its ``eps`` and ``delta`` at index ``key[i]`` of the
-    per-key columns. The words are non-decreasing, so each vector is one
-    run; runs not ascending by delta are sorted so, ties in row order, and
+    Piece i has the weight, ``eps`` and ``delta`` at index i. The words are
+    non-decreasing, so each vector is one run, numbered in order by ``run``;
+    runs not ascending by delta are sorted so, ties in row order, and
     ``delta_j`` walks each run by ascending delta. The sort is one stable
-    integer argsort of ``run * len(delta) + rank``: ``run`` numbers the
-    runs, and ``rank`` is the position of the piece's key delta among the
-    sorted key deltas, equal for equal deltas. The result is the
-    permutation ``np.lexsort((delta, words))`` gives, without its float
-    sort of every piece ahead of the word sort.
+    integer argsort of ``run * keys + rank``, ``rank`` being the position
+    of the piece's key delta among the ``keys`` sorted key deltas, equal
+    for equal deltas. The result is the permutation
+    ``np.lexsort((delta, words))`` gives, without its float sort of every
+    piece ahead of the word sort.
     ``eps_g`` is the largest ``ln(sum w e^eps / p)`` over the groups and
-    ``eps_j`` the largest ``-ln(sum w e^-eps / p)``.
+    ``eps_j`` the largest ``-ln(sum w e^-eps / p)``. Sums run in row order
+    through ``np.add.reduceat``, whose rounding the pinned results hold;
+    group extremes, where order cannot matter, through ``np.maximum.at``
+    and ``np.minimum.at`` from ``_AT_GROUPS`` groups on. A side whose
+    pieces are all alone in their groups has ``eps_g = eps_j = max eps``,
+    as those sums give it: each group's mass is its piece's weight and
+    each relative exponent 0.
     """
 
-    def __init__(self, words, weight, key, eps, delta):
-        self.weight, self.eps, self.delta = weight, eps[key], delta[key]
+    def __init__(self, words, weight, eps, delta, rank, keys):
+        self.weight, self.eps, self.delta = weight, eps, delta
         new = np.concatenate(([True], words[1:] != words[:-1], [True]))  # run starts, then the end
-        if ((self.delta[1:] < self.delta[:-1]) & ~new[1:-1]).any():
-            sort_key = new[:-1].astype(np.intp).cumsum()  # run number, then the rank of the key's delta
-            sort_key *= len(delta)
-            sort_key += np.sort(delta).searchsorted(delta)[key]
-            order = sort_key.argsort(kind="stable")  # within runs, so each run stays in place
-            self.weight, self.eps, self.delta = (a[order] for a in (self.weight, self.eps, self.delta))
         edges = new.nonzero()[0]
         self.starts, self.sizes = edges[:-1], edges[1:] - edges[:-1]
+        groups = len(self.starts)
+        if groups == len(weight):
+            self.mass = weight
+            self.eps_g = self.eps_j = max(0.0, float(eps.max()))
+            return
+        run = None
+        if ((delta[1:] < delta[:-1]) & ~new[1:-1]).any():
+            run = np.arange(groups).repeat(self.sizes)
+            sort_key = run * keys
+            sort_key += rank()
+            order = sort_key.argsort(kind="stable")  # within runs, so each run stays in place
+            self.weight, self.eps, self.delta = (a[order] for a in (weight, eps, delta))
         self.mass = np.add.reduceat(self.weight, self.starts)
-        hi = np.maximum.reduceat(self.eps, self.starts)
-        lo = np.minimum.reduceat(self.eps, self.starts)
+        if groups < _AT_GROUPS:
+            hi = np.maximum.reduceat(self.eps, self.starts)
+            lo = np.minimum.reduceat(self.eps, self.starts)
+        else:
+            run = np.arange(groups).repeat(self.sizes) if run is None else run
+            hi, lo = np.full(groups, -np.inf), np.full(groups, np.inf)
+            np.maximum.at(hi, run, self.eps)
+            np.minimum.at(lo, run, self.eps)
         rel_hi = np.exp(self.eps - hi.repeat(self.sizes))
         rel_lo = np.exp(lo.repeat(self.sizes) - self.eps)
         up = np.add.reduceat(self.weight * rel_hi, self.starts) / self.mass

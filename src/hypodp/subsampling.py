@@ -54,12 +54,15 @@ def amplify(g: PrivacyParams, rate: float) -> PrivacyParams:
         return g
     if rate == 0.0:
         return PrivacyParams(0.0, 0.0)
-    if g.epsilon > 700.0:
+    return bounded_params(_amplified_epsilon(g.epsilon, rate), rate * g.delta)
+
+
+def _amplified_epsilon(eps: float, rate: float) -> float:
+    """``ln(1 + rate * (e^eps - 1))`` for a finite eps >= 0 and 0 < rate < 1."""
+    if eps > 700.0:
         # e^eps overflows; ln(1 + rate*(e^eps - 1)) = eps + ln(rate) + o(1).
-        eps = g.epsilon + math.log(rate) + math.log1p((1.0 - rate) / rate * math.exp(-g.epsilon))
-    else:
-        eps = math.log1p(rate * math.expm1(g.epsilon))
-    return bounded_params(eps, rate * g.delta)
+        return eps + math.log(rate) + math.log1p((1.0 - rate) / rate * math.exp(-eps))
+    return math.log1p(rate * math.expm1(eps))
 
 
 def uniform_prior_bound(
@@ -79,16 +82,18 @@ def uniform_prior_bound(
     sum_i w_i delta_hat_i. Blocks whose weight underflows to 0 (i >= 1074)
     are left out of the table, so any k works.
 
-    The k tails, the suffixes of ``halved[1:]``, are one ``compose_suffixes``
-    call. A block epsilon that overflows raises ``OverflowError``.
+    The k tails, the suffixes of the halved guarantees from position 1 on, are
+    one ``compose_suffixes`` call on their two columns, halved by ``amplify``'s
+    formula. A block epsilon that overflows raises ``OverflowError``.
     """
     guarantees = list(seq)
     k = len(guarantees)
     if k == 0:
         raise ValueError("sequence must be non-empty")
-    halved = [amplify(g, 0.5) for g in guarantees]
     norm = -math.expm1(-k * LN2)
-    tail_eps, tail_delta = compose_suffixes(halved[1:], theorem).T.tolist()
+    halved = [_amplified_epsilon(g.epsilon, 0.5) for g in guarantees[1:]]
+    tails = compose_suffixes(halved, [0.5 * g.delta for g in guarantees[1:]], theorem)
+    tail_eps, tail_delta = tails.T.tolist()
     eps = [g.epsilon + t for g, t in zip(guarantees, tail_eps)]
     if math.inf in eps:
         raise OverflowError("a uniform-prior block epsilon overflows a double")

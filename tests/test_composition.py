@@ -306,8 +306,9 @@ def fsum_rows(rows, values):
 class TestExactRowSums:
     """Exact integer row sums round each row as ``math.fsum`` does, bit for bit.
 
-    Rows that select only integers below 2^(62 - bits(k)) take the int64 path,
-    the others ``math.fsum``; both are checked, on calls of every size.
+    Calls of 64 rows or more sum in int64: in one column when every integer is
+    below 2^(62 - bits(k)), else in limbs; smaller calls take ``math.fsum``.
+    All are checked, on calls of every size.
     """
 
     def assert_fsum(self, rows, values):
@@ -342,6 +343,25 @@ class TestExactRowSums:
         self.assert_fsum(rows, values)
         assert _exact_row_sums(np.zeros((40, 63), bool), values).tolist() == [0.0] * 40
 
+    def test_values_spanning_ten_decades_and_more(self):
+        # Integers far above 2^62 split into limbs; each row's top 62 bits and a
+        # sticky bit round once, whichever limb the top bit falls in.
+        rng = np.random.default_rng(2027)
+        for k in (2, 5, 17, 40, 63):
+            for lo, span in ((-8, 10), (-30, 12), (-300, 20), (-320, 40), (250, 57), (-200, 400)):
+                values = (10.0 ** rng.uniform(lo, lo + span, k)).tolist()
+                values[0] = 10.0**lo  # every span is at least ten decades wide
+                values[-1] = 10.0 ** (lo + span)
+                rows = rng.random((int(rng.integers(64, 300)), k)) < rng.random((1, k))
+                self.assert_fsum(rows, values)
+
+    def test_limb_halfway_cases(self):
+        # 2^53 + 1 (a tie) and 2^53 + 1 + 2^-80 (just above it), among integers
+        # wide enough for several limbs.
+        values = [2.0**53, 1.0, 2.0**-80, 2.0**-300, 3.0 * 2.0**60, 0.0]
+        rows = np.array(list(itertools.product((False, True), repeat=6)) * 2, dtype=bool)
+        self.assert_fsum(rows, values)
+
     def test_ties_round_half_to_even(self):
         # 2^53 + 1 and 2^53 + 3 are exact halfway cases between doubles.
         values = [2.0**53, 1.0, 2.0, 2.0**-60, 0.0]
@@ -349,15 +369,15 @@ class TestExactRowSums:
         self.assert_fsum(rows, values)
 
     def test_overflow_message(self):
-        for n in (1, 40):
+        for n in (1, 40, 64, 200):
             with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
                 _exact_row_sums(np.ones((n, 3), bool), [1e308, 1e308, 0.0])
-        # DBL_MAX plus just under half its ulp still rounds to DBL_MAX.
-        rows = np.ones((40, 2), bool)
-        edge = [sys.float_info.max, 9.9792015476735e291]
-        assert _exact_row_sums(rows, edge).tolist() == [sys.float_info.max] * 40
-        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-            _exact_row_sums(rows, [sys.float_info.max, 9.9792015476736e291])
+            # DBL_MAX plus just under half its ulp still rounds to DBL_MAX.
+            rows = np.ones((n, 2), bool)
+            edge = [sys.float_info.max, 9.9792015476735e291]
+            assert _exact_row_sums(rows, edge).tolist() == [sys.float_info.max] * n
+            with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+                _exact_row_sums(rows, [sys.float_info.max, 9.9792015476736e291])
 
 
 def test_advanced_formula_shape():
@@ -368,11 +388,16 @@ def test_advanced_formula_shape():
     assert g.epsilon == pytest.approx(expected, rel=1e-12)
 
 
+def suffixes(seq, theorem):
+    """``compose_suffixes`` of a list of guarantees, split into its two columns."""
+    return compose_suffixes([g.epsilon for g in seq], [g.delta for g in seq], theorem)
+
+
 class TestComposeSuffixes:
     """Row i equals ``compose(guarantees[i:])`` bit for bit, and refusals match it too."""
 
     def assert_suffixes_match(self, seq, theorem):
-        got = compose_suffixes(seq, theorem)
+        got = suffixes(seq, theorem)
         assert got.shape == (len(seq) + 1, 2) and got.dtype == np.float64
         assert [tuple(row) for row in got.tolist()] == [
             compose(seq[i:], theorem).as_tuple() for i in range(len(seq) + 1)]
@@ -390,7 +415,7 @@ class TestComposeSuffixes:
 
     def test_empty_list(self):
         for theorem in (Simple(), Advanced(1e-6), Capped()):
-            assert compose_suffixes([], theorem).tolist() == [[0.0, 0.0]]
+            assert compose_suffixes([], [], theorem).tolist() == [[0.0, 0.0]]
 
     def test_advanced_on_heterogeneous_raises_like_compose(self):
         rest = [PrivacyParams(0.2, 1e-8)] * 5
@@ -398,13 +423,13 @@ class TestComposeSuffixes:
             with pytest.raises(HeterogeneousInputError) as expected:
                 compose(seq, Advanced(1e-6))
             with pytest.raises(HeterogeneousInputError) as got:
-                compose_suffixes(seq, Advanced(1e-6))
+                suffixes(seq, Advanced(1e-6))
             assert type(got.value) is type(expected.value)
             assert str(got.value) == str(expected.value)
 
     def test_delta_capped_and_overflow_raised_like_compose(self):
         seq = [PrivacyParams(1.0, 0.7), PrivacyParams(0.5, 0.6), PrivacyParams(0.1, 0.2)]
         self.assert_suffixes_match(seq, Simple())
-        assert compose_suffixes(seq, Simple())[0, 1] == 1.0
+        assert suffixes(seq, Simple())[0, 1] == 1.0
         with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-            compose_suffixes([PrivacyParams(1e308, 0.0)] * 3, Simple())
+            suffixes([PrivacyParams(1e308, 0.0)] * 3, Simple())

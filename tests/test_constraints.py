@@ -17,7 +17,7 @@ from hypodp.constraints import (
     exclusive_groups_bound,
     parallel_bound,
 )
-from hypodp.core import BitVector, MechanismSequence, PrivacyParams, bounded_params
+from hypodp.core import BitVector, MechanismSequence, PrivacyParams, bit_rows, bounded_params
 from hypodp.errors import (
     IncompatibleModeError,
     IncompatibleTheoremError,
@@ -258,6 +258,29 @@ class TestPatternSetBound:
         got = constrained_bound(seq, patterns, BOUNDED, theorem)
         assert time.perf_counter() - start < 10.0
         assert got == want
+
+
+    def test_600_bounded_patterns_with_deltas_over_four_decades(self):
+        # 179,700 distinct XOR words at k = 63 with 63 distinct guarantees: the
+        # deltas' fixed-point integers reach about 2^70, so their row sums take
+        # int64 limbs, where a per-row math.fsum took about a second.
+        rng = np.random.default_rng(52)
+        k = 63
+        seq = MechanismSequence.from_pairs(
+            zip(rng.uniform(0.05, 0.8, k).tolist(), (10.0 ** rng.uniform(-8, -4, k)).tolist()))
+        words = rng.integers(0, 1 << 62, 600, dtype=np.int64).tolist()
+        patterns = PatternSet.of(BitVector(w, k) for w in words)
+        start = time.perf_counter()
+        got = constrained_bound(seq, patterns, BOUNDED, Simple())
+        assert time.perf_counter() - start < 0.6
+        # Each column's maximum is some pair's fsum: the float products rank the
+        # pairs, and the exact sums of the top few decide.
+        xor = np.array([a ^ b for a, b in itertools.combinations(words, 2)], dtype=np.uint64)
+        rows = bit_rows(xor, k)
+        for column, got_max in ((0, got.epsilon), (1, got.delta)):
+            values = [g.as_tuple()[column] for g in seq]
+            top = np.argsort(rows @ np.array(values))[-8:]
+            assert got_max == max(math.fsum(itertools.compress(values, rows[i])) for i in top)
 
 
 class TestExclusiveGroupsBound:

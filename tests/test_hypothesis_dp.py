@@ -16,7 +16,9 @@ from hypodp.composition import (
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, bit_rows
 from hypodp.errors import EmptySetError, IncompatibleTheoremError, MixedLengthError
 from hypodp.hypothesis_dp import (
+    _AT_GROUPS,
     PAIR_DTYPE,
+    _Groups,
     _aggregate,
     _class_refinement,
     differing_indices,
@@ -374,6 +376,147 @@ class TestRunGroups:
             eps = rng.uniform(0.0, 3.0, len(pairs))
             delta = rng.permutation(rng.choice([0.0, 1e-7, 3e-6], len(pairs)))
             assert_matches_lexsort(pairs, eps, delta)
+
+
+class ReduceatGroups:
+    """``_Groups`` before its lean reductions, frozen: extremes by ``reduceat`` on every side.
+
+    Every side is reduced, all-singleton sides included, and ``delta_j``
+    scans the sizes once per size present.
+    """
+
+    def __init__(self, words, weight, key, eps, delta):
+        self.weight, self.eps, self.delta = weight, eps[key], delta[key]
+        new = np.concatenate(([True], words[1:] != words[:-1], [True]))
+        if ((self.delta[1:] < self.delta[:-1]) & ~new[1:-1]).any():
+            sort_key = new[:-1].astype(np.intp).cumsum()
+            sort_key *= len(delta)
+            sort_key += np.sort(delta).searchsorted(delta)[key]
+            order = sort_key.argsort(kind="stable")
+            self.weight, self.eps, self.delta = (
+                a[order] for a in (self.weight, self.eps, self.delta))
+        edges = new.nonzero()[0]
+        self.starts, self.sizes = edges[:-1], edges[1:] - edges[:-1]
+        self.mass = np.add.reduceat(self.weight, self.starts)
+        hi = np.maximum.reduceat(self.eps, self.starts)
+        lo = np.minimum.reduceat(self.eps, self.starts)
+        rel_hi = np.exp(self.eps - hi.repeat(self.sizes))
+        rel_lo = np.exp(lo.repeat(self.sizes) - self.eps)
+        up = np.add.reduceat(self.weight * rel_hi, self.starts) / self.mass
+        down = np.add.reduceat(self.weight * rel_lo, self.starts) / self.mass
+        self.eps_g = max(0.0, float((hi + np.log(up)).max()))
+        self.eps_j = max(0.0, float((lo - np.log(down)).max()))
+
+    def delta_j(self, eps):
+        mass = self.mass.repeat(self.sizes)
+        a = np.minimum(1.0, self.weight / mass * np.exp(np.minimum(eps - self.eps, 700.0)))
+        best = np.zeros(len(self.starts))
+        for m in np.bincount(self.sizes).nonzero()[0]:
+            rows = (self.sizes == m).nonzero()[0]
+            idx = self.starts[rows] + np.arange(m)[:, None]
+            d, ad = self.delta[idx], a[idx]
+            sa, sad = np.add.accumulate(ad), np.add.accumulate(ad * d)
+            at_breaks = np.maximum.reduce(d * (1.0 - (sa - ad)) + (sad - ad * d))
+            at_one = 1.0 - sa[-1] + sad[-1]
+            group_best = np.maximum(0.0, np.maximum(at_breaks, at_one))
+            best[rows] = np.where(d[-1] > 0.0, group_best, 0.0)
+        return float((self.mass * best).sum())
+
+
+def reduceat_aggregate(pairs, key, table):
+    """``_aggregate`` on ``ReduceatGroups``."""
+    eps, delta = table.T
+    side0 = ReduceatGroups(pairs["word0"], pairs["weight"], key, eps, delta)
+    side1 = ReduceatGroups(pairs["word1"], pairs["weight"], key, eps, delta)
+    epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
+    delta_g = math.fsum((side1.weight * side1.delta).tolist())
+    return PrivacyParams(epsilon, min(1.0, max(
+        delta_g if epsilon >= side1.eps_g else side0.delta_j(epsilon),
+        delta_g if epsilon >= side0.eps_g else side1.delta_j(epsilon),
+    )))
+
+
+class TestLeanReductions:
+    """Extremes by ``ufunc.at``, run ids and skipped singleton sides keep every bit."""
+
+    @staticmethod
+    def assert_matches_reduceat(pairs, key, table):
+        got, want = _aggregate(pairs, key, table), reduceat_aggregate(pairs, key, table)
+        assert (got.epsilon.hex(), got.delta.hex()) == (want.epsilon.hex(), want.delta.hex())
+        # Each side on its own, so a difference the claim's min and max hide shows too.
+        eps, delta = table.T
+        for column in ("word0", "word1"):
+            side = _Groups(pairs[column], pairs["weight"], eps[key], delta[key],
+                           lambda: np.sort(delta).searchsorted(delta)[key], len(delta))
+            frozen = ReduceatGroups(pairs[column], pairs["weight"], key, eps, delta)
+            assert (side.eps_g.hex(), side.eps_j.hex()) == (frozen.eps_g.hex(), frozen.eps_j.hex())
+            for at in (frozen.eps_j, frozen.eps_j + 0.3, frozen.eps_j + 5.0):
+                assert side.delta_j(at).hex() == frozen.delta_j(at).hex()
+
+    @staticmethod
+    def random_table(rng, keys, zero_deltas):
+        eps = rng.choice([rng.uniform(0.0, 3.0), 0.0, 750.0], keys, p=[0.8, 0.1, 0.1])
+        eps[: keys // 2] = rng.uniform(0.0, 3.0, keys // 2)
+        delta = rng.choice([0.0, 1e-7, 3e-6, 2e-4], keys)
+        return np.stack((eps, np.zeros(keys) if zero_deltas else delta), 1)
+
+    def test_refined_tables_with_long_groups(self):
+        # A few atoms against many: side-0 groups of tens of pieces, side-1 groups of one or two.
+        rng = np.random.default_rng(2701)
+        extremes = set()  # whether a side with groups of several pieces took ``ufunc.at``
+        for trial in range(24):
+            k = int(rng.integers(9, 13))
+            few = rng.choice(1 << k, size=int(rng.integers(2, 20)), replace=False)
+            many = rng.choice(1 << k, size=int(rng.integers(200, 1 << (k - 1))), replace=False)
+            sides = [Hypothesis([(BitVector(int(w), k), float(p))
+                                 for w, p in zip(words, rng.dirichlet(np.ones(len(words))))])
+                     for words in (few, many)]
+            for p0, p1 in (sides, sides[::-1]):
+                pairs = refine_tuples(p0, p1).pairs
+                keys = int(rng.integers(1, 40))
+                key = rng.integers(0, keys, len(pairs))
+                table = self.random_table(rng, keys, zero_deltas=trial % 4 == 0)
+                self.assert_matches_reduceat(pairs, key, table)
+                counts = [np.unique(pairs[c], return_counts=True)[1] for c in ("word0", "word1")]
+                assert max(c.max() for c in counts) > 9
+                extremes.update(len(c) >= _AT_GROUPS for c in counts if c.max() > 1)
+        assert extremes == {False, True}
+
+    def test_all_singleton_sides(self):
+        rng = np.random.default_rng(2702)
+        for trial in range(40):
+            k = int(rng.integers(3, 11))
+            mixture = random_mixture(rng, k)
+            point = Hypothesis.point_mass(BitVector(int(rng.integers(1 << k)), k))
+            for p0, p1 in ((point, mixture), (mixture, point), (mixture, mixture)):
+                pairs = refine_tuples(p0, p1).pairs
+                keys = int(rng.integers(1, len(pairs) + 1))
+                key = rng.integers(0, keys, len(pairs))
+                table = self.random_table(rng, keys, zero_deltas=trial % 3 == 0)
+                self.assert_matches_reduceat(pairs, key, table)
+
+    def test_descending_delta_uniform_prior_tables(self):
+        # uniform_prior_bound's table: one side-0 run whose deltas descend, side 1 all singletons.
+        rng = np.random.default_rng(2703)
+        for n in (1, 2, 3, 10, 80, 1074):
+            pairs = np.zeros(n, dtype=PAIR_DTYPE)
+            pairs["weight"] = np.ldexp(1.0, -np.arange(1, n + 1)) / -math.expm1(-n * math.log(2.0))
+            pairs["word1"] = np.arange(1, n + 1)
+            eps = np.sort(rng.uniform(0.0, 2.0, n))[::-1].copy()
+            for delta in (np.sort(rng.uniform(0.0, 1e-4, n))[::-1].copy(), np.zeros(n)):
+                self.assert_matches_reduceat(pairs, np.arange(n), np.stack((eps, delta), 1))
+
+    def test_flat_pipeline_tables(self):
+        rng = np.random.default_rng(2704)
+        for _ in range(20):
+            k = int(rng.integers(2, 11))
+            pairs = refine_tuples(random_mixture(rng, k), random_mixture(rng, k)).pairs
+            varied = MechanismSequence.from_pairs(
+                (float(rng.uniform(0.05, 1.0)), float(rng.choice([0.0, 1e-6]))) for _ in range(k))
+            same = MechanismSequence.homogeneous(float(rng.uniform(0.05, 1.0)), 1e-7, k)
+            for seq, theorem in ((varied, Simple()), (same, Simple()), (same, Advanced(1e-6))):
+                key, table = _piece_keys(pairs["word0"] ^ pairs["word1"], seq, theorem, k)
+                self.assert_matches_reduceat(pairs, key, table)
 
 
 class TestHdpOverSet:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,57 @@ def reference_pairs(p0, p1):
     return np.array(rows, dtype=PAIR_DTYPE)
 
 
+def list_walk_pairs(p0, p1):
+    """The step-by-step walk over float lists, as ``refine_tuples`` ran it before its windows.
+
+    Per atom it takes the same steps as ``reference_pairs``, without a
+    ``BitVector`` per atom: the reference for inputs of a million atoms.
+    """
+    weights0, weights1 = iter(p0.weights.tolist()), iter(p1.weights.tolist())
+    w0, w1 = next(weights0), next(weights1)
+    weight, codes = [], bytearray()
+    try:
+        while True:
+            if w0 < w1:
+                weight.append(w0)
+                codes.append(1)
+                w1 -= w0
+                w0 = next(weights0)
+            elif w1 < w0:
+                weight.append(w1)
+                codes.append(2)
+                w0 -= w1
+                w1 = next(weights1)
+            else:
+                weight.append(w0)
+                codes.append(3)
+                w0, w1 = next(weights0), next(weights1)
+    except StopIteration:
+        pass
+    steps = np.frombuffer(codes, dtype=np.uint8)[:-1]
+    pairs = np.empty(len(weight), dtype=PAIR_DTYPE)
+    pairs["weight"] = weight
+    pairs["word0"] = p0.words[np.concatenate(([0], np.cumsum(steps & 1, dtype=np.intp)))]
+    pairs["word1"] = p1.words[np.concatenate(([0], np.cumsum(steps >> 1, dtype=np.intp)))]
+    return pairs
+
+
+def best_time(fn, *args, repeat=3):
+    """The fastest of ``repeat`` calls, in seconds."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def mixture(rng, k, weights):
+    """Atoms with these weights, in this order, on distinct random words."""
+    words = np.sort(rng.choice(1 << k, size=len(weights), replace=False))
+    return Hypothesis([(BitVector(int(w), k), float(p)) for w, p in zip(words, weights)])
+
+
 def presets(k):
     return (Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.point_mass(BitVector.ones(k)),
             Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k))
@@ -251,6 +303,60 @@ class TestArrayWalk:
         pairs = refine_tuples(Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k)).pairs
         assert len(pairs) == 2 ** (k + 1) - 2
         assert np.all(pairs["weight"] > 0.0)
+
+    def test_ulp_apart_atoms(self):
+        # Each side-1 atom weighs one ulp more than its side-0 twin, so the
+        # residual changes side at every piece and the two sides' cumulative
+        # sums, rounded far above an ulp of a weight, cannot order the entries:
+        # the walk steps nearly every piece one at a time.
+        rng = np.random.default_rng(1021)
+        weights = rng.dirichlet(np.ones(20000))
+        sides = [mixture(rng, 18, ws) for ws in (weights, np.nextafter(weights, 1.0))]
+        for a, b in (sides, sides[::-1]):
+            assert refine_tuples(a, b).pairs.tobytes() == list_walk_pairs(a, b).tobytes()
+        assert len(refine_tuples(*sides).pairs) > 39000
+        assert best_time(refine_tuples, *sides) < 0.02
+
+    def test_adjacent_atoms_swapped(self):
+        # Side 1 holds side 0's weights with each adjacent pair swapped, so x
+        # returns to rounding noise around 0 every two atoms and its sign often
+        # differs from the cumulative sums' prediction: the walk steps most of
+        # it one piece at a time, and windows that fail cost no more than those
+        # steps. This draw is predicted wrong about 600 times in each order
+        # and refines in 6-9 ms; a window per wrong prediction takes about
+        # 0.09 s.
+        rng = np.random.default_rng(1021)
+        weights = rng.dirichlet(np.ones(20000))
+        p0 = mixture(rng, 18, weights)
+        p1 = mixture(rng, 18, weights.reshape(-1, 2)[:, ::-1].ravel())
+        for a, b in ((p0, p1), (p1, p0)):
+            assert refine_tuples(a, b).pairs.tobytes() == list_walk_pairs(a, b).tobytes()
+            assert best_time(refine_tuples, a, b) < 0.06
+
+    def test_equal_weight_ties(self):
+        rng = np.random.default_rng(1022)
+        uniform = [np.full(n, 1.0 / n) for n in (6000, 4000, 3000)]
+        dyadic = rng.integers(1, 5, 5000).astype(float)
+        shared = rng.dirichlet(np.ones(3000))
+        for w0, w1 in ((uniform[0], uniform[1]), (uniform[1], uniform[2]), (uniform[0], uniform[0]),
+                       (dyadic / dyadic.sum(), rng.permutation(dyadic) / dyadic.sum()),
+                       (shared, shared), (shared, np.concatenate((shared[1500:], shared[:1500])))):
+            p0, p1 = mixture(rng, 16, w0), mixture(rng, 16, w1)
+            for a, b in ((p0, p1), (p1, p0)):
+                assert refine_tuples(a, b).pairs.tobytes() == list_walk_pairs(a, b).tobytes()
+        same = mixture(rng, 14, shared)
+        self.assert_matches_reference(same, same)
+        assert len(refine_tuples(same, same).pairs) == len(same)
+
+    def test_point_mass_against_uniform_nonzero(self):
+        # 2^20 - 1 pieces in both orders, entered by windows of the signed sum.
+        k = 20
+        point, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
+        for a, b in ((point, nonzero), (nonzero, point)):
+            pairs = refine_tuples(a, b).pairs
+            assert pairs.tobytes() == list_walk_pairs(a, b).tobytes()
+            assert len(pairs) == (1 << k) - 1
+            assert best_time(refine_tuples, a, b) < 0.08
 
     def test_no_per_atom_view_is_built(self, monkeypatch):
         k = 8
