@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypodp import hypothesis_dp
 from hypodp.composition import Simple
 from hypodp.core import BitVector, Hypothesis, MechanismSequence
 from hypodp.errors import MixedLengthError
-from hypodp.hypothesis_dp import PAIR_DTYPE, hdp_guarantee, refine_tuples
+from hypodp.hypothesis_dp import (
+    _BURST,
+    _SCALAR_ATOMS,
+    PAIR_DTYPE,
+    _fill,
+    _steps,
+    hdp_guarantee,
+    refine_tuples,
+)
 from hypodp.oracle import randomized_response, verify_hdp
 
 
@@ -215,10 +224,72 @@ def presets(k):
             Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k))
 
 
+def ulp_twins(weights):
+    """The weights one ulp apart, up and down in turn."""
+    twins = np.nextafter(weights, 1.0)
+    twins[1::2] = np.nextafter(weights[1::2], 0.0)
+    return twins
+
+
 class TestArrayWalk:
     def assert_matches_reference(self, p0, p1):
         for a, b in ((p0, p1), (p1, p0)):
             assert refine_tuples(a, b).pairs.tobytes() == reference_pairs(a, b).tobytes()
+
+    @staticmethod
+    def turns(monkeypatch, p0, p1):
+        """The walk's turns in order: "window", or a run of steps as its count.
+
+        Checks the table against ``list_walk_pairs`` first.
+        """
+        events = []  # each steps call's count, and None for each fill
+
+        def logged_steps(list0, list1, i0, i1, x, count, weight, codes):
+            events.append(count)
+            return _steps(list0, list1, i0, i1, x, count, weight, codes)
+
+        def logged_fill(*args):
+            events.append(None)
+            return _fill(*args)
+
+        monkeypatch.setattr(hypothesis_dp, "_steps", logged_steps)
+        monkeypatch.setattr(hypothesis_dp, "_fill", logged_fill)
+        assert refine_tuples(p0, p1).pairs.tobytes() == list_walk_pairs(p0, p1).tobytes()
+        # A fill right after a steps call holds their pieces; any other, a window's.
+        return [e if e is not None else "window" for before, e in zip([None, *events], events)
+                if e is not None or before is None]
+
+    def test_walks_around_the_scalar_bound(self, monkeypatch):
+        # _SCALAR_ATOMS atoms in all step to the end; one more takes a window,
+        # which here runs to the walk's end.
+        rng = np.random.default_rng(2801)
+        half = _SCALAR_ATOMS // 2
+        for n1, turns in ((half, [_SCALAR_ATOMS]), (half + 1, ["window"])):
+            p0 = mixture(rng, 12, rng.dirichlet(np.ones(half)))
+            p1 = mixture(rng, 12, rng.dirichlet(np.ones(n1)))
+            for a, b in ((p0, p1), (p1, p0)):
+                assert self.turns(monkeypatch, a, b) == turns
+
+    def test_few_atoms_left_after_a_wrong_prediction(self, monkeypatch):
+        # Ulp-apart twins: the first window is predicted wrong within its
+        # first atoms, and the burst of steps leaves at most _SCALAR_ATOMS
+        # atoms, so the walk steps on to its end rather than take a window.
+        rng = np.random.default_rng(2810)
+        weights = rng.dirichlet(np.ones(300))
+        p0, p1 = mixture(rng, 12, weights), mixture(rng, 12, ulp_twins(weights))
+        for a, b in ((p0, p1), (p1, p0)):
+            assert self.turns(monkeypatch, a, b) == ["window", 2 * _BURST, _SCALAR_ATOMS]
+
+    def test_few_atoms_left_at_a_window_end(self, monkeypatch):
+        # 50 twins, then 400 atoms of independent weights a side: a burst
+        # steps past the twins, the burst-sized window after it runs to its
+        # end, and the at most _SCALAR_ATOMS atoms left are stepped.
+        rng = np.random.default_rng(2813)
+        twins = rng.dirichlet(np.ones(50)) * 0.1
+        p0 = mixture(rng, 12, np.concatenate((twins, rng.dirichlet(np.ones(400)) * 0.9)))
+        p1 = mixture(rng, 12, np.concatenate((ulp_twins(twins), rng.dirichlet(np.ones(400)) * 0.9)))
+        for a, b in ((p0, p1), (p1, p0)):
+            assert self.turns(monkeypatch, a, b) == ["window", 2 * _BURST, "window", _SCALAR_ATOMS]
 
     def test_seeded_mixtures(self):
         for p0, p1 in random_pairs(seed=99, count=300):
