@@ -157,6 +157,7 @@ def compose_selections(
         out = [compose(list(compress(guarantees, row)), theorem).as_tuple()
                for row in rows.tolist()]
     else:
+        rows = rows.astype(np.int64)  # one copy serves both columns
         out = np.stack((_exact_row_sums(rows, eps), _exact_row_sums(rows, delta).clip(max=1.0)), 1)
     return np.asarray(out, dtype=np.float64).reshape(len(rows), 2)
 

@@ -18,8 +18,9 @@ Conventions:
   read-only arrays: ascending ``uint64`` ``words`` and ``float64`` ``weights``.
   The uniform presets declare their law and build their arrays on first read.
 * Returned sums of doubles are exact, rounded once as by ``math.fsum``:
-  ``exact_sum`` for an array, ``_exact_row_sums`` for boolean-row subsets,
-  ``_exact_suffix_sums`` for every suffix; tolerance checks use numpy's sum.
+  ``exact_sum`` for an array, ``_exact_row_sums`` for 0/1-row subsets,
+  ``_exact_suffix_sums`` for every suffix, the last two's wide integer
+  totals through one division, ``_divide``; tolerance checks use numpy's sum.
 """
 
 import math
@@ -190,63 +191,48 @@ def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in ratios], scale
 
 
-def _exact_row_sums(rows: np.ndarray, values: list[float]) -> np.ndarray:
-    """The correctly rounded sum of the non-negative values each boolean row selects.
+def _divide(totals: Iterable[int], scale: int) -> list[float]:
+    """Each exact total over ``scale`` by int true division: rounded and overflowing as in fsum."""
+    try:
+        return [t / scale for t in totals]
+    except OverflowError as exc:
+        raise OverflowError("intermediate overflow in fsum") from exc
 
-    Fewer than ``_FSUM_ROWS`` rows take ``math.fsum`` per row. Otherwise int64
-    products sum the ``_fixed_point`` integers exactly: in one column when all are
-    below 2^(62 - bits(k)), else split into limbs of ``width`` bits, one column each.
-    Carries bring each row's limbs below 2^width, and its top 62 bits, with a sticky
-    last bit for any set bit below them, stand for the exact sum: each sum rounds
-    once to float64 and ``np.ldexp`` scales it exactly, subnormals included. A sum
-    that rounds beyond the doubles raises ``OverflowError``, as ``math.fsum`` does.
+
+def _exact_row_sums(rows: np.ndarray, values: list[float]) -> np.ndarray:
+    """The correctly rounded sum of the non-negative values each 0/1 row selects.
+
+    Fewer than ``_FSUM_ROWS`` rows take ``math.fsum`` per row. Otherwise the
+    ``_fixed_point`` integers, unless they all sum below 2^63, split into limbs
+    of ``62 - bits(k)`` bits, so one int64 matrix product sums every limb column
+    exactly. One limb's sums convert to float64 and ``np.ldexp`` scales them
+    exactly, subnormals included; several limbs make each row's exact total a
+    Python integer, which ``_divide`` rounds once.
     """
     if len(rows) < _FSUM_ROWS:
         return np.array([math.fsum(compress(values, row)) for row in rows.tolist()])
     ints, scale = _fixed_point(values)
-    bits = max(ints, default=0).bit_length() + len(ints).bit_length()  # bounds every row sum
-    if bits <= 62:
-        sums = rows.astype(np.int64) @ np.array(ints, dtype=np.int64)
-        return np.ldexp(sums.astype(np.float64), 1 - scale.bit_length())
-    # A limb column sums below 2^62 and a carried limb converts to float64 exactly;
-    # at 31 bits or more the top 62 bits span at most three limbs.
-    width = min(53, 62 - len(ints).bit_length())
-    mask, count = (1 << width) - 1, -(-bits // width)
-    limbs = np.array([[n >> (width * j) & mask for n in ints] for j in range(count)],
-                     dtype=np.int64)
-    sums = limbs @ rows.T.astype(np.int64)  # (count, rows): limb j of every row sum
-    for j in range(count - 1):
-        sums[j + 1] += sums[j] >> width
-        sums[j] &= mask
-    nonzero = sums != 0
-    top = np.where(nonzero.any(axis=0), count - 1 - nonzero[::-1].argmax(axis=0), 0)  # highest limb
-    cols = np.arange(sums.shape[1])
-    padded = np.vstack((np.zeros((2, len(cols)), dtype=np.int64), sums))
-    high, mid, low = padded[top + 2, cols], padded[top + 1, cols], padded[top, cols]
-    # Window bits below ``high``'s; np.frexp gives bit lengths, exact below 2^53, as int32.
-    need = 62 - np.frexp(high.astype(np.float64))[1].astype(np.int64)
-    up, down = np.clip(need - width, 0, None), np.clip(width - need, 0, None)
-    low_shift = np.minimum(2 * width - need, width)  # ``low`` fills what ``mid`` leaves
-    window = high << need | mid << up >> down | low >> low_shift
-    window |= (mid & (1 << down) - 1 | low & (1 << low_shift) - 1) != 0
-    window |= nonzero.argmax(axis=0) < top - 2  # a set bit in a limb below ``low``
-    with np.errstate(over="ignore"):
-        out = np.ldexp(window.astype(np.float64), width * top - need + 1 - scale.bit_length())
-    if np.isinf(out).any():
-        raise OverflowError("intermediate overflow in fsum")
-    return out
+    # One limb when every row sum fits an int64; else each limb column sums below 2^62.
+    width = 63 if sum(ints) < 1 << 63 else 62 - len(ints).bit_length()
+    count = max(1, -(-max(ints, default=0).bit_length() // width))
+    limbs = np.array([[n >> (width * j) & (1 << width) - 1 for j in range(count)] for n in ints],
+                     dtype=np.int64).reshape(len(ints), count)
+    sums = rows @ limbs  # (rows, count): limb j of each row's sum
+    if count == 1:
+        return np.ldexp(sums[:, 0].astype(np.float64), 1 - scale.bit_length())
+    totals, *lower = sums.T[::-1].tolist()
+    for column in lower:
+        totals = [(t << width) + s for t, s in zip(totals, column)]
+    return np.array(_divide(totals, scale))
 
 
 def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
     """``[math.fsum(values[i:]) for i in range(len(values) + 1)]`` in O(n).
 
-    Int true division rounds each exact ``_fixed_point`` suffix sum once, as fsum does.
+    ``_divide`` rounds each exact ``_fixed_point`` suffix sum once, as fsum does.
     """
     ints, scale = _fixed_point(values)
-    try:
-        return [s / scale for s in accumulate(reversed(ints), initial=0)][::-1]
-    except OverflowError as exc:
-        raise OverflowError("intermediate overflow in fsum") from exc
+    return _divide(accumulate(reversed(ints), initial=0), scale)[::-1]
 
 
 def _enumeration_size(k: int) -> int:

@@ -70,6 +70,7 @@ composition; as ``P_X = sum_c P_X(c) U_c``, the G/J proofs hold for classes.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -314,13 +315,7 @@ def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> Privacy
     """
     eps, delta = table.T
     pieces = pairs["weight"], eps[key], delta[key]
-    ranks = []  # each piece's key delta ranked, built once for the sides that sort
-
-    def rank():
-        if not ranks:
-            ranks.append(_delta_ranks(delta)[key])
-        return ranks[0]
-
+    rank = cache(lambda: _delta_ranks(delta)[key])  # built once, if a side sorts
     side0 = _Groups(pairs["word0"], *pieces, rank, len(delta))
     side1 = _Groups(pairs["word1"], *pieces, rank, len(delta))
     # P0 <= e^eps P1 + delta is bounded by (g1, j0); the reverse by (g0, j1).

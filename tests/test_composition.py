@@ -5,7 +5,7 @@ from itertools import compress
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hypodp.composition import (
     Advanced,
@@ -303,18 +303,39 @@ def fsum_rows(rows, values):
     return [math.fsum(compress(values, row)) for row in rows.tolist()]
 
 
+@st.composite
+def fuzz_values(draw, k):
+    """k non-negative doubles, for drawn lo < hi: any double in [2^lo, 2^hi), up
+    to ``DBL_MAX``, an exact power of two in it, or zero; in half the lists, a
+    subnormal or zero."""
+    hi = draw(st.integers(-1073, 1023) | st.just(1024))
+    narrow = st.integers(1, min(300, hi + 1074))  # few limbs
+    lo = hi - draw(narrow | st.integers(1, hi + 1074))
+    subnormal = st.floats(0.0, sys.float_info.min, exclude_max=True)
+    value = st.one_of(
+        st.floats(math.ldexp(1.0, lo), math.ldexp(1.0 - 2.0**-53, hi)),  # DBL_MAX at 1024
+        st.integers(lo, hi - 1).map(lambda e: math.ldexp(1.0, e)),
+        subnormal if draw(st.booleans()) else st.just(0.0),
+    )
+    return draw(st.lists(value, min_size=k, max_size=k))
+
+
 class TestExactRowSums:
     """Exact integer row sums round each row as ``math.fsum`` does, bit for bit.
 
-    Calls of 64 rows or more sum in int64: in one column when every integer is
-    below 2^(62 - bits(k)), else in limbs; smaller calls take ``math.fsum``.
-    All are checked, on calls of every size.
+    Calls of 64 rows or more sum in int64: in one limb when the integers sum
+    below 2^63, else in limbs of 62 - bits(k) bits. One limb converts to float64
+    and scales by ``np.ldexp``; several make each row's exact total a Python
+    integer, divided once. Smaller calls take ``math.fsum``. All are checked, on
+    calls of every size, with boolean rows and the int64 rows
+    ``compose_selections`` passes.
     """
 
     def assert_fsum(self, rows, values):
-        got = np.asarray(_exact_row_sums(rows, values), dtype=np.float64)
         want = np.array(fsum_rows(rows, values), dtype=np.float64)
-        assert got.tobytes() == want.tobytes()
+        for selection in (rows, rows.astype(np.int64)):
+            got = np.asarray(_exact_row_sums(selection, values), dtype=np.float64)
+            assert got.tobytes() == want.tobytes()
         for part in (rows[:1], rows[:16]):
             small = np.asarray(_exact_row_sums(part, values), dtype=np.float64)
             assert small.tobytes() == want[: len(part)].tobytes()
@@ -344,8 +365,8 @@ class TestExactRowSums:
         assert _exact_row_sums(np.zeros((40, 63), bool), values).tolist() == [0.0] * 40
 
     def test_values_spanning_ten_decades_and_more(self):
-        # Integers far above 2^62 split into limbs; each row's top 62 bits and a
-        # sticky bit round once, whichever limb the top bit falls in.
+        # Integers far above 2^62 split into limbs; each row's limb sums make its
+        # exact total, which one division rounds.
         rng = np.random.default_rng(2027)
         for k in (2, 5, 17, 40, 63):
             for lo, span in ((-8, 10), (-30, 12), (-300, 20), (-320, 40), (250, 57), (-200, 400)):
@@ -367,6 +388,38 @@ class TestExactRowSums:
         values = [2.0**53, 1.0, 2.0, 2.0**-60, 0.0]
         rows = np.array(list(itertools.product((False, True), repeat=5)) * 2, dtype=bool)
         self.assert_fsum(rows, values)
+
+    def test_row_sums_at_the_int64_edge(self):
+        # Integers summing to 2^63 - 1 take one int64 limb, and the full row rounds
+        # up to 2^63; at 2^63 + 1 they take limbs, and two of them sum to 2^63.
+        rows = np.array(list(itertools.product((False, True), repeat=3)) * 10, dtype=bool)
+        for values in ([2.0**62, 2.0**62 - 1024, 1023.0], [2.0**62, 2.0**62, 1.0]):
+            self.assert_fsum(rows, values)
+
+    def test_many_limbs_at_k1_and_k63(self):
+        # DBL_MAX alone is a 1024-bit integer: 17 limbs of 61 bits at k = 1. At
+        # k = 63 the values run from 2^-1074 to about 2^973 over a scale of
+        # 2^1074: 2047-bit integers, 37 limbs of 56 bits.
+        rng = np.random.default_rng(2028)
+        self.assert_fsum(rng.random((100, 1)) < 0.5, [sys.float_info.max])
+        values = [math.ldexp(1.0 + i / 64, 33 * i - 1074) for i in range(63)]
+        self.assert_fsum(rng.random((150, 63)) < rng.random((150, 1)), values)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 63).flatmap(fuzz_values), st.integers(64, 200),
+           st.integers(0, 2**32 - 1))
+    def test_fuzz_against_fsum(self, values, n, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((n, len(values))) < rng.random((n, 1))
+        try:
+            want = np.array(fsum_rows(rows, values), dtype=np.float64)
+        except OverflowError:
+            for selection in (rows, rows.astype(np.int64)):
+                with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+                    _exact_row_sums(selection, values)
+        else:
+            for selection in (rows, rows.astype(np.int64)):
+                assert _exact_row_sums(selection, values).tobytes() == want.tobytes()
 
     def test_overflow_message(self):
         for n in (1, 40, 64, 200):

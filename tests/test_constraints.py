@@ -262,8 +262,9 @@ class TestPatternSetBound:
 
     def test_600_bounded_patterns_with_deltas_over_four_decades(self):
         # 179,700 distinct XOR words at k = 63 with 63 distinct guarantees: the
-        # deltas' fixed-point integers reach about 2^70, so their row sums take
-        # int64 limbs, where a per-row math.fsum took about a second.
+        # deltas' fixed-point integers reach 2^65, so their row sums take two
+        # 56-bit int64 limbs and one Python integer division per row, where a
+        # per-row math.fsum took about a second.
         rng = np.random.default_rng(52)
         k = 63
         seq = MechanismSequence.from_pairs(
