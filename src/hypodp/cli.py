@@ -37,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 
 import numpy as np
 import yaml
@@ -57,7 +58,7 @@ EXIT_COMPUTATION = 4
 # A correct simulator fails simulate's check of a vector with probability at most this.
 SIMULATE_ALPHA = 1e-6
 
-# libyaml where PyYAML has it; its constructor, representer and resolver are unchanged.
+# libyaml where PyYAML has it; the same constructor and resolver read and write either way.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
@@ -317,7 +318,9 @@ def _scenario_echo(s: Scenario) -> dict:
                 "patterns": sorted(str(p) for p in s.constraint.patterns)
             }
     echo["hypotheses"] = {
-        name: spec if isinstance(spec, str) else {str(v): w for v, w in spec.atoms}
+        name: spec if isinstance(spec, str) else {
+            format(w, f"0{s.k}b"): p for w, p in zip(spec.words.tolist(), spec.weights.tolist())
+        }
         for name, spec in (("p0", s.p0_spec), ("p1", s.p1_spec))
     }
     echo["subsample_rate"] = s.subsample_rate
@@ -325,10 +328,81 @@ def _scenario_echo(s: Scenario) -> dict:
     return echo
 
 
+_TAG = "tag:yaml.org,2002:"
+_STR = _TAG + "str"
+_RESOLVER = yaml.resolver.Resolver()  # SafeDumper's and CSafeDumper's resolver
+_FLOAT_WORDS = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}
+
+
+def _float_text(x: float) -> str:
+    """The round-trip-exact repr, with the point YAML's float resolver needs
+    before a bare exponent (1e+17 -> 1.0e+17)."""
+    text = repr(x)
+    if "e" in text and "." not in text:
+        return text.replace("e", ".0e")
+    return _FLOAT_WORDS.get(text, text)
+
+
+# SafeRepresenter's tag and text for each scalar type but str. Each text reads
+# back under its own tag, so the event is implicit (True, False).
+_SCALARS = {
+    bool: (_TAG + "bool", lambda b: "true" if b else "false"),
+    int: (_TAG + "int", str),
+    float: (_TAG + "float", _float_text),
+    type(None): (_TAG + "null", lambda _: "null"),
+}
+
+
+def _scalar(data) -> yaml.ScalarEvent:
+    """The event of one scalar, as PyYAML's safe representer and serializer make it."""
+    kind = type(data)
+    if kind is str:
+        # Plain only where the plain text reads back as a string ('0101' is quoted).
+        plain = _RESOLVER.resolve(yaml.ScalarNode, data, (True, False)) == _STR
+        return yaml.ScalarEvent(None, _STR, (plain, True), data)
+    if kind not in _SCALARS:
+        raise yaml.representer.RepresenterError("cannot represent an object", data)
+    tag, text = _SCALARS[kind]
+    return yaml.ScalarEvent(None, tag, (True, False), text(data))
+
+
+def _document(report: dict):
+    """The report's events, depth first on one stack of the open containers' items.
+
+    The document is the outermost container: its one item is the report.
+    """
+    yield yaml.StreamStartEvent()
+    yield yaml.DocumentStartEvent(explicit=False)
+    stack = [(iter([report]), yaml.DocumentEndEvent(explicit=False))]
+    while stack:
+        items, end = stack[-1]
+        for item in items:
+            if type(item) is dict:
+                yield yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False)
+                stack.append((chain.from_iterable(item.items()), yaml.MappingEndEvent()))
+                break
+            if type(item) is list:
+                yield yaml.SequenceStartEvent(None, _TAG + "seq", True, flow_style=False)
+                stack.append((iter(item), yaml.SequenceEndEvent()))
+                break
+            yield _scalar(item)
+        else:
+            stack.pop()
+            yield end
+    yield yaml.StreamEndEvent()
+
+
 def _emit(report: dict, out_path: str | None, human_lines: list[str], quiet: bool) -> None:
-    # PyYAML writes a float as its round-trip-exact repr, adding the point
-    # its float resolver needs before a bare exponent (1e+17 -> 1.0e+17).
-    text = yaml.dump(report, Dumper=_DUMPER, sort_keys=False)
+    """Write ``report`` to ``out_path`` (stdout if None), and unless ``quiet`` the summary to stderr.
+
+    ``_DUMPER``'s emitter writes the events of ``_document``, which carry the
+    safe representer's tags and texts, so the bytes are those of PyYAML's safe
+    dump with keys in insertion order, without its Python pass over each node.
+    A report is a tree of dicts, lists, strings, numbers, booleans and None, no
+    container appearing twice, so it needs no anchors; any other type raises
+    ``RepresenterError``, as the safe representer does.
+    """
+    text = yaml.emit(_document(report), Dumper=_DUMPER)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import re
@@ -6,8 +8,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from hypodp import cli, oracle
 from hypodp.cli import (
@@ -529,6 +533,88 @@ def test_demo_scenario_reports_match_golden(scenario, command, capsys):
 @DEMO_SCENARIOS
 def test_pure_python_yaml_reports_match_golden(scenario, command, capsys, pure_python_yaml):
     test_demo_scenario_reports_match_golden(scenario, command, capsys)
+
+
+# The oracle commands' reports: booleans, quoted bit strings and a method line
+# long enough to wrap. simulate on hospitals.yaml (13 s) is left out.
+ORACLE_GOLDENS = pytest.mark.parametrize("scenario, command", [
+    ("verify_rr", "verify"), ("uniform_prior", "simulate"), ("verify_rr", "simulate"),
+])
+
+
+@ORACLE_GOLDENS
+def test_oracle_reports_match_golden(scenario, command, capsys):
+    test_demo_scenario_reports_match_golden(scenario, command, capsys)
+
+
+@ORACLE_GOLDENS
+def test_pure_python_yaml_oracle_reports_match_golden(scenario, command, capsys, pure_python_yaml):
+    test_demo_scenario_reports_match_golden(scenario, command, capsys)
+
+
+def test_explicit_hypotheses_echoed_in_word_order(tmp_path, capsys):
+    hypotheses = 'hypotheses: {p0: {"00": 1.0}, p1: {"10": 0.25, "01": 0.75}}\n'
+    assert main(["compose", "--scenario", write(tmp_path, "s.yaml", PAIR + hypotheses),
+                 "--quiet"]) == EXIT_OK
+    echo = "  hypotheses:\n    p0:\n      '00': 1.0\n    p1:\n      '01': 0.75\n      '10': 0.25\n"
+    assert echo in capsys.readouterr().out
+
+
+def test_main_emits_through_the_module_global(tmp_path, monkeypatch):
+    # Wrappers on cli._emit, such as the benchmark tracer's, see every report.
+    calls = []
+    monkeypatch.setattr(cli, "_emit", lambda *args: calls.append(args))
+    path, out = write(tmp_path, "s.yaml", TRIPLE), str(tmp_path / "report.yaml")
+    assert main(["compose", "--scenario", path, "--out", out]) == EXIT_OK
+    [(report, out_path, human, quiet)] = calls
+    assert (report["command"], report["method"], report["result"]["epsilon"]) == \
+        ("compose", "simple", 0.1 + 0.1 + 0.1)
+    assert (out_path, quiet) == (out, False)
+    assert human[0].startswith("classic composition of k=3")
+
+
+# Strings whose plain form reads back as another type, or that need quotes or wrap.
+AWKWARD_STRINGS = [
+    "0101", "1", "true", "yes", "null", "~", "1e5", ".inf", "2001-12-14", "0x1F", "1:30", "<<",
+    "", " lead", "trail ", "a: b", "#x", "- x", "two\nlines", "tab\there", "naïve €",
+    "wrapped " * 12, "x" * 100,
+]
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e16, 1e17, 5e-324, sys.float_info.max]
+SCALARS = st.one_of(
+    st.sampled_from(AWKWARD_STRINGS), st.text(),
+    st.sampled_from(EDGE_FLOATS), st.floats(),
+    st.sampled_from([2**64, -2**64 - 1, 2**100 + 1]), st.integers(),
+    st.booleans(), st.none(),
+)
+KEYS = st.one_of(st.sampled_from(AWKWARD_STRINGS), st.text(), st.integers(), st.none())
+REPORTS = st.dictionaries(KEYS, st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=20,
+), max_size=6)
+DUMPERS = [d for d in (getattr(yaml, "CSafeDumper", None), yaml.SafeDumper) if d is not None]
+
+
+@pytest.mark.parametrize("dumper", DUMPERS, ids=lambda d: d.__name__)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(report=REPORTS)
+def test_emit_writes_the_bytes_of_a_safe_dump(dumper, report):
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout):
+        patch.setattr(cli, "_DUMPER", dumper)
+        cli._emit(report, None, [], quiet=True)
+    assert stdout.getvalue() == yaml.dump(report, Dumper=dumper, sort_keys=False)
+
+
+@pytest.mark.parametrize("dumper", DUMPERS, ids=lambda d: d.__name__)
+def test_emit_refuses_what_the_safe_representer_refuses(dumper, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_DUMPER", dumper)
+    report = {"result": {"epsilon": np.float64(0.5)}}
+    with pytest.raises(yaml.representer.RepresenterError):
+        yaml.dump(report, Dumper=dumper)
+    with pytest.raises(yaml.representer.RepresenterError):
+        cli._emit(report, None, ["summary"], quiet=False)
+    assert capsys.readouterr() == ("", "")
 
 
 PAIR = "mechanisms:\n  - {epsilon: 0.5, delta: 1.0e-6}\n  - {epsilon: 0.25, delta: 0.0}\n"
