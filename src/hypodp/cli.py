@@ -24,9 +24,11 @@ Every key but ``mechanisms`` may be absent or null, which takes the value
 shown (no constraint for ``constraint``); ``max_ones``, ``trials`` and
 ``seed`` must be integers, so a fraction is refused, not truncated.
 
-Exit codes: 0 success, 1 bad scenario file, 2 a bad command line
-(argparse's usage error), 3 verification found the claim unsound
-(verify only), 4 computation error or a report that cannot be written.
+Exit codes: 0 success, 1 bad scenario file (a scalar PyYAML's safe
+constructor cannot build, such as ``0b_`` or ``2001-02-30``, included),
+2 a bad command line (argparse's usage error), 3 verification found the
+claim unsound (verify only), 4 computation error or a report that cannot
+be written.
 The machine report goes to --out (default stdout) with
 round-trip-exact numbers; the human summary goes to stderr unless
 --quiet is given.
@@ -34,10 +36,11 @@ round-trip-exact numbers; the human summary goes to stderr unless
 
 import argparse
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 import yaml
@@ -61,6 +64,7 @@ SIMULATE_ALPHA = 1e-6
 # libyaml where PyYAML has it; the same constructor and resolver read and write either way.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_TAG = "tag:yaml.org,2002:"
 
 # The README's defaults, one table per section; an absent or null key
 # takes its default, and ``mechanisms`` has none.
@@ -107,6 +111,21 @@ def _fail(field: str, message: str) -> ScenarioValidationError:
     return ScenarioValidationError(f"{field}: {message}")
 
 
+class _Quote(reprlib.Repr):
+    """``repr`` within reprlib's default caps on depth and length; a mapping keeps its order."""
+
+    def repr_dict(self, x, level):
+        if not x or level <= 0:
+            return "{...}" if x else "{}"
+        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}"
+                  for k, v in islice(x.items(), self.maxdict)]
+        return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
+
+
+# A scenario value as messages quote it: a list nested 5,000 deep prints as [[[[[[[...]]]]]]].
+_quote = _Quote().repr
+
+
 def _checked(field: str, build, *args):
     """``build(*args)``, with a domain error (a ValueError) reported against ``field``."""
     try:
@@ -118,7 +137,7 @@ def _checked(field: str, build, *args):
 def _section(raw, defaults: dict, field: str) -> dict:
     """``raw`` with each absent or null key set to its default; refuses unknown keys."""
     if not isinstance(raw, dict):
-        raise _fail(field, f"expected a mapping, got {raw!r}")
+        raise _fail(field, f"expected a mapping, got {_quote(raw)}")
     unknown = set(raw) - set(defaults)
     if unknown:
         raise _fail(field, f"unknown keys {sorted(map(str, unknown))}")
@@ -133,14 +152,14 @@ def _number(raw, field: str, integer: bool = False):
     """
     try:
         if raw is None or isinstance(raw, bool):
-            raise TypeError(f"expected a number, got {raw!r}")
+            raise TypeError(f"expected a number, got {_quote(raw)}")
         if integer and isinstance(raw, int):
             return raw
         value = float(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise _fail(field, str(exc)) from exc
     if integer and not value.is_integer():
-        raise _fail(field, f"expected an integer, got {raw!r}")
+        raise _fail(field, f"expected an integer, got {_quote(raw)}")
     return int(value) if integer else value
 
 
@@ -167,7 +186,7 @@ def _parse_theorem(raw) -> CompositionTheorem:
         body = _section(raw["advanced"], {"delta_slack": None}, "theorem.advanced")
         field = "theorem.advanced.delta_slack"
         return _checked(field, Advanced, _number(body["delta_slack"], field))
-    raise _fail("theorem", f"expected 'simple' or {{advanced: ...}}, got {raw!r}")
+    raise _fail("theorem", f"expected 'simple' or {{advanced: ...}}, got {_quote(raw)}")
 
 
 def _parse_constraint(raw, k: int) -> con.MembershipConstraint:
@@ -185,12 +204,12 @@ def _parse_constraint(raw, k: int) -> con.MembershipConstraint:
             for i, p in enumerate(patterns)
         ]
         return con.PatternSet.of(vectors)
-    raise _fail("constraint", f"unrecognized constraint {raw!r}")
+    raise _fail("constraint", f"unrecognized constraint {_quote(raw)}")
 
 
 def _parse_bitvector(raw, k: int, field: str) -> BitVector:
     if not isinstance(raw, str):
-        raise _fail(field, f"expected a bit string, got {raw!r}")
+        raise _fail(field, f"expected a bit string, got {_quote(raw)}")
     vec = _checked(field, BitVector.from_string, raw)
     if vec.k != k:
         raise _fail(field, f"bit string has length {vec.k}, expected {k}")
@@ -210,7 +229,8 @@ def _parse_hypothesis(raw, k: int, field: str) -> "str | Hypothesis":
     """A preset's name, unbuilt (a preset can take 2^k atoms), or a map's built hypothesis."""
     if isinstance(raw, str):
         if raw not in HYPOTHESIS_PRESETS:
-            raise _fail(field, f"unknown preset {raw!r}; options: {', '.join(HYPOTHESIS_PRESETS)}")
+            options = ", ".join(HYPOTHESIS_PRESETS)
+            raise _fail(field, f"unknown preset {_quote(raw)}; options: {options}")
         return raw
     if isinstance(raw, dict):
         atoms = {
@@ -218,7 +238,7 @@ def _parse_hypothesis(raw, k: int, field: str) -> "str | Hypothesis":
             for s, w in raw.items()
         }
         return _checked(field, Hypothesis, atoms)
-    raise _fail(field, f"expected a preset name or a {{bitstring: weight}} map, got {raw!r}")
+    raise _fail(field, f"expected a preset name or a {{bitstring: weight}} map, got {_quote(raw)}")
 
 
 def _hypothesis(spec: "str | Hypothesis", k: int, field: str) -> Hypothesis:
@@ -227,19 +247,114 @@ def _hypothesis(spec: "str | Hypothesis", k: int, field: str) -> Hypothesis:
     return _checked(field, HYPOTHESIS_PRESETS[spec], k)
 
 
+# The tags whose plain scalars _build constructs; the resolver's others are timestamp,
+# merge (<<) and value (=).
+_BUILT_TAGS = frozenset(_TAG + name for name in ("null", "bool", "int", "float", "str"))
+# An open sequence's state; an open mapping's is _KEY before each key and the key after it.
+_ITEM, _KEY = object(), object()
+_UNBUILT = object()  # _build's answer for a document it leaves to yaml.load
+
+
+def _build(loader):
+    """The tree ``SafeConstructor`` builds from the one document in ``loader``'s events,
+    or ``_UNBUILT`` where the document needs ``yaml.load`` (see ``load_scenario``).
+
+    Each open container waits on one stack with its state, so nesting costs no
+    recursion. A quoted scalar is its text. A plain one is resolved and built by the
+    loader's constructor for its tag once per text, since keys such as ``epsilon``
+    repeat k times; SafeConstructor builds equal values from one text, and one NaN.
+    """
+    get_event, resolve = loader.get_event, loader.resolve
+    constructors = loader.yaml_constructors
+    built = {}
+    get_event()  # StreamStartEvent
+    if type(get_event()) is yaml.StreamEndEvent:  # no document; else DocumentStartEvent
+        return None
+    document, stack = [], []
+    top, key = document, _ITEM
+    while True:
+        event = get_event()
+        kind = type(event)
+        if kind is yaml.ScalarEvent:
+            if event.anchor is not None or event.tag is not None:
+                return _UNBUILT
+            value = text = event.value
+            if event.implicit[0]:
+                value = built.get(text, _UNBUILT)
+                if value is _UNBUILT:
+                    tag = resolve(yaml.ScalarNode, text, (True, False))
+                    if tag not in _BUILT_TAGS:
+                        return _UNBUILT
+                    try:
+                        value = constructors[tag](loader, yaml.ScalarNode(tag, text))
+                    except ValueError:
+                        return _UNBUILT
+                    built[text] = value
+        elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+            if event.anchor is not None or event.tag is not None or key is _KEY:
+                return _UNBUILT
+            value = {} if kind is yaml.MappingStartEvent else []
+        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            top, key = stack.pop()
+            continue
+        elif kind is yaml.DocumentEndEvent:
+            break
+        else:  # AliasEvent
+            return _UNBUILT
+        if key is _ITEM:
+            top.append(value)
+        elif key is _KEY:
+            key = value
+            continue
+        else:
+            top[key] = value
+            key = _KEY
+        if kind is not yaml.ScalarEvent:
+            stack.append((top, key))
+            top, key = value, _ITEM if type(value) is list else _KEY
+    if type(get_event()) is not yaml.StreamEndEvent:
+        return _UNBUILT
+    return document[0]
+
+
+def _read(fh):
+    """What ``yaml.load(fh, Loader=_LOADER)`` returns or raises: ``_build``'s tree, or
+    else that one ``yaml.load`` call on the file read again from its start. A stream
+    that cannot seek back, such as a pipe, goes to ``yaml.load`` at once."""
+    if fh.seekable():
+        loader = _LOADER(fh)
+        try:
+            tree = _build(loader)
+        finally:
+            loader.dispose()
+        if tree is not _UNBUILT:
+            return tree
+        fh.seek(0)
+    return yaml.load(fh, Loader=_LOADER)
+
+
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     """Read and validate a scenario file.
 
+    The raw tree comes from one pass over ``_LOADER``'s parse events, without PyYAML's
+    composer and its pass of ``Resolver.resolve`` and ``SafeConstructor`` over every
+    node. A file holding what that pass leaves to PyYAML is read again by ``yaml.load``:
+    a second document, anchors and aliases, explicit tags, merge (``<<``) and value
+    (``=``) keys, a collection as a key, timestamps, and a scalar the constructor
+    refuses. A pipe, which cannot be read twice, goes to ``yaml.load`` at once. Either
+    way the tree and every error are PyYAML's.
+
     Raises:
-        ScenarioParseError: unreadable or syntactically invalid file.
+        ScenarioParseError: unreadable or syntactically invalid file, or a scalar
+            PyYAML's safe constructor cannot build (``0b_``, ``2001-02-30``).
         ScenarioValidationError: well-formed file violating an invariant.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=_LOADER)
+            raw = _read(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario file: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ScenarioParseError(f"cannot parse scenario file: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioParseError("scenario must be a mapping at the top level")
@@ -328,7 +443,6 @@ def _scenario_echo(s: Scenario) -> dict:
     return echo
 
 
-_TAG = "tag:yaml.org,2002:"
 _STR = _TAG + "str"
 _RESOLVER = yaml.resolver.Resolver()  # SafeDumper's and CSafeDumper's resolver
 _FLOAT_WORDS = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}

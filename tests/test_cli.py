@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -432,6 +433,45 @@ def test_mixed_type_mechanism_keys_exit_1_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("scalar, message", [
+    ("0b_", "invalid literal for int() with base 2: ''"),
+    ("0x_", "invalid literal for int() with base 16: ''"),
+    ("2001-02-30", "day is out of range for month"),
+])
+def test_scalar_pyyaml_cannot_build_exits_1(tmp_path, capsys, scalar, message):
+    # SafeConstructor raises a bare ValueError for these, once taken for a computation error.
+    path = write(tmp_path, "s.yaml", MINIMAL + f"oracle: {{seed: {scalar}}}\n")
+    with pytest.raises(ScenarioParseError, match=re.escape(message)):
+        load_scenario(path)
+    assert main(["compose", "--scenario", path]) == EXIT_BAD_SCENARIO
+    assert capsys.readouterr() == ("", f"error: cannot parse scenario file: {message}\n")
+
+
+def test_a_scenario_from_a_pipe_may_hold_anchors():
+    # A pipe cannot be read again after the one pass, so yaml.load reads it alone.
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"mechanisms: [&m {epsilon: 0.1}, *m]\n")
+    os.close(write_end)
+    with open(read_end, encoding="utf-8") as fh:
+        assert not fh.seekable()
+        assert cli._read(fh) == {"mechanisms": [{"epsilon": 0.1}, {"epsilon": 0.1}]}
+
+
+# Lists nested 30,000 deep overflowed an 8 MB C stack in the recursion of PyYAML's
+# compiled composer. libyaml's scanner takes time quadratic in the depth: about 5 s
+# at 30,000 and 70 s at 100,000 on a 2-core Xeon, so the 100,000 case runs in CI only.
+@pytest.mark.parametrize("prefix, depth, error", [
+    ("mechanisms: ", 30_000, "mechanisms[0]: expected a mapping with epsilon/delta"),
+    (MINIMAL + "hypotheses: ", 5_000, "hypotheses: expected a mapping, got [[[[[[[...]]]]]]]"),
+], ids=["mechanisms", "hypotheses"])
+def test_deep_nesting_exits_1_without_a_crash(tmp_path, prefix, depth, error):
+    path = write(tmp_path, "s.yaml", prefix + "[" * depth + "]" * depth + "\n")
+    start = time.perf_counter()
+    proc = run_module("compose", "--scenario", path, "--quiet")
+    assert time.perf_counter() - start < 120
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_BAD_SCENARIO, "", f"error: {error}\n")
+
+
 def test_simulate_refuses_too_many_trials_at_once(tmp_path, capsys):
     path = write(tmp_path, "s.yaml", MINIMAL + "oracle: {trials: 1.0e+9}\n")
     start = time.perf_counter()
@@ -573,6 +613,16 @@ def test_main_emits_through_the_module_global(tmp_path, monkeypatch):
     assert human[0].startswith("classic composition of k=3")
 
 
+def test_main_loads_through_the_module_global(tmp_path, monkeypatch):
+    # Wrappers on cli.load_scenario, such as the benchmark tracer's, see every load.
+    calls, load = [], cli.load_scenario
+    monkeypatch.setattr(cli, "load_scenario",
+                        lambda *args, **kwargs: calls.append((args, kwargs)) or load(*args, **kwargs))
+    path = write(tmp_path, "s.yaml", TRIPLE)
+    assert main(["compose", "--scenario", path, "--seed", "7", "--quiet"]) == EXIT_OK
+    assert calls == [((path,), {"seed_override": 7})]
+
+
 # Strings whose plain form reads back as another type, or that need quotes or wrap.
 AWKWARD_STRINGS = [
     "0101", "1", "true", "yes", "null", "~", "1e5", ".inf", "2001-12-14", "0x1F", "1:30", "<<",
@@ -615,6 +665,98 @@ def test_emit_refuses_what_the_safe_representer_refuses(dumper, monkeypatch, cap
     with pytest.raises(yaml.representer.RepresenterError):
         cli._emit(report, None, ["summary"], quiet=False)
     assert capsys.readouterr() == ("", "")
+
+
+# Plain texts of every family the resolver knows, and texts it leaves as strings.
+PLAIN_TEXTS = ["~", "null", "Null", "yes", "On", "off", "true", "0101", "0o7", "0x1F", "0x_", "0b_",
+               "0b101", "1_000", "-3", "1:30", "1e5", "1.0e-6", "0.1", ".5", ".inf", "-.NaN", "-0.0",
+               "2001-12-14", "2001-02-30", "<<", "=", "epsilon", "a", "*a", ""]
+SCALAR_TEXTS = st.one_of(
+    st.sampled_from(PLAIN_TEXTS),
+    st.sampled_from(PLAIN_TEXTS).map(lambda t: "'" + t.replace("'", "''") + "'"),
+    st.sampled_from(PLAIN_TEXTS).map(json.dumps),
+    st.sampled_from(["!!int '3'", "!!str 1", "!foo x", "&a 1", "&m {b: 2}", "*m"]),
+)
+KEY_TEXTS = st.one_of(SCALAR_TEXTS, st.sampled_from(["[a]", "{a: 1}", "<<"]))
+# A node: ("scalar", text), or (kind, flow, children) with mapping children as (key, node).
+NODES = st.recursive(
+    SCALAR_TEXTS.map(lambda t: ("scalar", t)),
+    lambda nodes: st.one_of(
+        st.tuples(st.just("seq"), st.booleans(), st.lists(nodes, max_size=3)),
+        st.tuples(st.just("map"), st.booleans(), st.lists(st.tuples(KEY_TEXTS, nodes), max_size=3)),
+    ),
+    max_leaves=10,
+)
+
+
+def yaml_text(node, indent=0):
+    """``node`` as YAML: flow collections inline, a block collection on new lines."""
+    if node[0] == "scalar":
+        return node[1]
+    kind, flow, children = node
+    if flow or not children:
+        if kind == "seq":
+            return "[" + ", ".join(yaml_text(c) for c in children) + "]"
+        return "{" + ", ".join(f"{k}: {yaml_text(v)}" for k, v in children) + "}"
+    pad = "\n" + "  " * indent
+    if kind == "seq":
+        return "".join(f"{pad}- {yaml_text(c, indent + 1)}" for c in children)
+    return "".join(f"{pad}? {k}{pad}: {yaml_text(v, indent + 1)}" if k.startswith(("[", "{"))
+                   else f"{pad}{k}: {yaml_text(v, indent + 1)}" for k, v in children)
+
+
+DOCUMENTS = st.one_of(
+    st.builds(lambda head, node, tail: head + yaml_text(node).lstrip("\n") + tail,
+              st.sampled_from(["", "\ufeff", "# c\n", "--- ", "m: &m {b: 2}\n"]),
+              NODES,
+              st.sampled_from(["\n", "", "\n...\n", "\n<<: *m\n", "\n---\nb: 2\n", "\n--- x\n"])),
+    st.sampled_from(["", "# only a comment\n", "\ufeff", "---\n", "a: 1\n---\nb: 2\n",
+                     "<<: *m\n", "m: &m {b: 2}\n<<: *m\nc: 3\n", "? [a]\n: 1\n", "=: 1\n"]),
+)
+# A text cut short, for the parser's errors.
+TEXTS = st.one_of(DOCUMENTS, st.tuples(DOCUMENTS, st.integers(0, 60)).map(lambda tn: tn[0][:tn[1]]))
+LOADERS = [d for d in (getattr(yaml, "CSafeLoader", None), yaml.SafeLoader) if d is not None]
+
+
+def typed(tree) -> str:
+    """``repr(tree)`` naming every scalar's type, so 1 and 1.0 or '1' and 1 differ."""
+    if type(tree) is dict:
+        return "{" + ", ".join(f"{typed(k)}: {typed(v)}" for k, v in tree.items()) + "}"
+    if type(tree) is list:
+        return "[" + ", ".join(map(typed, tree)) + "]"
+    return f"{type(tree).__name__}:{tree!r}"
+
+
+def outcome(read, text):
+    """The typed tree ``read`` returns from ``text``, or the type and message it raises."""
+    try:
+        return typed(read(io.StringIO(text)))
+    except Exception as exc:  # any exception is compared, marks included
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda d: d.__name__)
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=TEXTS)
+def test_scenario_reader_returns_or_raises_what_yaml_load_does(loader, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_LOADER", loader)
+        built = outcome(cli._read, text)
+    assert built == outcome(lambda fh: yaml.load(fh, Loader=loader), text)
+
+
+@pytest.mark.parametrize("value", [
+    None, True, 2.5, 10**30, "fancy", "x" * 26, [], [1, "a"], {}, {"advanced": 5},
+    {"b": [1, {"c": None}], "a": 2}, [[[[[0]]]]],
+])
+def test_small_values_quoted_as_repr(value):
+    assert cli._quote(value) == repr(value)
+
+
+def test_large_values_quoted_abbreviated():
+    assert cli._quote(list(range(100))) == "[0, 1, 2, 3, 4, 5, ...]"
+    assert cli._quote({str(i): i for i in range(100)}) == "{'0': 0, '1': 1, '2': 2, '3': 3, ...}"
+    assert cli._quote("0" * 100) == "'000000000000...0000000000000'"
 
 
 PAIR = "mechanisms:\n  - {epsilon: 0.5, delta: 1.0e-6}\n  - {epsilon: 0.25, delta: 0.0}\n"
