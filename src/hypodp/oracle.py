@@ -29,7 +29,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BitVector, Hypothesis, PrivacyParams, bit_rows, exact_sum
+from .core import BitVector, Hypothesis, PrivacyParams, exact_sum
 from .errors import (
     InvalidRateError,
     MismatchedSupportError,
@@ -42,6 +42,10 @@ MAX_VIEW_SPACE = 10_000_000
 
 # Trials one simulation may draw: about 32 bytes each, so at most about 0.5 GB.
 MAX_TRIALS = 2**24
+
+# Draws one simulate run may make, vectors x positions x trials, refused before the
+# first draw: at about 10 ns a draw, some 40 s. hospitals.yaml makes 1024 x 10 x 100,000.
+MAX_DRAWS = 2**32
 
 # Atoms x views one mixture may cost. At the limit the k = 16 presets take
 # about 0.01 s and 1024 scattered atoms at k = 22 about 0.45 s (2-core x86 VM).
@@ -103,6 +107,23 @@ class DiscreteMechanism:
     def probs_for(self, bit: int) -> np.ndarray:
         """The output probabilities for ``bit`` in ``alphabet`` order; a read-only array."""
         return self._tables[bool(bit)]
+
+    @cached_property
+    def _thresholds(self) -> tuple[tuple[np.uint64, ...], tuple[np.uint64, ...]]:
+        """Per bit, the raw 64-bit draws at which ``simulate_experiment`` passes each CDF entry.
+
+        ``Generator.choice`` draws a symbol as the number of entries of the
+        normalized CDF at or below ``u = (raw >> 11) 2^-53``, and ``c 2^53`` is
+        exact, so ``u >= c`` holds exactly when ``raw >= ceil(c 2^53) 2^11``.
+        No ``u`` reaches 1, so entries equal to 1 are left out.
+        """
+        thresholds = []
+        for probs in self._tables:
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            thresholds.append(tuple(np.uint64(math.ceil(c * 2.0**53) << 11)
+                                    for c in cdf.tolist() if c < 1.0))
+        return tuple(thresholds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +216,14 @@ def _check_view_space(mechs: Sequence[DiscreteMechanism], k: int, atoms: int = 1
 
 
 def view_distribution(mechs: Sequence[DiscreteMechanism], b: BitVector) -> ViewDistribution:
-    """Product distribution of the k outputs when vector b picks the databases."""
-    return mixture_view_distribution(mechs, Hypothesis.point_mass(b))
+    """Product distribution of the k outputs when vector b picks the databases.
+
+    One left-to-right product, ``((1 t_0) t_1) ...``, one outer product per
+    position (``_product``): the views ``mixture_view_distribution`` gives
+    the point mass on b, bit for bit.
+    """
+    _check_view_space(mechs, b.k)
+    return ViewDistribution(_product(mechs, b.word, b.k, 1.0), tuple(m.alphabet for m in mechs))
 
 
 def mixture_view_distribution(
@@ -213,16 +240,32 @@ def mixture_view_distribution(
     prefixes, mechanism 0 the most significant digit; the last step
     leaves one row, the flat view index. The products and the sum are
     separate elementwise numpy operations, so the rounding is the same
-    on every platform, and a point mass multiplies each view's factors
-    left to right, ``((1 t_0) t_1) ...``. The work is about the sum over
-    steps of rows x prefixes, well under atoms x views; more than
-    ``MAX_MIXTURE_WORK`` atoms x views is refused up front. While every
-    mechanism has two or more symbols no state exceeds the view space
-    (``_contract``).
+    on every platform. A one-atom hypothesis has one row throughout and
+    no sum, so it takes the contraction's own products directly
+    (``_product``), left to right from its weight, ``((w t_0) t_1) ...``.
+    The work is about the sum over steps of rows x prefixes, well under
+    atoms x views; more than ``MAX_MIXTURE_WORK`` atoms x views is refused
+    up front. While every mechanism has two or more symbols no state
+    exceeds the view space (``_contract``).
     """
     _check_view_space(mechs, h.k, len(h))
-    views = _contract(h.weights[:, None], _steps(h), [m._tables for m in mechs])
+    if len(h) == 1:
+        views = _product(mechs, int(h.words[0]), h.k, float(h.weights[0]))
+    else:
+        views = _contract(h.weights[:, None], _steps(h), [m._tables for m in mechs])
     return ViewDistribution(views, tuple(m.alphabet for m in mechs))
+
+
+def _product(mechs: Sequence[DiscreteMechanism], word: int, k: int, weight: float) -> np.ndarray:
+    """The flat views of the one vector ``word``, weighted: ``((weight t_0) t_1) ...``.
+
+    One ``np.multiply.outer`` per position widens the view prefixes by that
+    mechanism's symbols, so each view's factors multiply left to right.
+    """
+    views = np.array([weight])
+    for i, mech in enumerate(mechs):
+        views = np.multiply.outer(views, mech._tables[word >> (k - 1 - i) & 1]).ravel()
+    return views
 
 
 def _steps(h: Hypothesis) -> list[tuple[int, int, slice | np.ndarray, slice | np.ndarray]]:
@@ -234,10 +277,9 @@ def _steps(h: Hypothesis) -> list[tuple[int, int, slice | np.ndarray, slice | np
     A uniform preset on the words ``first, ..., 2^k - 1`` (``Hypothesis._first``)
     takes its plan in closed form, without its words: before step i its suffixes
     are every word below 2^(k-i), word 0 excepted before step 0 when ``first`` is 1.
+    A one-atom hypothesis takes no plan: ``mixture_view_distribution`` multiplies
+    its one row by ``_product``.
     """
-    if len(h) == 1:  # one row throughout, in the table of each bit
-        return [(int(not bit), 1, slice(0, 1), slice(0, 1))
-                for bit in bit_rows(h.words, h.k)[0].tolist()]
     if h._first is not None:
         top, first = 1 << (h.k - 1), h._first
         return [(top - first, top, slice(first, top), slice(0, top))] + [
@@ -411,8 +453,15 @@ def simulate_experiment(
 
     Uses the counter-based Philox generator with one stream per
     iteration derived from (seed, iteration index), so counts are
-    bit-reproducible across platforms for a given seed. Every view in
-    the space has an entry, including zero counts. More than
+    bit-reproducible across platforms for a given seed. One Philox bit
+    generator, built from a fixed ``SeedSequence`` so that no OS entropy
+    is read, is re-keyed to ``(seed, i)`` through its ``state`` before
+    position i: counter 0 and an empty buffer, the state
+    ``Philox(key=[seed, i])`` starts in. Each symbol is drawn by the
+    inverse CDF, as ``Generator.choice`` draws it from the same stream,
+    but on the raw 64-bit outputs against the mechanism's cached integer
+    thresholds (``DiscreteMechanism._thresholds``), with the same counts.
+    Every view in the space has an entry, including zero counts. More than
     ``MAX_TRIALS`` trials raise ``ViewSpaceTooLargeError`` before any
     allocation.
     """
@@ -424,17 +473,17 @@ def simulate_experiment(
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     total = _check_view_space(mechs, b.k)
 
+    bitgen = np.random.Philox(np.random.SeedSequence(0))
+    # Philox(key=[seed, i])'s first state: counter 0 and an empty buffer (buffer_pos 4).
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     combined = np.zeros(trials, dtype=np.int64)
     stride = total
-    for i, (mech, bit) in enumerate(zip(mechs, bit_rows([b.word], b.k)[0].tolist())):
-        probs = mech.probs_for(bit)
-        # Generator.choice(len(probs), trials, p=normalized) draws by this inverse CDF:
-        # a symbol is the number of CDF entries at or below a uniform draw.
-        cdf = (probs / probs.sum()).cumsum()
-        cdf /= cdf[-1]
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        u = rng.random(trials)
-        stride //= len(probs)
-        for c in cdf[:-1].tolist():
-            combined += stride * (u >= c)
+    for i, mech in enumerate(mechs):
+        state["state"]["key"] = (seed, i)
+        bitgen.state = state
+        raw = bitgen.random_raw(trials)
+        stride //= len(mech.alphabet)
+        for threshold in mech._thresholds[b.word >> (b.k - 1 - i) & 1]:
+            combined += stride * (raw >= threshold)
     return np.bincount(combined, minlength=total)

@@ -481,6 +481,25 @@ def test_simulate_refuses_too_many_trials_at_once(tmp_path, capsys):
     assert captured.out == "" and "1000000000 trials exceeds" in captured.err
 
 
+def test_simulate_refuses_too_many_draws_at_once(tmp_path, capsys):
+    # 2^20 vectors x 20 positions x 100,000 trials: about 2e12 draws, days of work.
+    path = write(tmp_path, "s.yaml", homogeneous(20, "oracle: {trials: 100000}\n"))
+    start = time.perf_counter()
+    assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_COMPUTATION
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: 1048576 vectors x 20 positions x 100000 trials "
+                            f"exceeds {oracle.MAX_DRAWS} draws\n")
+
+
+def test_hospitals_simulate_within_the_draw_budget():
+    s = load_scenario(str(SCENARIOS / "hospitals.yaml"))
+    vectors = len(np.union1d(s.p0.words, s.p1.words))
+    assert (vectors, s.k, s.trials) == (1024, 10, 100_000)
+    assert vectors * s.k * s.trials <= oracle.MAX_DRAWS
+
+
 def test_simulate_flags_a_wrong_simulator_only(tmp_path, capsys, monkeypatch):
     # A correct simulator fails a vector with probability at most SIMULATE_ALPHA,
     # also where many of the 1024 views have expected counts below 100, which
@@ -891,3 +910,16 @@ class TestRefusals:
         path = write(tmp_path, "s.yaml", f"mechanisms:\n  - {entry}\n")
         assert main(["compose", "--scenario", path]) == EXIT_BAD_SCENARIO
         assert "mechanisms[0].epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, template", [
+        ("mechanisms[0].epsilon", 'mechanisms:\n  - {epsilon: "VALUE"}\n'),
+        ("oracle.trials", PAIR + "oracle: {trials: VALUE}\n"),
+    ], ids=["quoted", "plain"])
+    def test_a_long_string_for_a_number_prints_one_short_line(self, tmp_path, capsys,
+                                                              field, template):
+        # float()'s own message would quote all 100,000 characters.
+        path = write(tmp_path, "s.yaml", template.replace("VALUE", "x" * 100_000))
+        assert main(["compose", "--scenario", path]) == EXIT_BAD_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field}: expected a number, got '{'x' * 12}...{'x' * 13}'\n"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypodp import oracle
 from hypodp.composition import Simple, simple_compose
@@ -424,6 +425,40 @@ class TestReference:
             assert got == reference_mixture(mechs, Hypothesis.point_mass(b))
 
 
+@st.composite
+def one_atom_cases(draw):
+    """k = 1-10 positions of RR, leaky RR at delta 0 or one symbol, at most 4096 views;
+    one word, and one weight of 1 or 1 +- 5e-10 (within NORMALIZATION_TOLERANCE)."""
+    k = draw(st.integers(1, 10))
+    mechs, views = [], 1
+    for _ in range(k):
+        kind = draw(st.sampled_from(["rr", "leaky", "one"]))
+        mech = (randomized_response(draw(st.floats(0.01, 0.49))) if kind == "rr"
+                else leaky_rr(draw(st.floats(0.0, 3.0)), 0.0) if kind == "leaky"
+                else TestContractionSplit.ONE)
+        if views * len(mech.alphabet) > 4096:
+            mech = TestContractionSplit.ONE
+        mechs.append(mech)
+        views *= len(mech.alphabet)
+    b = BitVector(draw(st.integers(0, (1 << k) - 1)), k)
+    return mechs, b, draw(st.sampled_from([1.0, 1.0 + 5e-10, 1.0 - 5e-10]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(one_atom_cases())
+def test_one_atom_views_equal_the_scalar_reference(case):
+    # One atom multiplies its weight by each position's factor, left to right, as
+    # the contraction does; a point mass's first product, 1 t_0, is exact.
+    mechs, b, weight = case
+    h = Hypothesis({b: weight})
+    want = contraction_reference(mechs, h)
+    assert mixture_view_distribution(mechs, h).probs.tolist() == want
+    point = Hypothesis.point_mass(b)
+    got = view_distribution(mechs, b).probs.tolist()
+    assert got == mixture_view_distribution(mechs, point).probs.tolist()
+    assert got == contraction_reference(mechs, point) == reference_mixture(mechs, point)
+
+
 class TestDeclaredPresets:
     """A preset's closed-form plan is the merge of its atoms', so its views are too."""
 
@@ -437,9 +472,10 @@ class TestDeclaredPresets:
                      for e, d in zip(rng.uniform(0.0, 2.0, 3), rng.uniform(0.0, 0.1, 3))]
             h = make(k)
             steps = oracle._steps(h)
-            assert h._words is None or len(h) == 1  # a point mass reads its one word
+            assert h._words is None
             atoms = Hypothesis(list(zip(h.support(), h.weights.tolist())))
-            assert steps == oracle._steps(atoms), k
+            if len(h) > 1:  # one atom takes no plan: the views multiply it by _product
+                assert steps == oracle._steps(atoms), k
             zero = Hypothesis.point_mass(BitVector.zeros(k))
             # From k = 11, leaky RR's atoms x views exceed MAX_MIXTURE_WORK.
             for family in [rr] + ([leaky] if k <= 10 else []):
@@ -686,6 +722,25 @@ class TestSimulate:
             trials, seed = int(rng.integers(1, 5000)), int(rng.integers(2**63))
             assert np.array_equal(simulate_experiment(mechs, b, trials, seed),
                                   choice_counts(mechs, b, trials, seed))
+
+    @pytest.mark.parametrize("mech", [randomized_response(0.25), randomized_response(0.1),
+                                      leaky_rr(0.7, 0.0), leaky_rr(1.3, 0.05),
+                                      TestContractionSplit.ONE])
+    def test_thresholds_are_the_first_raw_draws_past_each_cdf_entry(self, mech):
+        # Generator.random maps a raw draw r to (r >> 11) 2^-53, so r passes the CDF
+        # entry c from the threshold on, and the raw draw 2^11 below it does not.
+        def uniform(raw):
+            return (raw >> 11) * 2.0**-53
+
+        for bit in (0, 1):
+            probs = mech.probs_for(bit) / mech.probs_for(bit).sum()
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            inner = [c for c in cdf.tolist() if c < 1.0]
+            thresholds = [int(t) for t in mech._thresholds[bit]]
+            assert len(thresholds) == len(inner)
+            for c, t in zip(inner, thresholds):
+                assert uniform(t) >= c and (t < 2**11 or uniform(t - 2**11) < c)
 
     def test_frequencies_concentrate(self):
         mechs = [randomized_response(0.25)]
