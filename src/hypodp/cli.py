@@ -35,6 +35,7 @@ round-trip-exact numbers; the human summary goes to stderr unless
 """
 
 import argparse
+import io
 import math
 import reprlib
 import sys
@@ -127,7 +128,7 @@ class _Quote(reprlib.Repr):
         return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
 
 
-# A scenario value as messages quote it: a list nested 5,000 deep prints as [[[[[[[...]]]]]]].
+# A scenario value as messages quote it: a list nested 60 deep prints as [[[[[[[...]]]]]]].
 _quote = _Quote().repr
 
 
@@ -262,6 +263,8 @@ _BUILT_TAGS = frozenset(_TAG + name for name in ("null", "bool", "int", "float",
 # An open sequence's state; an open mapping's is _KEY before each key and the key after it.
 _ITEM, _KEY = object(), object()
 _UNBUILT = object()  # _build's answer for a document it leaves to yaml.load
+# Open collections a file may nest (a scenario needs 4): PyYAML's composers recurse per level.
+_MAX_DEPTH = 64
 
 
 def _build(loader):
@@ -269,9 +272,10 @@ def _build(loader):
     or ``_UNBUILT`` where the document needs ``yaml.load`` (see ``load_scenario``).
 
     Each open container waits on one stack with its state, so nesting costs no
-    recursion. A quoted scalar is its text. A plain one is resolved and built by the
-    loader's constructor for its tag once per text, since keys such as ``epsilon``
-    repeat k times; SafeConstructor builds equal values from one text, and one NaN.
+    recursion; ``_unbuilt`` refuses it past ``_MAX_DEPTH``. A quoted scalar is its
+    text. A plain one is resolved and built by the loader's constructor for its tag
+    once per text, since keys such as ``epsilon`` repeat k times; SafeConstructor
+    builds equal values from one text, and one NaN.
     """
     get_event, resolve = loader.get_event, loader.resolve
     constructors = loader.yaml_constructors
@@ -286,22 +290,23 @@ def _build(loader):
         kind = type(event)
         if kind is yaml.ScalarEvent:
             if event.anchor is not None or event.tag is not None:
-                return _UNBUILT
+                return _unbuilt(get_event, len(stack))
             value = text = event.value
             if event.implicit[0]:
                 value = built.get(text, _UNBUILT)
                 if value is _UNBUILT:
                     tag = resolve(yaml.ScalarNode, text, (True, False))
                     if tag not in _BUILT_TAGS:
-                        return _UNBUILT
+                        return _unbuilt(get_event, len(stack))
                     try:
                         value = constructors[tag](loader, yaml.ScalarNode(tag, text))
                     except ValueError:
-                        return _UNBUILT
+                        return _unbuilt(get_event, len(stack))
                     built[text] = value
         elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
-            if event.anchor is not None or event.tag is not None or key is _KEY:
-                return _UNBUILT
+            if (event.anchor is not None or event.tag is not None or key is _KEY
+                    or len(stack) == _MAX_DEPTH):  # one more is refused by _unbuilt at once
+                return _unbuilt(get_event, len(stack) + 1)
             value = {} if kind is yaml.MappingStartEvent else []
         elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
             top, key = stack.pop()
@@ -309,7 +314,7 @@ def _build(loader):
         elif kind is yaml.DocumentEndEvent:
             break
         else:  # AliasEvent
-            return _UNBUILT
+            return _unbuilt(get_event, len(stack))
         if key is _ITEM:
             top.append(value)
         elif key is _KEY:
@@ -322,24 +327,40 @@ def _build(loader):
             stack.append((top, key))
             top, key = value, _ITEM if type(value) is list else _KEY
     if type(get_event()) is not yaml.StreamEndEvent:
-        return _UNBUILT
+        return _unbuilt(get_event, 0)
     return document[0]
+
+
+def _unbuilt(get_event, depth: int):
+    """``_UNBUILT`` once ``depth`` open collections and the events after them nest no deeper
+    than ``_MAX_DEPTH``. A parse error ends the scan: ``yaml.load`` raises it or an earlier one."""
+    try:
+        while depth <= _MAX_DEPTH:
+            event = get_event()
+            if type(event) is yaml.StreamEndEvent:
+                return _UNBUILT
+            depth += (isinstance(event, yaml.CollectionStartEvent)
+                      - isinstance(event, yaml.CollectionEndEvent))
+    except yaml.YAMLError:
+        return _UNBUILT
+    raise ScenarioParseError(f"collections nested deeper than {_MAX_DEPTH}")
 
 
 def _read(fh):
     """What ``yaml.load(fh, Loader=_LOADER)`` returns or raises: ``_build``'s tree, or
-    else that one ``yaml.load`` call on the file read again from its start. A stream
-    that cannot seek back, such as a pipe, goes to ``yaml.load`` at once."""
-    if fh.seekable():
-        loader = _LOADER(fh)
-        try:
-            tree = _build(loader)
-        finally:
-            loader.dispose()
-        if tree is not _UNBUILT:
-            return tree
-        fh.seek(0)
-    return yaml.load(fh, Loader=_LOADER)
+    else that one ``yaml.load`` call on the same text. The text is read once, a pipe's
+    too, into a stream named as ``fh`` is, so every mark names the file."""
+    text = io.StringIO(fh.read())
+    text.name = getattr(fh, "name", "<file>")  # both loaders' name for a nameless stream
+    loader = _LOADER(text)
+    try:
+        tree = _build(loader)
+    finally:
+        loader.dispose()
+    if tree is not _UNBUILT:
+        return tree
+    text.seek(0)
+    return yaml.load(text, Loader=_LOADER)
 
 
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
@@ -350,12 +371,12 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     node. A file holding what that pass leaves to PyYAML is read again by ``yaml.load``:
     a second document, anchors and aliases, explicit tags, merge (``<<``) and value
     (``=``) keys, a collection as a key, timestamps, and a scalar the constructor
-    refuses. A pipe, which cannot be read twice, goes to ``yaml.load`` at once. Either
-    way the tree and every error are PyYAML's.
+    refuses. Either way the tree and every other error are PyYAML's.
 
     Raises:
-        ScenarioParseError: unreadable or syntactically invalid file, or a scalar
-            PyYAML's safe constructor cannot build (``0b_``, ``2001-02-30``).
+        ScenarioParseError: unreadable or syntactically invalid file, a scalar PyYAML's
+            safe constructor cannot build (``0b_``, ``2001-02-30``), or collections
+            nested deeper than ``_MAX_DEPTH``, refused before ``yaml.load`` sees them.
         ScenarioValidationError: well-formed file violating an invariant.
     """
     try:

@@ -11,8 +11,10 @@ Conventions:
   the two neighboring databases a mechanism is invoked on. Vectors are
   stored as machine words, which caps ``k`` at 63; position 0 is the
   first iteration (the leftmost character of the string form) and the
-  most significant of the word's k bits. ``word_of`` and ``bit_rows``
-  convert between positions and words for every module.
+  most significant of the word's k bits. ``word_of`` builds a word from
+  positions and ``bit_rows`` unpacks words into rows of bits; ``oracle``,
+  ``hypothesis_dp.differing_indices`` and ``composition._guarantee_masks``
+  shift bits themselves, in the same layout.
 * A :class:`Hypothesis` is a finite probability distribution over bit
   vectors, a composite belief about database membership, held as two
   read-only arrays: ascending ``uint64`` ``words`` and ``float64`` ``weights``.

@@ -22,9 +22,11 @@ i-th view that ``itertools.product(*alphabets)`` yields.
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import accumulate
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -46,10 +48,6 @@ MAX_TRIALS = 2**24
 # Draws one simulate run may make, vectors x positions x trials, refused before the
 # first draw: at about 10 ns a draw, some 40 s. hospitals.yaml makes 1024 x 10 x 100,000.
 MAX_DRAWS = 2**32
-
-# Atoms x views one mixture may cost. At the limit the k = 16 presets take
-# about 0.01 s and 1024 scattered atoms at k = 22 about 0.45 s (2-core x86 VM).
-MAX_MIXTURE_WORK = 2**32
 
 # Absolute slack on delta comparisons; covers accumulated rounding in
 # product measures over up to MAX_VIEW_SPACE entries.
@@ -195,19 +193,18 @@ def _log_rarest_view(mechs: Sequence[DiscreteMechanism]) -> float:
     return math.fsum(m._log_min_probability for m in mechs)
 
 
-def _check_view_space(mechs: Sequence[DiscreteMechanism], k: int, atoms: int = 1) -> int:
+def _check_view_space(mechs: Sequence[DiscreteMechanism], k: int) -> int:
     """Check one mechanism per position, a bounded view space and no view below 2^-1074.
 
-    Returns the view count. A view rounded to 0 would count the other
-    side's whole mass in ``required_delta`` at every epsilon.
+    Returns the view count, which bounds every contraction step unless a
+    mechanism has one symbol (``_plan``). A view rounded to 0 would count
+    the other side's whole mass in ``required_delta`` at every epsilon.
     """
     if len(mechs) != k:
         raise MixedLengthError(f"{len(mechs)} mechanisms but vector of length {k}")
     total = math.prod(len(m.absent) for m in mechs)
     if total > MAX_VIEW_SPACE:
-        raise ViewSpaceTooLargeError(f"view space exceeds {MAX_VIEW_SPACE} entries")
-    if atoms * total > MAX_MIXTURE_WORK:
-        raise ViewSpaceTooLargeError(f"{atoms} atoms x {total} views exceeds {MAX_MIXTURE_WORK}")
+        raise ViewSpaceTooLargeError(f"{total} views exceeds {MAX_VIEW_SPACE}")
     log_rarest = _log_rarest_view(mechs)
     if log_rarest < LOG_SMALLEST_DOUBLE:
         raise ValueError(f"the rarest view has probability e^{log_rarest:.6g}, "
@@ -231,29 +228,40 @@ def mixture_view_distribution(
 ) -> ViewDistribution:
     """View distribution under a composite hypothesis: the atom-weighted mixture.
 
-    A product-measure contraction, one step per mechanism. The state
-    starts as the weights, one row per atom's word. Step i folds in
-    mechanism i: the two rows whose words agree past bit i, ``x[0 s]``
-    and ``x[1 s]``, become the row ``s`` of ``t_i(0) x[0 s] + t_i(1)
-    x[1 s]``, each row widened by mechanism i's symbols. So the rows are
-    the atoms' distinct remaining suffixes and the columns the views'
-    prefixes, mechanism 0 the most significant digit; the last step
-    leaves one row, the flat view index. The products and the sum are
-    separate elementwise numpy operations, so the rounding is the same
-    on every platform. A one-atom hypothesis has one row throughout and
-    no sum, so it takes the contraction's own products directly
-    (``_product``), left to right from its weight, ``((w t_0) t_1) ...``.
-    The work is about the sum over steps of rows x prefixes, well under
-    atoms x views; more than ``MAX_MIXTURE_WORK`` atoms x views is refused
-    up front. While every mechanism has two or more symbols no state
-    exceeds the view space (``_contract``).
+    A product-measure contraction, one step per mechanism (``_contract``).
+    The state starts as the weights, one row per atom's word. Step i folds
+    in mechanism i: the rows ``x[0 s]`` and ``x[1 s]``, whose words agree
+    past bit i, become the row ``s`` of ``t_i(0) x[0 s] + t_i(1) x[1 s]``,
+    widened by mechanism i's symbols. So the rows are the atoms' distinct
+    remaining suffixes and the columns the views' prefixes, mechanism 0 the
+    most significant digit; the last step leaves the flat view index.
+    Products and sums are separate elementwise numpy operations, so the
+    rounding is the same on every platform. One atom takes the contraction's
+    own products, left to right from its weight, ``((w t_0) t_1) ...``
+    (``_product``). A plan with a step of more than ``MAX_VIEW_SPACE``
+    entries is refused before any product (``_plan``), so the work is at
+    most k such steps.
     """
-    _check_view_space(mechs, h.k, len(h))
+    return ViewDistribution(_plan(mechs, h)(), tuple(m.alphabet for m in mechs))
+
+
+def _plan(mechs: Sequence[DiscreteMechanism], h: Hypothesis) -> partial:
+    """The call that yields the flat views of ``h``, once every step fits ``MAX_VIEW_SPACE``.
+
+    Step i holds the suffixes left after it, at most 2^(k-1-i), times |A_0| ... |A_i|
+    prefixes: more than the views, and so more than ``_check_view_space`` allows,
+    only where a later mechanism has one symbol and keeps two suffixes apart.
+    """
+    _check_view_space(mechs, h.k)
     if len(h) == 1:
-        views = _product(mechs, int(h.words[0]), h.k, float(h.weights[0]))
-    else:
-        views = _contract(h.weights[:, None], _steps(h), [m._tables for m in mechs])
-    return ViewDistribution(views, tuple(m.alphabet for m in mechs))
+        return partial(_product, mechs, int(h.words[0]), h.k, float(h.weights[0]))
+    steps = _steps(h)
+    prefixes = accumulate((len(m.alphabet) for m in mechs), operator.mul)
+    largest = max(rows * width for (_, rows, _, _), width in zip(steps, prefixes))
+    if largest > MAX_VIEW_SPACE:
+        raise ViewSpaceTooLargeError(f"contraction step of {largest} entries "
+                                     f"exceeds {MAX_VIEW_SPACE}")
+    return partial(_contract, h.weights[:, None], steps, [m._tables for m in mechs])
 
 
 def _product(mechs: Sequence[DiscreteMechanism], word: int, k: int, weight: float) -> np.ndarray:
@@ -277,8 +285,7 @@ def _steps(h: Hypothesis) -> list[tuple[int, int, slice | np.ndarray, slice | np
     A uniform preset on the words ``first, ..., 2^k - 1`` (``Hypothesis._first``)
     takes its plan in closed form, without its words: before step i its suffixes
     are every word below 2^(k-i), word 0 excepted before step 0 when ``first`` is 1.
-    A one-atom hypothesis takes no plan: ``mixture_view_distribution`` multiplies
-    its one row by ``_product``.
+    A one-atom hypothesis takes no plan: ``_plan`` multiplies its one row by ``_product``.
     """
     if h._first is not None:
         top, first = 1 << (h.k - 1), h._first
@@ -308,26 +315,9 @@ def _as_slice(positions: np.ndarray) -> slice | np.ndarray:
 
 
 def _contract(x: np.ndarray, steps: list, tables: list) -> np.ndarray:
-    """Fold ``tables`` into the state ``x`` by ``steps``; the flat views it yields.
-
-    ``x`` has one row per remaining suffix and one column per view
-    prefix. A step's output is at most the view space unless a later
-    mechanism has one symbol, and so keeps two suffixes apart at no gain
-    in views. Columns never mix, so a step that would hold more than
-    ``MAX_VIEW_SPACE`` entries first halves its columns, or with one
-    column its mechanism's symbols, and folds each half on its own by
-    the same operations.
-    """
-    for i, ((split, rows, low, high), (t0, t1)) in enumerate(zip(steps, tables)):
-        width = x.shape[1] if x.shape[1] > 1 else len(t0)
-        if rows * x.shape[1] * len(t0) > MAX_VIEW_SPACE and width > 1:
-            cut = width // 2
-            if x.shape[1] > 1:
-                halves = [(x[:, :cut], tables[i:]), (x[:, cut:], tables[i:])]
-            else:
-                halves = [(x, [(t0[:cut], t1[:cut])] + tables[i + 1:]),
-                          (x, [(t0[cut:], t1[cut:])] + tables[i + 1:])]
-            return np.concatenate([_contract(part, steps[i:], rest) for part, rest in halves])
+    """Fold ``tables`` into the state ``x``, one row per remaining suffix and one
+    column per view prefix, by the checked ``steps`` (``_plan``); the flat views."""
+    for (split, rows, low, high), (t0, t1) in zip(steps, tables):
         sides = [(x[:split], t0, low), (x[split:], t1, high)]
         if split < len(x) - split:  # addition commutes: the larger side is written first
             sides.reverse()
@@ -393,12 +383,13 @@ def verify_hdp(
     Both directed inequalities are evaluated at the claimed epsilon; the
     claim is sound iff the larger of the two required deltas stays
     within the claimed delta plus ``SOUNDNESS_SLACK``. A claim the views
-    cannot resolve raises ``ValueError`` before any enumeration
-    (``_check_resolution``).
+    cannot resolve raises ``ValueError`` (``_check_resolution``), and a
+    plan over the view space ``ViewSpaceTooLargeError`` (``_plan``),
+    both before either side is enumerated.
     """
     _check_resolution(mechs, p0, p1, claimed.epsilon)
-    d0 = mixture_view_distribution(mechs, p0)
-    d1 = mixture_view_distribution(mechs, p1)
+    plans = [_plan(mechs, h) for h in (p0, p1)]
+    d0, d1 = (ViewDistribution(plan(), tuple(m.alphabet for m in mechs)) for plan in plans)
     fwd = required_delta(d0, d1, claimed.epsilon)
     rev = required_delta(d1, d0, claimed.epsilon)
     return VerifyReport(
@@ -426,7 +417,7 @@ def _check_resolution(
     hockey-stick scales the total by e^eps. Where no product or weight
     can be subnormal, rounding is relative and ``SOUNDNESS_SLACK`` covers it.
     """
-    views = _check_view_space(mechs, p0.k, max(len(p0), len(p1)))
+    views = _check_view_space(mechs, p0.k)
     k = len(mechs)
 
     def per_view(h: Hypothesis) -> int:

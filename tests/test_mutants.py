@@ -1,0 +1,99 @@
+"""Every soundness gate catches its mutants.
+
+Each row patches one attribute with a mutant (in every module that reads it
+by name) and runs one gate again, whose failure shows that the gate reaches
+what the mutant breaks. A ``hypothesis`` gate keeps its examples and drops
+its shrinking and its example database, so it fails at its first failing
+example. A failure is an ``AssertionError``, or pytest's ``Failed`` where the
+gate expects a refusal that no longer comes.
+"""
+
+import inspect
+import math
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import Phase, settings
+
+import test_integration
+import test_oracle
+from hypodp import hypothesis_dp, oracle, subsampling
+from hypodp.core import BitVector, Hypothesis, PrivacyParams
+
+
+def without_the_largest_gap(real):
+    """``required_delta`` missing its largest term: the worst view goes unseen."""
+    def required_delta(p0, p1, eps):
+        gaps = np.sort(p0.probs - math.exp(min(eps, 700.0)) * p1.probs)
+        return math.fsum(gaps[gaps > 0.0][:-1])
+    return required_delta
+
+
+def as_point_masses(real):
+    """``_check_resolution`` counting each side's roundings as a point mass's k - 1."""
+    def check_resolution(mechs, p0, p1, eps):
+        point = Hypothesis.point_mass(BitVector.zeros(p0.k))
+        return real(mechs, point, point, eps)
+    return check_resolution
+
+
+def unchecked(real):
+    """``_plan`` without its step check: only the view space is bounded."""
+    def plan(mechs, h):
+        oracle._check_view_space(mechs, h.k)
+        if len(h) == 1:
+            return partial(oracle._product, mechs, int(h.words[0]), h.k, float(h.weights[0]))
+        return partial(oracle._contract, h.weights[:, None], oracle._steps(h),
+                       [m._tables for m in mechs])
+    return plan
+
+
+def shaved(real):
+    """``_aggregate`` claiming 0.9 of its epsilon."""
+    def aggregate(*args):
+        g = real(*args)
+        return PrivacyParams(0.9 * g.epsilon, g.delta)
+    return aggregate
+
+
+sharp, verify = test_integration.TestClaimsAreSharp(), test_oracle.TestVerifyHdp()
+split = test_oracle.TestContractionSplit()
+GAP, RESOLUTION = [(oracle, "required_delta")], [(oracle, "_check_resolution")]
+PLAN = [(oracle, "_plan")]
+AGGREGATE = [(hypothesis_dp, "_aggregate"), (subsampling, "_aggregate")]
+# (id, the attribute in each module that reads it, its mutant, the gate). A gate that
+# takes ``monkeypatch`` gets a MonkeyPatch of its own, undone before the mutant.
+ROWS = [
+    ("gap-classic", GAP, without_the_largest_gap, sharp.test_classic_bound_cannot_be_shaved),
+    ("gap-uniform-prior", GAP, without_the_largest_gap,
+     sharp.test_uniform_prior_closed_form_cannot_be_shaved),
+    ("gap-unsound-claim", GAP, without_the_largest_gap, verify.test_unsound_claim_detected),
+    ("resolution-as-point-masses", RESOLUTION, as_point_masses,
+     verify.test_mixture_roundings_are_counted_per_step),
+    ("plan-unchecked-boundary", PLAN, unchecked, test_oracle.TestWorkBudget().test_boundary),
+    *[(f"plan-unchecked-one-symbol-{i}", PLAN, unchecked,
+       partial(split.test_one_symbol_plans_past_the_limit_are_refused, mechs=mechs))
+      for i, mechs in enumerate(test_oracle.TestContractionSplit.PLANS)],
+    ("aggregate-exchangeable", AGGREGATE, shaved,
+     test_integration.test_hdp_guarantee_holds_on_exchangeable_pairs),
+    ("aggregate-near-equal", AGGREGATE, shaved,
+     test_integration.test_hdp_guarantee_holds_on_near_equal_pairs),
+    ("aggregate-uniform-prior", AGGREGATE, shaved,
+     test_integration.test_uniform_prior_bound_holds_on_zero_against_uniform_nonzero),
+]
+
+
+@pytest.mark.parametrize("targets, mutant, gate", [row[1:] for row in ROWS],
+                         ids=[row[0] for row in ROWS])
+def test_the_gate_fails_with_its_mutant(monkeypatch, targets, mutant, gate):
+    if hasattr(gate, "hypothesis"):  # a @given gate
+        monkeypatch.setattr(gate, "_hypothesis_internal_use_settings", settings(
+            gate._hypothesis_internal_use_settings,
+            phases=[Phase.explicit, Phase.generate], database=None))
+    for module, name in targets:
+        monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    takes_monkeypatch = "monkeypatch" in inspect.signature(gate).parameters
+    with pytest.MonkeyPatch.context() as mp, \
+            pytest.raises((AssertionError, pytest.fail.Exception)):
+        gate(mp) if takes_monkeypatch else gate()

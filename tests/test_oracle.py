@@ -16,7 +16,7 @@ from hypodp.errors import (
     MixedLengthError,
     ViewSpaceTooLargeError,
 )
-from hypodp.hypothesis_dp import uniform_nonzero_closed_form
+from hypodp.hypothesis_dp import hdp_guarantee, uniform_nonzero_closed_form
 from hypodp.oracle import (
     DiscreteMechanism,
     ViewDistribution,
@@ -261,71 +261,88 @@ class TestMixture:
 
 
 class TestContractionSplit:
-    """A step that would exceed MAX_VIEW_SPACE entries splits and changes no bit."""
+    """One-symbol mechanisms: the only plans whose steps can outgrow the view space."""
 
     ONE = DiscreteMechanism(absent={"y": 1.0}, present={"y": 1.0})
     EIGHT = DiscreteMechanism(absent={y: 0.125 for y in range(8)},
                               present={y: (y + 1) / 36 for y in range(8)})
 
-    def contract_calls(self, monkeypatch, mechs, h, limit):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return contract(*args)
-
-        contract = oracle._contract
-        monkeypatch.setattr(oracle, "_contract", counting)
-        monkeypatch.setattr(oracle, "MAX_VIEW_SPACE", limit)
-        probs = mixture_view_distribution(mechs, h).probs.tolist()
-        monkeypatch.undo()
-        return probs, len(calls)
-
-    @pytest.mark.parametrize("mechs", [
-        # The first step's one column is split by its 8 symbols ...
+    PLANS = [
+        # The first step holds 32 suffixes x 8 symbols, against 16 views ...
         [EIGHT, ONE, ONE, ONE, randomized_response(0.3), ONE],
-        # ... and the third step's 4 columns by columns.
+        # ... and the third 8 suffixes x 32 prefixes, against 32 views.
         [randomized_response(0.3), randomized_response(0.2), EIGHT, ONE, ONE, ONE],
-    ])
-    def test_one_symbol_mechanisms_split_bit_identically(self, monkeypatch, mechs):
-        h = Hypothesis.uniform_all(6)
-        want = mixture_view_distribution(mechs, h).probs.tolist()
-        assert want == contraction_reference(mechs, h)
-        got, calls = self.contract_calls(monkeypatch, mechs, h, 100)
-        assert got == want and calls > 1
+    ]
 
-    def test_no_split_while_every_mechanism_has_two_symbols(self, monkeypatch):
+    @pytest.mark.parametrize("mechs", PLANS)
+    def test_one_symbol_plans_past_the_limit_are_refused(self, monkeypatch, mechs):
+        h = Hypothesis.uniform_all(6)
+        monkeypatch.setattr(oracle, "MAX_VIEW_SPACE", 256)
+        assert mixture_view_distribution(mechs, h).probs.tolist() == \
+            contraction_reference(mechs, h)
+
+        def no_product(*args):
+            raise AssertionError("a product before the refusal")
+
+        monkeypatch.setattr(oracle, "MAX_VIEW_SPACE", 255)
+        monkeypatch.setattr(oracle, "_contract", no_product)
+        monkeypatch.setattr(oracle, "_product", no_product)
+        with pytest.raises(ViewSpaceTooLargeError, match="step of 256 entries exceeds 255"):
+            mixture_view_distribution(mechs, h)
+        # The other side's plan fits: two atoms that differ only in bit 0.
+        fits = Hypothesis.uniform([bv("000000"), bv("100000")])
+        for p0, p1 in ((h, fits), (fits, h)):
+            with pytest.raises(ViewSpaceTooLargeError, match="step of 256 entries"):
+                verify_hdp(mechs, p0, p1, PrivacyParams(1.0, 0.0))
+
+    def test_no_refusal_while_every_mechanism_has_two_symbols(self, monkeypatch):
         mechs = [leaky_rr(0.5, 0.01), randomized_response(0.3), leaky_rr(1.0, 0.0),
                  randomized_response(0.1), randomized_response(0.4)]
-        for h in (Hypothesis.uniform_all(5), Hypothesis.uniform_nonzero(5)):
-            _, calls = self.contract_calls(monkeypatch, mechs, h, 4 * 2 * 4 * 2 * 2)
-            assert calls == 1
+        monkeypatch.setattr(oracle, "MAX_VIEW_SPACE", 4 * 2 * 4 * 2 * 2)
+        rng = np.random.default_rng(34)
+        scattered = [Hypothesis([(BitVector(int(w), 5), 1.0 / n)
+                                 for w in rng.choice(32, size=n, replace=False)])
+                     for n in (2, 3, 7, 16, 31)]
+        for h in [Hypothesis.uniform_all(5), Hypothesis.uniform_nonzero(5)] + scattered:
+            assert mixture_view_distribution(mechs, h).probs.tolist() == \
+                contraction_reference(mechs, h)
 
 
 class TestWorkBudget:
-    def test_boundary(self, monkeypatch):
-        # uniform_all(3) costs 8 atoms x 8 views.
-        mechs = [randomized_response(0.25)] * 3
-        monkeypatch.setattr(oracle, "MAX_MIXTURE_WORK", 64)
-        mixture_view_distribution(mechs, Hypothesis.uniform_all(3))
-        monkeypatch.setattr(oracle, "MAX_MIXTURE_WORK", 63)
-        with pytest.raises(ViewSpaceTooLargeError, match="8 atoms x 8 views"):
-            mixture_view_distribution(mechs, Hypothesis.uniform_all(3))
+    """One budget, ``MAX_VIEW_SPACE``, for the views and for every contraction step."""
 
-    def test_k17_refused_at_once(self):
-        # 2^17 - 1 atoms x 2^17 views; the flat oracle would need minutes.
-        k = 17
-        mechs = [randomized_response(0.25)] * k
-        zero, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
+    def test_boundary(self, monkeypatch):
+        # uniform_all(3) under RR: 8 views, and each step 8 entries.
+        rr = [randomized_response(0.25)] * 3
+        # Eight symbols before two one-symbol mechanisms: the first step holds 4 x 8.
+        one_symbol = [TestContractionSplit.EIGHT, TestContractionSplit.ONE, TestContractionSplit.ONE]
+        for mechs, largest, message in ((rr, 8, "8 views exceeds 7"),
+                                        (one_symbol, 32, "step of 32 entries exceeds 31")):
+            monkeypatch.setattr(oracle, "MAX_VIEW_SPACE", largest)
+            mixture_view_distribution(mechs, Hypothesis.uniform_all(3))
+            monkeypatch.setattr(oracle, "MAX_VIEW_SPACE", largest - 1)
+            with pytest.raises(ViewSpaceTooLargeError, match=message):
+                mixture_view_distribution(mechs, Hypothesis.uniform_all(3))
+
+    def test_over_the_view_space_refused_at_once(self):
+        # 2^24 views under RR, and 8^7 views whose step 6 holds 8 suffixes x 8^7 prefixes.
+        k = 24
+        two = Hypothesis.uniform([BitVector.zeros(k), BitVector.ones(k)])
+        one_symbol = [TestContractionSplit.EIGHT] * 7 + [TestContractionSplit.ONE] * 3
+        cases = [([randomized_response(0.25)] * k, two, "16777216 views exceeds 10000000"),
+                 (one_symbol, Hypothesis.uniform_all(10),
+                  "step of 16777216 entries exceeds 10000000")]
         start = time.perf_counter()
-        with pytest.raises(ViewSpaceTooLargeError):
-            mixture_view_distribution(mechs, nonzero)
-        with pytest.raises(ViewSpaceTooLargeError):
-            verify_hdp(mechs, zero, nonzero, PrivacyParams(1.0, 0.0))
+        for mechs, h, message in cases:
+            zero = Hypothesis.point_mass(BitVector.zeros(h.k))
+            with pytest.raises(ViewSpaceTooLargeError, match=message):
+                mixture_view_distribution(mechs, h)
+            with pytest.raises(ViewSpaceTooLargeError, match=message):
+                verify_hdp(mechs, zero, h, PrivacyParams(1.0, 0.0))
         assert time.perf_counter() - start < 1.0
 
     def test_k16_presets_within_two_seconds(self):
-        # 2^16 - 1 atoms x 2^16 views: just under the budget.
+        # 2^16 - 1 atoms x 2^16 views: the k = 16 presets.
         k = 16
         mechs = [randomized_response(0.25)] * k
         claimed = uniform_nonzero_closed_form(math.log(3.0), 0.0, k)
@@ -334,6 +351,28 @@ class TestWorkBudget:
                             Hypothesis.uniform_nonzero(k), claimed)
         assert time.perf_counter() - start < 2.0
         assert report.sound and report.delta_needed <= 1e-12
+
+    @pytest.mark.parametrize("k", [17, 20])
+    def test_rr_presets_past_k16_within_two_seconds(self, k):
+        # About 0.01 s at k = 17 and 0.11 s at k = 20 (2-core Xeon).
+        mechs = [randomized_response(0.25)] * k
+        claimed = uniform_nonzero_closed_form(math.log(3.0), 0.0, k)
+        start = time.perf_counter()
+        report = verify_hdp(mechs, Hypothesis.point_mass(BitVector.zeros(k)),
+                            Hypothesis.uniform_nonzero(k), claimed)
+        assert time.perf_counter() - start < 2.0
+        assert report.sound and report.delta_needed <= 1e-12
+
+    def test_leaky_presets_at_k11_within_two_seconds(self):
+        # 4^11 views, the most under MAX_VIEW_SPACE; about 0.15 s (2-core Xeon).
+        k = 11
+        mechs = [leaky_rr(0.5, 1e-3)] * k
+        p0, p1 = Hypothesis.uniform_all(k), Hypothesis.uniform_nonzero(k)
+        claimed = hdp_guarantee(p0, p1, MechanismSequence.homogeneous(0.5, 1e-3, k), Simple())
+        start = time.perf_counter()
+        report = verify_hdp(mechs, p0, p1, claimed)
+        assert time.perf_counter() - start < 2.0
+        assert report.sound and report.delta_needed > 0.0
 
 
 class TestReference:
@@ -477,8 +516,8 @@ class TestDeclaredPresets:
             if len(h) > 1:  # one atom takes no plan: the views multiply it by _product
                 assert steps == oracle._steps(atoms), k
             zero = Hypothesis.point_mass(BitVector.zeros(k))
-            # From k = 11, leaky RR's atoms x views exceed MAX_MIXTURE_WORK.
-            for family in [rr] + ([leaky] if k <= 10 else []):
+            # From k = 12, leaky RR's 4^k views exceed MAX_VIEW_SPACE.
+            for family in [rr] + ([leaky] if k <= 11 else []):
                 mechs = [family[g] for g in group_of]
                 assert np.array_equal(mixture_view_distribution(mechs, make(k)).probs,
                                       mixture_view_distribution(mechs, atoms).probs), k
