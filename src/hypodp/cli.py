@@ -26,9 +26,9 @@ shown (no constraint for ``constraint``); ``max_ones``, ``trials`` and
 
 Exit codes: 0 success, 1 bad scenario file (a scalar PyYAML's safe
 constructor cannot build, such as ``0b_`` or ``2001-02-30``, included),
-2 a bad command line (argparse's usage error), 3 verification found the
-claim unsound (verify only), 4 computation error or a report that cannot
-be written.
+2 a bad command line (argparse's usage error, a ``--seed`` outside
+[0, 2^63) included), 3 verification found the claim unsound (verify only),
+4 computation error or a report that cannot be written.
 The machine report goes to --out (default stdout) with
 round-trip-exact numbers; the human summary goes to stderr unless
 --quiet is given.
@@ -37,11 +37,12 @@ round-trip-exact numbers; the human summary goes to stderr unless
 import argparse
 import io
 import math
+import re
 import reprlib
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 import yaml
@@ -476,6 +477,11 @@ def _scenario_echo(s: Scenario) -> dict:
 _STR = _TAG + "str"
 _RESOLVER = yaml.resolver.Resolver()  # SafeDumper's and CSafeDumper's resolver
 _FLOAT_WORDS = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}
+# Printable ASCII starting alphanumeric, without ':' or '#', spaces single and between words:
+# both emitters write it plain if it resolves as a string, else single-quoted; with a space
+# it always resolves as a string (a timestamp's time holds ':'), so it never breaks quoted.
+_PLAIN_SAFE = re.compile(r"[0-9A-Za-z](?: ?[!-\"$-9;-~])*").fullmatch
+_WIDTH = 80  # the emitters' best_width
 
 
 def _float_text(x: float) -> str:
@@ -487,69 +493,92 @@ def _float_text(x: float) -> str:
     return _FLOAT_WORDS.get(text, text)
 
 
-# SafeRepresenter's tag and text for each scalar type but str. Each text reads
-# back under its own tag, so the event is implicit (True, False).
-_SCALARS = {
-    bool: (_TAG + "bool", lambda b: "true" if b else "false"),
-    int: (_TAG + "int", str),
-    float: (_TAG + "float", _float_text),
-    type(None): (_TAG + "null", lambda _: "null"),
-}
+def _fold(text: str, column: int, indent: int) -> str:
+    """A plain string written from ``column``, as both emitters write it: each row ends
+    at its first space past column ``_WIDTH``, and the next row starts at ``indent``."""
+    rows = []
+    while (cut := text.find(" ", max(_WIDTH + 1 - column, 0))) >= 0:
+        rows.append(text[:cut])
+        text, column = text[cut + 1:], indent
+    return ("\n" + " " * indent).join(rows + [text])
 
 
-def _scalar(data) -> yaml.ScalarEvent:
-    """The event of one scalar, as PyYAML's safe representer and serializer make it."""
-    kind = type(data)
-    if kind is str:
-        # Plain only where the plain text reads back as a string ('0101' is quoted).
-        plain = _RESOLVER.resolve(yaml.ScalarNode, data, (True, False)) == _STR
-        return yaml.ScalarEvent(None, _STR, (plain, True), data)
-    if kind not in _SCALARS:
-        raise yaml.representer.RepresenterError("cannot represent an object", data)
-    tag, text = _SCALARS[kind]
-    return yaml.ScalarEvent(None, tag, (True, False), text(data))
+# The safe representer's text of each scalar type but str.
+_TEXTS = {float: _float_text, int: str, bool: lambda b: "true" if b else "false",
+          type(None): lambda _: "null"}
 
 
-def _document(report: dict):
-    """The report's events, depth first on one stack of the open containers' items.
+class _Unwritten(Exception):
+    """A tree outside the shapes ``_report_text`` writes."""
 
-    The document is the outermost container: its one item is the report.
-    """
-    yield yaml.StreamStartEvent()
-    yield yaml.DocumentStartEvent(explicit=False)
-    stack = [(iter([report]), yaml.DocumentEndEvent(explicit=False))]
-    while stack:
-        items, end = stack[-1]
-        for item in items:
-            if type(item) is dict:
-                yield yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False)
-                stack.append((chain.from_iterable(item.items()), yaml.MappingEndEvent()))
-                break
-            if type(item) is list:
-                yield yaml.SequenceStartEvent(None, _TAG + "seq", True, flow_style=False)
-                stack.append((iter(item), yaml.SequenceEndEvent()))
-                break
-            yield _scalar(item)
-        else:
-            stack.pop()
-            yield end
-    yield yaml.StreamEndEvent()
+
+def _report_text(report: dict) -> str:
+    """``yaml.dump(report, Dumper=_DUMPER, sort_keys=False)``'s text, written in one pass
+    over a report-shaped tree, else ``_Unwritten``: a non-empty dict of keys of at most 122
+    characters, its values non-empty dicts or lists, floats, ints, bools or None, its keys
+    and strings ``_PLAIN_SAFE``; a list holds the same but lists. Each distinct string is
+    resolved once; one the resolver reads as another type (``'0101'``) is quoted."""
+    lines, strings = [], {}
+
+    def string(value: str) -> str:
+        text = strings.get(value)
+        if text is None:
+            if type(value) is not str or not _PLAIN_SAFE(value):
+                raise _Unwritten
+            plain = _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _STR
+            text = strings[value] = value if plain else f"'{value}'"
+        return text
+
+    def scalar(value, column: int, indent: int) -> str:
+        kind = type(value)
+        if kind in _TEXTS:
+            return _TEXTS[kind](value)
+        if kind is not str:
+            raise _Unwritten
+        text = string(value)
+        return text if column + len(text) <= _WIDTH else _fold(text, column, indent)
+
+    def block(node, lead: str, indent: int) -> None:
+        """A dict's keys, its first after ``lead``, or a list's dashes, at ``indent``."""
+        pad = " " * indent
+        if type(node) is list:
+            for item in node:
+                if type(item) is dict and item:
+                    block(item, pad + "- ", indent + 2)
+                else:
+                    lines.append(f"{pad}- {scalar(item, indent + 2, indent + 2)}\n")
+            return
+        for key, value in node.items():
+            text, kind = string(key), type(value)
+            if len(key) > 122:  # with its tag !!str, 128 or more: SafeDumper writes "? key"
+                raise _Unwritten
+            if (kind is dict or kind is list) and value:
+                lines.append(f"{lead}{text}:\n")
+                block(value, pad + "  ", indent + 2) if kind is dict else block(value, "", indent)
+            else:
+                lines.append(f"{lead}{text}: {scalar(value, indent + len(text) + 2, indent + 2)}\n")
+            lead = pad
+
+    if type(report) is not dict or not report:
+        raise _Unwritten
+    block(report, "", 0)
+    return "".join(lines)
 
 
 def _emit(report: dict, out_path: str | None, human_lines: list[str], quiet: bool) -> None:
     """Write ``report`` to ``out_path`` (stdout if None), and unless ``quiet`` the summary to stderr.
 
-    ``_DUMPER``'s emitter writes the events of ``_document``, which carry the
-    safe representer's tags and texts, so the bytes are those of PyYAML's safe
-    dump with keys in insertion order, without its Python pass over each node.
-    A report is a tree of dicts, lists, strings, numbers, booleans and None, no
-    container appearing twice, so it needs no anchors; any other type raises
-    ``RepresenterError``, as the safe representer does.
-    """
-    text = yaml.emit(_document(report), Dumper=_DUMPER)
+    The text is PyYAML's safe dump under ``_DUMPER``, keys in insertion order: by
+    ``_report_text`` for the commands' reports, else by ``yaml.dump``, which raises
+    ``RepresenterError`` for a type the safe representer refuses. A report is a tree, no
+    container twice, so it needs no anchors. The file gets the text's UTF-8 bytes."""
+    try:
+        text = _report_text(report)
+    except _Unwritten:
+        text = yaml.dump(report, Dumper=_DUMPER, sort_keys=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     if not quiet:
@@ -709,6 +738,17 @@ COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer in [0, 2^63), as ``oracle.seed`` must be."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 2**63:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^63), got {seed}")
+    return seed
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     commands = "".join(f"\n  {name:<10} {fn.__doc__.splitlines()[0]}"
@@ -723,7 +763,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="one of the commands below")
     parser.add_argument("--scenario", required=True, help="path to the scenario file")
     parser.add_argument("--out", default=None, help="machine report path (default stdout)")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    parser.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     parser.add_argument("--quiet", action="store_true", help="suppress the human summary")
     return parser
 

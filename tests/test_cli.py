@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from hypodp.constraints import MaxOnes, NeighborhoodMode
 from hypodp.core import MechanismSequence
 from hypodp.errors import ScenarioParseError, ScenarioValidationError
 from hypodp.subsampling import uniform_prior_bound
+from test_bench_contract import _load as load_perfbench
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -591,6 +593,29 @@ def test_unknown_command_exits_2(tmp_path, capsys):
     assert captured.out == "" and "invalid choice" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**63), "99999999999999999999"])
+def test_seed_outside_the_range_is_a_bad_command_line(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(SCENARIOS / "verify_rr.yaml"), "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: hypodp")
+    assert f"argument --seed: must be in [0, 2^63), got {seed}\n" in captured.err
+
+
+def test_largest_seed_accepted(tmp_path, capsys):
+    path = write(tmp_path, "s.yaml", MINIMAL + "oracle: {trials: 100}\n")
+    assert main(["simulate", "--scenario", path, "--seed", str(2**63 - 1), "--quiet"]) == EXIT_OK
+    assert yaml.safe_load(capsys.readouterr().out)["scenario"]["oracle"]["seed"] == 2**63 - 1
+
+
+def test_seed_not_an_integer_is_a_bad_command_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(SCENARIOS / "verify_rr.yaml"), "--seed", "0x1"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: '0x1'\n" in capsys.readouterr().err
+
+
 GOLDEN_COMMANDS = pytest.mark.parametrize("command", ["compose", "hdp", "constrain", "subsample"])
 DEMO_SCENARIOS = pytest.mark.parametrize(
     "scenario", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
@@ -633,6 +658,15 @@ def test_oracle_reports_match_golden(scenario, command, capsys):
 @ORACLE_GOLDENS
 def test_pure_python_yaml_oracle_reports_match_golden(scenario, command, capsys, pure_python_yaml):
     test_demo_scenario_reports_match_golden(scenario, command, capsys)
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.yaml")), ids=lambda path: path.stem)
+def test_out_file_holds_the_golden_bytes(golden, tmp_path):
+    scenario, command = golden.stem.split(".")
+    out = tmp_path / "report.yaml"
+    argv = [command, "--scenario", str(SCENARIOS / f"{scenario}.yaml"), "--out", str(out)]
+    assert main([*argv, "--quiet"]) == EXIT_OK
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_explicit_hypotheses_echoed_in_word_order(tmp_path, capsys):
@@ -799,6 +833,110 @@ def test_nesting_to_the_cap_reads_as_yaml_load_does(monkeypatch, loader):
                        "a: {b: " + "[" * 63 + "]" * 63 + "}\n"):
             with pytest.raises(ScenarioParseError, match="nested deeper than 64"):
                 cli._read(io.StringIO(anchor + deeper))
+
+
+def no_dump(*args, **kwargs):
+    raise AssertionError("the report went to yaml.dump")
+
+
+def keys_of(tree):
+    if type(tree) is dict:
+        for key, value in tree.items():
+            yield key
+            yield from keys_of(value)
+    elif type(tree) is list:
+        for value in tree:
+            yield from keys_of(value)
+
+
+# Report-shaped trees, which cli._report_text writes without yaml.dump. The keys are the
+# golden reports' and bit strings; the strings are resolver-typed texts, which are quoted,
+# and prose of printable ASCII that starts alphanumeric, with no ':', '#' or run of spaces,
+# long enough to cross column 80 wherever a tree puts it.
+REPORT_KEYS = sorted({key for path in GOLDEN.glob("*.yaml")
+                      for key in keys_of(yaml.safe_load(path.read_text()))})
+TYPED_TEXTS = [t for t in PLAIN_TEXTS if t[:1].isalnum() and ":" not in t]
+PROSE = st.builds(lambda head, words: head + " ".join(words),
+                  st.sampled_from("abcxyzABZ019"),
+                  st.lists(st.text([chr(c) for c in range(33, 127) if chr(c) not in ":#"],
+                                   min_size=1, max_size=12), min_size=1, max_size=24))
+REPORT_SCALARS = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(), st.sampled_from([2**64, -2**64 - 1, 2**100 + 1]),
+    st.integers(), st.booleans(), st.none(), st.sampled_from(TYPED_TEXTS), PROSE,
+)
+REPORT_KEY = st.one_of(st.sampled_from(REPORT_KEYS), st.text("01", min_size=1, max_size=63))
+TREES = st.dictionaries(REPORT_KEY, st.recursive(
+    REPORT_SCALARS,
+    lambda children: st.lists(children.filter(lambda c: type(c) is not list)
+                              | st.dictionaries(REPORT_KEY, children, min_size=1, max_size=3),
+                              min_size=1, max_size=3)
+    | st.dictionaries(REPORT_KEY, children, min_size=1, max_size=4),
+    max_leaves=12,
+), min_size=1, max_size=5)
+
+
+def nested(value, path):
+    """``value`` under ``path``'s keys, each key's value in a one-item list where marked."""
+    for key, item in reversed(path):
+        value = {key: [value] if item else value}
+    return value
+
+
+# Prose at indents 0 to 6, as a mapping's value or a list's item, with a tree beside it.
+REPORT_SHAPED = st.builds(
+    lambda deep, tree: {**deep, **tree},
+    st.builds(nested, PROSE,
+              st.lists(st.tuples(REPORT_KEY, st.booleans()), min_size=1, max_size=4)),
+    TREES)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(report=REPORT_SHAPED)
+def test_report_shaped_trees_take_the_writer(report):
+    dumps = {yaml.dump(report, Dumper=dumper, sort_keys=False) for dumper in DUMPERS}
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout):
+        patch.setattr(yaml, "dump", no_dump)
+        cli._emit(report, None, [], quiet=True)
+    assert dumps == {stdout.getvalue()}
+
+
+@pytest.mark.parametrize("key, writer", [("k" * 122, True), ("k" * 123, False)])
+def test_a_key_past_122_characters_goes_to_yaml_dump(key, writer, monkeypatch, capsys):
+    # SafeDumper counts the key's !!str tag toward a simple key's 128 characters; libyaml
+    # does not, so from 123 characters on the two back ends write the key differently.
+    report = {key: 1}
+    assert yaml.dump(report, Dumper=yaml.SafeDumper).startswith("? ") is not writer
+    monkeypatch.setattr(yaml, "dump", lambda *args, **kwargs: "dumped\n")
+    cli._emit(report, None, [], quiet=True)
+    assert capsys.readouterr().out == (f"{key}: 1\n" if writer else "dumped\n")
+
+
+def test_every_report_takes_the_direct_writer(tmp_path, monkeypatch, capsys):
+    # All six commands on each demo scenario, its trials cut to 100 so that simulate stays
+    # quick, and each scenario cli_scenarios generates under its own command.
+    runs = []
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        scenario = yaml.safe_load(path.read_text())
+        scenario["oracle"] = {**(scenario.get("oracle") or {}), "trials": 100}
+        runs += [(command, write(tmp_path, path.name, yaml.safe_dump(scenario)))
+                 for command in COMMANDS]
+    workload = load_perfbench("workloads").CliScenarios
+    for spec in dict.fromkeys(workload.ROUND + workload.ONCE):
+        scenario = workload._scenario(random.Random(0), *spec)
+        path = write(tmp_path, "{}-{}-{}.yaml".format(*spec), yaml.safe_dump(scenario))
+        runs.append((spec[0], path))
+    monkeypatch.setattr(yaml, "dump", no_dump)
+    written = set()
+    for command, path in runs:
+        code = main([command, "--scenario", path, "--quiet"])
+        out = capsys.readouterr().out
+        if code in (EXIT_OK, EXIT_UNSOUND):
+            assert yaml.safe_load(out)["command"] == command
+            written.add(path)
+        else:
+            assert code in (EXIT_BAD_SCENARIO, EXIT_COMPUTATION) and out == ""
+    assert written == {path for _, path in runs}  # every file made at least one report
 
 
 @pytest.mark.parametrize("value", [

@@ -11,14 +11,16 @@ gate expects a refusal that no longer comes.
 import inspect
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import Phase, settings
 
+import test_cli
 import test_integration
 import test_oracle
-from hypodp import hypothesis_dp, oracle, subsampling
+from hypodp import cli, constraints, hypothesis_dp, oracle, subsampling
 from hypodp.core import BitVector, Hypothesis, PrivacyParams
 
 
@@ -57,11 +59,43 @@ def shaved(real):
     return aggregate
 
 
+def one_position_fewer(real):
+    """``_piece_keys`` composing each XOR word without its lowest differing position."""
+    def piece_keys(xor_words, *args):
+        return real(xor_words & (xor_words - np.uint64(1)), *args)
+    return piece_keys
+
+
+def one_pair_fewer(real):
+    """``_max_over_pairs`` without its first pair: ``exclusive_groups_bound`` leaves out
+    the first group's pattern against the second's."""
+    def max_over_pairs(seq, differences, theorem):
+        return real(seq, differences[1:], theorem)
+    return max_over_pairs
+
+
+def narrower(real):
+    """``_WIDTH`` one less: a plain string breaks at a space at column 80, not only past it."""
+    return real - 1
+
+
+def at_the_parent_indent(real):
+    """``_fold`` starting a string's next rows at its mapping's indent, not two columns in."""
+    return lambda text, column, indent: real(text, column, indent - 2)
+
+
+def every_text_a_string(real):
+    """``_RESOLVER`` reading every text as a string, so ``0101`` is written plain."""
+    return SimpleNamespace(resolve=lambda kind, value, implicit: cli._STR)
+
+
 sharp, verify = test_integration.TestClaimsAreSharp(), test_oracle.TestVerifyHdp()
 split = test_oracle.TestContractionSplit()
 GAP, RESOLUTION = [(oracle, "required_delta")], [(oracle, "_check_resolution")]
 PLAN = [(oracle, "_plan")]
 AGGREGATE = [(hypothesis_dp, "_aggregate"), (subsampling, "_aggregate")]
+PIECE_KEYS = [(hypothesis_dp, "_piece_keys"), (constraints, "_piece_keys")]
+WRITER = test_cli.test_report_shaped_trees_take_the_writer
 # (id, the attribute in each module that reads it, its mutant, the gate). A gate that
 # takes ``monkeypatch`` gets a MonkeyPatch of its own, undone before the mutant.
 ROWS = [
@@ -81,6 +115,17 @@ ROWS = [
      test_integration.test_hdp_guarantee_holds_on_near_equal_pairs),
     ("aggregate-uniform-prior", AGGREGATE, shaved,
      test_integration.test_uniform_prior_bound_holds_on_zero_against_uniform_nonzero),
+    ("piece-keys-exchangeable", PIECE_KEYS, one_position_fewer,
+     test_integration.test_hdp_guarantee_holds_on_exchangeable_pairs),
+    ("piece-keys-near-equal", PIECE_KEYS, one_position_fewer,
+     test_integration.test_hdp_guarantee_holds_on_near_equal_pairs),
+    ("piece-keys-constrained", PIECE_KEYS, one_position_fewer,
+     test_integration.test_constrained_bound_holds_on_allowed_pairs),
+    ("exclusive-groups-one-pair-fewer", [(constraints, "_max_over_pairs")], one_pair_fewer,
+     test_integration.test_exclusive_groups_bound_holds_on_allowed_pairs),
+    ("writer-breaks-at-column-80", [(cli, "_WIDTH")], narrower, WRITER),
+    ("writer-rows-at-the-parent-indent", [(cli, "_fold")], at_the_parent_indent, WRITER),
+    ("writer-0101-plain", [(cli, "_RESOLVER")], every_text_a_string, WRITER),
 ]
 
 
