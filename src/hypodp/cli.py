@@ -23,6 +23,9 @@ accept any k; a preset too large to enumerate fails those with exit 1.
 Every key but ``mechanisms`` may be absent or null, which takes the value
 shown (no constraint for ``constraint``); ``max_ones``, ``trials`` and
 ``seed`` must be integers, so a fraction is refused, not truncated.
+The file is one document of collections nested at most 64 deep, scalar keys, and
+plain or quoted scalars; an anchor, alias, explicit tag, merge (``<<``) or value (``=``)
+key, collection as a key or second document exits 1, naming the feature and its line.
 
 Exit codes: 0 success, 1 bad scenario file (a scalar PyYAML's safe
 constructor cannot build, such as ``0b_`` or ``2001-02-30``, included),
@@ -68,10 +71,8 @@ EXIT_COMPUTATION = 4
 # A correct simulator fails simulate's check of a vector with probability at most this.
 SIMULATE_ALPHA = 1e-6
 
-# libyaml where PyYAML has it; the same constructor and resolver read and write either way.
+# libyaml where PyYAML has it; the same constructor and resolver read either way.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-_TAG = "tag:yaml.org,2002:"
 
 # The README's defaults, one table per section; an absent or null key
 # takes its default, and ``mechanisms`` has none.
@@ -258,25 +259,32 @@ def _hypothesis(spec: "str | Hypothesis", k: int, field: str) -> Hypothesis:
     return _checked(field, HYPOTHESIS_PRESETS[spec], k)
 
 
-# The tags whose plain scalars _build constructs; the resolver's others are timestamp,
-# merge (<<) and value (=).
-_BUILT_TAGS = frozenset(_TAG + name for name in ("null", "bool", "int", "float", "str"))
 # An open sequence's state; an open mapping's is _KEY before each key and the key after it.
 _ITEM, _KEY = object(), object()
-_UNBUILT = object()  # _build's answer for a document it leaves to yaml.load
-# Open collections a file may nest (a scenario needs 4): PyYAML's composers recurse per level.
+# Open collections a file may nest (a scenario needs 4): libyaml's scanner takes time
+# quadratic in the depth, so a deeper file is refused where the depth is passed.
 _MAX_DEPTH = 64
+
+
+def _refused(event, feature: str | None = None) -> ScenarioParseError:
+    """The error for ``feature`` at ``event``, by default the event's anchor, else its tag."""
+    feature = feature or ("an anchor" if event.anchor is not None else "an explicit tag")
+    mark = event.start_mark
+    return ScenarioParseError(f'a scenario may not use {feature} (in "{mark.name}", '
+                              f"line {mark.line + 1}, column {mark.column + 1})")
 
 
 def _build(loader):
     """The tree ``SafeConstructor`` builds from the one document in ``loader``'s events,
-    or ``_UNBUILT`` where the document needs ``yaml.load`` (see ``load_scenario``).
+    in one pass without PyYAML's composer, its node tree and its second pass over it.
 
     Each open container waits on one stack with its state, so nesting costs no
-    recursion; ``_unbuilt`` refuses it past ``_MAX_DEPTH``. A quoted scalar is its
-    text. A plain one is resolved and built by the loader's constructor for its tag
-    once per text, since keys such as ``epsilon`` repeat k times; SafeConstructor
-    builds equal values from one text, and one NaN.
+    recursion; past ``_MAX_DEPTH`` the file is refused. A quoted scalar is its text. A
+    plain one is resolved and built by the loader's constructor for its tag once per
+    text, since keys such as ``epsilon`` repeat k times; SafeConstructor builds equal
+    values from one text, and one NaN. What no scenario needs is refused at its mark
+    (``_refused``): anchors, aliases, explicit tags, a plain scalar whose tag has no
+    constructor (merge ``<<`` and value ``=``), a collection as a key, a second document.
     """
     get_event, resolve = loader.get_event, loader.resolve
     constructors = loader.yaml_constructors
@@ -291,23 +299,22 @@ def _build(loader):
         kind = type(event)
         if kind is yaml.ScalarEvent:
             if event.anchor is not None or event.tag is not None:
-                return _unbuilt(get_event, len(stack))
+                raise _refused(event)
             value = text = event.value
             if event.implicit[0]:
-                value = built.get(text, _UNBUILT)
-                if value is _UNBUILT:
+                if text not in built:
                     tag = resolve(yaml.ScalarNode, text, (True, False))
-                    if tag not in _BUILT_TAGS:
-                        return _unbuilt(get_event, len(stack))
-                    try:
-                        value = constructors[tag](loader, yaml.ScalarNode(tag, text))
-                    except ValueError:
-                        return _unbuilt(get_event, len(stack))
-                    built[text] = value
+                    if tag not in constructors:
+                        raise _refused(event, f"a {tag.rpartition(':')[2]} key {text!r}")
+                    built[text] = constructors[tag](loader, yaml.ScalarNode(tag, text))
+                value = built[text]
         elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
-            if (event.anchor is not None or event.tag is not None or key is _KEY
-                    or len(stack) == _MAX_DEPTH):  # one more is refused by _unbuilt at once
-                return _unbuilt(get_event, len(stack) + 1)
+            if event.anchor is not None or event.tag is not None:
+                raise _refused(event)
+            if key is _KEY:
+                raise _refused(event, "a collection as a key")
+            if len(stack) == _MAX_DEPTH:
+                raise ScenarioParseError(f"collections nested deeper than {_MAX_DEPTH}")
             value = {} if kind is yaml.MappingStartEvent else []
         elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
             top, key = stack.pop()
@@ -315,7 +322,7 @@ def _build(loader):
         elif kind is yaml.DocumentEndEvent:
             break
         else:  # AliasEvent
-            return _unbuilt(get_event, len(stack))
+            raise _refused(event, "an alias")
         if key is _ITEM:
             top.append(value)
         elif key is _KEY:
@@ -327,57 +334,31 @@ def _build(loader):
         if kind is not yaml.ScalarEvent:
             stack.append((top, key))
             top, key = value, _ITEM if type(value) is list else _KEY
-    if type(get_event()) is not yaml.StreamEndEvent:
-        return _unbuilt(get_event, 0)
+    if type(event := get_event()) is not yaml.StreamEndEvent:
+        raise _refused(event, "a second document")
     return document[0]
 
 
-def _unbuilt(get_event, depth: int):
-    """``_UNBUILT`` once ``depth`` open collections and the events after them nest no deeper
-    than ``_MAX_DEPTH``. A parse error ends the scan: ``yaml.load`` raises it or an earlier one."""
-    try:
-        while depth <= _MAX_DEPTH:
-            event = get_event()
-            if type(event) is yaml.StreamEndEvent:
-                return _UNBUILT
-            depth += (isinstance(event, yaml.CollectionStartEvent)
-                      - isinstance(event, yaml.CollectionEndEvent))
-    except yaml.YAMLError:
-        return _UNBUILT
-    raise ScenarioParseError(f"collections nested deeper than {_MAX_DEPTH}")
-
-
 def _read(fh):
-    """What ``yaml.load(fh, Loader=_LOADER)`` returns or raises: ``_build``'s tree, or
-    else that one ``yaml.load`` call on the same text. The text is read once, a pipe's
-    too, into a stream named as ``fh`` is, so every mark names the file."""
+    """``_build``'s tree of the scenario in ``fh``, under ``_LOADER``. The text is read in
+    one call (libyaml's reads of ``fh`` itself, chunk by chunk, load about 2 % slower) into
+    a stream named as ``fh`` is, so every mark names the file."""
     text = io.StringIO(fh.read())
     text.name = getattr(fh, "name", "<file>")  # both loaders' name for a nameless stream
     loader = _LOADER(text)
     try:
-        tree = _build(loader)
+        return _build(loader)
     finally:
         loader.dispose()
-    if tree is not _UNBUILT:
-        return tree
-    text.seek(0)
-    return yaml.load(text, Loader=_LOADER)
 
 
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
-    """Read and validate a scenario file.
-
-    The raw tree comes from one pass over ``_LOADER``'s parse events, without PyYAML's
-    composer and its pass of ``Resolver.resolve`` and ``SafeConstructor`` over every
-    node. A file holding what that pass leaves to PyYAML is read again by ``yaml.load``:
-    a second document, anchors and aliases, explicit tags, merge (``<<``) and value
-    (``=``) keys, a collection as a key, timestamps, and a scalar the constructor
-    refuses. Either way the tree and every other error are PyYAML's.
+    """Read and validate a scenario file; the raw tree is ``_read``'s.
 
     Raises:
         ScenarioParseError: unreadable or syntactically invalid file, a scalar PyYAML's
-            safe constructor cannot build (``0b_``, ``2001-02-30``), or collections
-            nested deeper than ``_MAX_DEPTH``, refused before ``yaml.load`` sees them.
+            safe constructor cannot build (``0b_``, ``2001-02-30``), or YAML ``_build``
+            refuses, collections nested deeper than ``_MAX_DEPTH`` included.
         ScenarioValidationError: well-formed file violating an invariant.
     """
     try:
@@ -474,7 +455,7 @@ def _scenario_echo(s: Scenario) -> dict:
     return echo
 
 
-_STR = _TAG + "str"
+_STR = "tag:yaml.org,2002:str"
 _RESOLVER = yaml.resolver.Resolver()  # SafeDumper's and CSafeDumper's resolver
 _FLOAT_WORDS = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}
 # Printable ASCII starting alphanumeric, without ':' or '#', spaces single and between words:
@@ -508,23 +489,20 @@ _TEXTS = {float: _float_text, int: str, bool: lambda b: "true" if b else "false"
           type(None): lambda _: "null"}
 
 
-class _Unwritten(Exception):
-    """A tree outside the shapes ``_report_text`` writes."""
-
-
 def _report_text(report: dict) -> str:
-    """``yaml.dump(report, Dumper=_DUMPER, sort_keys=False)``'s text, written in one pass
-    over a report-shaped tree, else ``_Unwritten``: a non-empty dict of keys of at most 122
-    characters, its values non-empty dicts or lists, floats, ints, bools or None, its keys
-    and strings ``_PLAIN_SAFE``; a list holds the same but lists. Each distinct string is
-    resolved once; one the resolver reads as another type (``'0101'``) is quoted."""
+    """PyYAML's safe dump of ``report`` (``sort_keys=False``, either back end), written in
+    one pass over a report tree: a non-empty dict of ``_PLAIN_SAFE`` string keys, each under
+    123 characters (SafeDumper writes a longer one as ``? key``), whose values are non-empty
+    dicts or lists, floats, ints, bools, None or ``_PLAIN_SAFE`` strings; a list holds the
+    same but lists. Anything else raises ``TypeError``. Each distinct string is resolved
+    once; one the resolver reads as another type (``'0101'``) is quoted."""
     lines, strings = [], {}
 
     def string(value: str) -> str:
         text = strings.get(value)
         if text is None:
             if type(value) is not str or not _PLAIN_SAFE(value):
-                raise _Unwritten
+                raise TypeError(f"a report cannot hold {_quote(value)}")
             plain = _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _STR
             text = strings[value] = value if plain else f"'{value}'"
         return text
@@ -534,7 +512,7 @@ def _report_text(report: dict) -> str:
         if kind in _TEXTS:
             return _TEXTS[kind](value)
         if kind is not str:
-            raise _Unwritten
+            raise TypeError(f"a report cannot hold {_quote(value)}")
         text = string(value)
         return text if column + len(text) <= _WIDTH else _fold(text, column, indent)
 
@@ -550,8 +528,6 @@ def _report_text(report: dict) -> str:
             return
         for key, value in node.items():
             text, kind = string(key), type(value)
-            if len(key) > 122:  # with its tag !!str, 128 or more: SafeDumper writes "? key"
-                raise _Unwritten
             if (kind is dict or kind is list) and value:
                 lines.append(f"{lead}{text}:\n")
                 block(value, pad + "  ", indent + 2) if kind is dict else block(value, "", indent)
@@ -560,7 +536,7 @@ def _report_text(report: dict) -> str:
             lead = pad
 
     if type(report) is not dict or not report:
-        raise _Unwritten
+        raise TypeError(f"a report cannot be {_quote(report)}")
     block(report, "", 0)
     return "".join(lines)
 
@@ -568,14 +544,10 @@ def _report_text(report: dict) -> str:
 def _emit(report: dict, out_path: str | None, human_lines: list[str], quiet: bool) -> None:
     """Write ``report`` to ``out_path`` (stdout if None), and unless ``quiet`` the summary to stderr.
 
-    The text is PyYAML's safe dump under ``_DUMPER``, keys in insertion order: by
-    ``_report_text`` for the commands' reports, else by ``yaml.dump``, which raises
-    ``RepresenterError`` for a type the safe representer refuses. A report is a tree, no
-    container twice, so it needs no anchors. The file gets the text's UTF-8 bytes."""
-    try:
-        text = _report_text(report)
-    except _Unwritten:
-        text = yaml.dump(report, Dumper=_DUMPER, sort_keys=False)
+    The text is ``_report_text``'s, PyYAML's safe dump with keys in insertion order (a
+    report is a tree, so it needs no anchors); a tree it cannot write raises its
+    ``TypeError`` before anything is written. The file gets the text's UTF-8 bytes."""
+    text = _report_text(report)
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(text.encode("utf-8"))
@@ -695,6 +667,11 @@ def _cmd_simulate(s: Scenario) -> tuple[dict, list[str], int]:
     if len(words) * s.k * s.trials > orc.MAX_DRAWS:
         raise ViewSpaceTooLargeError(f"{len(words)} vectors x {s.k} positions x {s.trials} "
                                      f"trials exceeds {orc.MAX_DRAWS} draws")
+    # Every vector's exact views, held to the work of verify's k contraction steps.
+    views = math.prod(len(m.alphabet) for m in mechs)
+    if len(words) * views > s.k * orc.MAX_VIEW_SPACE:
+        raise ViewSpaceTooLargeError(f"{len(words)} vectors x {views} views exceeds "
+                                     f"{s.k} x {orc.MAX_VIEW_SPACE} entries")
     rows = []
     human = [f"Monte-Carlo check, {s.trials} trials per vector, seed {s.seed}:"]
     for idx, word in enumerate(words.tolist()):

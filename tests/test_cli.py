@@ -41,15 +41,13 @@ GOLDEN = ROOT / "tests" / "golden"
 
 @pytest.fixture
 def pure_python_yaml(monkeypatch):
-    """The CLI on PyYAML's pure-Python parser and emitter, its path where libyaml is missing."""
+    """The CLI on PyYAML's pure-Python parser, its path where libyaml is missing."""
     monkeypatch.setattr(cli, "_LOADER", yaml.SafeLoader)
-    monkeypatch.setattr(cli, "_DUMPER", yaml.SafeDumper)
 
 
 def test_libyaml_runs_where_pyyaml_has_it():
     prefix = "C" if yaml.__with_libyaml__ else ""
     assert cli._LOADER is getattr(yaml, f"{prefix}SafeLoader")
-    assert cli._DUMPER is getattr(yaml, f"{prefix}SafeDumper")
 
 
 def write(tmp_path, name, content):
@@ -451,14 +449,46 @@ def test_scalar_pyyaml_cannot_build_exits_1(tmp_path, capsys, scalar, message):
     assert capsys.readouterr() == ("", f"error: cannot parse scenario file: {message}\n")
 
 
-def test_a_scenario_from_a_pipe_may_hold_anchors():
-    # A pipe cannot be read again after the one pass, so yaml.load reads it alone.
+# YAML no scenario needs, after the two lines of MINIMAL: (text, feature, column).
+REFUSALS = {
+    "anchor": ("oracle: &o {seed: 1}\n", "an anchor", 9),
+    "alias": ("oracle: *o\n", "an alias", 9),
+    "tag": ("oracle: {seed: !!int 3}\n", "an explicit tag", 16),
+    "merge-key": ("<<: {mode: bounded}\n", "a merge key '<<'", 1),
+    "value-key": ("=: 1\n", "a value key '='", 1),
+    "collection-key": ("? [a]\n: 1\n", "a collection as a key", 3),
+    "second-document": ("---\nmode: bounded\n", "a second document", 1),
+}
+
+
+@pytest.mark.parametrize("text, feature, column", REFUSALS.values(), ids=REFUSALS)
+def test_yaml_no_scenario_needs_exits_1_naming_it(tmp_path, capsys, text, feature, column):
+    path = write(tmp_path, "s.yaml", MINIMAL + text)
+    assert main(["compose", "--scenario", path]) == EXIT_BAD_SCENARIO
+    assert capsys.readouterr() == ("", "error: cannot parse scenario file: a scenario may not use "
+                                       f'{feature} (in "{path}", line 3, column {column})\n')
+
+
+def pipe(text):
+    """The read end of a pipe that holds ``text`` and is closed for writing."""
     read_end, write_end = os.pipe()
-    os.write(write_end, b"mechanisms: [&m {epsilon: 0.1}, *m]\n")
+    os.write(write_end, text.encode())
     os.close(write_end)
-    with open(read_end, encoding="utf-8") as fh:
+    return read_end
+
+
+def test_a_pipe_reads_like_a_file_and_an_anchor_in_it_exits_1(capsys):
+    with open(pipe("mechanisms: [{epsilon: 0.1}, {epsilon: 0.1}]\n"), encoding="utf-8") as fh:
         assert not fh.seekable()
         assert cli._read(fh) == {"mechanisms": [{"epsilon": 0.1}, {"epsilon": 0.1}]}
+    read_end = pipe("mechanisms: [&m {epsilon: 0.1}, *m]\n")
+    try:
+        path = f"/dev/fd/{read_end}"  # the pipe itself, opened by name
+        assert main(["compose", "--scenario", path]) == EXIT_BAD_SCENARIO
+    finally:
+        os.close(read_end)
+    assert capsys.readouterr() == ("", "error: cannot parse scenario file: a scenario may not use "
+                                       f'an anchor (in "{path}", line 1, column 14)\n')
 
 
 # Lists nested 30,000 deep overflowed an 8 MB C stack in the recursion of PyYAML's
@@ -490,12 +520,16 @@ def test_nesting_within_the_cap_is_quoted_cut_short(tmp_path, capsys):
 
 @pytest.mark.parametrize("before", [True, False], ids=["anchor-before", "anchor-after"])
 def test_deep_nesting_with_an_anchor_exits_1_without_a_crash(tmp_path, before):
-    # An anchor sends the file to yaml.load, whose composers recurse; the events are
-    # scanned for the depth first.
+    # Whichever comes first is refused where it is read: the anchor, or the 65th level.
     deep, anchor = "mechanisms: " + "[" * 30_000 + "]" * 30_000 + "\n", "x: &a 1\n"
     path = write(tmp_path, "s.yaml", anchor + deep if before else deep + anchor)
+    start = time.perf_counter()
     proc = run_module("compose", "--scenario", path, "--quiet")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_BAD_SCENARIO, "", DEEP)
+    assert time.perf_counter() - start < 10
+    anchor_error = ("error: cannot parse scenario file: a scenario may not use an anchor "
+                    f'(in "{path}", line 1, column 4)\n')
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (EXIT_BAD_SCENARIO, "", anchor_error if before else DEEP)
 
 
 def test_simulate_refuses_too_many_trials_at_once(tmp_path, capsys):
@@ -517,6 +551,27 @@ def test_simulate_refuses_too_many_draws_at_once(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: 1048576 vectors x 20 positions x 100000 trials "
                             f"exceeds {oracle.MAX_DRAWS} draws\n")
+
+
+def test_simulate_refuses_too_many_views_at_once(tmp_path, capsys):
+    # 2^16 vectors x 2^16 exact views, about 4.3e9 products, over 16 x MAX_VIEW_SPACE,
+    # while 2^16 x 16 x 100 draws are far under MAX_DRAWS.
+    path = write(tmp_path, "s.yaml", homogeneous(16, "oracle: {trials: 100}\n"))
+    start = time.perf_counter()
+    assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_COMPUTATION
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: 65536 vectors x 65536 views exceeds "
+                                       f"16 x {oracle.MAX_VIEW_SPACE} entries\n")
+
+
+def test_simulate_within_the_view_budget(tmp_path, capsys):
+    # 2^12 vectors x 2^12 views at k = 12, and hospitals.yaml's 1024 x 1024 at k = 10.
+    hospitals = yaml.safe_load((SCENARIOS / "hospitals.yaml").read_text())
+    hospitals["oracle"] = {"trials": 100}
+    for text in (homogeneous(12, "oracle: {trials: 100}\n"), yaml.safe_dump(hospitals)):
+        path = write(tmp_path, "s.yaml", text)
+        assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_OK
+        assert "within_bound: true" in capsys.readouterr().out
 
 
 def test_hospitals_simulate_within_the_draw_budget():
@@ -726,20 +781,24 @@ DUMPERS = [d for d in (getattr(yaml, "CSafeDumper", None), yaml.SafeDumper) if d
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(report=REPORTS)
 def test_emit_writes_the_bytes_of_a_safe_dump(dumper, report):
+    # Either the dumper's bytes, or a TypeError for a tree outside the reports' shapes
+    # (test_report_shaped_trees_take_the_writer holds those to every dumper's bytes).
     stdout = io.StringIO()
-    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout):
-        patch.setattr(cli, "_DUMPER", dumper)
-        cli._emit(report, None, [], quiet=True)
-    assert stdout.getvalue() == yaml.dump(report, Dumper=dumper, sort_keys=False)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            cli._emit(report, None, [], quiet=True)
+    except TypeError:
+        assert stdout.getvalue() == ""
+    else:
+        assert stdout.getvalue() == yaml.dump(report, Dumper=dumper, sort_keys=False)
 
 
 @pytest.mark.parametrize("dumper", DUMPERS, ids=lambda d: d.__name__)
-def test_emit_refuses_what_the_safe_representer_refuses(dumper, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_DUMPER", dumper)
+def test_emit_refuses_what_the_safe_representer_refuses(dumper, capsys):
     report = {"result": {"epsilon": np.float64(0.5)}}
     with pytest.raises(yaml.representer.RepresenterError):
         yaml.dump(report, Dumper=dumper)
-    with pytest.raises(yaml.representer.RepresenterError):
+    with pytest.raises(TypeError, match=re.escape("a report cannot hold np.float64(0.5)")):
         cli._emit(report, None, ["summary"], quiet=False)
     assert capsys.readouterr() == ("", "")
 
@@ -805,34 +864,45 @@ def typed(tree) -> str:
 
 
 def outcome(read, text):
-    """The typed tree ``read`` returns from ``text``, or the type and message it raises."""
+    """The typed tree ``read`` returns from ``text``, or the exception it raises."""
     try:
         return typed(read(io.StringIO(text)))
-    except Exception as exc:  # any exception is compared, marks included
-        return type(exc), str(exc)
+    except Exception as exc:  # any exception is an outcome
+        return exc
+
+
+REFUSED = re.compile("a scenario may not use ({}) ".format(
+    "|".join(re.escape(feature) for _, feature, _ in REFUSALS.values()))
+    + r'\(in "<file>", line \d+, column \d+\)')
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda d: d.__name__)
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(text=TEXTS)
 def test_scenario_reader_returns_or_raises_what_yaml_load_does(loader, text):
+    # _read returns yaml.load's tree or raises; where yaml.load raises, with any error
+    # that exits 1; where only _read raises, it names YAML that no scenario needs.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_LOADER", loader)
         built = outcome(cli._read, text)
-    assert built == outcome(lambda fh: yaml.load(fh, Loader=loader), text)
+    loaded = outcome(lambda fh: yaml.load(fh, Loader=loader), text)
+    if isinstance(loaded, Exception):
+        assert isinstance(built, (yaml.YAMLError, ValueError)), (built, loaded)
+    elif isinstance(built, Exception):
+        assert type(built) is ScenarioParseError and REFUSED.fullmatch(str(built)), built
+    else:
+        assert built == loaded
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda d: d.__name__)
 def test_nesting_to_the_cap_reads_as_yaml_load_does(monkeypatch, loader):
     # The top mapping and 63 lists are 64 open collections; one more list or mapping is refused.
     monkeypatch.setattr(cli, "_LOADER", loader)
-    for anchor in ("", "x: &a 1\n"):
-        text = anchor + "a: " + "[" * 63 + "]" * 63 + "\n"
-        assert cli._read(io.StringIO(text)) == yaml.load(io.StringIO(text), Loader=loader)
-        for deeper in ("a: [" + "[" * 63 + "]" * 63 + "]\n",
-                       "a: {b: " + "[" * 63 + "]" * 63 + "}\n"):
-            with pytest.raises(ScenarioParseError, match="nested deeper than 64"):
-                cli._read(io.StringIO(anchor + deeper))
+    text = "a: " + "[" * 63 + "]" * 63 + "\n"
+    assert cli._read(io.StringIO(text)) == yaml.load(io.StringIO(text), Loader=loader)
+    for deeper in ("a: [" + "[" * 63 + "]" * 63 + "]\n", "a: {b: " + "[" * 63 + "]" * 63 + "}\n"):
+        with pytest.raises(ScenarioParseError, match="nested deeper than 64"):
+            cli._read(io.StringIO(deeper))
 
 
 def no_dump(*args, **kwargs):
@@ -899,17 +969,6 @@ def test_report_shaped_trees_take_the_writer(report):
         patch.setattr(yaml, "dump", no_dump)
         cli._emit(report, None, [], quiet=True)
     assert dumps == {stdout.getvalue()}
-
-
-@pytest.mark.parametrize("key, writer", [("k" * 122, True), ("k" * 123, False)])
-def test_a_key_past_122_characters_goes_to_yaml_dump(key, writer, monkeypatch, capsys):
-    # SafeDumper counts the key's !!str tag toward a simple key's 128 characters; libyaml
-    # does not, so from 123 characters on the two back ends write the key differently.
-    report = {key: 1}
-    assert yaml.dump(report, Dumper=yaml.SafeDumper).startswith("? ") is not writer
-    monkeypatch.setattr(yaml, "dump", lambda *args, **kwargs: "dumped\n")
-    cli._emit(report, None, [], quiet=True)
-    assert capsys.readouterr().out == (f"{key}: 1\n" if writer else "dumped\n")
 
 
 def test_every_report_takes_the_direct_writer(tmp_path, monkeypatch, capsys):

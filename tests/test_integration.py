@@ -476,13 +476,16 @@ class TestClaimsAreSharp:
         assert not verify_hdp(mechs, p0, p1, shaved).sound
 
     def test_uniform_prior_closed_form_cannot_be_shaved(self):
+        # The block bound and the closed form, equal here, are attained on zero vs
+        # uniform_nonzero: 0.05 less epsilon at delta 0 fails enumeration.
         mechs, seq = rr_setup([0.25] * 3)
-        claimed = uniform_prior_bound(seq, Simple())
         p0 = Hypothesis.point_mass(BitVector.zeros(3))
         p1 = Hypothesis.uniform_nonzero(3)
-        assert verify_hdp(mechs, p0, p1, claimed).sound
-        shaved = PrivacyParams(claimed.epsilon - 0.05, 0.0)
-        assert not verify_hdp(mechs, p0, p1, shaved).sound
+        for claimed in (uniform_prior_bound(seq, Simple()),
+                        uniform_nonzero_closed_form(seq[0].epsilon, seq[0].delta, 3)):
+            assert verify_hdp(mechs, p0, p1, claimed).sound
+            shaved = PrivacyParams(claimed.epsilon - 0.05, 0.0)
+            assert not verify_hdp(mechs, p0, p1, shaved).sound
 
 
 # Soundness gates, one per pipeline: every claim is judged by verify_hdp

@@ -15,12 +15,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import Phase, settings
 
 import test_cli
 import test_integration
 import test_oracle
-from hypodp import cli, constraints, hypothesis_dp, oracle, subsampling
+from hypodp import cli, composition, constraints, hypothesis_dp, oracle, subsampling
 from hypodp.core import BitVector, Hypothesis, PrivacyParams
 
 
@@ -51,12 +52,19 @@ def unchecked(real):
     return plan
 
 
-def shaved(real):
-    """``_aggregate`` claiming 0.9 of its epsilon."""
-    def aggregate(*args):
-        g = real(*args)
-        return PrivacyParams(0.9 * g.epsilon, g.delta)
-    return aggregate
+def epsilon_times(factor):
+    """A mutant claiming ``factor`` times its target's epsilon."""
+    def mutant(real):
+        def shaved(*args):
+            g = real(*args)
+            return PrivacyParams(factor * g.epsilon, g.delta)
+        return shaved
+    return mutant
+
+
+def one_size_smaller(real):
+    """``_max_over_subsets`` composing the top ``size - 1`` guarantees, not the top ``size``."""
+    return lambda seq, size, theorem: real(seq, size - 1, theorem)
 
 
 def one_position_fewer(real):
@@ -89,6 +97,26 @@ def every_text_a_string(real):
     return SimpleNamespace(resolve=lambda kind, value, implicit: cli._STR)
 
 
+def one_level_deeper(real):
+    """``_MAX_DEPTH`` one larger: 65 open collections are read."""
+    return real + 1
+
+
+def anchors_unchecked(real):
+    """``_build`` without its anchor check: each node event's anchor is dropped unread."""
+    def build(loader):
+        get_event = loader.get_event
+
+        def unanchored():
+            event = get_event()
+            if isinstance(event, (yaml.ScalarEvent, yaml.CollectionStartEvent)):
+                event.anchor = None
+            return event
+        loader.get_event = unanchored
+        return real(loader)
+    return build
+
+
 sharp, verify = test_integration.TestClaimsAreSharp(), test_oracle.TestVerifyHdp()
 split = test_oracle.TestContractionSplit()
 GAP, RESOLUTION = [(oracle, "required_delta")], [(oracle, "_check_resolution")]
@@ -96,8 +124,13 @@ PLAN = [(oracle, "_plan")]
 AGGREGATE = [(hypothesis_dp, "_aggregate"), (subsampling, "_aggregate")]
 PIECE_KEYS = [(hypothesis_dp, "_piece_keys"), (constraints, "_piece_keys")]
 WRITER = test_cli.test_report_shaped_trees_take_the_writer
+CLOSED_FORM = [(hypothesis_dp, "uniform_nonzero_closed_form"),
+               (subsampling, "uniform_nonzero_closed_form"),
+               (test_integration, "uniform_nonzero_closed_form")]
+CLASSIC = [(composition, "best_classic_bound"), (test_integration, "best_classic_bound")]
 # (id, the attribute in each module that reads it, its mutant, the gate). A gate that
-# takes ``monkeypatch`` gets a MonkeyPatch of its own, undone before the mutant.
+# takes ``monkeypatch`` gets a MonkeyPatch of its own, undone before the mutant; one that
+# takes ``tmp_path`` or ``capsys`` gets the row's.
 ROWS = [
     ("gap-classic", GAP, without_the_largest_gap, sharp.test_classic_bound_cannot_be_shaved),
     ("gap-uniform-prior", GAP, without_the_largest_gap,
@@ -109,11 +142,11 @@ ROWS = [
     *[(f"plan-unchecked-one-symbol-{i}", PLAN, unchecked,
        partial(split.test_one_symbol_plans_past_the_limit_are_refused, mechs=mechs))
       for i, mechs in enumerate(test_oracle.TestContractionSplit.PLANS)],
-    ("aggregate-exchangeable", AGGREGATE, shaved,
+    ("aggregate-exchangeable", AGGREGATE, epsilon_times(0.9),
      test_integration.test_hdp_guarantee_holds_on_exchangeable_pairs),
-    ("aggregate-near-equal", AGGREGATE, shaved,
+    ("aggregate-near-equal", AGGREGATE, epsilon_times(0.9),
      test_integration.test_hdp_guarantee_holds_on_near_equal_pairs),
-    ("aggregate-uniform-prior", AGGREGATE, shaved,
+    ("aggregate-uniform-prior", AGGREGATE, epsilon_times(0.9),
      test_integration.test_uniform_prior_bound_holds_on_zero_against_uniform_nonzero),
     ("piece-keys-exchangeable", PIECE_KEYS, one_position_fewer,
      test_integration.test_hdp_guarantee_holds_on_exchangeable_pairs),
@@ -126,19 +159,31 @@ ROWS = [
     ("writer-breaks-at-column-80", [(cli, "_WIDTH")], narrower, WRITER),
     ("writer-rows-at-the-parent-indent", [(cli, "_fold")], at_the_parent_indent, WRITER),
     ("writer-0101-plain", [(cli, "_RESOLVER")], every_text_a_string, WRITER),
+    ("max-over-subsets-one-smaller", [(constraints, "_max_over_subsets")], one_size_smaller,
+     test_integration.test_constrained_bound_holds_on_allowed_pairs),
+    ("closed-form-0.95-epsilon", CLOSED_FORM, epsilon_times(0.95),
+     sharp.test_uniform_prior_closed_form_cannot_be_shaved),
+    ("best-classic-0.95-epsilon", CLASSIC, epsilon_times(0.95),
+     test_integration.test_best_classic_bound_holds_on_zero_against_all_ones),
+    ("reader-one-level-deeper", [(cli, "_MAX_DEPTH")], one_level_deeper,
+     partial(test_cli.test_nesting_to_the_cap_reads_as_yaml_load_does, loader=cli._LOADER)),
+    ("reader-anchors-unchecked", [(cli, "_build")], anchors_unchecked,
+     partial(test_cli.test_yaml_no_scenario_needs_exits_1_naming_it,
+             **dict(zip(["text", "feature", "column"], test_cli.REFUSALS["anchor"])))),
 ]
 
 
 @pytest.mark.parametrize("targets, mutant, gate", [row[1:] for row in ROWS],
                          ids=[row[0] for row in ROWS])
-def test_the_gate_fails_with_its_mutant(monkeypatch, targets, mutant, gate):
+def test_the_gate_fails_with_its_mutant(monkeypatch, tmp_path, capsys, targets, mutant, gate):
     if hasattr(gate, "hypothesis"):  # a @given gate
         monkeypatch.setattr(gate, "_hypothesis_internal_use_settings", settings(
             gate._hypothesis_internal_use_settings,
             phases=[Phase.explicit, Phase.generate], database=None))
     for module, name in targets:
         monkeypatch.setattr(module, name, mutant(getattr(module, name)))
-    takes_monkeypatch = "monkeypatch" in inspect.signature(gate).parameters
+    takes = inspect.signature(gate).parameters
     with pytest.MonkeyPatch.context() as mp, \
             pytest.raises((AssertionError, pytest.fail.Exception)):
-        gate(mp) if takes_monkeypatch else gate()
+        fixtures = {"monkeypatch": mp, "tmp_path": tmp_path, "capsys": capsys}
+        gate(**{name: fixtures[name] for name in takes if name in fixtures})
