@@ -28,7 +28,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import PrivacyParams, _exact_row_sums, _exact_suffix_sums, bit_rows, bounded_params
+from .core import PrivacyParams, _exact_suffix_sums, _exact_word_sums, bit_rows, bounded_params
 from .errors import (
     HeterogeneousInputError,
     IncompatibleTheoremError,
@@ -139,9 +139,9 @@ def compose_selections(
 
     Row r of the result is ``compose(selected, theorem).as_tuple()`` bit
     for bit, where ``selected`` lists the guarantees at the positions
-    ``rows[r]`` marks, in sequence order. Under ``Simple`` each column is an
-    exact sum, ``core._exact_row_sums``, the delta capped at 1; other theorems
-    call ``compose``.
+    ``rows[r]`` marks, in sequence order. Under ``Simple`` rows of at most
+    64 positions are packed into ``uint64`` words for ``_compose_words``;
+    other theorems and longer rows call ``compose`` per row.
 
     Raises:
         MixedLengthError: if the rows are not as long as the sequence.
@@ -152,13 +152,33 @@ def compose_selections(
         raise MixedLengthError(
             f"selections of shape {rows.shape} for {len(guarantees)} mechanisms"
         )
-    eps, delta = [g.epsilon for g in guarantees], [g.delta for g in guarantees]
+    if not isinstance(theorem, Simple) or len(guarantees) > 64:
+        return _compose_rows(guarantees, rows.tolist(), theorem)
+    padded = np.zeros((len(rows), 64), dtype=bool)
+    padded[:, 64 - len(guarantees):] = rows  # position 0 at bit k - 1, as bit_rows reads it
+    words = np.packbits(padded, axis=1).view(">u8").ravel().astype(np.uint64)
+    return _compose_words(guarantees, words, theorem)
+
+
+def _compose_words(
+    guarantees: list[PrivacyParams], words: np.ndarray, theorem: CompositionTheorem
+) -> np.ndarray:
+    """``compose_selections`` of the positions each ``uint64`` word selects (``bit_rows`` layout).
+
+    Under ``Simple`` each column is an exact sum, ``core._exact_word_sums``,
+    the delta capped at 1; other theorems call ``compose`` per word.
+    """
     if not isinstance(theorem, Simple):
-        out = [compose(list(compress(guarantees, row)), theorem).as_tuple()
-               for row in rows.tolist()]
-    else:
-        rows = rows.astype(np.int64)  # one copy serves both columns
-        out = np.stack((_exact_row_sums(rows, eps), _exact_row_sums(rows, delta).clip(max=1.0)), 1)
+        return _compose_rows(guarantees, bit_rows(words, len(guarantees)).tolist(), theorem)
+    eps, delta = [g.epsilon for g in guarantees], [g.delta for g in guarantees]
+    return np.stack((_exact_word_sums(words, eps), _exact_word_sums(words, delta).clip(max=1.0)), 1)
+
+
+def _compose_rows(
+    guarantees: list[PrivacyParams], rows: list, theorem: CompositionTheorem
+) -> np.ndarray:
+    """``compose`` of the guarantees each 0/1 list selects, one row each."""
+    out = [compose(list(compress(guarantees, row)), theorem).as_tuple() for row in rows]
     return np.asarray(out, dtype=np.float64).reshape(len(rows), 2)
 
 
@@ -220,7 +240,7 @@ def _piece_keys(
         _, first, key_of_diff = np.unique(
             _pack_counts(diffs, masks), return_index=True, return_inverse=True)
         piece_diff, diffs = key_of_diff[piece_diff], diffs[first]
-    return piece_diff, compose_selections(seq, bit_rows(diffs, k), theorem)
+    return piece_diff, _compose_words(list(seq), diffs, theorem)
 
 
 def best_classic_bound(guarantees: Iterable[PrivacyParams], delta_slack: float) -> PrivacyParams:

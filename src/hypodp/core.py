@@ -14,15 +14,18 @@ Conventions:
   most significant of the word's k bits. ``word_of`` builds a word from
   positions and ``bit_rows`` unpacks words into rows of bits; ``oracle``,
   ``hypothesis_dp.differing_indices`` and ``composition._guarantee_masks``
-  shift bits themselves, in the same layout.
+  shift bits themselves, and ``_exact_word_sums`` reads them a byte at a
+  time, in the same layout.
 * A :class:`Hypothesis` is a finite probability distribution over bit
   vectors, a composite belief about database membership, held as two
   read-only arrays: ascending ``uint64`` ``words`` and ``float64`` ``weights``.
   The uniform presets declare their law and build their arrays on first read.
 * Returned sums of doubles are exact, rounded once as by ``math.fsum``:
-  ``exact_sum`` for an array, ``_exact_row_sums`` for 0/1-row subsets,
-  ``_exact_suffix_sums`` for every suffix, the last two's wide integer
-  totals through one division, ``_divide``; tolerance checks use numpy's sum.
+  ``exact_sum`` for an array, ``_exact_word_sums`` for the subsets ``uint64``
+  words select, summed from the words by byte tables with no selection
+  matrix, and ``_exact_suffix_sums`` for every suffix, the last two's wide
+  integer totals through one division, ``_divide``; tolerance checks use
+  numpy's sum.
 """
 
 import math
@@ -144,7 +147,8 @@ def bit_rows(words: Sequence[int] | np.ndarray, k: int) -> np.ndarray:
 EXACT_SUM_MIN = 1536
 # Fewer rows sum faster by math.fsum per row (the two cross at 48-64 rows for k 5-30).
 _FSUM_ROWS = 64
-# Chunk length: bounds the temporaries and keeps each chunk's per-exponent float sums
+# Chunk length: bounds the temporaries of exact_sum and _exact_word_sums, the Python
+# integers of a multi-limb chunk included, and keeps exact_sum's per-exponent float sums
 # of 27-bit integers below 2^53, so exact.
 _SUM_CHUNK = 1 << 16
 # Beyond this magnitude fsum's own partial sums could overflow, so it takes over.
@@ -201,31 +205,64 @@ def _divide(totals: Iterable[int], scale: int) -> list[float]:
         raise OverflowError("intermediate overflow in fsum") from exc
 
 
-def _exact_row_sums(rows: np.ndarray, values: list[float]) -> np.ndarray:
-    """The correctly rounded sum of the non-negative values each 0/1 row selects.
+def _exact_word_sums(words: np.ndarray, values: list[float]) -> np.ndarray:
+    """The correctly rounded sum of the non-negative values each ``uint64`` word selects.
 
-    Fewer than ``_FSUM_ROWS`` rows take ``math.fsum`` per row. Otherwise the
-    ``_fixed_point`` integers, unless they all sum below 2^63, split into limbs
-    of ``62 - bits(k)`` bits, so one int64 matrix product sums every limb column
-    exactly. One limb's sums convert to float64 and ``np.ldexp`` scales them
-    exactly, subnormals included; several limbs make each row's exact total a
-    Python integer, which ``_divide`` rounds once.
+    Bit ``k - 1 - p`` of a word selects ``values[p]``, k = ``len(values)`` <= 64:
+    the layout of ``bit_rows``. Fewer than ``_FSUM_ROWS`` words take
+    ``math.fsum`` per word. Otherwise the ``_fixed_point`` integers, unless they
+    all sum below 2^63, split into limbs of ``62 - bits(k)`` bits. One int64
+    product with ``_BYTE_BITS`` gives each byte of the words a 256-entry table
+    per limb, entry v summing the limbs of the bits set in v, so one gather per
+    byte sums every limb of ``_SUM_CHUNK`` words exactly. One limb's sums
+    convert to float64 and ``np.ldexp`` scales them exactly, subnormals
+    included; several limbs make each word's exact total a Python integer,
+    which ``_divide`` rounds once.
     """
-    if len(rows) < _FSUM_ROWS:
-        return np.array([math.fsum(compress(values, row)) for row in rows.tolist()])
+    k = len(values)
+    if len(words) < _FSUM_ROWS:
+        return np.array([math.fsum(compress(values, row)) for row in bit_rows(words, k).tolist()])
     ints, scale = _fixed_point(values)
-    # One limb when every row sum fits an int64; else each limb column sums below 2^62.
-    width = 63 if sum(ints) < 1 << 63 else 62 - len(ints).bit_length()
+    # One limb when every sum fits an int64; else each limb's sums stay below 2^62.
+    width = 63 if sum(ints) < 1 << 63 else 62 - k.bit_length()
     count = max(1, -(-max(ints, default=0).bit_length() // width))
-    limbs = np.array([[n >> (width * j) & (1 << width) - 1 for j in range(count)] for n in ints],
-                     dtype=np.int64).reshape(len(ints), count)
-    sums = rows @ limbs  # (rows, count): limb j of each row's sum
-    if count == 1:
-        return np.ldexp(sums[:, 0].astype(np.float64), 1 - scale.bit_length())
-    totals, *lower = sums.T[::-1].tolist()
-    for column in lower:
-        totals = [(t << width) + s for t, s in zip(totals, column)]
-    return np.array(_divide(totals, scale))
+    # Row i holds the limbs of bit i, position k - 1 - i; zero rows fill the top byte.
+    limbs = np.zeros((-(-k // 8) * 8, count), dtype=np.int64)
+    limbs[:k] = np.array([ints[::-1]] if count == 1 else [
+        [n >> width * j & (1 << width) - 1 for n in ints[::-1]] for j in range(count)],
+        dtype=np.int64).T
+    tables = _byte_tables(limbs)
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)  # low first
+    out = np.empty(len(words))
+    for start in range(0, len(words), _SUM_CHUNK):
+        chunk = octets[start:start + _SUM_CHUNK]
+        sums = np.zeros((count, len(chunk)), dtype=np.int64)  # limb j of each word's sum
+        for b, table in enumerate(tables):
+            sums += table.take(chunk[:, b], axis=1)
+        if count == 1:
+            out[start:start + len(chunk)] = np.ldexp(sums[0].astype(np.float64),
+                                                     1 - scale.bit_length())
+            continue
+        totals, *lower = sums[::-1].tolist()
+        for column in lower:
+            totals = [(t << width) + s for t, s in zip(totals, column)]
+        out[start:start + len(chunk)] = _divide(totals, scale)
+    return out
+
+
+# Column v holds the bits of the byte value v, bit 0 first.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0,
+                           bitorder="little").astype(np.int64)
+
+
+def _byte_tables(limbs: np.ndarray) -> np.ndarray:
+    """``tables[b, j, v]``: the sum of limb j over the bits set in the value v of byte b.
+
+    ``limbs`` has one row per bit, 8 per byte, and one column per limb.
+    """
+    count = limbs.shape[1]
+    per_byte = limbs.reshape(-1, 8, count).transpose(0, 2, 1).reshape(-1, 8)
+    return (per_byte @ _BYTE_BITS).reshape(-1, count, 256)
 
 
 def _exact_suffix_sums(values: Sequence[float]) -> list[float]:

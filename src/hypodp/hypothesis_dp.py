@@ -78,17 +78,16 @@ import numpy as np
 
 from .composition import (
     CompositionTheorem,
+    _compose_words,
     _guarantee_masks,
     _pack_counts,
     _piece_keys,
-    compose_selections,
 )
 from .core import (
     BitVector,
     Hypothesis,
     PrivacyParams,
     _fixed_point,
-    bit_rows,
     bounded_params,
     exact_sum,
 )
@@ -298,7 +297,8 @@ def pair_guarantee(
         raise MixedLengthError(f"sequence has {len(seq)} mechanisms, vectors have k={b0.k}")
     if b0.k != b1.k:
         raise MixedLengthError(f"vectors have k={b0.k} and k={b1.k}")
-    (eps, delta), = compose_selections(seq, bit_rows([b0.word ^ b1.word], b0.k), theorem).tolist()
+    word = np.array([b0.word ^ b1.word], dtype=np.uint64)
+    (eps, delta), = _compose_words(list(seq), word, theorem).tolist()
     return PrivacyParams(eps, delta)
 
 
@@ -311,16 +311,20 @@ def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> Privacy
     weights (a zero-mass group would divide 0 by 0) and non-decreasing word
     columns, as ``refine_tuples`` and ``uniform_prior_bound`` emit them.
     Exponents are relative to each group's extreme epsilon, so epsilons far
-    beyond 700 nats cannot overflow. delta_G is an exactly rounded sum.
+    beyond 700 nats cannot overflow. delta_G is an exactly rounded sum, taken
+    over the pieces in row order. One side is reduced at a time, both
+    through one reused full-length buffer.
     """
-    eps, delta = table.T
-    pieces = pairs["weight"], eps[key], delta[key]
-    rank = cache(lambda: _delta_ranks(delta)[key])  # built once, if a side sorts
-    side0 = _Groups(pairs["word0"], *pieces, rank, len(delta))
-    side1 = _Groups(pairs["word1"], *pieces, rank, len(delta))
+    weight, buffer = pairs["weight"], np.empty(len(pairs))
+    eps = table[:, 0].take(key)
+    ranks = cache(lambda: _delta_ranks(table[:, 1]))  # built once, if a side sorts
+    side0, side1 = (_Groups(pairs[column], weight, eps, key, table, ranks, buffer)
+                    for column in ("word0", "word1"))
+    del eps, ranks
     # P0 <= e^eps P1 + delta is bounded by (g1, j0); the reverse by (g0, j1).
     epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
-    delta_g = exact_sum(side1.weight * side1.delta)  # an exact sum of the pieces in any order
+    delta_g = exact_sum(np.multiply(weight, table[:, 1].take(key, out=buffer), out=buffer))
+    del buffer  # delta_j gathers its own side's arrays
     return bounded_params(epsilon, max(
         delta_g if epsilon >= side1.eps_g else side0.delta_j(epsilon),
         delta_g if epsilon >= side0.eps_g else side1.delta_j(epsilon),
@@ -339,27 +343,32 @@ def _delta_ranks(delta: np.ndarray) -> np.ndarray:
 class _Groups:
     """Matched pieces grouped by their vector on one side: runs of equal words.
 
-    Piece i has the weight, ``eps`` and ``delta`` at index i. The words are
-    non-decreasing, so each vector is one run, numbered in order by ``run``;
-    runs not ascending by delta are sorted so, ties in row order, and
-    ``delta_j`` walks each run by ascending delta. The sort is one stable
-    integer argsort of ``run * keys + rank``, ``rank`` being the position
-    of the piece's key delta among the ``keys`` sorted key deltas, equal
-    for equal deltas. The result is the permutation
-    ``np.lexsort((delta, words))`` gives, without its float sort of every
-    piece ahead of the word sort.
+    Piece i has the weight at index i and the guarantee ``table[key[i]]``,
+    whose epsilon ``eps`` holds at index i while the side is built. The
+    words are non-decreasing, so each vector is one run, numbered in order
+    by ``run``; where runs are not ascending by delta,
+    ``order`` sorts them so, ties in row order, and ``delta_j`` walks each
+    run by ascending delta. The sort is one stable integer argsort of
+    ``run * keys + rank``, ``rank`` being the position of the piece's key
+    delta among the ``keys`` sorted key deltas (``ranks()``), equal for equal
+    deltas. The result is the permutation ``np.lexsort((delta, words))``
+    gives, without its float sort of every piece ahead of the word sort.
+    A side keeps its group ``starts``, ``sizes``, ``mass`` and ``order``
+    (None when the rows are in order), never a permuted copy of the pieces;
+    the deltas it checks and the epsilons it sorts go through the caller's ``buffer``.
     ``eps_g`` is the largest ``ln(sum w e^eps / p)`` over the groups and
-    ``eps_j`` the largest ``-ln(sum w e^-eps / p)``. Sums run in row order
-    through ``np.add.reduceat``, whose rounding the pinned results hold;
-    group extremes, where order cannot matter, through one
+    ``eps_j`` the largest ``-ln(sum w e^-eps / p)``. Sums run in sorted
+    order through ``np.add.reduceat``, whose rounding the pinned results
+    hold; group extremes, where order cannot matter, through one
     ``np.maximum.at`` and one ``np.minimum.at`` pass. A side whose
     pieces are all alone in their groups has ``eps_g = eps_j = max eps``,
     as those sums give it: each group's mass is its piece's weight and
     each relative exponent 0.
     """
 
-    def __init__(self, words, weight, eps, delta, rank, keys):
-        self.weight, self.eps, self.delta = weight, eps, delta
+    def __init__(self, words, weight, eps, key, table, ranks, buffer):
+        self.weight, self.key, self.table = weight, key, table
+        self.order = None
         new = np.concatenate(([True], words[1:] != words[:-1], [True]))  # run starts, then the end
         edges = new.nonzero()[0]
         self.starts, self.sizes = edges[:-1], edges[1:] - edges[:-1]
@@ -369,19 +378,23 @@ class _Groups:
             self.eps_g = self.eps_j = max(0.0, float(eps.max()))
             return
         run = np.arange(groups).repeat(self.sizes)
+        delta = table[:, 1].take(key, out=buffer)
         if ((delta[1:] < delta[:-1]) & ~new[1:-1]).any():
-            sort_key = run * keys
-            sort_key += rank()
-            order = sort_key.argsort(kind="stable")  # within runs, so each run stays in place
-            self.weight, self.eps, self.delta = (a[order] for a in (weight, eps, delta))
-        self.mass = np.add.reduceat(self.weight, self.starts)
-        hi, lo = self.eps[self.starts], self.eps[self.starts]  # each group's first, then the rest
-        np.maximum.at(hi, run, self.eps)
-        np.minimum.at(lo, run, self.eps)
-        rel_hi = np.exp(self.eps - hi.repeat(self.sizes))
-        rel_lo = np.exp(lo.repeat(self.sizes) - self.eps)
-        up = np.add.reduceat(self.weight * rel_hi, self.starts) / self.mass
-        down = np.add.reduceat(self.weight * rel_lo, self.starts) / self.mass
+            sort_key = run * len(table)
+            sort_key += ranks().take(key)
+            self.order = sort_key.argsort(kind="stable")  # within runs, so each run stays in place
+            del sort_key
+            weight, eps = weight.take(self.order), eps.take(self.order, out=buffer)
+        self.mass = np.add.reduceat(weight, self.starts)
+        hi, lo = eps[self.starts], eps[self.starts]  # each group's first, then the rest
+        np.maximum.at(hi, run, eps)
+        np.minimum.at(lo, run, eps)
+        rel = hi.take(run)  # e^(eps - hi) w, then e^(lo - eps) w
+        np.exp(np.subtract(eps, rel, out=rel), out=rel)
+        up = np.add.reduceat(np.multiply(weight, rel, out=rel), self.starts) / self.mass
+        lo.take(run, out=rel)
+        np.exp(np.subtract(rel, eps, out=rel), out=rel)
+        down = np.add.reduceat(np.multiply(weight, rel, out=rel), self.starts) / self.mass
         self.eps_g = max(0.0, float((hi + np.log(up)).max()))
         self.eps_j = max(0.0, float((lo - np.log(down)).max()))
 
@@ -393,22 +406,37 @@ class _Groups:
         at t = 1. Capping ``a_i = (w_i / p) e^(eps - eps_i)`` at 1 leaves
         the maximum unchanged, since past the first breakpoint where
         ``sum a_i`` reaches 1 the bound only falls, and it keeps the sums
-        finite. Groups of equal size m form one ``(m, groups)`` block;
-        prefix sums and maxima run down its columns, one group each.
+        finite. ``a`` and the deltas are gathered in this side's order;
+        groups of equal size m form one ``(m, groups)`` block, and prefix
+        sums and maxima run down its columns, one group each. A side of one
+        group, or of single pieces, is one block: a reshape, not a copy.
         """
+        order = self.order
+        key = self.key if order is None else self.key.take(order)
+        d, a = self.table[:, 1].take(key), self.table[:, 0].take(key)
+        del key
+        np.exp(np.minimum(np.subtract(eps, a, out=a), 700.0, out=a), out=a)
+        weight = self.weight if order is None else self.weight.take(order)
         mass = self.mass.repeat(self.sizes)
-        a = np.minimum(1.0, self.weight / mass * np.exp(np.minimum(eps - self.eps, 700.0)))
+        np.minimum(np.multiply(np.divide(weight, mass, out=mass), a, out=a), 1.0, out=a)
+        del weight, mass
         best = np.zeros(len(self.starts))
-        for m in np.bincount(self.sizes).nonzero()[0]:  # each group size present
-            rows = (self.sizes == m).nonzero()[0]
-            idx = self.starts[rows] + np.arange(m)[:, None]
-            d, ad = self.delta[idx], a[idx]
-            sa, sad = np.add.accumulate(ad), np.add.accumulate(ad * d)
-            # At breakpoint t = d_j only the pieces sorted before j count.
-            at_breaks = np.maximum.reduce(d * (1.0 - (sa - ad)) + (sad - ad * d))
+        present = np.bincount(self.sizes).nonzero()[0]  # each group size present
+        for m in present:
+            if len(present) == 1 and min(m, len(self.starts)) == 1:  # one group, or all alone
+                rows, db, ab = slice(None), d.reshape(m, -1), a.reshape(m, -1)
+            else:
+                rows = (self.sizes == m).nonzero()[0]
+                idx = self.starts[rows] + np.arange(m)[:, None]
+                db, ab = d[idx], a[idx]
+            ad = ab * db
+            sa, sad = np.add.accumulate(ab), np.add.accumulate(ad)
             at_one = 1.0 - sa[-1] + sad[-1]
-            group_best = np.maximum(0.0, np.maximum(at_breaks, at_one))
-            best[rows] = np.where(d[-1] > 0.0, group_best, 0.0)
+            # At breakpoint t = d_j only the pieces sorted before j count.
+            breaks = np.multiply(db, np.subtract(1.0, np.subtract(sa, ab, out=sa), out=sa), out=sa)
+            breaks += np.subtract(sad, ad, out=sad)
+            group_best = np.maximum(0.0, np.maximum(np.maximum.reduce(breaks), at_one))
+            best[rows] = np.where(db[-1] > 0.0, group_best, 0.0)
         return float((self.mass * best).sum())
 
 
@@ -441,7 +469,9 @@ def hdp_guarantee(
     if pairs is None:
         pairs = refine_tuples(p0, p1).pairs
         xor_words = pairs["word0"] ^ pairs["word1"]
-    return _aggregate(pairs, *_piece_keys(xor_words, seq, theorem, k, masks))
+    key, table = _piece_keys(xor_words, seq, theorem, k, masks)
+    del xor_words  # not held through the aggregation
+    return _aggregate(pairs, key, table)
 
 
 def _class_refinement(p0: Hypothesis, p1: Hypothesis, masks: list[int]) -> tuple | None:

@@ -17,7 +17,7 @@ from hypodp.composition import (
     compose_suffixes,
     simple_compose,
 )
-from hypodp.core import _FSUM_ROWS, MechanismSequence, PrivacyParams, _exact_row_sums
+from hypodp.core import _FSUM_ROWS, MechanismSequence, PrivacyParams, _exact_word_sums, word_of
 from hypodp.errors import (
     HeterogeneousInputError,
     IncompatibleTheoremError,
@@ -303,6 +303,17 @@ def fsum_rows(rows, values):
     return [math.fsum(compress(values, row)) for row in rows.tolist()]
 
 
+def words_of(rows):
+    """Each 0/1 row as a ``uint64`` word, position 0 the top of its k bits (``word_of``)."""
+    k = rows.shape[1]
+    return np.array([word_of(np.flatnonzero(row).tolist(), k) for row in rows], dtype=np.uint64)
+
+
+def word_sums(rows, values):
+    """``_exact_word_sums`` of the rows packed into words."""
+    return _exact_word_sums(words_of(rows), values)
+
+
 @st.composite
 def fuzz_values(draw, k):
     """k non-negative doubles, for drawn lo < hi: any double in [2^lo, 2^hi), up
@@ -321,23 +332,23 @@ def fuzz_values(draw, k):
 
 
 class TestExactRowSums:
-    """Exact integer row sums round each row as ``math.fsum`` does, bit for bit.
+    """Exact integer sums of the values each word selects round as ``math.fsum`` does.
 
-    Calls of 64 rows or more sum in int64: in one limb when the integers sum
-    below 2^63, else in limbs of 62 - bits(k) bits. One limb converts to float64
-    and scales by ``np.ldexp``; several make each row's exact total a Python
-    integer, divided once. Smaller calls take ``math.fsum``. All are checked, on
-    calls of every size, with boolean rows and the int64 rows
-    ``compose_selections`` passes.
+    Each row is packed into a ``uint64`` word for ``_exact_word_sums``. Calls
+    of 64 words or more sum in int64, one gather per byte of the words from
+    256-entry limb tables: in one limb when the integers sum below 2^63, else
+    in limbs of 62 - bits(k) bits. One limb converts to float64 and scales by
+    ``np.ldexp``; several make each word's exact total a Python integer,
+    divided once. Smaller calls take ``math.fsum``. Both are checked, bit for
+    bit, on calls of every size.
     """
 
     def assert_fsum(self, rows, values):
         want = np.array(fsum_rows(rows, values), dtype=np.float64)
-        for selection in (rows, rows.astype(np.int64)):
-            got = np.asarray(_exact_row_sums(selection, values), dtype=np.float64)
-            assert got.tobytes() == want.tobytes()
+        got = np.asarray(word_sums(rows, values), dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
         for part in (rows[:1], rows[:16]):
-            small = np.asarray(_exact_row_sums(part, values), dtype=np.float64)
+            small = np.asarray(word_sums(part, values), dtype=np.float64)
             assert small.tobytes() == want[: len(part)].tobytes()
 
     def test_magnitudes_from_1e_minus_300_to_1e300(self):
@@ -362,7 +373,8 @@ class TestExactRowSums:
         rows = rng.random((300, 63)) < 0.5
         rows[::7] = False
         self.assert_fsum(rows, values)
-        assert _exact_row_sums(np.zeros((40, 63), bool), values).tolist() == [0.0] * 40
+        for n in (40, 64):
+            assert word_sums(np.zeros((n, 63), bool), values).tolist() == [0.0] * n
 
     def test_values_spanning_ten_decades_and_more(self):
         # Integers far above 2^62 split into limbs; each row's limb sums make its
@@ -414,23 +426,21 @@ class TestExactRowSums:
         try:
             want = np.array(fsum_rows(rows, values), dtype=np.float64)
         except OverflowError:
-            for selection in (rows, rows.astype(np.int64)):
-                with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-                    _exact_row_sums(selection, values)
+            with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+                word_sums(rows, values)
         else:
-            for selection in (rows, rows.astype(np.int64)):
-                assert _exact_row_sums(selection, values).tobytes() == want.tobytes()
+            assert word_sums(rows, values).tobytes() == want.tobytes()
 
     def test_overflow_message(self):
         for n in (1, 40, 64, 200):
             with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-                _exact_row_sums(np.ones((n, 3), bool), [1e308, 1e308, 0.0])
+                word_sums(np.ones((n, 3), bool), [1e308, 1e308, 0.0])
             # DBL_MAX plus just under half its ulp still rounds to DBL_MAX.
             rows = np.ones((n, 2), bool)
             edge = [sys.float_info.max, 9.9792015476735e291]
-            assert _exact_row_sums(rows, edge).tolist() == [sys.float_info.max] * n
+            assert word_sums(rows, edge).tolist() == [sys.float_info.max] * n
             with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-                _exact_row_sums(rows, [sys.float_info.max, 9.9792015476736e291])
+                word_sums(rows, [sys.float_info.max, 9.9792015476736e291])
 
 
 def test_advanced_formula_shape():

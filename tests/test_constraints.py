@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,17 +261,22 @@ class TestPatternSetBound:
         assert got == want
 
 
-    def test_600_bounded_patterns_with_deltas_over_four_decades(self):
-        # 179,700 distinct XOR words at k = 63 with 63 distinct guarantees: the
-        # deltas' fixed-point integers reach 2^65, so their row sums take two
-        # 56-bit int64 limbs and one Python integer division per row, where a
-        # per-row math.fsum took about a second.
+    @staticmethod
+    def six_hundred_patterns():
+        """600 seeded patterns at k = 63 and 63 distinct guarantees, deltas over four decades."""
         rng = np.random.default_rng(52)
         k = 63
         seq = MechanismSequence.from_pairs(
             zip(rng.uniform(0.05, 0.8, k).tolist(), (10.0 ** rng.uniform(-8, -4, k)).tolist()))
         words = rng.integers(0, 1 << 62, 600, dtype=np.int64).tolist()
-        patterns = PatternSet.of(BitVector(w, k) for w in words)
+        return k, seq, words, PatternSet.of(BitVector(w, k) for w in words)
+
+    def test_600_bounded_patterns_with_deltas_over_four_decades(self):
+        # 179,700 distinct XOR words at k = 63 with 63 distinct guarantees: the
+        # deltas' fixed-point integers reach 2^65, so their row sums take two
+        # 56-bit int64 limbs and one Python integer division per row, where a
+        # per-row math.fsum took about a second.
+        k, seq, words, patterns = self.six_hundred_patterns()
         start = time.perf_counter()
         got = constrained_bound(seq, patterns, BOUNDED, Simple())
         assert time.perf_counter() - start < 0.6
@@ -282,6 +288,22 @@ class TestPatternSetBound:
             values = [g.as_tuple()[column] for g in seq]
             top = np.argsort(rows @ np.array(values))[-8:]
             assert got_max == max(math.fsum(itertools.compress(values, rows[i])) for i in top)
+
+    def test_600_bounded_patterns_within_32_mb(self):
+        # The same 179,700 keys summed from their XOR words by byte tables, a
+        # chunk at a time: no (keys, k) selection and no int64 copy of it, which
+        # alone took 90 MB (122 MB traced in all). The budget is wall time
+        # under tracemalloc, which traces every Python integer of the two-limb sums.
+        _, seq, _, patterns = self.six_hundred_patterns()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            constrained_bound(seq, patterns, BOUNDED, Simple())
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20 and elapsed < 15.0, (peak, elapsed)
 
 
 class TestExclusiveGroupsBound:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,13 +230,13 @@ class TestDistinctKeys:
     def test_homogeneous_sequence_composes_once_per_key(self, monkeypatch):
         k = 12
         rows = []
-        original = composition.compose_selections
+        original = composition._compose_words
 
-        def counted(seq, selected, theorem):
-            rows.extend(selected.tolist())
-            return original(seq, selected, theorem)
+        def counted(seq, words, theorem):
+            rows.extend(words.tolist())
+            return original(seq, words, theorem)
 
-        monkeypatch.setattr(composition, "compose_selections", counted)
+        monkeypatch.setattr(composition, "_compose_words", counted)
         zero, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
         seq = MechanismSequence.homogeneous(0.1, 1e-6, k)
         g = hdp_guarantee(zero, nonzero, seq, Simple())
@@ -252,6 +254,28 @@ class TestDistinctKeys:
             hdp_guarantee(zero, nonzero, seq, Simple())
         with pytest.raises(OverflowError):
             pair_guarantee(BitVector.zeros(k), BitVector.ones(k), seq, Simple())
+
+
+class TestWorkingMemory:
+    def test_point_mass_against_uniform_nonzero_16_within_128_bytes_a_piece(self):
+        # 16 distinct guarantees: the flat walk, 65,535 pieces, each its own key.
+        # Keys are summed from their XOR words and each side reduced on its own,
+        # with no selection matrix and no permuted copies (240 B a piece before).
+        k = 16
+        rng = np.random.default_rng(1616)
+        seq = MechanismSequence.from_pairs(
+            zip(rng.uniform(0.05, 1.0, k).tolist(), rng.uniform(0.0, 1e-6, k).tolist()))
+        zero, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
+        nonzero.words  # the input's own arrays are built before tracing
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            hdp_guarantee(zero, nonzero, seq, Simple())
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * len(nonzero) and elapsed < 2.0, (peak / len(nonzero), elapsed)
 
 
 class TestComposeDifferences:
@@ -436,7 +460,8 @@ def reduceat_aggregate(pairs, key, table):
 
 
 class TestLeanReductions:
-    """Extremes by ``ufunc.at``, run ids and skipped singleton sides keep every bit."""
+    """Extremes by ``ufunc.at``, run ids, skipped singleton sides and sides reduced one at a
+    time through one buffer, without permuted copies, keep every bit."""
 
     @staticmethod
     def assert_matches_reduceat(pairs, key, table):
@@ -445,8 +470,9 @@ class TestLeanReductions:
         # Each side on its own, so a difference the claim's min and max hide shows too.
         eps, delta = table.T
         for column in ("word0", "word1"):
-            side = _Groups(pairs[column], pairs["weight"], eps[key], delta[key],
-                           lambda: np.sort(delta).searchsorted(delta)[key], len(delta))
+            side = _Groups(pairs[column], pairs["weight"], eps[key], key, table,
+                           lambda: np.sort(delta).searchsorted(delta), np.empty(len(pairs)))
+            assert side.order is None or sorted(side.order.tolist()) == list(range(len(pairs)))
             frozen = ReduceatGroups(pairs[column], pairs["weight"], key, eps, delta)
             assert (side.eps_g.hex(), side.eps_j.hex()) == (frozen.eps_g.hex(), frozen.eps_j.hex())
             for at in (frozen.eps_j, frozen.eps_j + 0.3, frozen.eps_j + 5.0):

@@ -19,9 +19,11 @@ import yaml
 from hypothesis import Phase, settings
 
 import test_cli
+import test_composition
+import test_hypothesis_dp
 import test_integration
 import test_oracle
-from hypodp import cli, composition, constraints, hypothesis_dp, oracle, subsampling
+from hypodp import cli, composition, constraints, core, hypothesis_dp, oracle, subsampling
 from hypodp.core import BitVector, Hypothesis, PrivacyParams
 
 
@@ -74,6 +76,55 @@ def one_position_fewer(real):
     return piece_keys
 
 
+def one_bit_fewer(real):
+    """``_class_refinement`` composing each representative XOR word without its lowest bit."""
+    def class_refinement(p0, p1, masks):
+        refined = real(p0, p1, masks)
+        if refined is None:
+            return None
+        pairs, xor_words = refined
+        return pairs, xor_words & (xor_words - np.uint64(1))
+    return class_refinement
+
+
+def tiny_residuals_dropped(real):
+    """``refine_tuples`` leaving out every piece of 1e-12 or less, as it did before it
+    kept every residual."""
+    def refine(p0, p1):
+        refined = real(p0, p1)
+        pairs = refined.pairs[refined.pairs["weight"] > 1e-12]
+        return hypothesis_dp.MatchedRefinement(refined.k, pairs)
+    return refine
+
+
+def block_deltas_times(factor):
+    """``uniform_prior_bound``'s aggregation handed ``factor`` times each block's delta."""
+    def mutant(real):
+        return lambda pairs, key, table: real(pairs, key, table * [1.0, factor])
+    return mutant
+
+
+def top_bit_missing(real):
+    """``_byte_tables`` blind to the top bit of each byte: its positions add nothing."""
+    def byte_tables(limbs):
+        tables = real(limbs)
+        tables[..., 128:] = tables[..., :128]
+        return tables
+    return byte_tables
+
+
+def in_row_order(real):
+    """``_Groups.delta_j`` walking each group in row order, as the other side's runs lie,
+    not in its own order by ascending delta."""
+    def delta_j(self, eps):
+        order, self.order = self.order, None
+        try:
+            return real(self, eps)
+        finally:
+            self.order = order
+    return delta_j
+
+
 def one_pair_fewer(real):
     """``_max_over_pairs`` without its first pair: ``exclusive_groups_bound`` leaves out
     the first group's pattern against the second's."""
@@ -118,7 +169,7 @@ def anchors_unchecked(real):
 
 
 sharp, verify = test_integration.TestClaimsAreSharp(), test_oracle.TestVerifyHdp()
-split = test_oracle.TestContractionSplit()
+split, matched = test_oracle.TestContractionSplit(), test_integration.TestEveryUnitOfMassIsMatched()
 GAP, RESOLUTION = [(oracle, "required_delta")], [(oracle, "_check_resolution")]
 PLAN = [(oracle, "_plan")]
 AGGREGATE = [(hypothesis_dp, "_aggregate"), (subsampling, "_aggregate")]
@@ -165,6 +216,19 @@ ROWS = [
      sharp.test_uniform_prior_closed_form_cannot_be_shaved),
     ("best-classic-0.95-epsilon", CLASSIC, epsilon_times(0.95),
      test_integration.test_best_classic_bound_holds_on_zero_against_all_ones),
+    ("class-refinement-one-bit-fewer", [(hypothesis_dp, "_class_refinement")], one_bit_fewer,
+     test_integration.test_hdp_guarantee_holds_on_exchangeable_pairs),
+    ("refine-drops-tiny-residuals", [(hypothesis_dp, "refine_tuples")], tiny_residuals_dropped,
+     matched.test_near_uniform_pair_with_randomized_response),
+    ("uniform-prior-0.9-block-deltas", [(subsampling, "_aggregate")], block_deltas_times(0.9),
+     test_integration.test_uniform_prior_bound_holds_on_zero_against_uniform_nonzero),
+    ("byte-table-top-bit-missing", [(core, "_byte_tables")], top_bit_missing,
+     test_composition.TestExactRowSums().test_magnitudes_from_1e_minus_300_to_1e300),
+    # Row order only raises delta_J (a piece counted out of turn adds a_i (d_i - t) >= 0
+    # or leaves out a_i (t - d_i) >= 0), so no soundness gate can see it; the lexsort
+    # reference does.
+    ("delta-j-in-row-order", [(hypothesis_dp._Groups, "delta_j")], in_row_order,
+     test_hypothesis_dp.TestRunGroups().test_random_tables_out_of_order_within_runs),
     ("reader-one-level-deeper", [(cli, "_MAX_DEPTH")], one_level_deeper,
      partial(test_cli.test_nesting_to_the_cap_reads_as_yaml_load_does, loader=cli._LOADER)),
     ("reader-anchors-unchecked", [(cli, "_build")], anchors_unchecked,
