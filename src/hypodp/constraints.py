@@ -132,6 +132,10 @@ def _pattern_pairs(patterns: frozenset[BitVector], mode: NeighborhoodMode) -> np
     """The ``uint64`` XOR word of each compared pattern pair."""
     words = np.sort(np.array([p.word for p in patterns], dtype=np.uint64))
     if mode is NeighborhoodMode.BOUNDED:
+        count = len(words) * (len(words) - 1) // 2
+        if count > MAX_ENUMERATION:
+            raise KTooLargeError(f"{len(words)} patterns make {count} pairs in bounded mode, "
+                                 f"more than {MAX_ENUMERATION}; enumeration refused")
         first, second = np.triu_indices(len(words), 1)
         return words[first] ^ words[second]
     if words[0] != 0:
@@ -163,7 +167,10 @@ def constrained_bound(
     raise ``IncompatibleTheoremError``. For a ``PatternSet`` the
     candidate pairs are the allowed pattern pairs, each pair composes
     over its symmetric-difference positions, and the bound is the
-    componentwise maximum over the pairs.
+    componentwise maximum over the pairs. Bounded mode compares all
+    n(n - 1)/2 pairs of n patterns and raises ``KTooLargeError`` past
+    ``core.MAX_ENUMERATION`` (10^7) pairs, 4,473 patterns or more,
+    before it builds one.
     """
     if isinstance(constraint, MaxOnes):
         size = constraint.m if mode is NeighborhoodMode.UNBOUNDED else 2 * constraint.m

@@ -16,14 +16,16 @@ other order gives a different, equally valid matching. The walk is one
 signed running sum x of the atoms, side 1's added and side 0's
 subtracted, side 0's next atom entering while x > 0: |x| is the residual
 the step-by-step walk keeps, bit for bit, since IEEE subtraction is
-sign-symmetric. One loop takes the walk: while few atoms are left it
-steps to the end, else it takes x in a window, where cumulative sums of
-the two sides predict which side each atom enters from, one
-``np.cumsum`` adds the entries left to right as the steps do, and
-entries are kept up to the first whose side disagrees with the sign of x
-before it, where the walk steps for a burst. The prediction orders the
-entries but makes no weight, so the table is the step-by-step walk's,
-per-atom mass and end included.
+sign-symmetric. Its one record is its signed entries. One loop orders
+them: while few atoms are left, one at a time by the sign of x, else in a
+window, where cumulative sums of the two sides predict which side each
+atom enters from. One pass turns either's entries into pieces: one
+``np.cumsum`` adds them left to right, as the running sum does, the
+entries up to the first whose side disagrees with the sign of x before
+it are kept (a window's wrong prediction, past which the walk orders a
+burst one at a time), and each weighs min(|entry|, |x| before it). The
+prediction orders the entries but makes no weight, so the table is the
+step-by-step walk's, per-atom mass and end included.
 
 Pieces compose once per key, through ``composition._piece_keys``.
 
@@ -130,26 +132,28 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
     The same walk is one signed running sum x of the atoms, each entering
     it once: side 1's weight is added and side 0's subtracted, side 0's
     next atom enters while x > 0 and side 1's otherwise. An entry's piece
-    weighs min(entering atom, |x| before it), and pairs the atoms last
-    entered on each side; side 1 entering x = 0 makes none. IEEE
-    subtraction is sign-symmetric, so |x| is exactly the residual the
-    step-by-step walk keeps. The walk is one loop over its state: atoms
-    entered per side and x. While at most ``_SCALAR_ATOMS`` atoms are
-    left, it steps to its end one piece at a time. Otherwise it takes x in
-    a window: merging the two sides' cumulative sums predicts which side
-    each atom enters from, one ``np.cumsum`` adding left to right gives x
-    before every entry, and the entries up to the first whose side
-    disagrees with the sign of x before it are the walk's own; after such
-    a wrong prediction it steps for a burst. The cumulative sums order the
-    entries but never make a weight, so the table is the step-by-step
-    walk's bit for bit.
+    weighs min(|entry|, |x| before it), and pairs the atoms last entered
+    on each side; side 1 entering x = 0 makes none. IEEE subtraction is
+    sign-symmetric, so |x| is exactly the residual the step-by-step walk
+    keeps. The walk records only its entries, ``[x, +-w, ...]`` from a
+    state of atoms entered per side and x, and one loop orders them.
+    While at most ``_SCALAR_ATOMS`` atoms are left, ``_order`` takes the
+    rest one at a time by the sign of x. Otherwise the loop takes a
+    window: merging the two sides' cumulative sums predicts which side
+    each atom enters from. Both hand their entries to ``_pieces``, whose
+    one ``np.cumsum``, adding left to right, gives x before every entry;
+    it keeps the entries up to the first whose side disagrees with the
+    sign of x before it, writes their pieces and returns the next state.
+    After a window's wrong prediction the loop orders a burst one at a
+    time. The cumulative sums order the entries but never make a weight,
+    so the table is the step-by-step walk's bit for bit.
     """
     if p0.k != p1.k:
         raise MixedLengthError(f"hypotheses have k={p0.k} and k={p1.k}")
     weights0, weights1, words0, words1 = p0.weights, p1.weights, p0.words, p1.words
     n0, n1 = len(weights0), len(weights1)
     pairs = np.empty(n0 + n1 - 1, dtype=PAIR_DTYPE)
-    lists = None  # the float lists the steps read, built on first use
+    lists = None  # the float lists the scalar order reads, built on first use
     n = i0 = i1 = 0  # pieces written, atoms entered per side
     x = 0.0
     window, burst = _WINDOW, _BURST
@@ -163,7 +167,7 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
             # Predicted order: side 0's atom j enters before side 1's atom i iff
             # its start, the sum of the atoms before it, is below x plus side 1's.
             # A stable sort of side 1's starts, then side 0's, merges the two
-            # runs, side 1 first on a tie.
+            # runs, side 1 first on a tie, so the first entry is always the walk's.
             starts = np.empty(len(b) + len(a))
             for part, first, w in ((starts[:len(b)], x, b), (starts[len(b):], 0.0, a)):
                 part[:1], part[1:] = first, w[:-1]
@@ -175,102 +179,87 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
             signed = np.empty(len(order) + 1)  # x, then the entries in the predicted order
             signed[0] = x
             entries.take(order, out=signed[1:])
-            xs = signed.cumsum()
-            from1 = order < len(b)
-            wrong = (xs[:-1] > 0.0) == from1  # the entry's side is not the one x asks for
-            f = int(wrong.argmax()) if wrong.any() else len(order)
-            # An entry's piece pairs the atoms last entered on each side.
-            atom1 = from1[:f].cumsum(dtype=np.intp)  # side 1's entries so far
-            m1 = int(atom1[-1]) if f else 0
-            atom0 = np.arange(i0, i0 + f)
-            atom0 -= atom1
-            atom1 += i1 - 1
-            weight = np.abs(signed[1:f + 1])
-            np.minimum(weight, np.abs(xs[:f]), out=weight)
-            piece = xs[:f] != 0.0  # no piece where side 1 entered x = 0
-            if not piece.all():
-                weight, atom0, atom1 = weight[piece], atom0[piece], atom1[piece]
-            n = _fill(pairs, n, weight, atom0, atom1, words0, words1)
-            i0, i1, x = i0 + f - m1, i1 + m1, float(xs[f])
-            if f - m1 == len(a) if x > 0.0 else m1 == len(b):  # the window's end
+            del starts, entries, order
+            start0, start1 = i0, i1
+            n, i0, i1, x = _pieces(pairs, n, i0, i1, signed, words0, words1)
+            if i0 - start0 == len(a) if x > 0.0 else i1 - start1 == len(b):  # the window's end
                 window = min(4 * window, _WINDOW)
                 continue
-            # A wrong prediction: step past it, for longer if it came soon after the last.
+            f = i0 - start0 + i1 - start1  # entries up to the wrong prediction
+            # A wrong prediction: order past it one at a time, for longer if it came
+            # soon after the last.
             burst = _BURST if f >= burst else 2 * burst
-            count = window = burst  # a window that fails again costs about as much as the steps
+            count = window = burst  # a window that fails again costs about as much as the burst
         if lists is None:
             lists = weights0.tolist(), weights1.tolist()
-        weight, codes = [], bytearray()
-        x_next = _steps(*lists, i0, i1, x, count, weight, codes)
-        # Piece n sits where the first n codes advanced each side to.
-        steps = np.frombuffer(codes, dtype=np.uint8)[:-1]
-        atom0 = np.cumsum(np.concatenate(([i0 - (x < 0.0)], steps & 1)))
-        atom1 = np.cumsum(np.concatenate(([i1 - (x > 0.0)], steps >> 1)))
-        n = _fill(pairs, n, weight, atom0, atom1, words0, words1)
-        i0, i1, x = int(atom0[-1]) + 1, int(atom1[-1]) + 1, x_next
+        n, i0, i1, x = _pieces(pairs, n, i0, i1, _order(*lists, i0, i1, x, count), words0, words1)
     return MatchedRefinement(p0.k, pairs[:n])
 
 
-# While at most this many atoms are left, the walk steps one piece at a time:
-# below it the fixed cost of a numpy window exceeds the steps it saves. On
-# random mixtures the steps were faster up to 384 atoms and the windows from
-# 512 on (2-core Xeon, cold).
+# While at most this many atoms are left, the walk orders its entries one at a
+# time: below it the fixed cost of a numpy window exceeds the work it saves. On
+# random mixtures, measured cold with a walk that stepped piece by piece, the
+# steps were faster up to 384 atoms and the windows from 512 on (2-core Xeon).
 _SCALAR_ATOMS = 512
 # Atoms per side in a window, at most: this bounds its temporaries.
 _WINDOW = 1 << 16
-# Atoms per side of the first steps after a wrong prediction; doubled while
-# predictions keep failing soon after.
+# Atoms per side of the first scalar order after a wrong prediction; doubled
+# while predictions keep failing soon after.
 _BURST = 64
 
 
-def _steps(list0, list1, i0, i1, x, count, weight, codes):
-    """The walk one piece at a time from state ``(i0, i1, x)``; x after its last piece.
+def _order(list0, list1, i0, i1, x, count):
+    """The walk's entries from state ``(i0, i1, x)``, one at a time: ``[x, +-w, ...]``.
 
-    ``i0`` and ``i1`` count the atoms that have entered x on each side; the
-    side x points at holds its last atom's residual |x|. The walk must not
-    have ended. At most ``count`` further atoms of each side enter. Pieces
-    go to ``weight`` and their codes to ``codes``: 1 where side 0's atom
-    was used up, 2 where side 1's was, 3 where both were.
+    ``i0`` and ``i1`` count the atoms that have entered x on each side. Side
+    0's next atom enters, negated, while x > 0, and side 1's otherwise; at
+    most ``count`` further atoms of each side enter. The walk must not have
+    ended. Words are already sorted, so walking each side in order is the
+    smallest-first consumption order.
     """
-    # Words are already sorted; a residual left at a front position stays
-    # the smallest vector on its side, so walking each side in order is
-    # exactly the smallest-first consumption order. A difference of
-    # unequal doubles is never 0, so a residual left behind is positive.
     it0, it1 = iter(list0[i0:i0 + count]), iter(list1[i1:i1 + count])
-    w0 = -x if x < 0.0 else next(it0)
-    w1 = x if x > 0.0 else next(it1)
+    signed = [x]
     try:
         while True:
-            if w0 < w1:
-                weight.append(w0)
-                codes.append(1)
-                w1 -= w0
-                w0 = next(it0)
-            elif w1 < w0:
-                weight.append(w1)
-                codes.append(2)
-                w0 -= w1
-                w1 = next(it1)
-            else:
-                weight.append(w0)
-                codes.append(3)
-                w0, w1 = next(it0), next(it1)
+            w = -next(it0) if x > 0.0 else next(it1)
+            x += w
+            signed.append(w)
     except StopIteration:  # a side ran out: of atoms, or of this call's count
-        pass
-    last = codes[-1]
-    return w1 if last == 1 else -w0 if last == 2 else 0.0
+        return signed
 
 
-def _fill(pairs, n, weight, atom0, atom1, words0, words1):
-    """Write pieces into the ``PAIR_DTYPE`` table ``pairs`` from row ``n``; the next free row.
+def _pieces(pairs, n, i0, i1, signed, words0, words1):
+    """Write the pieces of the walk's entries into ``pairs`` from row n; the next ``(n, i0, i1, x)``.
 
-    Their words are gathered by atom index.
+    ``signed`` is x at state ``(i0, i1, x)``, then one or more entries, each
+    its atom's weight, + for side 1 and - for side 0, the first of them the
+    walk's. The running sum adds them left to right, and the entries up to
+    the first whose side is not the one x asks for are the walk's. An entry's
+    piece weighs min(|entry|, |x| before it) and pairs the atoms last
+    entered on each side; an entry at x = 0, always side 1's, makes none.
     """
+    signed = np.asarray(signed)
+    xs = signed.cumsum()  # x before each entry, then after the last
+    side1 = signed[1:] > 0.0
+    # Entries up to the first whose side is not the one x before it asks for:
+    # side 0's while x > 0, side 1's otherwise. The first is the walk's.
+    f = int(((xs[:-1] > 0.0) == side1).argmax()) or len(side1)
+    entries, before = signed[1:f + 1], xs[:f]
+    atom1 = np.add.accumulate(side1[:f].astype(np.intp))  # side 1's entries so far
+    m1 = int(atom1[-1])
+    atom1 += i1 - 1
+    atom0 = np.arange(i0 + i1 - 1, i0 + i1 - 1 + f)  # entries so far, less side 1's
+    atom0 -= atom1
+    weight = np.abs(entries)
+    np.minimum(weight, np.abs(before), out=weight)
+    if np.count_nonzero(before) < f:  # side 1 entered x = 0
+        piece = before != 0.0
+        weight, atom0, atom1 = weight[piece], atom0[piece], atom1[piece]
     rows = pairs[n:n + len(weight)]
     rows["weight"] = weight
     rows["word0"] = words0[atom0]
     rows["word1"] = words1[atom1]
-    return n + len(rows)
+    return n + len(rows), i0 + f - m1, i1 + m1, float(xs[f])
 
 
 def differing_indices(b0: BitVector, b1: BitVector) -> tuple[int, ...]:

@@ -1046,6 +1046,20 @@ class TestPatternConstraint:
         assert code == EXIT_COMPUTATION
         assert out == "" and "zero" in err
 
+    def test_more_bounded_pairs_than_the_budget_exit_4_at_once(self, tmp_path, capsys):
+        # 4,473 patterns at k = 63 make 10,001,628 pairs, past MAX_ENUMERATION = 10^7.
+        rng = random.Random(4473)
+        patterns = {format(rng.getrandbits(63), "063b") for _ in range(4473)}
+        assert len(patterns) == 4473
+        scenario = ("mechanisms: [" + ", ".join(["{epsilon: 0.1, delta: 1.0e-7}"] * 63)
+                    + "]\nmode: bounded\nconstraint: {patterns: ["
+                    + ", ".join(f'"{p}"' for p in sorted(patterns)) + "]}\n")
+        start = time.perf_counter()
+        code, out, err = self.run(tmp_path, capsys, scenario)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_COMPUTATION
+        assert out == "" and "4473 patterns make 10001628 pairs" in err
+
     def test_wrong_length_exits_1(self, tmp_path, capsys):
         code, out, err = self.run(tmp_path, capsys, PAIR + 'constraint: {patterns: ["1", "00"]}\n')
         assert code == EXIT_BAD_SCENARIO

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypodp import constraints
 from hypodp.composition import Advanced, Simple, compose, simple_compose
 from hypodp.constraints import (
     AT_MOST_ONE,
@@ -304,6 +305,36 @@ class TestPatternSetBound:
         finally:
             tracemalloc.stop()
         assert peak <= 32 << 20 and elapsed < 15.0, (peak, elapsed)
+
+    def test_more_bounded_pattern_pairs_than_the_budget_refused_at_once(self, monkeypatch):
+        # 4,473 patterns make 10,001,628 pairs, past MAX_ENUMERATION = 10^7. Their index
+        # pairs and XOR words alone would take 240 MB, so the refusal comes before any
+        # pair is built.
+        rng = np.random.default_rng(4473)
+        k = 63
+        words = set(rng.integers(0, 1 << 62, 4473, dtype=np.int64).tolist())
+        assert len(words) == 4473
+        patterns = PatternSet.of(BitVector(w, k) for w in words)
+        seq = MechanismSequence.homogeneous(0.1, 1e-7, k)
+
+        def unreached(*_args):
+            raise AssertionError("the pairs were built")
+
+        monkeypatch.setattr(np, "triu_indices", unreached)
+        start = time.perf_counter()
+        with pytest.raises(KTooLargeError, match="4473 patterns make 10001628 pairs"):
+            constrained_bound(seq, patterns, BOUNDED, Simple())
+        assert time.perf_counter() - start < 1.0
+
+    def test_pattern_pair_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(constraints, "MAX_ENUMERATION", 45)  # 10 patterns, 45 pairs
+        seq = MechanismSequence.from_pairs([(0.1 * (i + 1), 1e-6) for i in range(5)])
+        patterns = [BitVector(w, 5) for w in range(11)]
+        ten = PatternSet.of(patterns[:10])
+        # Patterns 0b00111 and 0b01000 differ in positions 1-4.
+        assert constrained_bound(seq, ten, BOUNDED, Simple()) == compose(seq[1:], Simple())
+        with pytest.raises(KTooLargeError, match="11 patterns make 55 pairs"):
+            constrained_bound(seq, PatternSet.of(patterns), BOUNDED, Simple())
 
 
 class TestExclusiveGroupsBound:

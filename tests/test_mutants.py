@@ -23,6 +23,7 @@ import test_composition
 import test_hypothesis_dp
 import test_integration
 import test_oracle
+import test_refinement
 from hypodp import cli, composition, constraints, core, hypothesis_dp, oracle, subsampling
 from hypodp.core import BitVector, Hypothesis, PrivacyParams
 
@@ -95,6 +96,30 @@ def tiny_residuals_dropped(real):
         pairs = refined.pairs[refined.pairs["weight"] > 1e-12]
         return hypothesis_dp.MatchedRefinement(refined.k, pairs)
     return refine
+
+
+def weighed_after_the_entry(real):
+    """``_pieces`` weighing each piece by |x| after its entry, not before it."""
+    def pieces(pairs, n, i0, i1, signed, *words):
+        state = real(pairs, n, i0, i1, signed, *words)
+        signed = np.asarray(signed)[:state[1] - i0 + state[2] - i1 + 1]  # the entries kept
+        xs = signed.cumsum()
+        after = np.minimum(np.abs(signed[1:]), np.abs(xs[1:]))
+        pairs["weight"][n:state[0]] = after[xs[:-1] != 0.0]
+        return state
+    return pieces
+
+
+def one_entry_past_the_cut(real):
+    """``_pieces`` keeping a window's entries through its first wrong prediction, not
+    up to it: the wrong entry is passed on alone, and a first entry is taken as right."""
+    def pieces(pairs, n, i0, i1, signed, *words):
+        n, j0, j1, x = real(pairs, n, i0, i1, signed, *words)
+        f = j0 - i0 + j1 - i1
+        if f + 1 < len(signed):
+            return real(pairs, n, j0, j1, [x, signed[f + 1]], *words)
+        return n, j0, j1, x
+    return pieces
 
 
 def block_deltas_times(factor):
@@ -174,6 +199,8 @@ GAP, RESOLUTION = [(oracle, "required_delta")], [(oracle, "_check_resolution")]
 PLAN = [(oracle, "_plan")]
 AGGREGATE = [(hypothesis_dp, "_aggregate"), (subsampling, "_aggregate")]
 PIECE_KEYS = [(hypothesis_dp, "_piece_keys"), (constraints, "_piece_keys")]
+PIECES = [(hypothesis_dp, "_pieces"), (test_refinement, "_pieces")]
+walk = test_refinement.TestArrayWalk()
 WRITER = test_cli.test_report_shaped_trees_take_the_writer
 CLOSED_FORM = [(hypothesis_dp, "uniform_nonzero_closed_form"),
                (subsampling, "uniform_nonzero_closed_form"),
@@ -220,6 +247,10 @@ ROWS = [
      test_integration.test_hdp_guarantee_holds_on_exchangeable_pairs),
     ("refine-drops-tiny-residuals", [(hypothesis_dp, "refine_tuples")], tiny_residuals_dropped,
      matched.test_near_uniform_pair_with_randomized_response),
+    ("pieces-weighed-after-the-entry", PIECES, weighed_after_the_entry,
+     walk.test_seeded_mixtures),
+    ("window-one-entry-past-the-cut", PIECES, one_entry_past_the_cut,
+     walk.test_few_atoms_left_after_a_wrong_prediction),
     ("uniform-prior-0.9-block-deltas", [(subsampling, "_aggregate")], block_deltas_times(0.9),
      test_integration.test_uniform_prior_bound_holds_on_zero_against_uniform_nonzero),
     ("byte-table-top-bit-missing", [(core, "_byte_tables")], top_bit_missing,

@@ -14,8 +14,8 @@ from hypodp.hypothesis_dp import (
     _BURST,
     _SCALAR_ATOMS,
     PAIR_DTYPE,
-    _fill,
-    _steps,
+    _order,
+    _pieces,
     hdp_guarantee,
     refine_tuples,
 )
@@ -238,30 +238,30 @@ class TestArrayWalk:
 
     @staticmethod
     def turns(monkeypatch, p0, p1):
-        """The walk's turns in order: "window", or a run of steps as its count.
+        """The walk's turns in order: "window", or a scalar order as its count.
 
         Checks the table against ``list_walk_pairs`` first.
         """
-        events = []  # each steps call's count, and None for each fill
+        events = []  # each scalar order's count, and None for each entries-to-pieces pass
 
-        def logged_steps(list0, list1, i0, i1, x, count, weight, codes):
+        def logged_order(list0, list1, i0, i1, x, count):
             events.append(count)
-            return _steps(list0, list1, i0, i1, x, count, weight, codes)
+            return _order(list0, list1, i0, i1, x, count)
 
-        def logged_fill(*args):
+        def logged_pieces(*args):
             events.append(None)
-            return _fill(*args)
+            return _pieces(*args)
 
-        monkeypatch.setattr(hypothesis_dp, "_steps", logged_steps)
-        monkeypatch.setattr(hypothesis_dp, "_fill", logged_fill)
+        monkeypatch.setattr(hypothesis_dp, "_order", logged_order)
+        monkeypatch.setattr(hypothesis_dp, "_pieces", logged_pieces)
         assert refine_tuples(p0, p1).pairs.tobytes() == list_walk_pairs(p0, p1).tobytes()
-        # A fill right after a steps call holds their pieces; any other, a window's.
+        # A pass right after a scalar order takes its entries; any other, a window's.
         return [e if e is not None else "window" for before, e in zip([None, *events], events)
                 if e is not None or before is None]
 
     def test_walks_around_the_scalar_bound(self, monkeypatch):
-        # _SCALAR_ATOMS atoms in all step to the end; one more takes a window,
-        # which here runs to the walk's end.
+        # _SCALAR_ATOMS atoms in all take the scalar order to the end; one more
+        # takes a window, which here runs to the walk's end.
         rng = np.random.default_rng(2801)
         half = _SCALAR_ATOMS // 2
         for n1, turns in ((half, [_SCALAR_ATOMS]), (half + 1, ["window"])):
@@ -272,8 +272,9 @@ class TestArrayWalk:
 
     def test_few_atoms_left_after_a_wrong_prediction(self, monkeypatch):
         # Ulp-apart twins: the first window is predicted wrong within its
-        # first atoms, and the burst of steps leaves at most _SCALAR_ATOMS
-        # atoms, so the walk steps on to its end rather than take a window.
+        # first atoms, and the burst in the scalar order leaves at most
+        # _SCALAR_ATOMS atoms, so the scalar order runs on to the walk's end
+        # rather than a window.
         rng = np.random.default_rng(2810)
         weights = rng.dirichlet(np.ones(300))
         p0, p1 = mixture(rng, 12, weights), mixture(rng, 12, ulp_twins(weights))
@@ -282,8 +283,9 @@ class TestArrayWalk:
 
     def test_few_atoms_left_at_a_window_end(self, monkeypatch):
         # 50 twins, then 400 atoms of independent weights a side: a burst
-        # steps past the twins, the burst-sized window after it runs to its
-        # end, and the at most _SCALAR_ATOMS atoms left are stepped.
+        # orders the twins one at a time, the burst-sized window after it runs
+        # to its end, and the at most _SCALAR_ATOMS atoms left take the
+        # scalar order.
         rng = np.random.default_rng(2813)
         twins = rng.dirichlet(np.ones(50)) * 0.1
         p0 = mixture(rng, 12, np.concatenate((twins, rng.dirichlet(np.ones(400)) * 0.9)))
@@ -379,7 +381,7 @@ class TestArrayWalk:
         # Each side-1 atom weighs one ulp more than its side-0 twin, so the
         # residual changes side at every piece and the two sides' cumulative
         # sums, rounded far above an ulp of a weight, cannot order the entries:
-        # the walk steps nearly every piece one at a time.
+        # the walk orders nearly every entry one at a time.
         rng = np.random.default_rng(1021)
         weights = rng.dirichlet(np.ones(20000))
         sides = [mixture(rng, 18, ws) for ws in (weights, np.nextafter(weights, 1.0))]
@@ -388,20 +390,21 @@ class TestArrayWalk:
         assert len(refine_tuples(*sides).pairs) > 39000
         assert best_time(refine_tuples, *sides) < 0.02
 
-    def test_adjacent_atoms_swapped(self):
+    def test_adjacent_atoms_swapped(self, monkeypatch):
         # Side 1 holds side 0's weights with each adjacent pair swapped, so x
         # returns to rounding noise around 0 every two atoms and its sign often
-        # differs from the cumulative sums' prediction: the walk steps most of
-        # it one piece at a time, and windows that fail cost no more than those
-        # steps. This draw is predicted wrong about 600 times in each order
-        # and refines in 6-9 ms; a window per wrong prediction takes about
-        # 0.09 s.
+        # differs from the cumulative sums' prediction. Each window here is
+        # predicted wrong soon after the burst before it, so the bursts double
+        # from 2 * _BURST, and the eighth, of 16,384 atoms a side, runs to the
+        # walk's end. It refines in about 6 ms, where the scalar order alone
+        # takes about 5 ms.
         rng = np.random.default_rng(1021)
         weights = rng.dirichlet(np.ones(20000))
         p0 = mixture(rng, 18, weights)
         p1 = mixture(rng, 18, weights.reshape(-1, 2)[:, ::-1].ravel())
         for a, b in ((p0, p1), (p1, p0)):
-            assert refine_tuples(a, b).pairs.tobytes() == list_walk_pairs(a, b).tobytes()
+            assert self.turns(monkeypatch, a, b) == [
+                turn for i in range(1, 9) for turn in ("window", _BURST << i)]
             assert best_time(refine_tuples, a, b) < 0.06
 
     def test_equal_weight_ties(self):
