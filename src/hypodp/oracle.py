@@ -215,12 +215,13 @@ def _check_view_space(mechs: Sequence[DiscreteMechanism], k: int) -> int:
 def view_distribution(mechs: Sequence[DiscreteMechanism], b: BitVector) -> ViewDistribution:
     """Product distribution of the k outputs when vector b picks the databases.
 
-    One left-to-right product, ``((1 t_0) t_1) ...``, one outer product per
-    position (``_product``): the views ``mixture_view_distribution`` gives
-    the point mass on b, bit for bit.
+    The one-row plan of b (``_one_row``) contracted from weight 1, with no
+    ``Hypothesis`` built: the views ``mixture_view_distribution`` gives the
+    point mass on b, bit for bit.
     """
     _check_view_space(mechs, b.k)
-    return ViewDistribution(_product(mechs, b.word, b.k, 1.0), tuple(m.alphabet for m in mechs))
+    views = _contract(np.ones((1, 1)), _one_row(b.word, b.k), [m._tables for m in mechs])
+    return ViewDistribution(views, tuple(m.alphabet for m in mechs))
 
 
 def mixture_view_distribution(
@@ -236,11 +237,10 @@ def mixture_view_distribution(
     remaining suffixes and the columns the views' prefixes, mechanism 0 the
     most significant digit; the last step leaves the flat view index.
     Products and sums are separate elementwise numpy operations, so the
-    rounding is the same on every platform. One atom takes the contraction's
-    own products, left to right from its weight, ``((w t_0) t_1) ...``
-    (``_product``). A plan with a step of more than ``MAX_VIEW_SPACE``
-    entries is refused before any product (``_plan``), so the work is at
-    most k such steps.
+    rounding is the same on every platform. One atom keeps one row and no sum:
+    its weight's products, left to right, ``((w t_0) t_1) ...``. A plan with a
+    step of more than ``MAX_VIEW_SPACE`` entries is refused before any product
+    (``_plan``), so the work is at most k such steps.
     """
     return ViewDistribution(_plan(mechs, h)(), tuple(m.alphabet for m in mechs))
 
@@ -253,8 +253,6 @@ def _plan(mechs: Sequence[DiscreteMechanism], h: Hypothesis) -> partial:
     only where a later mechanism has one symbol and keeps two suffixes apart.
     """
     _check_view_space(mechs, h.k)
-    if len(h) == 1:
-        return partial(_product, mechs, int(h.words[0]), h.k, float(h.weights[0]))
     steps = _steps(h)
     prefixes = accumulate((len(m.alphabet) for m in mechs), operator.mul)
     largest = max(rows * width for (_, rows, _, _), width in zip(steps, prefixes))
@@ -264,36 +262,36 @@ def _plan(mechs: Sequence[DiscreteMechanism], h: Hypothesis) -> partial:
     return partial(_contract, h.weights[:, None], steps, [m._tables for m in mechs])
 
 
-def _product(mechs: Sequence[DiscreteMechanism], word: int, k: int, weight: float) -> np.ndarray:
-    """The flat views of the one vector ``word``, weighted: ``((weight t_0) t_1) ...``.
-
-    One ``np.multiply.outer`` per position widens the view prefixes by that
-    mechanism's symbols, so each view's factors multiply left to right.
-    """
-    views = np.array([weight])
-    for i, mech in enumerate(mechs):
-        views = np.multiply.outer(views, mech._tables[word >> (k - 1 - i) & 1]).ravel()
-    return views
-
-
 def _steps(h: Hypothesis) -> list[tuple[int, int, slice | np.ndarray, slice | np.ndarray]]:
     """Each contraction step's ``(split, rows, low, high)`` for the atoms of ``h``.
 
     Before step i the rows are the atoms' distinct suffixes of bits i to k - 1,
     ascending, so the first ``split`` have bit i clear. They go to the rows ``low``
     of the step's output and the others to the rows ``high``: a slice where consecutive.
-    A uniform preset on the words ``first, ..., 2^k - 1`` (``Hypothesis._first``)
-    takes its plan in closed form, without its words: before step i its suffixes
-    are every word below 2^(k-i), word 0 excepted before step 0 when ``first`` is 1.
-    A one-atom hypothesis takes no plan: ``_plan`` multiplies its one row by ``_product``.
+    The suffixes come from merging the atoms' (``_merge``), or in closed form: one
+    atom keeps one row throughout (``_one_row``), and a uniform preset on the words
+    ``first, ..., 2^k - 1`` (``Hypothesis._first``) has, without reading them, every
+    word below 2^(k-i) before step i, word 0 excepted before step 0 when ``first`` is 1.
     """
     if h._first is not None:
         top, first = 1 << (h.k - 1), h._first
         return [(top - first, top, slice(first, top), slice(0, top))] + [
             (half, half, slice(0, half), slice(0, half)) for half in (top >> i for i in range(1, h.k))]
-    steps, suffixes = [], h.words.astype(np.int64)
-    for i in range(h.k):
-        half = 1 << (h.k - 1 - i)
+    if len(h) == 1:
+        return _one_row(int(h.words[0]), h.k)
+    return _merge(h.words.astype(np.int64), h.k)
+
+
+def _one_row(word: int, k: int) -> list[tuple[int, int, slice, slice]]:
+    """One vector's plan: at step i its one row is on the side of its bit i, ``1 - bit_i``."""
+    return [(1 - (word >> (k - 1 - i) & 1), 1, slice(0, 1), slice(0, 1)) for i in range(k)]
+
+
+def _merge(suffixes: np.ndarray, k: int) -> list:
+    """The plan of the atoms' ascending int64 words, merging each step's two halves."""
+    steps = []
+    for i in range(k):
+        half = 1 << (k - 1 - i)
         split = int(np.searchsorted(suffixes, half))
         low, high = suffixes[:split], suffixes[split:] - half
         merged = np.concatenate((low, high))
@@ -315,8 +313,8 @@ def _as_slice(positions: np.ndarray) -> slice | np.ndarray:
 
 
 def _contract(x: np.ndarray, steps: list, tables: list) -> np.ndarray:
-    """Fold ``tables`` into the state ``x``, one row per remaining suffix and one
-    column per view prefix, by the checked ``steps`` (``_plan``); the flat views."""
+    """Fold ``tables`` into the state ``x``, one row per remaining suffix and one column
+    per view prefix, by steps that fit (``_plan``; one row fits the views); the flat views."""
     for (split, rows, low, high), (t0, t1) in zip(steps, tables):
         sides = [(x[:split], t0, low), (x[split:], t1, high)]
         if split < len(x) - split:  # addition commutes: the larger side is written first
@@ -410,8 +408,8 @@ def _check_resolution(
     per output row with two parents: at most ``min(n, 2^(k-i))`` and
     ``min(n, 2^(k-1-i))``, the input rows of step 0 being the n atoms.
     So a view takes at most ``n + 2 sum_{i<k} min(n, 2^(k-1-i))``
-    roundings; a point mass takes k - 1, as its one row is never summed
-    and its first product, 1 times t_0, is exact. A subnormal result
+    roundings; a point mass takes k - 1, as its one row (``_one_row``) is
+    never summed and its first product, 1 times t_0, is exact. A subnormal result
     keeps an absolute precision of 2^-1074 per rounding; later factors
     are at most 1 and sums only add errors, so no error grows, and the
     hockey-stick scales the total by e^eps. Where no product or weight

@@ -48,11 +48,17 @@ def unchecked(real):
     """``_plan`` without its step check: only the view space is bounded."""
     def plan(mechs, h):
         oracle._check_view_space(mechs, h.k)
-        if len(h) == 1:
-            return partial(oracle._product, mechs, int(h.words[0]), h.k, float(h.weights[0]))
         return partial(oracle._contract, h.weights[:, None], oracle._steps(h),
                        [m._tables for m in mechs])
     return plan
+
+
+def on_the_other_side_last(real):
+    """``_one_row`` putting its row on the other side at its last position."""
+    def one_row(word, k):
+        *steps, (split, rows, low, high) = real(word, k)
+        return [*steps, (1 - split, rows, low, high)]
+    return one_row
 
 
 def epsilon_times(factor):
@@ -220,6 +226,8 @@ ROWS = [
     *[(f"plan-unchecked-one-symbol-{i}", PLAN, unchecked,
        partial(split.test_one_symbol_plans_past_the_limit_are_refused, mechs=mechs))
       for i, mechs in enumerate(test_oracle.TestContractionSplit.PLANS)],
+    ("one-atom-plan-wrong-side", [(oracle, "_one_row")], on_the_other_side_last,
+     test_oracle.test_one_atom_views_equal_the_scalar_reference),
     ("aggregate-exchangeable", AGGREGATE, epsilon_times(0.9),
      test_integration.test_hdp_guarantee_holds_on_exchangeable_pairs),
     ("aggregate-near-equal", AGGREGATE, epsilon_times(0.9),

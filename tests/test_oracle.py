@@ -285,8 +285,7 @@ class TestContractionSplit:
             raise AssertionError("a product before the refusal")
 
         monkeypatch.setattr(oracle, "MAX_VIEW_SPACE", 255)
-        monkeypatch.setattr(oracle, "_contract", no_product)
-        monkeypatch.setattr(oracle, "_product", no_product)
+        monkeypatch.setattr(oracle, "_contract", no_product)  # every view is a contraction
         with pytest.raises(ViewSpaceTooLargeError, match="step of 256 entries exceeds 255"):
             mixture_view_distribution(mechs, h)
         # The other side's plan fits: two atoms that differ only in bit 0.
@@ -513,7 +512,7 @@ class TestDeclaredPresets:
             steps = oracle._steps(h)
             assert h._words is None
             atoms = Hypothesis(list(zip(h.support(), h.weights.tolist())))
-            if len(h) > 1:  # one atom takes no plan: the views multiply it by _product
+            if len(h) > 1:  # one atom takes the one-row plan, held to the merge by TestOneRowPlan
                 assert steps == oracle._steps(atoms), k
             zero = Hypothesis.point_mass(BitVector.zeros(k))
             # From k = 12, leaky RR's 4^k views exceed MAX_VIEW_SPACE.
@@ -524,6 +523,47 @@ class TestDeclaredPresets:
                 claim = PrivacyParams(0.5, 0.0)
                 assert verify_hdp(mechs, zero, make(k), claim) == \
                     verify_hdp(mechs, zero, atoms, claim), k
+
+
+class TestOneRowPlan:
+    """A point mass's closed-form plan is the merge of its one word, and its views are
+    an independent outer-product chain's, bit for bit, past the sizes the
+    ``hypothesis`` gate draws (at most 4,096 views)."""
+
+    @staticmethod
+    def outer_product_reference(mechs, b):
+        """The flat views of b: one ``np.multiply.outer`` per position, from 1."""
+        views = np.array([1.0])
+        for i, mech in enumerate(mechs):
+            views = np.multiply.outer(views, mech._tables[b.word >> (b.k - 1 - i) & 1]).ravel()
+        return views
+
+    def test_every_word_to_k8_plans_as_the_merge(self):
+        for k in range(1, 9):
+            for word in range(1 << k):
+                one = oracle._one_row(word, k)
+                assert oracle._steps(Hypothesis.point_mass(BitVector(word, k))) == one
+                merged = oracle._merge(np.array([word], dtype=np.int64), k)
+                assert len(merged) == len(one) == k
+                # The merge leaves the other side an empty array; the contraction never reads it.
+                for i, ((split, rows, low, high), (s, r, lo, hi)) in enumerate(zip(one, merged)):
+                    assert (split, rows) == (s, r) == (1 - (word >> (k - 1 - i) & 1), 1), (k, word)
+                    assert (low if split else high) == (lo if s else hi) == slice(0, 1)
+                    assert len(hi if s else lo) == 0
+
+    @pytest.mark.parametrize("family, k", [("rr", 14), ("leaky", 8), ("leaky", 10)])
+    def test_views_equal_the_outer_products_past_the_hypothesis_gate(self, family, k):
+        rng = np.random.default_rng(1400 + k)
+        mechs = ([randomized_response(float(q)) for q in rng.uniform(0.05, 0.45, k)]
+                 if family == "rr" else
+                 [leaky_rr(float(e), float(d))
+                  for e, d in zip(rng.uniform(0.0, 2.0, k), rng.uniform(0.0, 0.1, k))])
+        for word in (0, (1 << k) - 1, int(rng.integers(1 << k))):
+            b = BitVector(word, k)
+            got = view_distribution(mechs, b).probs
+            assert np.array_equal(got, self.outer_product_reference(mechs, b)), word
+            assert np.array_equal(got, mixture_view_distribution(
+                mechs, Hypothesis.point_mass(b)).probs), word
 
 
 class TestRequiredDelta:
