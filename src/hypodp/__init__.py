@@ -16,7 +16,6 @@ from .composition import (
     advanced_compose,
     best_classic_bound,
     compose,
-    compose_selections,
     simple_compose,
 )
 from .constraints import (
@@ -87,7 +86,6 @@ __all__ = [
     "amplify",
     "best_classic_bound",
     "compose",
-    "compose_selections",
     "constrained_bound",
     "differing_indices",
     "exclusive_groups_bound",

@@ -12,13 +12,14 @@ Epsilons stay in plain double precision throughout; anything that needs
 caller's side.
 
 Batches compose here, each member bit-identical to its own ``compose``:
-``compose_selections`` boolean-row subsets, ``compose_suffixes`` every suffix
-and ``_piece_keys`` XOR words, once per key: a word's count of differing
-positions per distinct guarantee. Words with one key select one multiset of
-guarantees, so the key's representative is exact for all: ``Simple``'s sums
-are exact and rounded once (Shewchuk 1997), ``Advanced`` composes only
-identical guarantees (a heterogeneous row raises from its representative),
-and a fixed non-adaptive multiset of mechanisms leaks the same in any order.
+``compose_suffixes`` every suffix, and ``_compose_words`` the position subsets
+that ``uint64`` words select, which ``_piece_keys`` calls on XOR words once per
+key: a word's count of differing positions per distinct guarantee. Words with
+one key select one multiset of guarantees, so the key's representative is
+exact for all: ``Simple``'s sums are exact and rounded once (Shewchuk 1997),
+``Advanced`` composes only identical guarantees (a heterogeneous row raises
+from its representative), and a fixed non-adaptive multiset of mechanisms
+leaks the same in any order.
 """
 
 import math
@@ -29,12 +30,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .core import PrivacyParams, _exact_suffix_sums, _exact_word_sums, bit_rows, bounded_params
-from .errors import (
-    HeterogeneousInputError,
-    IncompatibleTheoremError,
-    InvalidSlackError,
-    MixedLengthError,
-)
+from .errors import HeterogeneousInputError, IncompatibleTheoremError, InvalidSlackError
 
 
 @dataclass(frozen=True)
@@ -132,54 +128,23 @@ def compose(guarantees: Iterable[PrivacyParams], theorem: CompositionTheorem) ->
     return theorem.compose_guarantees(guarantees)
 
 
-def compose_selections(
-    guarantees: Sequence[PrivacyParams], rows: np.ndarray, theorem: CompositionTheorem
-) -> np.ndarray:
-    """Compose the guarantees each boolean row selects; an ``(n, 2)`` float64 array.
-
-    Row r of the result is ``compose(selected, theorem).as_tuple()`` bit
-    for bit, where ``selected`` lists the guarantees at the positions
-    ``rows[r]`` marks, in sequence order. Under ``Simple`` rows of at most
-    64 positions are packed into ``uint64`` words for ``_compose_words``;
-    other theorems and longer rows call ``compose`` per row.
-
-    Raises:
-        MixedLengthError: if the rows are not as long as the sequence.
-    """
-    guarantees = list(guarantees)
-    rows = np.asarray(rows, dtype=bool)
-    if rows.ndim != 2 or rows.shape[1] != len(guarantees):
-        raise MixedLengthError(
-            f"selections of shape {rows.shape} for {len(guarantees)} mechanisms"
-        )
-    if not isinstance(theorem, Simple) or len(guarantees) > 64:
-        return _compose_rows(guarantees, rows.tolist(), theorem)
-    padded = np.zeros((len(rows), 64), dtype=bool)
-    padded[:, 64 - len(guarantees):] = rows  # position 0 at bit k - 1, as bit_rows reads it
-    words = np.packbits(padded, axis=1).view(">u8").ravel().astype(np.uint64)
-    return _compose_words(guarantees, words, theorem)
-
-
 def _compose_words(
     guarantees: list[PrivacyParams], words: np.ndarray, theorem: CompositionTheorem
 ) -> np.ndarray:
-    """``compose_selections`` of the positions each ``uint64`` word selects (``bit_rows`` layout).
+    """``compose`` of the guarantees each ``uint64`` word selects (``bit_rows`` layout).
 
-    Under ``Simple`` each column is an exact sum, ``core._exact_word_sums``,
-    the delta capped at 1; other theorems call ``compose`` per word.
+    Row r of the ``(n, 2)`` float64 result is ``compose(selected,
+    theorem).as_tuple()`` bit for bit, ``selected`` listing the guarantees at
+    the positions ``words[r]`` sets, in sequence order. Under ``Simple`` each
+    column is an exact sum, ``core._exact_word_sums``, the delta capped at 1;
+    other theorems call ``compose`` per word.
     """
     if not isinstance(theorem, Simple):
-        return _compose_rows(guarantees, bit_rows(words, len(guarantees)).tolist(), theorem)
+        rows = bit_rows(words, len(guarantees)).tolist()
+        out = [compose(list(compress(guarantees, row)), theorem).as_tuple() for row in rows]
+        return np.asarray(out, dtype=np.float64).reshape(len(rows), 2)
     eps, delta = [g.epsilon for g in guarantees], [g.delta for g in guarantees]
     return np.stack((_exact_word_sums(words, eps), _exact_word_sums(words, delta).clip(max=1.0)), 1)
-
-
-def _compose_rows(
-    guarantees: list[PrivacyParams], rows: list, theorem: CompositionTheorem
-) -> np.ndarray:
-    """``compose`` of the guarantees each 0/1 list selects, one row each."""
-    out = [compose(list(compress(guarantees, row)), theorem).as_tuple() for row in rows]
-    return np.asarray(out, dtype=np.float64).reshape(len(rows), 2)
 
 
 def compose_suffixes(eps: list[float], delta: list[float], theorem: CompositionTheorem) -> np.ndarray:

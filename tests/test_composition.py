@@ -10,20 +10,15 @@ from hypothesis import given, settings, strategies as st
 from hypodp.composition import (
     Advanced,
     Simple,
+    _compose_words,
     advanced_compose,
     best_classic_bound,
     compose,
-    compose_selections,
     compose_suffixes,
     simple_compose,
 )
 from hypodp.core import _FSUM_ROWS, MechanismSequence, PrivacyParams, _exact_word_sums, word_of
-from hypodp.errors import (
-    HeterogeneousInputError,
-    IncompatibleTheoremError,
-    InvalidSlackError,
-    MixedLengthError,
-)
+from hypodp.errors import HeterogeneousInputError, IncompatibleTheoremError, InvalidSlackError
 from hypodp.subsampling import uniform_prior_bound
 
 # Frozen via direct 50-digit evaluation of
@@ -168,7 +163,7 @@ class TestBuiltinProtocol:
             lambda: compose(seq, Advanced(1e-5)),
             lambda: Advanced(1e-5).compose_guarantees(seq),
             lambda: advanced_compose(seq, 1e-5),
-            lambda: compose_selections(seq, np.ones((1, 2), dtype=bool), Advanced(1e-5)),
+            lambda: _compose_words(seq, words_of(np.ones((1, 2), dtype=bool)), Advanced(1e-5)),
             lambda: uniform_prior_bound(seq + [PrivacyParams(0.1, 0.0)], Advanced(1e-5)),
         ]
         for call in calls:
@@ -237,10 +232,11 @@ def selections(k, rng, count):
 
 
 class TestComposeSelections:
-    """Each row equals ``compose`` on the selected guarantees, bit for bit."""
+    """``_compose_words`` of each boolean row, packed by ``words_of``, equals ``compose``
+    on the selected guarantees, bit for bit."""
 
     def assert_rows_match(self, seq, rows, theorem):
-        got = compose_selections(seq, rows, theorem)
+        got = _compose_words(list(seq), words_of(rows), theorem)
         assert got.shape == (len(rows), 2) and got.dtype == np.float64
         for row, out in zip(rows.tolist(), got.tolist()):
             picked = [g for g, keep in zip(seq, row) if keep]
@@ -265,15 +261,16 @@ class TestComposeSelections:
         seq = [PrivacyParams(0.1, 0.0), PrivacyParams(0.2, 0.0)]
         self.assert_rows_match(seq, np.array([[True, False], [False, True]]), Advanced(1e-6))
         with pytest.raises(IncompatibleTheoremError):
-            compose_selections(seq, np.array([[True, True]]), Advanced(1e-6))
+            _compose_words(seq, words_of(np.array([[True, True]])), Advanced(1e-6))
 
     def test_empty_selection_and_no_rows(self):
         seq = [PrivacyParams(0.3, 1e-6)] * 3
         for theorem in (Simple(), Advanced(1e-6), Capped()):
-            assert compose_selections(seq, np.zeros((1, 3), bool), theorem).tolist() == [[0.0, 0.0]]
-            assert compose_selections(seq, np.zeros((0, 3), bool), theorem).shape == (0, 2)
+            assert _compose_words(seq, words_of(np.zeros((1, 3), bool)), theorem).tolist() == [
+                [0.0, 0.0]]
+            assert _compose_words(seq, words_of(np.zeros((0, 3), bool)), theorem).shape == (0, 2)
             for n in (1, _FSUM_ROWS):  # k = 0 on both summation paths
-                got = compose_selections([], np.zeros((n, 0), bool), theorem)
+                got = _compose_words([], words_of(np.zeros((n, 0), bool)), theorem)
                 assert got.tolist() == [[0.0, 0.0]] * n
 
     def test_delta_sum_above_one_is_capped(self):
@@ -281,7 +278,7 @@ class TestComposeSelections:
         rows = selections(3, None, 0)
         self.assert_rows_match(seq, rows, Simple())
         self.assert_rows_match(seq, np.tile(rows, (_FSUM_ROWS, 1)), Simple())  # integer path
-        assert compose_selections(seq, np.ones((1, 3), bool), Simple())[0, 1] == 1.0
+        assert _compose_words(seq, words_of(np.ones((1, 3), bool)), Simple())[0, 1] == 1.0
 
     def test_overflow_raises_like_compose(self):
         seq = [PrivacyParams(1e308, 0.0)] * 3
@@ -289,13 +286,7 @@ class TestComposeSelections:
             compose(seq, Simple())
         for n in (1, _FSUM_ROWS):
             with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-                compose_selections(seq, np.ones((n, 3), bool), Simple())
-
-    def test_row_length_must_match(self):
-        with pytest.raises(MixedLengthError):
-            compose_selections([PrivacyParams(0.1, 0.0)] * 3, np.ones((2, 4), bool), Simple())
-        with pytest.raises(MixedLengthError):
-            compose_selections([PrivacyParams(0.1, 0.0)] * 3, np.ones(3, bool), Simple())
+                _compose_words(seq, words_of(np.ones((n, 3), bool)), Simple())
 
 
 def fsum_rows(rows, values):

@@ -10,12 +10,12 @@ from hypodp import composition
 from hypodp.composition import (
     Advanced,
     Simple,
+    _compose_words,
     _piece_keys,
     compose,
-    compose_selections,
     simple_compose,
 )
-from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, bit_rows
+from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
 from hypodp.errors import EmptySetError, IncompatibleTheoremError, MixedLengthError
 from hypodp.hypothesis_dp import (
     PAIR_DTYPE,
@@ -290,8 +290,8 @@ class TestComposeDifferences:
                 b0, b1 = BitVector(w0, k), BitVector(w1, k)
                 expected = compose([seq[i] for i in differing_indices(b0, b1)], Simple())
                 assert pair_guarantee(b0, b1, seq, Simple()) == expected
-                assert compose_selections(
-                    seq, bit_rows([w0 ^ w1], k), Simple()
+                assert _compose_words(
+                    list(seq), np.array([w0 ^ w1], dtype=np.uint64), Simple()
                 ).tolist() == [list(expected.as_tuple())]
 
 

@@ -128,6 +128,26 @@ def one_entry_past_the_cut(real):
     return pieces
 
 
+def delta_uncapped(real):
+    """``_compose_words`` under ``Simple`` without its delta cap at 1."""
+    def compose_words(guarantees, words, theorem):
+        out = real(guarantees, words, theorem)
+        if isinstance(theorem, composition.Simple):
+            out[:, 1] = core._exact_word_sums(words, [g.delta for g in guarantees])
+        return out
+    return compose_words
+
+
+def row_one_position_short(real):
+    """``_compose_words``' per-row path composing each row without its last selected
+    position, the lowest set bit of its word."""
+    def compose_words(guarantees, words, theorem):
+        if not isinstance(theorem, composition.Simple):
+            words = words & (words - np.uint64(1))
+        return real(guarantees, words, theorem)
+    return compose_words
+
+
 def block_deltas_times(factor):
     """``uniform_prior_bound``'s aggregation handed ``factor`` times each block's delta."""
     def mutant(real):
@@ -212,6 +232,9 @@ CLOSED_FORM = [(hypothesis_dp, "uniform_nonzero_closed_form"),
                (subsampling, "uniform_nonzero_closed_form"),
                (test_integration, "uniform_nonzero_closed_form")]
 CLASSIC = [(composition, "best_classic_bound"), (test_integration, "best_classic_bound")]
+COMPOSE_WORDS = [(composition, "_compose_words"), (hypothesis_dp, "_compose_words"),
+                 (test_composition, "_compose_words"), (test_hypothesis_dp, "_compose_words")]
+selections = test_composition.TestComposeSelections()
 # (id, the attribute in each module that reads it, its mutant, the gate). A gate that
 # takes ``monkeypatch`` gets a MonkeyPatch of its own, undone before the mutant; one that
 # takes ``tmp_path`` or ``capsys`` gets the row's.
@@ -261,6 +284,10 @@ ROWS = [
      walk.test_few_atoms_left_after_a_wrong_prediction),
     ("uniform-prior-0.9-block-deltas", [(subsampling, "_aggregate")], block_deltas_times(0.9),
      test_integration.test_uniform_prior_bound_holds_on_zero_against_uniform_nonzero),
+    ("compose-words-delta-uncapped", COMPOSE_WORDS, delta_uncapped,
+     selections.test_delta_sum_above_one_is_capped),
+    ("compose-words-row-one-position-short", COMPOSE_WORDS, row_one_position_short,
+     selections.test_simple_and_pluggable),
     ("byte-table-top-bit-missing", [(core, "_byte_tables")], top_bit_missing,
      test_composition.TestExactRowSums().test_magnitudes_from_1e_minus_300_to_1e300),
     # Row order only raises delta_J (a piece counted out of turn adds a_i (d_i - t) >= 0
