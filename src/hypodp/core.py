@@ -46,9 +46,9 @@ from .errors import (
 
 MAX_K = 63
 
-# How far from 1 a hypothesis's total may be. Weights are not rescaled,
-# and refinement keeps every residual, so up to this much mass can be
-# left unmatched when the walk ends.
+# How far from 1 a hypothesis's total may be. Weights whose total is off 1 by
+# more than n 2^-53 for n atoms are divided by their exact sum, so the mass a
+# refinement walk leaves unmatched at its end is at most about that much a side.
 NORMALIZATION_TOLERANCE = 1e-9
 
 # Enumerating all of {0,1}^k is refused beyond this many vectors.
@@ -286,7 +286,9 @@ class Hypothesis:
 
     Validated on every construction path: weights strictly positive,
     summing to 1 within ``NORMALIZATION_TOLERANCE``, all atoms sharing
-    one length, no vector listed twice. Instances are immutable.
+    one length, no vector listed twice. Weights whose total is off 1 by
+    more than n 2^-53 for n atoms are divided by their exact sum.
+    Instances are immutable.
 
     ``_first`` is None for a hypothesis built from atoms. The uniform
     presets set it to the first of the words ``_first, ..., 2^k - 1``
@@ -324,6 +326,8 @@ class Hypothesis:
             total = float(weights.sum())  # pairwise: off by far less than the tolerance
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NonNormalizedError(f"weights sum to {total!r}, not 1")
+        if abs(total - 1.0) > len(weights) * 2.0**-53:  # presets: within (log2 n + 1) 2^-53
+            weights = weights / exact_sum(weights)
         words.flags.writeable = weights.flags.writeable = False
         self._k, self._words, self._weights = k, words, weights
         return self

@@ -23,9 +23,9 @@ atom enters from. One pass turns either's entries into pieces: one
 ``np.cumsum`` adds them left to right, as the running sum does, the
 entries up to the first whose side disagrees with the sign of x before
 it are kept (a window's wrong prediction, past which the walk orders a
-burst one at a time), and each weighs min(|entry|, |x| before it). The
-prediction orders the entries but makes no weight, so the table is the
-step-by-step walk's, per-atom mass and end included.
+window's atoms one at a time), and each weighs min(|entry|, |x| before
+it). The prediction orders the entries but makes no weight, so the table
+is the step-by-step walk's, per-atom mass and end included.
 
 Pieces compose once per key, through ``composition._piece_keys``.
 
@@ -109,9 +109,10 @@ class MatchedRefinement:
     in two ways. Per atom, the sum holds up to the rounding of the
     residual subtractions: at most 1.6 ulps of an atom, 4e-17 over all
     atoms, on a seeded 12,000 x 9,000-atom Dirichlet pair. And when the
-    two totals differ, the walk stops once one side runs out, so up to
-    their gap (at most 2e-9 under ``NORMALIZATION_TOLERANCE``; 5.6e-15 on
-    that pair) stays unmatched.
+    two totals differ, the walk stops once one side runs out, so their
+    gap stays unmatched: 5.6e-15 on that pair. ``Hypothesis`` rescales
+    totals off 1 by more than n 2^-53 for n atoms, so the gap is at most
+    about (n0 + n1) 2^-53, below ``oracle.SOUNDNESS_SLACK`` to 9,000 atoms.
     """
 
     k: int
@@ -144,9 +145,9 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
     one ``np.cumsum``, adding left to right, gives x before every entry;
     it keeps the entries up to the first whose side disagrees with the
     sign of x before it, writes their pieces and returns the next state.
-    After a window's wrong prediction the loop orders a burst one at a
-    time. The cumulative sums order the entries but never make a weight,
-    so the table is the step-by-step walk's bit for bit.
+    After a window's wrong prediction ``_order`` takes up to ``_WINDOW``
+    atoms a side. The cumulative sums order the entries but never make a
+    weight, so the table is the step-by-step walk's bit for bit.
     """
     if p0.k != p1.k:
         raise MixedLengthError(f"hypotheses have k={p0.k} and k={p1.k}")
@@ -156,14 +157,11 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
     lists = None  # the float lists the scalar order reads, built on first use
     n = i0 = i1 = 0  # pieces written, atoms entered per side
     x = 0.0
-    window, burst = _WINDOW, _BURST
     # The walk ends where a side it needs is out: side 0 while x > 0, side 1
     # while x < 0, and either at x = 0, as side 1 enters there without a piece.
     while (i0 < n0 or x < 0.0) and (i1 < n1 or x > 0.0):
-        if n0 - i0 + n1 - i1 <= _SCALAR_ATOMS:
-            count = _SCALAR_ATOMS  # the rest of the walk
-        else:
-            a, b = weights0[i0:i0 + window], weights1[i1:i1 + window]
+        if n0 - i0 + n1 - i1 > _SCALAR_ATOMS:
+            a, b = weights0[i0:i0 + _WINDOW], weights1[i1:i1 + _WINDOW]
             # Predicted order: side 0's atom j enters before side 1's atom i iff
             # its start, the sum of the atoms before it, is below x plus side 1's.
             # A stable sort of side 1's starts, then side 0's, merges the two
@@ -183,16 +181,11 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
             start0, start1 = i0, i1
             n, i0, i1, x = _pieces(pairs, n, i0, i1, signed, words0, words1)
             if i0 - start0 == len(a) if x > 0.0 else i1 - start1 == len(b):  # the window's end
-                window = min(4 * window, _WINDOW)
                 continue
-            f = i0 - start0 + i1 - start1  # entries up to the wrong prediction
-            # A wrong prediction: order past it one at a time, for longer if it came
-            # soon after the last.
-            burst = _BURST if f >= burst else 2 * burst
-            count = window = burst  # a window that fails again costs about as much as the burst
+        # The rest of the walk, or past a wrong prediction a window's atoms, one at a time.
         if lists is None:
             lists = weights0.tolist(), weights1.tolist()
-        n, i0, i1, x = _pieces(pairs, n, i0, i1, _order(*lists, i0, i1, x, count), words0, words1)
+        n, i0, i1, x = _pieces(pairs, n, i0, i1, _order(*lists, i0, i1, x, _WINDOW), words0, words1)
     return MatchedRefinement(p0.k, pairs[:n])
 
 
@@ -201,11 +194,10 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
 # random mixtures, measured cold with a walk that stepped piece by piece, the
 # steps were faster up to 384 atoms and the windows from 512 on (2-core Xeon).
 _SCALAR_ATOMS = 512
-# Atoms per side in a window, at most: this bounds its temporaries.
-_WINDOW = 1 << 16
-# Atoms per side of the first scalar order after a wrong prediction; doubled
-# while predictions keep failing soon after.
-_BURST = 64
+# Atoms per side in a window, and in the scalar order after a wrong prediction:
+# a failed window's numpy work is followed by about as many scalar steps, so a walk
+# whose predictions keep failing stays within about 1.2x of the scalar order.
+_WINDOW = 1 << 13
 
 
 def _order(list0, list1, i0, i1, x, count):

@@ -104,6 +104,15 @@ def tiny_residuals_dropped(real):
     return refine
 
 
+def not_rescaled(real):
+    """``Hypothesis._set`` keeping the weights as given, sorted by word but not rescaled."""
+    def set_arrays(self, k, words, weights):
+        real(self, k, words, weights)
+        self._weights = weights[np.argsort(words)]
+        return self
+    return set_arrays
+
+
 def weighed_after_the_entry(real):
     """``_pieces`` weighing each piece by |x| after its entry, not before it."""
     def pieces(pairs, n, i0, i1, signed, *words):
@@ -278,6 +287,8 @@ ROWS = [
      test_integration.test_hdp_guarantee_holds_on_exchangeable_pairs),
     ("refine-drops-tiny-residuals", [(hypothesis_dp, "refine_tuples")], tiny_residuals_dropped,
      matched.test_near_uniform_pair_with_randomized_response),
+    ("hypothesis-not-rescaled", [(core.Hypothesis, "_set")], not_rescaled,
+     matched.test_totals_apart_within_the_normalization_tolerance),
     ("pieces-weighed-after-the-entry", PIECES, weighed_after_the_entry,
      walk.test_seeded_mixtures),
     ("window-one-entry-past-the-cut", PIECES, one_entry_past_the_cut,

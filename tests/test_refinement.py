@@ -11,8 +11,8 @@ from hypodp.composition import Simple
 from hypodp.core import BitVector, Hypothesis, MechanismSequence
 from hypodp.errors import MixedLengthError
 from hypodp.hypothesis_dp import (
-    _BURST,
     _SCALAR_ATOMS,
+    _WINDOW,
     PAIR_DTYPE,
     _order,
     _pieces,
@@ -264,7 +264,7 @@ class TestArrayWalk:
         # takes a window, which here runs to the walk's end.
         rng = np.random.default_rng(2801)
         half = _SCALAR_ATOMS // 2
-        for n1, turns in ((half, [_SCALAR_ATOMS]), (half + 1, ["window"])):
+        for n1, turns in ((half, [_WINDOW]), (half + 1, ["window"])):
             p0 = mixture(rng, 12, rng.dirichlet(np.ones(half)))
             p1 = mixture(rng, 12, rng.dirichlet(np.ones(n1)))
             for a, b in ((p0, p1), (p1, p0)):
@@ -272,26 +272,26 @@ class TestArrayWalk:
 
     def test_few_atoms_left_after_a_wrong_prediction(self, monkeypatch):
         # Ulp-apart twins: the first window is predicted wrong within its
-        # first atoms, and the burst in the scalar order leaves at most
-        # _SCALAR_ATOMS atoms, so the scalar order runs on to the walk's end
-        # rather than a window.
+        # first atoms, and the scalar order after it, of up to _WINDOW atoms a
+        # side, runs on to the walk's end.
         rng = np.random.default_rng(2810)
         weights = rng.dirichlet(np.ones(300))
         p0, p1 = mixture(rng, 12, weights), mixture(rng, 12, ulp_twins(weights))
         for a, b in ((p0, p1), (p1, p0)):
-            assert self.turns(monkeypatch, a, b) == ["window", 2 * _BURST, _SCALAR_ATOMS]
+            assert self.turns(monkeypatch, a, b) == ["window", _WINDOW]
 
     def test_few_atoms_left_at_a_window_end(self, monkeypatch):
-        # 50 twins, then 400 atoms of independent weights a side: a burst
-        # orders the twins one at a time, the burst-sized window after it runs
-        # to its end, and the at most _SCALAR_ATOMS atoms left take the
-        # scalar order.
+        # 50 twins, then 2 * _WINDOW + 100 atoms of independent weights a side:
+        # the scalar order after the first window orders the twins and the next
+        # atoms one at a time, up to _WINDOW a side, the window after it runs to
+        # its end, and the at most _SCALAR_ATOMS atoms left take the scalar order.
         rng = np.random.default_rng(2813)
         twins = rng.dirichlet(np.ones(50)) * 0.1
-        p0 = mixture(rng, 12, np.concatenate((twins, rng.dirichlet(np.ones(400)) * 0.9)))
-        p1 = mixture(rng, 12, np.concatenate((ulp_twins(twins), rng.dirichlet(np.ones(400)) * 0.9)))
+        tail = 2 * _WINDOW + 100
+        p0 = mixture(rng, 16, np.concatenate((twins, rng.dirichlet(np.ones(tail)) * 0.9)))
+        p1 = mixture(rng, 16, np.concatenate((ulp_twins(twins), rng.dirichlet(np.ones(tail)) * 0.9)))
         for a, b in ((p0, p1), (p1, p0)):
-            assert self.turns(monkeypatch, a, b) == ["window", 2 * _BURST, "window", _SCALAR_ATOMS]
+            assert self.turns(monkeypatch, a, b) == ["window", _WINDOW, "window", _WINDOW]
 
     def test_seeded_mixtures(self):
         for p0, p1 in random_pairs(seed=99, count=300):
@@ -306,10 +306,12 @@ class TestArrayWalk:
         equal = hyp({"00": 0.25, "01": 0.25, "10": 0.5}), hyp({"01": 0.25, "10": 0.25, "11": 0.5})
         self.assert_matches_reference(*equal)
         assert len(refine_tuples(*equal).pairs) == 3
-        # Side 0 runs out while side 1 still holds a whole atom.
+        # Side 1 totals 1 + 5e-10, so it is rescaled at construction, and the
+        # walk matches all of it, its 5e-10 atom included, before side 0 runs out.
         short = hyp({"00": 0.5, "01": 0.5}), hyp({"00": 0.5, "01": 0.5, "11": 5e-10})
         self.assert_matches_reference(*short)
-        assert rows(refine_tuples(*short)) == [("00", 0.5, "00"), ("01", 0.5, "01")]
+        assert rows(refine_tuples(*short))[-1] == ("01", short[1].weights[2], "11")
+        assert side_masses(refine_tuples(*short), 1) == dict(short[1].atoms)
         rng = np.random.default_rng(1018)
         for k, n0, n1 in ((10, 200, 700), (14, 3000, 1000), (16, 5000, 5000)):
             sides = []
@@ -394,20 +396,19 @@ class TestArrayWalk:
         # Side 1 holds side 0's weights with each adjacent pair swapped, so x
         # returns to rounding noise around 0 every two atoms and its sign often
         # differs from the cumulative sums' prediction. Each window here is
-        # predicted wrong soon after the burst before it, so the bursts double
-        # from 2 * _BURST, and the eighth, of 16,384 atoms a side, runs to the
-        # walk's end. It refines in about 6 ms, where the scalar order alone
-        # takes about 5 ms.
+        # predicted wrong within its first atoms, so the scalar order takes the
+        # next _WINDOW atoms a side; the third scalar order ends the walk. It
+        # refines within about 1.2x of the scalar order alone, which takes
+        # about 5-8 ms.
         rng = np.random.default_rng(1021)
         weights = rng.dirichlet(np.ones(20000))
         p0 = mixture(rng, 18, weights)
         p1 = mixture(rng, 18, weights.reshape(-1, 2)[:, ::-1].ravel())
         for a, b in ((p0, p1), (p1, p0)):
-            assert self.turns(monkeypatch, a, b) == [
-                turn for i in range(1, 9) for turn in ("window", _BURST << i)]
+            assert self.turns(monkeypatch, a, b) == ["window", _WINDOW] * 3
             assert best_time(refine_tuples, a, b) < 0.06
 
-    def test_equal_weight_ties(self):
+    def test_equal_weight_ties(self, monkeypatch):
         rng = np.random.default_rng(1022)
         uniform = [np.full(n, 1.0 / n) for n in (6000, 4000, 3000)]
         dyadic = rng.integers(1, 5, 5000).astype(float)
@@ -421,6 +422,11 @@ class TestArrayWalk:
         same = mixture(rng, 14, shared)
         self.assert_matches_reference(same, same)
         assert len(refine_tuples(same, same).pairs) == len(same)
+        # Dense ties: the first window is predicted wrong at a tie, and the
+        # scalar order after it runs to the walk's end.
+        p0, p1 = mixture(rng, 16, uniform[0]), mixture(rng, 16, uniform[1])
+        for a, b in ((p0, p1), (p1, p0)):
+            assert self.turns(monkeypatch, a, b) == ["window", _WINDOW]
 
     def test_point_mass_against_uniform_nonzero(self):
         # 2^20 - 1 pieces in both orders, entered by windows of the signed sum.
