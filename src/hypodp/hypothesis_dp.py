@@ -145,16 +145,15 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
     one ``np.cumsum``, adding left to right, gives x before every entry;
     it keeps the entries up to the first whose side disagrees with the
     sign of x before it, writes their pieces and returns the next state.
-    After a window's wrong prediction ``_order`` takes up to ``_WINDOW``
-    atoms a side. The cumulative sums order the entries but never make a
-    weight, so the table is the step-by-step walk's bit for bit.
+    After a window's wrong prediction ``_order`` takes, as Python floats,
+    up to ``_WINDOW`` atoms a side. The cumulative sums order the entries
+    but never make a weight, so the table is the step-by-step walk's bit for bit.
     """
     if p0.k != p1.k:
         raise MixedLengthError(f"hypotheses have k={p0.k} and k={p1.k}")
     weights0, weights1, words0, words1 = p0.weights, p1.weights, p0.words, p1.words
     n0, n1 = len(weights0), len(weights1)
     pairs = np.empty(n0 + n1 - 1, dtype=PAIR_DTYPE)
-    lists = None  # the float lists the scalar order reads, built on first use
     n = i0 = i1 = 0  # pieces written, atoms entered per side
     x = 0.0
     # The walk ends where a side it needs is out: side 0 while x > 0, side 1
@@ -183,9 +182,7 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
             if i0 - start0 == len(a) if x > 0.0 else i1 - start1 == len(b):  # the window's end
                 continue
         # The rest of the walk, or past a wrong prediction a window's atoms, one at a time.
-        if lists is None:
-            lists = weights0.tolist(), weights1.tolist()
-        n, i0, i1, x = _pieces(pairs, n, i0, i1, _order(*lists, i0, i1, x, _WINDOW), words0, words1)
+        n, i0, i1, x = _pieces(pairs, n, i0, i1, _order(weights0, weights1, i0, i1, x), words0, words1)
     return MatchedRefinement(p0.k, pairs[:n])
 
 
@@ -194,29 +191,29 @@ def refine_tuples(p0: Hypothesis, p1: Hypothesis) -> MatchedRefinement:
 # random mixtures, measured cold with a walk that stepped piece by piece, the
 # steps were faster up to 384 atoms and the windows from 512 on (2-core Xeon).
 _SCALAR_ATOMS = 512
-# Atoms per side in a window, and in the scalar order after a wrong prediction:
+# Atoms per side in a window, and in one call of the scalar order (``_order``):
 # a failed window's numpy work is followed by about as many scalar steps, so a walk
 # whose predictions keep failing stays within about 1.2x of the scalar order.
 _WINDOW = 1 << 13
 
 
-def _order(list0, list1, i0, i1, x, count):
+def _order(weights0, weights1, i0, i1, x):
     """The walk's entries from state ``(i0, i1, x)``, one at a time: ``[x, +-w, ...]``.
 
     ``i0`` and ``i1`` count the atoms that have entered x on each side. Side
     0's next atom enters, negated, while x > 0, and side 1's otherwise; at
-    most ``count`` further atoms of each side enter. The walk must not have
-    ended. Words are already sorted, so walking each side in order is the
-    smallest-first consumption order.
+    most ``_WINDOW`` further atoms of each side enter, so only those become
+    Python floats. The walk must not have ended. Words are already sorted, so
+    walking each side in order is the smallest-first consumption order.
     """
-    it0, it1 = iter(list0[i0:i0 + count]), iter(list1[i1:i1 + count])
+    it0, it1 = iter(weights0[i0:i0 + _WINDOW].tolist()), iter(weights1[i1:i1 + _WINDOW].tolist())
     signed = [x]
     try:
         while True:
             w = -next(it0) if x > 0.0 else next(it1)
             x += w
             signed.append(w)
-    except StopIteration:  # a side ran out: of atoms, or of this call's count
+    except StopIteration:  # a side ran out: of atoms, or of this call's window
         return signed
 
 

@@ -158,15 +158,18 @@ def randomized_response(q: float) -> DiscreteMechanism:
 
 
 def leaky_rr(eps: float, delta: float) -> DiscreteMechanism:
-    """The canonical (eps, delta)-DP mechanism on four symbols.
+    """The canonical (eps, delta)-DP mechanism, on at most four symbols.
 
     Symbols ``a`` and ``b`` answer as randomized response at ``eps``;
     ``r0`` and ``r1`` reveal the absent and present database with
-    probability ``delta``. Every (eps, delta)-DP mechanism is a
-    post-processing of this one (Kairouz, Oh, Viswanath 2015), so a
-    claim the oracle accepts on it holds for every mechanism with those
-    guarantees. Built from ``e^-eps``, so nothing overflows. From about
-    708 nats ``(1 - delta) e^-eps`` is subnormal, too coarse to keep
+    probability ``delta``. Symbols of probability 0 under both databases
+    are left out, so delta 0 gives randomized response at
+    ``q = e^-eps / (1 + e^-eps)`` and delta 1 keeps ``r0`` and ``r1``.
+    Every (eps, delta)-DP mechanism is a post-processing of this one
+    (Kairouz, Oh, Viswanath 2015), so a claim the oracle accepts on it
+    holds for every mechanism with those guarantees. Built from
+    ``e^-eps``, so nothing overflows. From about 708 nats
+    ``(1 - delta) e^-eps`` is subnormal, too coarse to keep
     ``hi <= e^eps lo``, and it raises ``ValueError`` unless delta is 1.
     """
     PrivacyParams(eps, delta)  # rejects an invalid pair
@@ -175,10 +178,9 @@ def leaky_rr(eps: float, delta: float) -> DiscreteMechanism:
     lo = (1.0 - delta) * r / (1.0 + r)
     if lo < sys.float_info.min and delta < 1.0:
         raise ValueError(f"leaky_rr: (1 - delta) e^-eps is subnormal at eps={eps!r}")
-    return DiscreteMechanism(
-        absent={"a": hi, "b": lo, "r0": delta, "r1": 0.0},
-        present={"a": lo, "b": hi, "r0": 0.0, "r1": delta},
-    )
+    table = {"a": (hi, lo), "b": (lo, hi), "r0": (delta, 0.0), "r1": (0.0, delta)}
+    kept = [y for y, probs in table.items() if max(probs) > 0.0]
+    return DiscreteMechanism(*({y: table[y][bit] for y in kept} for bit in (0, 1)))
 
 
 def randomized_response_guarantee(q: float) -> PrivacyParams:

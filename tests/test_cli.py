@@ -27,7 +27,7 @@ from hypodp.cli import (
 )
 from hypodp.composition import Advanced, Simple
 from hypodp.constraints import MaxOnes, NeighborhoodMode
-from hypodp.core import MechanismSequence
+from hypodp.core import MechanismSequence, PrivacyParams
 from hypodp.errors import ScenarioParseError, ScenarioValidationError
 from hypodp.subsampling import uniform_prior_bound
 from test_bench_contract import _load as load_perfbench
@@ -77,13 +77,12 @@ mode: unbounded
 constraint: {max_ones: 3}
 """
 
-UNSOUND_VERIFY = """\
+ONE_RR_PAIR = """\
 mechanisms:
-  - {epsilon: 0.0, delta: 0.0}
+  - {epsilon: 1.0986122886681098, delta: 0.0}
 hypotheses:
   p0: {"0": 1.0}
   p1: {"1": 1.0}
-oracle: {rr_q: 0.25}
 """
 
 
@@ -170,8 +169,13 @@ class TestCommands:
         assert code == EXIT_BAD_SCENARIO
         assert "constraint" in err
 
-    def test_verify_unsound_exits_3(self, tmp_path, capsys):
-        path = write(tmp_path, "s.yaml", UNSOUND_VERIFY)
+    def test_verify_unsound_exits_3(self, tmp_path, capsys, monkeypatch):
+        # The scenario's own mechanism makes a correct claim sound, so the claim is
+        # shaved to epsilon 0, where RR(0.25) needs its total variation, 0.5.
+        real = cli.hdp.hdp_guarantee
+        monkeypatch.setattr(cli.hdp, "hdp_guarantee",
+                            lambda *args: PrivacyParams(0.0, real(*args).delta))
+        path = write(tmp_path, "s.yaml", ONE_RR_PAIR)
         code, out, _ = self.run(capsys, "verify", "--scenario", path)
         assert code == EXIT_UNSOUND
         report = yaml.safe_load(out)
@@ -252,15 +256,16 @@ theorem: {advanced: {delta_slack: 1.0e-5}}
             assert "overflow" in err
 
     def test_verify_counts_views_beyond_700_nats(self, tmp_path, capsys):
-        # The claim (705, 0) needs delta 1 - e^705 1e-310 = 0.99985.
-        path = write(tmp_path, "s.yaml",
-                      "mechanisms:\n  - {epsilon: 705.0}\noracle: {rr_q: 1.0e-310}\n")
+        # The claim (705, 0) is exact for the scenario's own mechanism, RR at
+        # q = 1 / (1 + e^705), whose views are scaled past 700 nats; that such
+        # views are counted exactly is TestVerifyHdp's RR(1e-310) case.
+        path = write(tmp_path, "s.yaml", "mechanisms:\n  - {epsilon: 705.0}\n")
         code, out, err = self.run(capsys, "verify", "--scenario", path)
-        assert code == EXIT_UNSOUND
-        assert "UNSOUND" in err
+        assert code == EXIT_OK
+        assert "SOUND" in err
         report = yaml.safe_load(out)
-        assert report["delta_needed_fwd"] == pytest.approx(-math.expm1(705.0 + math.log(1e-310)),
-                                                           rel=1e-9)
+        assert report["claimed"] == {"epsilon": 705.0, "delta": 0.0}
+        assert max(report["delta_needed_fwd"], report["delta_needed_rev"]) <= 1e-12
 
     def test_verify_refuses_a_view_that_underflows(self, tmp_path, capsys):
         # View 00 has P1 = q^2 = 1e-600, a 0 in doubles, which made the exact
@@ -302,13 +307,14 @@ class TestLargeK:
         assert "hypotheses.p1" in capsys.readouterr().err
 
     def test_verify_beyond_the_oracle_budget_exits_4(self, tmp_path, capsys):
-        # Two atoms at k = 24: 2^24 views, over MAX_VIEW_SPACE.
+        # Two atoms at k = 24, each position (0.1, 1e-6)-DP: leaky RR's 4^24 views,
+        # over MAX_VIEW_SPACE.
         p1 = f'{{"{"0" * 24}": 0.5, "{"1" * 24}": 0.5}}'
         path = write(tmp_path, "s.yaml", homogeneous(24, f"hypotheses: {{p1: {p1}}}\n"))
         start = time.perf_counter()
         assert main(["verify", "--scenario", path]) == EXIT_COMPUTATION
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr() == ("", "error: 16777216 views exceeds 10000000\n")
+        assert capsys.readouterr() == ("", "error: 281474976710656 views exceeds 10000000\n")
 
     def test_verify_presets_at_k16_exit_0(self, tmp_path, capsys):
         # zero vs uniform_nonzero: 2^16 - 1 atoms x 2^16 views, within the oracle budget.
@@ -713,6 +719,35 @@ def test_oracle_reports_match_golden(scenario, command, capsys):
 @ORACLE_GOLDENS
 def test_pure_python_yaml_oracle_reports_match_golden(scenario, command, capsys, pure_python_yaml):
     test_demo_scenario_reports_match_golden(scenario, command, capsys)
+
+
+@DEMO_SCENARIOS
+def test_verify_holds_on_every_demo_scenario(scenario, capsys):
+    assert main(["verify", "--scenario", str(SCENARIOS / f"{scenario}.yaml"), "--quiet"]) == EXIT_OK
+    assert yaml.safe_load(capsys.readouterr().out)["sound"] is True
+
+
+def test_verify_holds_on_heterogeneous_scenarios(tmp_path, capsys):
+    # Each position's own (eps, delta), delta 0 or not, under presets and explicit
+    # mixtures at k <= 6: a correct claim is SOUND against each mechanism's leaky RR.
+    rng = random.Random(43)
+    for i in range(40):
+        k = rng.randint(1, 6)
+        mechanisms = [{"epsilon": rng.uniform(0.05, 2.0),
+                       "delta": rng.choice([0.0, 10 ** rng.uniform(-6, -1)])} for _ in range(k)]
+        hypotheses = {}
+        for side in ("p0", "p1"):
+            if rng.random() < 0.5:
+                hypotheses[side] = rng.choice(["zero", "uniform_nonzero", "uniform_all"])
+                continue
+            words = rng.sample(range(1 << k), rng.randint(1, min(1 << k, 6)))
+            weights = [rng.random() + 0.01 for _ in words]
+            hypotheses[side] = {format(w, f"0{k}b"): x / sum(weights)
+                                for w, x in zip(words, weights)}
+        scenario = {"mechanisms": mechanisms, "hypotheses": hypotheses}
+        path = write(tmp_path, f"s{i}.yaml", json.dumps(scenario))
+        assert main(["verify", "--scenario", path, "--quiet"]) == EXIT_OK, scenario
+        assert yaml.safe_load(capsys.readouterr().out)["sound"] is True
 
 
 @pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.yaml")), ids=lambda path: path.stem)

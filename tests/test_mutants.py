@@ -137,6 +137,13 @@ def one_entry_past_the_cut(real):
     return pieces
 
 
+def leaky_rr_times(factor):
+    """``leaky_rr`` built at ``factor`` times the epsilon it is asked for."""
+    def mutant(real):
+        return lambda eps, delta: real(factor * eps, delta)
+    return mutant
+
+
 def delta_uncapped(real):
     """``_compose_words`` under ``Simple`` without its delta cap at 1."""
     def compose_words(guarantees, words, theorem):
@@ -260,6 +267,8 @@ ROWS = [
       for i, mechs in enumerate(test_oracle.TestContractionSplit.PLANS)],
     ("one-atom-plan-wrong-side", [(oracle, "_one_row")], on_the_other_side_last,
      test_oracle.test_one_atom_views_equal_the_scalar_reference),
+    ("leaky-rr-0.97-eps", [(oracle, "leaky_rr"), (test_oracle, "leaky_rr")], leaky_rr_times(0.97),
+     test_oracle.test_leaky_rr_dominates_every_mechanism_with_its_guarantee),
     ("aggregate-exchangeable", AGGREGATE, epsilon_times(0.9),
      test_integration.test_hdp_guarantee_holds_on_exchangeable_pairs),
     ("aggregate-near-equal", AGGREGATE, epsilon_times(0.9),

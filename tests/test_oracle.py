@@ -174,8 +174,17 @@ class TestLeakyRR:
                 leaky_rr(eps, delta)
 
     def test_delta_one_at_any_epsilon(self):
+        # a and b have probability 0 under both databases, so they are left out.
         mech = leaky_rr(1000.0, 1.0)
-        assert mech.absent == {"a": 0.0, "b": 0.0, "r0": 1.0, "r1": 0.0}
+        assert mech.absent == {"r0": 1.0, "r1": 0.0}
+        assert mech.present == {"r0": 0.0, "r1": 1.0}
+
+    @pytest.mark.parametrize("eps", [0.0, 0.7, math.log(3.0), 50.0])
+    def test_delta_zero_is_randomized_response(self, eps):
+        mech, q = leaky_rr(eps, 0.0), math.exp(-eps) / (1.0 + math.exp(-eps))
+        assert mech.alphabet == ("a", "b")
+        assert mech.absent == pytest.approx({"a": 1.0 - q, "b": q}, rel=1e-15)
+        assert mech.present == pytest.approx({"a": q, "b": 1.0 - q}, rel=1e-15)
 
     def test_subnormal_lo_is_not_eps_dp(self):
         # Why the refusal: at 718 nats the nearest-rounded subnormal lo
@@ -742,6 +751,70 @@ class TestVerifyHdp:
         with pytest.raises(ValueError, match="subnormal"):
             verify_hdp(mechs, p0, p1, PrivacyParams(714.5, 0.0))
         verify_hdp(mechs, p0, p1, PrivacyParams(712.5, 0.0))
+
+    def test_views_beyond_700_nats_are_counted_exactly(self):
+        # View 0 has P0 = 1 - 1e-310 and P1 = 1e-310: the claim (705, 0) needs
+        # delta 1 - e^705 1e-310 = 0.99985 in each direction.
+        points = Hypothesis.point_mass(bv("0")), Hypothesis.point_mass(bv("1"))
+        report = verify_hdp([randomized_response(1e-310)], *points, PrivacyParams(705.0, 0.0))
+        assert not report.sound
+        exact = -math.expm1(705.0 + math.log(1e-310))
+        assert report.delta_needed_fwd == pytest.approx(exact, rel=1e-9)
+        assert report.delta_needed_rev == pytest.approx(exact, rel=1e-9)
+
+
+def random_mechanism(rng):
+    """2-5 symbols, each side's law from a Dirichlet draw, one symbol of a side
+    sometimes zeroed so that the other side's symbol reveals its database."""
+    n = int(rng.integers(2, 6))
+    dists = []
+    for _ in range(2):
+        p = rng.dirichlet(np.ones(n))
+        if rng.random() < 0.3:
+            p[rng.integers(n)] = 0.0
+            p /= p.sum()
+        dists.append(dict(enumerate(p.tolist())))
+    return DiscreteMechanism(*dists)
+
+
+def random_mixture(rng, k):
+    """1-6 atoms on distinct random k-bit words, Dirichlet weights."""
+    n = int(rng.integers(1, min(1 << k, 6) + 1))
+    words = rng.choice(1 << k, size=n, replace=False)
+    return Hypothesis([(BitVector(int(w), k), float(p))
+                       for w, p in zip(words, rng.dirichlet(np.ones(n)))])
+
+
+def test_leaky_rr_dominates_every_mechanism_with_its_guarantee():
+    # verify judges a claim on leaky_rr(eps_i, delta_i) at each position. That is sound
+    # for every (eps_i, delta_i)-DP mechanism on mixtures: each one is a post-processing
+    # T_i of leaky RR (Kairouz, Oh and Viswanath 2015), the product of the T_i maps every
+    # atom's views and so every mixture's, and no post-processing raises a hockey-stick
+    # divergence. Each random mechanism gets a tight guarantee: at a drawn eps_i below its
+    # largest finite privacy loss (or 1), the larger of its two one-position hockey-sticks. The
+    # epsilons checked span the summed eps_i and sit just below each eps_i, where a
+    # mechanism's delta starts to exceed its delta_i.
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        k = int(rng.integers(1, 6))
+        mechs, leaky, eps_i = [], [], []
+        for _ in range(k):
+            mech = random_mechanism(rng)
+            absent, present = mech._tables
+            both = (absent > 0.0) & (present > 0.0)
+            loss = np.abs(np.log(absent[both] / present[both])).max(initial=1.0)
+            eps = float(rng.uniform(0.0, loss))
+            d0, d1 = (view_distribution([mech], BitVector(bit, 1)) for bit in (0, 1))
+            delta = max(required_delta(d0, d1, eps), required_delta(d1, d0, eps))
+            mechs.append(mech)
+            leaky.append(leaky_rr(eps, delta))
+            eps_i.append(eps)
+        p0, p1 = random_mixture(rng, k), random_mixture(rng, k)
+        views = [[mixture_view_distribution(ms, h) for h in (p0, p1)] for ms in (mechs, leaky)]
+        for eps in [*np.linspace(0.0, sum(eps_i), 9).tolist(), *(0.985 * e for e in eps_i)]:
+            for a, b in ((0, 1), (1, 0)):
+                assert (required_delta(views[0][a], views[0][b], eps)
+                        <= required_delta(views[1][a], views[1][b], eps) + oracle.SOUNDNESS_SLACK)
 
 
 class TestSimulate:

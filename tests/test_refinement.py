@@ -238,15 +238,15 @@ class TestArrayWalk:
 
     @staticmethod
     def turns(monkeypatch, p0, p1):
-        """The walk's turns in order: "window", or a scalar order as its count.
+        """The walk's turns in order: "window", or "scalar" for a scalar order.
 
         Checks the table against ``list_walk_pairs`` first.
         """
-        events = []  # each scalar order's count, and None for each entries-to-pieces pass
+        events = []  # "scalar" for each scalar order, and None for each entries-to-pieces pass
 
-        def logged_order(list0, list1, i0, i1, x, count):
-            events.append(count)
-            return _order(list0, list1, i0, i1, x, count)
+        def logged_order(*args):
+            events.append("scalar")
+            return _order(*args)
 
         def logged_pieces(*args):
             events.append(None)
@@ -264,7 +264,7 @@ class TestArrayWalk:
         # takes a window, which here runs to the walk's end.
         rng = np.random.default_rng(2801)
         half = _SCALAR_ATOMS // 2
-        for n1, turns in ((half, [_WINDOW]), (half + 1, ["window"])):
+        for n1, turns in ((half, ["scalar"]), (half + 1, ["window"])):
             p0 = mixture(rng, 12, rng.dirichlet(np.ones(half)))
             p1 = mixture(rng, 12, rng.dirichlet(np.ones(n1)))
             for a, b in ((p0, p1), (p1, p0)):
@@ -278,7 +278,7 @@ class TestArrayWalk:
         weights = rng.dirichlet(np.ones(300))
         p0, p1 = mixture(rng, 12, weights), mixture(rng, 12, ulp_twins(weights))
         for a, b in ((p0, p1), (p1, p0)):
-            assert self.turns(monkeypatch, a, b) == ["window", _WINDOW]
+            assert self.turns(monkeypatch, a, b) == ["window", "scalar"]
 
     def test_few_atoms_left_at_a_window_end(self, monkeypatch):
         # 50 twins, then 2 * _WINDOW + 100 atoms of independent weights a side:
@@ -291,7 +291,7 @@ class TestArrayWalk:
         p0 = mixture(rng, 16, np.concatenate((twins, rng.dirichlet(np.ones(tail)) * 0.9)))
         p1 = mixture(rng, 16, np.concatenate((ulp_twins(twins), rng.dirichlet(np.ones(tail)) * 0.9)))
         for a, b in ((p0, p1), (p1, p0)):
-            assert self.turns(monkeypatch, a, b) == ["window", _WINDOW, "window", _WINDOW]
+            assert self.turns(monkeypatch, a, b) == ["window", "scalar", "window", "scalar"]
 
     def test_seeded_mixtures(self):
         for p0, p1 in random_pairs(seed=99, count=300):
@@ -405,7 +405,7 @@ class TestArrayWalk:
         p0 = mixture(rng, 18, weights)
         p1 = mixture(rng, 18, weights.reshape(-1, 2)[:, ::-1].ravel())
         for a, b in ((p0, p1), (p1, p0)):
-            assert self.turns(monkeypatch, a, b) == ["window", _WINDOW] * 3
+            assert self.turns(monkeypatch, a, b) == ["window", "scalar"] * 3
             assert best_time(refine_tuples, a, b) < 0.06
 
     def test_equal_weight_ties(self, monkeypatch):
@@ -426,7 +426,7 @@ class TestArrayWalk:
         # scalar order after it runs to the walk's end.
         p0, p1 = mixture(rng, 16, uniform[0]), mixture(rng, 16, uniform[1])
         for a, b in ((p0, p1), (p1, p0)):
-            assert self.turns(monkeypatch, a, b) == ["window", _WINDOW]
+            assert self.turns(monkeypatch, a, b) == ["window", "scalar"]
 
     def test_point_mass_against_uniform_nonzero(self):
         # 2^20 - 1 pieces in both orders, entered by windows of the signed sum.
