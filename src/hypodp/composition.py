@@ -29,7 +29,9 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import PrivacyParams, _exact_suffix_sums, _exact_word_sums, bit_rows, bounded_params
+from .core import (
+    _FSUM_ROWS, PrivacyParams, _exact_suffix_sums, _exact_word_sums, bit_rows, bounded_params,
+)
 from .errors import HeterogeneousInputError, IncompatibleTheoremError, InvalidSlackError
 
 
@@ -136,15 +138,27 @@ def _compose_words(
     Row r of the ``(n, 2)`` float64 result is ``compose(selected,
     theorem).as_tuple()`` bit for bit, ``selected`` listing the guarantees at
     the positions ``words[r]`` sets, in sequence order. Under ``Simple`` each
-    column is an exact sum, ``core._exact_word_sums``, the delta capped at 1;
-    other theorems call ``compose`` per word.
+    column is an exact sum, the delta capped at 1: below ``core._FSUM_ROWS``
+    rows one ``bit_rows`` serves both columns' ``math.fsum`` per row, as
+    ``core._exact_word_sums`` sums there, and larger calls take
+    ``_exact_word_sums`` per column; other theorems call ``compose`` per word.
     """
-    if not isinstance(theorem, Simple):
+    simple = isinstance(theorem, Simple)
+    if simple and len(words) >= _FSUM_ROWS:
+        out = np.empty((len(words), 2))
+        out[:, 0] = _exact_word_sums(words, [g.epsilon for g in guarantees])
+        out[:, 1] = _exact_word_sums(words, [g.delta for g in guarantees])
+    else:
         rows = bit_rows(words, len(guarantees)).tolist()
-        out = [compose(list(compress(guarantees, row)), theorem).as_tuple() for row in rows]
-        return np.asarray(out, dtype=np.float64).reshape(len(rows), 2)
-    eps, delta = [g.epsilon for g in guarantees], [g.delta for g in guarantees]
-    return np.stack((_exact_word_sums(words, eps), _exact_word_sums(words, delta).clip(max=1.0)), 1)
+        if simple:
+            eps, delta = [g.epsilon for g in guarantees], [g.delta for g in guarantees]
+            out = [(math.fsum(compress(eps, row)), math.fsum(compress(delta, row))) for row in rows]
+        else:
+            out = [compose(list(compress(guarantees, row)), theorem).as_tuple() for row in rows]
+        out = np.array(out, dtype=np.float64).reshape(len(rows), 2)
+    if simple:
+        np.minimum(out[:, 1], 1.0, out=out[:, 1])
+    return out
 
 
 def compose_suffixes(eps: list[float], delta: list[float], theorem: CompositionTheorem) -> np.ndarray:
@@ -159,7 +173,10 @@ def compose_suffixes(eps: list[float], delta: list[float], theorem: CompositionT
     suffix.
     """
     if isinstance(theorem, Simple):
-        return np.stack((_exact_suffix_sums(eps), np.minimum(_exact_suffix_sums(delta), 1.0)), 1)
+        out = np.empty((len(eps) + 1, 2))
+        out[:, 0], out[:, 1] = _exact_suffix_sums(eps), _exact_suffix_sums(delta)
+        np.minimum(out[:, 1], 1.0, out=out[:, 1])
+        return out
     guarantees = [PrivacyParams(e, d) for e, d in zip(eps, delta)]
     n = len(guarantees)
     if isinstance(theorem, Advanced) and n:
@@ -197,15 +214,35 @@ def _piece_keys(
     """Each ``uint64`` XOR word's key index and the ``(keys, 2)`` table of composed keys.
 
     ``masks`` is ``_guarantee_masks(seq, k)``, built here unless the caller has it.
+    A key's representative is its smallest XOR word: the words are deduplicated
+    ascending, and the keys by a stable sort, which keeps each key's first word.
     """
     if masks is None:
         masks = _guarantee_masks(seq, k)
-    diffs, piece_diff = np.unique(xor_words, return_inverse=True)
+    first, piece_diff = _distinct(xor_words)
+    diffs = xor_words[first]
     if len(masks) < k:  # else each position is its own mask and every key is its word
-        _, first, key_of_diff = np.unique(
-            _pack_counts(diffs, masks), return_index=True, return_inverse=True)
+        first, key_of_diff = _distinct(_pack_counts(diffs, masks), "stable")
         piece_diff, diffs = key_of_diff[piece_diff], diffs[first]
     return piece_diff, _compose_words(list(seq), diffs, theorem)
+
+
+def _distinct(values: np.ndarray, kind: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_index=True, return_inverse=True)[1:]`` for a 1-d array.
+
+    Returns the index of each distinct value, ascending by value, and each
+    value's rank among them; with ``kind="stable"`` the index is each value's
+    first, as ``np.unique`` gives it. The same argsort, mask and cumulative
+    sum, without its wrapper's fixed cost.
+    """
+    order = values.argsort(kind=kind)
+    ordered = values[order]
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[order] = new.cumsum() - 1
+    return order[new], rank
 
 
 def best_classic_bound(guarantees: Iterable[PrivacyParams], delta_slack: float) -> PrivacyParams:

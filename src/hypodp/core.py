@@ -47,8 +47,9 @@ from .errors import (
 MAX_K = 63
 
 # How far from 1 a hypothesis's total may be. Weights whose total is off 1 by
-# more than n 2^-53 for n atoms are divided by their exact sum, so the mass a
-# refinement walk leaves unmatched at its end is at most about that much a side.
+# more than min(n 2^-53, 2^-43) for n atoms are divided by their exact sum, so the
+# mass a refinement walk leaves unmatched at its end is at most about that much a
+# side, whatever n.
 NORMALIZATION_TOLERANCE = 1e-9
 
 # Enumerating all of {0,1}^k is refused beyond this many vectors.
@@ -287,7 +288,7 @@ class Hypothesis:
     Validated on every construction path: weights strictly positive,
     summing to 1 within ``NORMALIZATION_TOLERANCE``, all atoms sharing
     one length, no vector listed twice. Weights whose total is off 1 by
-    more than n 2^-53 for n atoms are divided by their exact sum.
+    more than min(n 2^-53, 2^-43) for n atoms are divided by their exact sum.
     Instances are immutable.
 
     ``_first`` is None for a hypothesis built from atoms. The uniform
@@ -313,11 +314,11 @@ class Hypothesis:
 
     def _set(self, k: int, words: np.ndarray, weights: np.ndarray) -> "Hypothesis":
         """Validate, sort by word and freeze: the one path every constructor takes."""
-        if not np.all(weights > 0.0):
+        if not (weights > 0.0).all():
             i = int(np.argmin(weights > 0.0))
             vec = BitVector(int(words[i]), k)
             raise NonPositiveWeightError(f"atom {vec} has non-positive weight {weights[i]}")
-        if not np.all(words[1:] > words[:-1]):  # strictly ascending: sorted, no duplicates
+        if not (words[1:] > words[:-1]).all():  # strictly ascending: sorted, no duplicates
             order = np.argsort(words)  # distinct words have one sorted order
             words, weights = words[order], weights[order]
             if np.any(words[1:] == words[:-1]):
@@ -326,7 +327,8 @@ class Hypothesis:
             total = float(weights.sum())  # pairwise: off by far less than the tolerance
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NonNormalizedError(f"weights sum to {total!r}, not 1")
-        if abs(total - 1.0) > len(weights) * 2.0**-53:  # presets: within (log2 n + 1) 2^-53
+        # Presets are within (log2 n + 1) 2^-53 of 1, weights divided by their sum about 1e-15.
+        if abs(total - 1.0) > min(len(weights) * 2.0**-53, 2.0**-43):
             weights = weights / exact_sum(weights)
         words.flags.writeable = weights.flags.writeable = False
         self._k, self._words, self._weights = k, words, weights

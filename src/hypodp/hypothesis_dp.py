@@ -72,7 +72,7 @@ composition; as ``P_X = sum_c P_X(c) U_c``, the G/J proofs hold for classes.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -111,8 +111,8 @@ class MatchedRefinement:
     atoms, on a seeded 12,000 x 9,000-atom Dirichlet pair. And when the
     two totals differ, the walk stops once one side runs out, so their
     gap stays unmatched: 5.6e-15 on that pair. ``Hypothesis`` rescales
-    totals off 1 by more than n 2^-53 for n atoms, so the gap is at most
-    about (n0 + n1) 2^-53, below ``oracle.SOUNDNESS_SLACK`` to 9,000 atoms.
+    totals off 1 by more than min(n 2^-53, 2^-43) for n atoms, so the gap
+    is at most about 2^-42 (2.3e-13), below ``oracle.SOUNDNESS_SLACK`` at any n.
     """
 
     k: int
@@ -295,13 +295,21 @@ def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> Privacy
     """
     weight, buffer = pairs["weight"], np.empty(len(pairs))
     eps = table[:, 0].take(key)
-    ranks = cache(lambda: _delta_ranks(table[:, 1]))  # built once, if a side sorts
+    built = []
+
+    def ranks():  # _delta_ranks of the key deltas, built once, if a side sorts
+        if not built:
+            built.append(_delta_ranks(table[:, 1]))
+        return built[0]
+
     side0, side1 = (_Groups(pairs[column], weight, eps, key, table, ranks, buffer)
                     for column in ("word0", "word1"))
-    del eps, ranks
+    del eps, ranks, built
     # P0 <= e^eps P1 + delta is bounded by (g1, j0); the reverse by (g0, j1).
     epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
-    delta_g = exact_sum(np.multiply(weight, table[:, 1].take(key, out=buffer), out=buffer))
+    delta_g = None  # taken only where a direction's epsilon reaches its eps_G
+    if epsilon >= min(side0.eps_g, side1.eps_g):
+        delta_g = exact_sum(np.multiply(weight, table[:, 1].take(key, out=buffer), out=buffer))
     del buffer  # delta_j gathers its own side's arrays
     return bounded_params(epsilon, max(
         delta_g if epsilon >= side1.eps_g else side0.delta_j(epsilon),
@@ -330,7 +338,8 @@ class _Groups:
     ``run * keys + rank``, ``rank`` being the position of the piece's key
     delta among the ``keys`` sorted key deltas (``ranks()``), equal for equal
     deltas. The result is the permutation ``np.lexsort((delta, words))``
-    gives, without its float sort of every piece ahead of the word sort.
+    gives, without its float sort of every piece ahead of the word sort. A
+    side of one group, a point mass's, has no ``run``: its extremes broadcast.
     A side keeps its group ``starts``, ``sizes``, ``mass`` and ``order``
     (None when the rows are in order), never a permuted copy of the pieces;
     the deltas it checks and the epsilons it sorts go through the caller's ``buffer``.
@@ -347,7 +356,9 @@ class _Groups:
     def __init__(self, words, weight, eps, key, table, ranks, buffer):
         self.weight, self.key, self.table = weight, key, table
         self.order = None
-        new = np.concatenate(([True], words[1:] != words[:-1], [True]))  # run starts, then the end
+        new = np.empty(len(words) + 1, dtype=bool)  # run starts, then the end
+        new[0] = new[-1] = True
+        np.not_equal(words[1:], words[:-1], out=new[1:-1])
         edges = new.nonzero()[0]
         self.starts, self.sizes = edges[:-1], edges[1:] - edges[:-1]
         groups = len(self.starts)
@@ -355,23 +366,30 @@ class _Groups:
             self.mass = weight
             self.eps_g = self.eps_j = max(0.0, float(eps.max()))
             return
-        run = np.arange(groups).repeat(self.sizes)
+        one = groups == 1
+        run = None if one else np.arange(groups).repeat(self.sizes)
         delta = table[:, 1].take(key, out=buffer)
         if ((delta[1:] < delta[:-1]) & ~new[1:-1]).any():
-            sort_key = run * len(table)
-            sort_key += ranks().take(key)
+            sort_key = ranks().take(key)
+            if not one:
+                sort_key += run * len(table)
             self.order = sort_key.argsort(kind="stable")  # within runs, so each run stays in place
             del sort_key
             weight, eps = weight.take(self.order), eps.take(self.order, out=buffer)
         self.mass = np.add.reduceat(weight, self.starts)
-        hi, lo = eps[self.starts], eps[self.starts]  # each group's first, then the rest
-        np.maximum.at(hi, run, eps)
-        np.minimum.at(lo, run, eps)
-        rel = hi.take(run)  # e^(eps - hi) w, then e^(lo - eps) w
-        np.exp(np.subtract(eps, rel, out=rel), out=rel)
+        if one:
+            hi, lo = eps.max(keepdims=True), eps.min(keepdims=True)
+            rel = np.subtract(eps, hi)  # e^(eps - hi) w, then e^(lo - eps) w
+        else:
+            hi, lo = eps[self.starts], eps[self.starts]  # each group's first, then the rest
+            np.maximum.at(hi, run, eps)
+            np.minimum.at(lo, run, eps)
+            rel = hi.take(run)
+            np.subtract(eps, rel, out=rel)
+        np.exp(rel, out=rel)
         up = np.add.reduceat(np.multiply(weight, rel, out=rel), self.starts) / self.mass
-        lo.take(run, out=rel)
-        np.exp(np.subtract(rel, eps, out=rel), out=rel)
+        np.subtract(lo if one else lo.take(run, out=rel), eps, out=rel)
+        np.exp(rel, out=rel)
         down = np.add.reduceat(np.multiply(weight, rel, out=rel), self.starts) / self.mass
         self.eps_g = max(0.0, float((hi + np.log(up)).max()))
         self.eps_j = max(0.0, float((lo - np.log(down)).max()))
@@ -398,10 +416,11 @@ class _Groups:
         mass = self.mass.repeat(self.sizes)
         np.minimum(np.multiply(np.divide(weight, mass, out=mass), a, out=a), 1.0, out=a)
         del weight, mass
-        best = np.zeros(len(self.starts))
-        present = np.bincount(self.sizes).nonzero()[0]  # each group size present
-        for m in present:
-            if len(present) == 1 and min(m, len(self.starts)) == 1:  # one group, or all alone
+        groups = len(self.starts)
+        block = groups in (1, len(d))  # one group, or all alone
+        best = np.zeros(groups)
+        for m in [len(d) // groups] if block else np.bincount(self.sizes).nonzero()[0]:
+            if block:
                 rows, db, ab = slice(None), d.reshape(m, -1), a.reshape(m, -1)
             else:
                 rows = (self.sizes == m).nonzero()[0]
@@ -462,24 +481,30 @@ def _class_refinement(p0: Hypothesis, p1: Hypothesis, masks: list[int]) -> tuple
     starts at word 1. Other hypotheses take an O(atoms) check. Exact class
     masses couple as ``refine_tuples`` couples atoms.
     """
-    radices = [mask.bit_count() + 1 for mask in masks]
+    radices = tuple(mask.bit_count() + 1 for mask in masks)
     if len(masks) == p0.k or math.prod(radices) > len(p0) + len(p1):
         return None
-    # Class sizes prod_g C(n_g, m_g) by class id, each below 2^k.
-    sizes = math.prod(np.ix_(*[[math.comb(r - 1, m) for m in range(r)] for r in radices])).ravel()
+    sizes = _class_sizes(radices)
     laws = []
     for p in (p0, p1):
         if p._first is not None:
             present = np.arange(p._first, len(sizes))
-            laws.append((present, [1.0 / len(p)] * len(present), sizes[present].tolist()))
+            laws.append((present, [1.0 / len(p)] * len(present), sizes[p._first:].tolist()))
+            continue
+        if len(p) == 1:  # a point mass: its word's class, which must hold that vector alone
+            c, word = 0, int(p.words[0])
+            for mask, r in zip(masks, radices):
+                c = c * r + (word & mask).bit_count()
+            if sizes[c] != 1:
+                return None
+            laws.append((np.array([c]), p.weights.tolist(), [1]))
             continue
         ids = _pack_counts(p.words, masks).astype(np.intp)
         count = np.bincount(ids, minlength=len(sizes))
         present = count.nonzero()[0]
         class_weight = np.zeros(len(sizes))
         class_weight[ids] = p.weights  # one atom's weight per class: all are equal if any is
-        if not (np.array_equal(count[present], sizes[present])
-                and np.array_equal(class_weight[ids], p.weights)):
+        if (count[present] != sizes[present]).any() or (class_weight[ids] != p.weights).any():
             return None
         laws.append((present, class_weight[present].tolist(), sizes[present].tolist()))
     (ids0, w0, n0), (ids1, w1, n1) = laws
@@ -493,16 +518,28 @@ def _class_refinement(p0: Hypothesis, p1: Hypothesis, masks: list[int]) -> tuple
     ends = sorted({e for e in (*cum0, *cum1) if e <= min(cum0[-1], cum1[-1])})
     pairs = np.empty(len(ends), dtype=PAIR_DTYPE)
     pairs["weight"] = [(b - a) / scale for a, b in zip([0, *ends], ends)]
-    pairs["word0"] = ids0[[bisect_left(cum0, e) for e in ends]]
-    pairs["word1"] = ids1[[bisect_left(cum1, e) for e in ends]]
+    c0 = ids0[[bisect_left(cum0, e) for e in ends]]
+    c1 = ids1[[bisect_left(cum1, e) for e in ends]]
+    pairs["word0"], pairs["word1"] = c0, c1
     # Per group, the lowest |m1 - m0| bits of its mask; the last mask is the lowest digit.
-    c0, c1 = pairs["word0"].astype(np.intp), pairs["word1"].astype(np.intp)
-    xor_words = np.zeros(len(ends), dtype=np.uint64)
+    xor_words = np.uint64(0)
     for mask, r in zip(masks[::-1], radices[::-1]):
         bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-        xor_words |= np.cumsum([0, *bits], dtype=np.uint64)[np.abs(c0 % r - c1 % r)]
-        c0, c1 = c0 // r, c1 // r
+        (c0, m0), (c1, m1) = np.divmod(c0, r), np.divmod(c1, r)
+        lowest = np.array(list(accumulate(bits, initial=0)), dtype=np.uint64)
+        xor_words = xor_words | lowest[np.abs(m0 - m1)]
     return pairs, xor_words
+
+
+@lru_cache(maxsize=64)
+def _class_sizes(radices: tuple[int, ...]) -> np.ndarray:
+    """Class sizes prod_g C(n_g, m_g) by class id, each below 2^k; read-only, built once per radices.
+
+    ``_class_refinement`` asks only for ``prod(radices)`` at most the two sides' atoms.
+    """
+    sizes = math.prod(np.ix_(*[[math.comb(r - 1, m) for m in range(r)] for r in radices])).ravel()
+    sizes.flags.writeable = False
+    return sizes
 
 
 def componentwise_max(guarantees: Sequence[PrivacyParams]) -> PrivacyParams:

@@ -11,6 +11,9 @@ from hypodp.composition import (
     Advanced,
     Simple,
     _compose_words,
+    _guarantee_masks,
+    _pack_counts,
+    _piece_keys,
     advanced_compose,
     best_classic_bound,
     compose,
@@ -287,6 +290,30 @@ class TestComposeSelections:
         for n in (1, _FSUM_ROWS):
             with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
                 _compose_words(seq, words_of(np.ones((n, 3), bool)), Simple())
+
+
+class Ordered:
+    """A pluggable theorem that reads order: the i-th selected epsilon counts i + 1 times."""
+
+    def compose_guarantees(self, guarantees):
+        return PrivacyParams(math.fsum((i + 1) * g.epsilon for i, g in enumerate(guarantees)),
+                             min(1.0, math.fsum(g.delta for g in guarantees)))
+
+
+def test_each_key_composes_its_smallest_word():
+    # Three guarantees in turn, so words of one key select them in different orders; the
+    # key's row must be its smallest word's, whatever order the sort leaves ties in.
+    rng = np.random.default_rng(4545)
+    for k in (4, 9, 16):
+        seq = [PrivacyParams((0.1, 0.2, 0.3)[i % 3], 1e-7) for i in range(k)]
+        words = rng.integers(0, 1 << k, int(rng.integers(500, 3000)), dtype=np.uint64)
+        key, table = _piece_keys(words, seq, Ordered(), k)
+        packed = _pack_counts(words, _guarantee_masks(seq, k))
+        for count in set(packed.tolist()):
+            smallest = int(words[packed == count].min())
+            picked = [g for p, g in enumerate(seq) if smallest >> (k - 1 - p) & 1]
+            assert table[key[packed == count]].tolist() == [
+                list(compose(picked, Ordered()).as_tuple())] * int((packed == count).sum())
 
 
 def fsum_rows(rows, values):

@@ -9,9 +9,13 @@ aggregation, constraints, and the subsampling pipelines end to end.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,7 @@ from hypodp.hypothesis_dp import (
     uniform_nonzero_closed_form,
 )
 from hypodp.oracle import (
+    SOUNDNESS_SLACK,
     DiscreteMechanism,
     leaky_rr,
     randomized_response,
@@ -201,6 +206,16 @@ class TestEveryUnitOfMassIsMatched:
         p1 = Hypothesis({bv("00"): 0.5 - 5e-10, bv("11"): 0.5 - 4e-10})
         claimed = hdp_guarantee(p0, p1, MechanismSequence.homogeneous(1.0, 0.0, 2), Simple())
         assert verify_hdp([leaky_rr(1.0, 0.0)] * 2, p0, p1, claimed).sound
+
+    def test_a_total_1e_11_off_at_100000_atoms_is_matched(self):
+        # n 2^-53 is 1.1e-11 here: without the 2^-43 cap p0 is kept as given,
+        # and the walk leaves its extra 1e-11, ten times the oracle's slack.
+        k, n = 17, 100_000
+        p0 = Hypothesis([(BitVector(w, k), (1.0 / n) * (1.0 + 1e-11)) for w in range(n)])
+        p1 = Hypothesis([(BitVector(w, k), 1.0 / n) for w in range(n)])
+        matched = math.fsum(refine_tuples(p0, p1).pairs["weight"].tolist())
+        for side in (p0, p1):
+            assert abs(math.fsum(side.weights.tolist()) - matched) < SOUNDNESS_SLACK
 
 
 @st.composite
@@ -771,3 +786,35 @@ def test_preset_pairs_at_k23_within_budget():
         else:
             assert got.epsilon < 0.02 and got.delta < 1e-11, got
     assert np.array_equal(p1.words, np.arange(1, 2**k))
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from hypodp.composition import Simple
+from hypodp.constraints import NeighborhoodMode, PatternSet, constrained_bound
+from hypodp.core import BitVector, Hypothesis, MechanismSequence
+from hypodp.hypothesis_dp import hdp_guarantee
+from hypodp.oracle import randomized_response, verify_hdp
+from hypodp.subsampling import uniform_prior_bound
+
+k = 6
+seq = MechanismSequence.homogeneous(0.4, 1e-6, k)
+zero, nonzero = Hypothesis.point_mass(BitVector.zeros(k)), Hypothesis.uniform_nonzero(k)
+mixture = Hypothesis({BitVector(3, k): 0.25, BitVector(12, k): 0.75})
+for p1 in (nonzero, mixture):
+    verify_hdp([randomized_response(0.3)] * k, zero, p1, hdp_guarantee(zero, p1, seq, Simple()))
+patterns = PatternSet.of([BitVector(w, k) for w in (0, 5, 6, 48)])
+for mode in NeighborhoodMode:
+    constrained_bound(seq, patterns, mode, Simple())
+uniform_prior_bound(seq, Simple())
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+"""
+
+
+def test_small_queries_import_no_masked_arrays():
+    # np.unique without index outputs imports numpy.ma, about 1 MB of peak memory.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

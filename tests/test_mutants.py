@@ -23,6 +23,7 @@ import test_composition
 import test_hypothesis_dp
 import test_integration
 import test_oracle
+import test_pinned
 import test_refinement
 from hypodp import cli, composition, constraints, core, hypothesis_dp, oracle, subsampling
 from hypodp.core import BitVector, Hypothesis, PrivacyParams
@@ -192,6 +193,35 @@ def in_row_order(real):
     return delta_j
 
 
+def one_group_unsorted(real):
+    """``_Groups`` keeping a side of one group in row order: ``delta_j`` walks its pieces
+    unsorted by delta."""
+    def init(self, words, weight, eps, key, table, ranks, buffer):
+        if len(words) and words[0] == words[-1]:  # one group: every stable sort keeps row order
+            ranks = lambda: np.zeros(len(table), dtype=np.intp)  # noqa: E731
+        real(self, words, weight, eps, key, table, ranks, buffer)
+    return init
+
+
+def unstable_dedupe(real):
+    """``_distinct`` sorting keys unstably: a key may keep any of its words, not the smallest."""
+    return lambda values, kind=None: real(values)
+
+
+def small_steps_symbols_swapped(real):
+    """``_contract`` reading symbols 0 and 1 of each table swapped in its broadcast steps."""
+    def contract(x, steps, tables):
+        width, read = x.shape[1], []
+        for (split, rows, low, high), (t0, t1) in zip(steps, tables):
+            if rows * width * len(t0) <= oracle._BROADCAST_ENTRIES and len(t0) > 1:
+                swap = [1, 0, *range(2, len(t0))]
+                t0, t1 = t0[swap], t1[swap]
+            read.append((t0, t1))
+            width *= len(t0)
+        return real(x, steps, read)
+    return contract
+
+
 def one_pair_fewer(real):
     """``_max_over_pairs`` without its first pair: ``exclusive_groups_bound`` leaves out
     the first group's pattern against the second's."""
@@ -315,6 +345,12 @@ ROWS = [
     # reference does.
     ("delta-j-in-row-order", [(hypothesis_dp._Groups, "delta_j")], in_row_order,
      test_hypothesis_dp.TestRunGroups().test_random_tables_out_of_order_within_runs),
+    ("one-group-side-unsorted", [(hypothesis_dp._Groups, "__init__")], one_group_unsorted,
+     test_pinned.test_small_path_bits),
+    ("key-dedupe-unstable", [(composition, "_distinct")], unstable_dedupe,
+     test_composition.test_each_key_composes_its_smallest_word),
+    ("small-contraction-symbols-swapped", [(oracle, "_contract")], small_steps_symbols_swapped,
+     test_oracle.test_one_atom_views_equal_the_scalar_reference),
     ("reader-one-level-deeper", [(cli, "_MAX_DEPTH")], one_level_deeper,
      partial(test_cli.test_nesting_to_the_cap_reads_as_yaml_load_does, loader=cli._LOADER)),
     ("reader-anchors-unchecked", [(cli, "_build")], anchors_unchecked,

@@ -13,6 +13,7 @@ import time
 from hypodp.composition import Advanced, Simple
 from hypodp.core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
 from hypodp.hypothesis_dp import hdp_guarantee
+from hypodp.oracle import leaky_rr, randomized_response, verify_hdp
 from hypodp.subsampling import uniform_prior_bound
 
 
@@ -194,6 +195,130 @@ UNIFORM_PRIOR_PINNED = {
 }
 
 
+def rising(k):
+    """Deltas that grow with the position: ascending single-bit words carry descending deltas."""
+    return MechanismSequence.from_pairs((0.1 + 0.07 * (i % 5), 1e-6 * (i + 1)) for i in range(k))
+
+
+def two_groups(k):
+    return MechanismSequence(tuple(PrivacyParams(*((0.3, 1e-6) if i % 3 else (0.7, 0.0)))
+                                   for i in range(k)))
+
+
+def small_path_cases():
+    """Pairs that take each small-input path of the aggregation and the keys."""
+    cases = {}
+    for seed in range(1, 5):  # a point mass's one group, sorted by descending key deltas
+        rng = random.Random(100 + seed)
+        k = (5, 7, 9)[seed % 3]
+        words = sorted(rng.sample([1 << j for j in range(k)], rng.randrange(3, k + 1)))
+        raw = [rng.random() + 0.01 for _ in words]
+        total = math.fsum(raw)
+        mix = Hypothesis([(BitVector(w, k), r / total) for w, r in zip(words, raw)])
+        cases[f"zero-descending-s{seed}"] = (zero(k), mix, rising(k), Simple())
+        cases[f"descending-zero-s{seed}"] = (mix, zero(k), rising(k), Simple())
+    for seed in (0, 8, 24, 45):  # both directions below their eps_G: delta_J twice
+        rng = random.Random(seed)
+        k = rng.randrange(4, 9)
+        p0 = mixture(rng, k, rng.randrange(2, 12))
+        p1 = mixture(rng, k, rng.randrange(2, 12))
+        cases[f"delta-j-both-s{seed}"] = (p0, p1, hetero(k), Simple())
+    for k in (3, 6, 9, 12):  # two groups on the class path: packed keys, then deduplicated
+        cases[f"zero-nonzero-two-groups-k{k}"] = (
+            zero(k), Hypothesis.uniform_nonzero(k), two_groups(k), Simple())
+        cases[f"all-ones-two-groups-k{k}"] = (
+            Hypothesis.uniform_all(k), ones(k), two_groups(k), Simple())
+    return cases
+
+
+def oracle_cases():
+    """``verify_hdp`` on contractions whose steps are small, large and mixed, plans merged
+    as lists and as arrays."""
+    cases = {}
+    for k in (3, 5, 8):
+        rng = random.Random(800 + k)
+        rr = [randomized_response(rng.uniform(0.2, 0.3)) for _ in range(k)]
+        leaky = [leaky_rr(rng.uniform(0.3, 1.5), rng.uniform(1e-3, 2e-2)) for _ in range(k)]
+        few = mixture(rng, k, min(5, 1 << k))
+        many = mixture(rng, k, min(100, (1 << k) - 1))
+        for name, mechs in (("rr", rr), ("leaky", leaky)):
+            for pair_name, p0, p1 in (("zero-nonzero", zero(k), Hypothesis.uniform_nonzero(k)),
+                                      ("all-ones", Hypothesis.uniform_all(k), ones(k)),
+                                      ("zero-few", zero(k), few), ("few-many", few, many)):
+                cases[f"{name}-{pair_name}-k{k}"] = (mechs, p0, p1, PrivacyParams(0.8, 1e-3))
+    return cases
+
+
+SMALL_PATH_PINNED = {
+    "zero-descending-s1": ('0x1.b8774f96ecc9dp-3', '0x1.31b8bd3d1bf51p-18'),
+    "descending-zero-s1": ('0x1.b8774f96ecc9dp-3', '0x1.31b8bd3d1bf51p-18'),
+    "zero-descending-s2": ('0x1.a849f2af6cf13p-3', '0x1.318daf9c7ea9bp-18'),
+    "descending-zero-s2": ('0x1.a849f2af6cf13p-3', '0x1.318daf9c7ea9bp-18'),
+    "zero-descending-s3": ('0x1.fcb03507a46d4p-3', '0x1.98811c2d609e7p-19'),
+    "descending-zero-s3": ('0x1.fcb03507a46d4p-3', '0x1.98811c2d609e7p-19'),
+    "zero-descending-s4": ('0x1.a2958de5c3812p-4', '0x1.38e09950ed014p-18'),
+    "descending-zero-s4": ('0x1.a2958de5c3812p-4', '0x1.38e09950ed014p-18'),
+    "delta-j-both-s0": ('0x1.8000000000000p+0', '0x1.fc658b7208907p-20'),
+    "delta-j-both-s8": ('0x1.c451bd1dee2d4p-1', '0x1.0c794416b96d6p-21'),
+    "delta-j-both-s24": ('0x1.9ad21f29ce218p+0', '0x1.d937fe14176b4p-20'),
+    "delta-j-both-s45": ('0x1.a58012a1bd60ap+0', '0x1.d50b81c9df13ap-19'),
+    "zero-nonzero-two-groups-k3": ('0x1.9ba7c1ba76fdap-1', '0x1.32c88b7ab58a1p-20'),
+    "all-ones-two-groups-k3": ('0x1.7704575c72fecp-1', '0x1.0c6f7a0b5ed8dp-20'),
+    "zero-nonzero-two-groups-k6": ('0x1.7a1f5a25303e6p+0', '0x1.10b24317bdd01p-19'),
+    "all-ones-two-groups-k6": ('0x1.7704575c72fecp+0', '0x1.0c6f7a0b5ed8dp-19'),
+    "zero-nonzero-two-groups-k9": ('0x1.197c3527c55f1p+1', '0x1.9370ef88d2ae9p-19'),
+    "all-ones-two-groups-k9": ('0x1.19434185563f2p+1', '0x1.92a737110e454p-19'),
+    "zero-nonzero-two-groups-k12": ('0x1.770bea3bcf886p+1', '0x1.0c80420f7fd0dp-18'),
+    "all-ones-two-groups-k12": ('0x1.7704575c72fecp+1', '0x1.0c6f7a0b5ed8dp-18'),
+}
+
+UNIFORM_PRIOR_SMALL_PINNED = {
+    "hetero-k1": ('0x1.999999999999ap-5', '0x0.0p+0'),
+    "homog-advanced-k1": ('0x1.999999999999ap-3', '0x1.ad7f29abcaf48p-24'),
+    "hetero-k2": ('0x1.1503f0f71569dp-3', '0x1.1e54c672874dap-24'),
+    "homog-advanced-k2": ('0x1.378d1450cae97p-1', '0x1.ad7f29abcaf48p-21'),
+    "hetero-k3": ('0x1.0fddc61e63b76p-2', '0x1.dc43c98248a1dp-20'),
+    "homog-advanced-k3": ('0x1.b4bd5398079c4p-1', '0x1.141ae3ee702f7p-20'),
+    "hetero-k4": ('0x1.cbcb69b16f9bbp-2', '0x1.bbd03397eb520p-20'),
+    "homog-advanced-k4": ('0x1.0c13962db9c76p+0', '0x1.33ce5554b7d9ep-20'),
+    "hetero-k5": ('0x1.624b5a84c9357p-1', '0x1.bb59f977872dfp-20'),
+    "homog-advanced-k5": ('0x1.370a75087b282p+0', '0x1.490cc726b6541p-20'),
+    "hetero-k6": ('0x1.ff3d38f44aa0fp-1', '0x1.a6ade7fe6635bp-19'),
+    "homog-advanced-k6": ('0x1.5d876cec38eb8p+0', '0x1.59fbc51fb8d32p-20'),
+    "hetero-k7": ('0x1.5f10e96585a24p+0', '0x1.a359e426ba110p-19'),
+    "homog-advanced-k7": ('0x1.80ae0aae6d6ebp+0', '0x1.6903946998f4cp-20'),
+    "hetero-k8": ('0x1.64cd5b8d3f869p+0', '0x1.a8719ea3bf883p-19'),
+    "homog-advanced-k8": ('0x1.a132323e727fcp+0', '0x1.772d931550286p-20'),
+}
+
+ORACLE_PINNED = {
+    "rr-zero-nonzero-k3": ('0x1.19d736f108b52p-2', '0x1.f58a78556e2b4p-3'),
+    "rr-all-ones-k3": ('0x1.8b97b25101ac6p-3', '0x1.6003ebe63ca04p-3'),
+    "rr-zero-few-k3": ('0x1.55d8942e2cfe2p-4', '0x1.11b8e6a6e1a81p-3'),
+    "rr-few-many-k3": ('0x1.3af106c66c444p-5', '0x1.096aa8fcd1082p-4'),
+    "leaky-zero-nonzero-k3": ('0x1.99e0196711738p-6', '0x1.746db28fd000bp-5'),
+    "leaky-all-ones-k3": ('0x1.0ab92b7e9b750p-5', '0x1.074bea8bdee11p-8'),
+    "leaky-zero-few-k3": ('0x1.79e872a09c177p-9', '0x1.81db96704e851p-7'),
+    "leaky-few-many-k3": ('0x1.ad5cba0468b0ep-9', '0x1.0befa8a785b48p-7'),
+    "rr-zero-nonzero-k5": ('0x1.fecc2451ca992p-3', '0x1.1df512b17d4afp-2'),
+    "rr-all-ones-k5": ('0x1.10e81edba9a51p-2', '0x1.c3ad09ff089dcp-3'),
+    "rr-zero-few-k5": ('0x1.790b9b3cd1ce6p-2', '0x1.75478a6e7345ap-2'),
+    "rr-few-many-k5": ('0x1.f6a5dc28b8ec0p-6', '0x1.9b8d0b5d6a15bp-6'),
+    "leaky-zero-nonzero-k5": ('0x1.5728fec2c705bp-3', '0x1.a77bff8ab0298p-3'),
+    "leaky-all-ones-k5": ('0x1.928fbc8e2cc0fp-3', '0x1.26b9941a1bc9dp-3'),
+    "leaky-zero-few-k5": ('0x1.6b4bc1a362972p-2', '0x1.69ad12ac5629fp-2'),
+    "leaky-few-many-k5": ('0x1.08c5402f5b04bp-9', '0x1.728c46fe420e3p-6'),
+    "rr-zero-nonzero-k8": ('0x1.6c531ebb6d0d3p-2', '0x1.841011177b320p-2'),
+    "rr-all-ones-k8": ('0x1.81fded299acedp-2', '0x1.67a84c6ae0130p-2'),
+    "rr-zero-few-k8": ('0x1.bb5935abcd374p-2', '0x1.9aaba3b13c4edp-2'),
+    "rr-few-many-k8": ('0x1.3a0bdb24fb12dp-3', '0x1.5d2b0dc03d3aap-3'),
+    "leaky-zero-nonzero-k8": ('0x1.10b4cf8ba6294p-2', '0x1.379a6dd855484p-2'),
+    "leaky-all-ones-k8": ('0x1.35ec7aee03c94p-2', '0x1.0cfca81418f1ap-2'),
+    "leaky-zero-few-k8": ('0x1.e703696c57c1fp-3', '0x1.42a4036ac8374p-2'),
+    "leaky-few-many-k8": ('0x1.5a97bd8e82cfdp-5', '0x1.4f9e3fe5c207cp-4'),
+}
+
+
 def test_hdp_guarantee_bits():
     got = {name: as_hex(hdp_guarantee(*case)) for name, case in hdp_cases().items()}
     assert got == HDP_PINNED
@@ -220,3 +345,24 @@ def test_advanced_uniform_prior_bound_at_k100000_within_budget():
     got = uniform_prior_bound(MechanismSequence.homogeneous(0.01, 1e-9, 100_000), Advanced(1e-6))
     assert time.perf_counter() - start < 10.0
     assert as_hex(got) == ("0x1.5b8b54d697207p+3", "0x1.abd1aa821f299p-15")
+
+
+def test_small_path_bits():
+    got = {name: as_hex(hdp_guarantee(*case)) for name, case in small_path_cases().items()}
+    assert got == SMALL_PATH_PINNED
+
+
+def test_uniform_prior_bound_bits_to_k8():
+    got = {}
+    for k in range(1, 9):
+        got[f"hetero-k{k}"] = as_hex(uniform_prior_bound(hetero(k), Simple()))
+        got[f"homog-advanced-k{k}"] = as_hex(uniform_prior_bound(homog(k, 0.2, 1e-7), Advanced(1e-6)))
+    assert got == UNIFORM_PRIOR_SMALL_PINNED
+
+
+def test_required_delta_bits():
+    got = {}
+    for name, case in oracle_cases().items():
+        report = verify_hdp(*case)
+        got[name] = (report.delta_needed_fwd.hex(), report.delta_needed_rev.hex())
+    assert got == ORACLE_PINNED
