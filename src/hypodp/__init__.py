@@ -38,10 +38,8 @@ from .core import (
 from .errors import AccountingError
 from .hypothesis_dp import (
     MatchedRefinement,
-    differing_indices,
     hdp_guarantee,
     hdp_guarantee_over_set,
-    pair_guarantee,
     refine_tuples,
     uniform_nonzero_closed_form,
 )
@@ -87,13 +85,11 @@ __all__ = [
     "best_classic_bound",
     "compose",
     "constrained_bound",
-    "differing_indices",
     "exclusive_groups_bound",
     "hdp_guarantee",
     "hdp_guarantee_over_set",
     "leaky_rr",
     "mixture_view_distribution",
-    "pair_guarantee",
     "parallel_bound",
     "randomized_response",
     "randomized_response_guarantee",

@@ -12,10 +12,9 @@ Conventions:
   stored as machine words, which caps ``k`` at 63; position 0 is the
   first iteration (the leftmost character of the string form) and the
   most significant of the word's k bits. ``word_of`` builds a word from
-  positions and ``bit_rows`` unpacks words into rows of bits; ``oracle``,
-  ``hypothesis_dp.differing_indices`` and ``composition._guarantee_masks``
-  shift bits themselves, and ``_exact_word_sums`` reads them a byte at a
-  time, in the same layout.
+  positions and ``bit_rows`` unpacks words into rows of bits; ``oracle``
+  and ``composition._guarantee_masks`` shift bits themselves, and
+  ``_exact_word_sums`` reads them a byte at a time, in the same layout.
 * A :class:`Hypothesis` is a finite probability distribution over bit
   vectors, a composite belief about database membership, held as two
   read-only arrays: ascending ``uint64`` ``words`` and ``float64`` ``weights``.
@@ -30,7 +29,7 @@ Conventions:
 
 import math
 from collections.abc import Mapping
-from itertools import accumulate, compress
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -146,8 +145,6 @@ def bit_rows(words: Sequence[int] | np.ndarray, k: int) -> np.ndarray:
 # From this many values on exact_sum beats math.fsum over a list: fsum is faster at
 # 1024 values, exact_sum at 2048 (2-core Xeon, Python 3.11.7, numpy 2.4.6).
 EXACT_SUM_MIN = 1536
-# Fewer rows sum faster by math.fsum per row (the two cross at 48-64 rows for k 5-30).
-_FSUM_ROWS = 64
 # Chunk length: bounds the temporaries of exact_sum and _exact_word_sums, the Python
 # integers of a multi-limb chunk included, and keeps exact_sum's per-exponent float sums
 # of 27-bit integers below 2^53, so exact.
@@ -210,8 +207,7 @@ def _exact_word_sums(words: np.ndarray, values: list[float]) -> np.ndarray:
     """The correctly rounded sum of the non-negative values each ``uint64`` word selects.
 
     Bit ``k - 1 - p`` of a word selects ``values[p]``, k = ``len(values)`` <= 64:
-    the layout of ``bit_rows``. Fewer than ``_FSUM_ROWS`` words take
-    ``math.fsum`` per word. Otherwise the ``_fixed_point`` integers, unless they
+    the layout of ``bit_rows``. The ``_fixed_point`` integers, unless they
     all sum below 2^63, split into limbs of ``62 - bits(k)`` bits. One int64
     product with ``_BYTE_BITS`` gives each byte of the words a 256-entry table
     per limb, entry v summing the limbs of the bits set in v, so one gather per
@@ -221,8 +217,6 @@ def _exact_word_sums(words: np.ndarray, values: list[float]) -> np.ndarray:
     which ``_divide`` rounds once.
     """
     k = len(values)
-    if len(words) < _FSUM_ROWS:
-        return np.array([math.fsum(compress(values, row)) for row in bit_rows(words, k).tolist()])
     ints, scale = _fixed_point(values)
     # One limb when every sum fits an int64; else each limb's sums stay below 2^62.
     width = 63 if sum(ints) < 1 << 63 else 62 - k.bit_length()

@@ -251,15 +251,7 @@ def _pieces(pairs, n, i0, i1, signed, words0, words1):
     return n + len(rows), i0 + f - m1, i1 + m1, float(xs[f])
 
 
-def differing_indices(b0: BitVector, b1: BitVector) -> tuple[int, ...]:
-    """0-based positions where the two vectors disagree, ascending."""
-    if b0.k != b1.k:
-        raise MixedLengthError(f"vectors have k={b0.k} and k={b1.k}")
-    diff = b0.word ^ b1.word
-    k = b0.k
-    return tuple(i for i in range(k) if (diff >> (k - 1 - i)) & 1)
-
-
+# Not exported from the package: only the benchmark harness under perfbench/ still wraps it.
 def pair_guarantee(
     b0: BitVector,
     b1: BitVector,
@@ -461,6 +453,8 @@ def hdp_guarantee(
     k = p0.k
     if len(seq) != k:
         raise MixedLengthError(f"sequence has {len(seq)} mechanisms, hypotheses have k={k}")
+    if p1.k != k:
+        raise MixedLengthError(f"hypotheses have k={k} and k={p1.k}")
     masks = _guarantee_masks(seq, k)
     pairs, xor_words = _class_refinement(p0, p1, masks) or (None, None)
     if pairs is None:
@@ -584,10 +578,8 @@ def uniform_nonzero_closed_form(eps: float, delta: float, k: int) -> PrivacyPara
 
 
 def _softplus(x: float) -> float:
-    """ln(1 + e^x), overflow-safe."""
-    if x > 0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
+    """ln(1 + e^x) for x >= 0, overflow-safe."""
+    return x + math.log1p(math.exp(-x))
 
 
 def _log_expm1(a: float) -> float:

@@ -82,9 +82,6 @@ class DiscreteMechanism:
             if not abs(total - 1.0) <= 1e-12:
                 raise ValueError(f"{name} distribution sums to {total!r}, not 1")
 
-    def dist_for(self, bit: int) -> Mapping[Symbol, float]:
-        return self.present if bit else self.absent
-
     @cached_property
     def alphabet(self) -> tuple[Symbol, ...]:
         return tuple(sorted(self.absent))
@@ -102,10 +99,6 @@ class DiscreteMechanism:
         for table in tables:
             table.flags.writeable = False
         return tables
-
-    def probs_for(self, bit: int) -> np.ndarray:
-        """The output probabilities for ``bit`` in ``alphabet`` order; a read-only array."""
-        return self._tables[bool(bit)]
 
     @cached_property
     def _thresholds(self) -> tuple[tuple[np.uint64, ...], tuple[np.uint64, ...]]:

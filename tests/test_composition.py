@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypodp.composition import (
+    _FSUM_ROWS,
     Advanced,
     Simple,
     _compose_words,
@@ -20,7 +21,7 @@ from hypodp.composition import (
     compose_suffixes,
     simple_compose,
 )
-from hypodp.core import _FSUM_ROWS, MechanismSequence, PrivacyParams, _exact_word_sums, word_of
+from hypodp.core import MechanismSequence, PrivacyParams, _exact_word_sums, word_of
 from hypodp.errors import HeterogeneousInputError, IncompatibleTheoremError, InvalidSlackError
 from hypodp.subsampling import uniform_prior_bound
 
@@ -353,12 +354,12 @@ class TestExactRowSums:
     """Exact integer sums of the values each word selects round as ``math.fsum`` does.
 
     Each row is packed into a ``uint64`` word for ``_exact_word_sums``. Calls
-    of 64 words or more sum in int64, one gather per byte of the words from
-    256-entry limb tables: in one limb when the integers sum below 2^63, else
-    in limbs of 62 - bits(k) bits. One limb converts to float64 and scales by
+    of any size sum in int64, one gather per byte of the words from 256-entry
+    limb tables: in one limb when the integers sum below 2^63, else in limbs
+    of 62 - bits(k) bits. One limb converts to float64 and scales by
     ``np.ldexp``; several make each word's exact total a Python integer,
-    divided once. Smaller calls take ``math.fsum``. Both are checked, bit for
-    bit, on calls of every size.
+    divided once. Each is checked against ``math.fsum``, bit for bit, on a
+    call's full rows and on its first 1 and 16.
     """
 
     def assert_fsum(self, rows, values):

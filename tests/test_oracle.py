@@ -45,7 +45,7 @@ def reference_mixture(mechs, h):
     """
     views = list(itertools.product(*(m.alphabet for m in mechs)))
     columns = list(zip(*views))  # column i: mechanism i's symbol in each view
-    factors = [[np.array([mech.dist_for(bit)[y] for y in column]) for bit in (0, 1)]
+    factors = [[np.array([dist[y] for y in column]) for dist in (mech.absent, mech.present)]
                for mech, column in zip(mechs, columns)]
     acc = np.zeros(len(views))
     for vec, w in h.atoms:
@@ -69,7 +69,7 @@ def contraction_reference(mechs, h):
         half = 1 << (h.k - 1 - i)
         merged = {}
         for suffix, row in sorted(rows.items()):
-            dist = mech.dist_for(suffix >= half)
+            dist = mech.present if suffix >= half else mech.absent
             widened = [x * dist[y] for x in row for y in mech.alphabet]
             rest = suffix % half
             merged[rest] = [a + b for a, b in zip(merged[rest], widened)] \
@@ -83,7 +83,7 @@ def exact_mixture(mechs, h):
     rows = [[Fraction(w)] for w in h.weights.tolist()]
     for i, mech in enumerate(mechs):
         for row, word in zip(rows, h.words.tolist()):
-            dist = mech.dist_for(word >> (h.k - 1 - i) & 1)
+            dist = mech.present if word >> (h.k - 1 - i) & 1 else mech.absent
             row[:] = [x * Fraction(dist[y]) for x in row for y in mech.alphabet]
     return [sum(view) for view in zip(*rows)]
 
@@ -140,11 +140,11 @@ class TestRandomizedResponse:
     def test_tables_built_once_and_read_only(self):
         m = leaky_rr(0.7, 0.05)
         assert m.alphabet is m.alphabet == ("a", "b", "r0", "r1")
-        for bit in (0, 1):
-            assert m.probs_for(bit) is m.probs_for(bit)
-            assert m.probs_for(bit).tolist() == [m.dist_for(bit)[y] for y in m.alphabet]
+        for bit, dist in enumerate((m.absent, m.present)):
+            assert m._tables[bit] is m._tables[bit]
+            assert m._tables[bit].tolist() == [dist[y] for y in m.alphabet]
             with pytest.raises(ValueError, match="read-only"):
-                m.probs_for(bit)[0] = 0.5
+                m._tables[bit][0] = 0.5
 
     def test_unnormalized_distribution_rejected(self):
         with pytest.raises(ValueError, match="present distribution sums to 0.9"):
@@ -857,7 +857,7 @@ class TestSimulate:
             total = math.prod(len(m.alphabet) for m in mechs)
             combined, stride = np.zeros(trials, dtype=np.int64), total
             for i, (mech, bit) in enumerate(zip(mechs, map(int, str(b)))):
-                probs = mech.probs_for(bit) / mech.probs_for(bit).sum()
+                probs = mech._tables[bit] / mech._tables[bit].sum()
                 rng = np.random.Generator(np.random.Philox(key=np.array([seed, i],
                                                                         dtype=np.uint64)))
                 stride //= len(probs)
@@ -885,7 +885,7 @@ class TestSimulate:
             return (raw >> 11) * 2.0**-53
 
         for bit in (0, 1):
-            probs = mech.probs_for(bit) / mech.probs_for(bit).sum()
+            probs = mech._tables[bit] / mech._tables[bit].sum()
             cdf = probs.cumsum()
             cdf /= cdf[-1]
             inner = [c for c in cdf.tolist() if c < 1.0]

@@ -200,6 +200,7 @@ class TestUniformPriorClosedForm:
     @pytest.mark.parametrize("k", [2, 3, 14])
     def test_eps_zero_rounding_dust_is_zero(self, k):
         # ln(2^k - 1) - ln(2^k - 1) through two roundings: unclamped, a few ulps below 0.
+        assert hypothesis_dp._softplus(0.0) == math.log1p(1.0)  # ln 2, bit for bit
         unclamped = hypothesis_dp._log_expm1(k * hypothesis_dp._softplus(0.0)) - math.log(2**k - 1)
         assert unclamped < 0.0
         g = uniform_nonzero_closed_form(0.0, 1e-6, k)
@@ -237,8 +238,8 @@ class TestPipelineEquality:
                     want = uniform_nonzero_closed_form(eps, delta, k)
                     assert got.epsilon == pytest.approx(want.epsilon, abs=1e-9)
                     assert got.delta == pytest.approx(want.delta, abs=1e-12)
-        # eps = 0 takes _softplus's x <= 0 branch; at k = 3 the deltas
-        # differ by one ulp (1.714285714285714e-06 against ...43e-06).
+        # eps = 0, where _softplus gives ln 2 and epsilon is clamped to 0; at k = 3
+        # the deltas differ by one ulp (1.714285714285714e-06 against ...43e-06).
         for k in (1, 3, 51, 64, 1024):
             got = uniform_prior_bound(MechanismSequence.homogeneous(0.0, 1e-6, k), Simple())
             want = uniform_nonzero_closed_form(0.0, 1e-6, k)
