@@ -27,7 +27,8 @@ shown (no constraint for ``constraint``); ``max_ones``, ``trials`` and
 mechanism with its (epsilon, delta); ``simulate`` samples RR at ``rr_q``.
 The file is one document of collections nested at most 64 deep, scalar keys, and
 plain or quoted scalars; an anchor, alias, explicit tag, merge (``<<``) or value (``=``)
-key, collection as a key or second document exits 1, naming the feature and its line.
+key, collection as a key, duplicate key or second document exits 1, naming the feature
+and its line.
 
 Exit codes: 0 success, 1 bad scenario file (a scalar PyYAML's safe
 constructor cannot build, such as ``0b_`` or ``2001-02-30``, included),
@@ -57,7 +58,7 @@ from . import hypothesis_dp as hdp
 from . import oracle as orc
 from . import subsampling as sub
 from .composition import Advanced, CompositionTheorem, Simple, compose
-from .core import BitVector, Hypothesis, MechanismSequence, PrivacyParams
+from .core import BitVector, Hypothesis, MechanismSequence, PrivacyParams, _distinct
 from .errors import (
     ScenarioError,
     ScenarioParseError,
@@ -286,7 +287,8 @@ def _build(loader):
     text, since keys such as ``epsilon`` repeat k times; SafeConstructor builds equal
     values from one text, and one NaN. What no scenario needs is refused at its mark
     (``_refused``): anchors, aliases, explicit tags, a plain scalar whose tag has no
-    constructor (merge ``<<`` and value ``=``), a collection as a key, a second document.
+    constructor (merge ``<<`` and value ``=``), a collection as a key, a key equal to
+    an earlier one of its mapping, a second document.
     """
     get_event, resolve = loader.get_event, loader.resolve
     constructors = loader.yaml_constructors
@@ -328,6 +330,8 @@ def _build(loader):
         if key is _ITEM:
             top.append(value)
         elif key is _KEY:
+            if value in top:  # YAML keys are unique: no later one silently wins
+                raise _refused(event, f"a duplicate key {event.value!r}")
             key = value
             continue
         else:
@@ -661,10 +665,10 @@ def _cmd_simulate(s: Scenario) -> tuple[dict, list[str], int]:
     # One mechanism per position, all one object: its validation and its cached
     # tables and thresholds run once per query.
     mechs = [orc.randomized_response(s.rr_q)] * s.k
-    # Each side's words ascend, so one stable (radix) sort merges them; np.union1d
+    # Each side's words ascend, so a stable sort merges the two runs; np.union1d
     # hashes instead, about 0.9 s for the 2^20 + 1 words of zero vs uniform_nonzero(20).
-    words = np.sort(np.concatenate((s.p0.words, s.p1.words)), kind="stable")
-    words = words[np.append(True, words[1:] != words[:-1])]
+    words = np.concatenate((s.p0.words, s.p1.words))
+    words = words[_distinct(words, "stable")[0]]
     if len(words) * s.k * s.trials > orc.MAX_DRAWS:
         raise ViewSpaceTooLargeError(f"{len(words)} vectors x {s.k} positions x {s.trials} "
                                      f"trials exceeds {orc.MAX_DRAWS} draws")

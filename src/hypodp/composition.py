@@ -29,7 +29,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import PrivacyParams, _exact_suffix_sums, _exact_word_sums, bit_rows, bounded_params
+from .core import (PrivacyParams, _distinct, _exact_suffix_sums, _exact_word_sums, bit_rows,
+                   bounded_params)
 from .errors import HeterogeneousInputError, IncompatibleTheoremError, InvalidSlackError
 
 # Fewer rows sum faster by math.fsum per row (the two cross at 48-64 rows for k 5-30).
@@ -226,24 +227,6 @@ def _piece_keys(
         first, key_of_diff = _distinct(_pack_counts(diffs, masks), "stable")
         piece_diff, diffs = key_of_diff[piece_diff], diffs[first]
     return piece_diff, _compose_words(list(seq), diffs, theorem)
-
-
-def _distinct(values: np.ndarray, kind: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_index=True, return_inverse=True)[1:]`` for a 1-d array.
-
-    Returns the index of each distinct value, ascending by value, and each
-    value's rank among them; with ``kind="stable"`` the index is each value's
-    first, as ``np.unique`` gives it. The same argsort, mask and cumulative
-    sum, without its wrapper's fixed cost.
-    """
-    order = values.argsort(kind=kind)
-    ordered = values[order]
-    new = np.empty(len(values), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    rank = np.empty(len(values), dtype=np.intp)
-    rank[order] = new.cumsum() - 1
-    return order[new], rank
 
 
 def best_classic_bound(guarantees: Iterable[PrivacyParams], delta_slack: float) -> PrivacyParams:

@@ -231,4 +231,4 @@ def parallel_bound(
     if any(g.delta != 0.0 for g in guarantees):
         raise NonzeroDeltaError("parallel composition applies to delta=0 mechanisms only")
     count = min(m if mode is NeighborhoodMode.UNBOUNDED else 2 * m, len(guarantees))
-    return bounded_params(count * max(g.epsilon for g in guarantees), 0.0)
+    return bounded_params(count * max((g.epsilon for g in guarantees), default=0.0), 0.0)

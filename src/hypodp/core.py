@@ -269,6 +269,25 @@ def _exact_suffix_sums(values: Sequence[float]) -> list[float]:
     return _divide(accumulate(reversed(ints), initial=0), scale)[::-1]
 
 
+def _distinct(values: np.ndarray, kind: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_index=True, return_inverse=True)[1:]`` for a 1-d array.
+
+    Returns the index of each distinct value, ascending by value, and each
+    value's rank among them, equal for equal values; with ``kind="stable"`` the
+    index is each value's first, as ``np.unique`` gives it, and two ascending
+    runs merge in linear time. The same argsort, mask and cumulative sum,
+    without its wrapper's fixed cost.
+    """
+    order = values.argsort(kind=kind)
+    ordered = values[order]
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[order] = new.cumsum() - 1
+    return order[new], rank
+
+
 def _enumeration_size(k: int) -> int:
     """The size 2^k of {0,1}^k; refuses any k whose vectors cannot be enumerated."""
     if not 1 <= k <= MAX_K or (1 << k) > MAX_ENUMERATION:

@@ -72,7 +72,7 @@ composition; as ``P_X = sum_c P_X(c) U_c``, the G/J proofs hold for classes.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -89,6 +89,7 @@ from .core import (
     BitVector,
     Hypothesis,
     PrivacyParams,
+    _distinct,
     _fixed_point,
     bounded_params,
     exact_sum,
@@ -287,16 +288,10 @@ def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> Privacy
     """
     weight, buffer = pairs["weight"], np.empty(len(pairs))
     eps = table[:, 0].take(key)
-    built = []
-
-    def ranks():  # _delta_ranks of the key deltas, built once, if a side sorts
-        if not built:
-            built.append(_delta_ranks(table[:, 1]))
-        return built[0]
-
+    ranks = cache(lambda: _distinct(table[:, 1])[1])  # the key deltas' ranks, if a side sorts
     side0, side1 = (_Groups(pairs[column], weight, eps, key, table, ranks, buffer)
                     for column in ("word0", "word1"))
-    del eps, ranks, built
+    del eps, ranks
     # P0 <= e^eps P1 + delta is bounded by (g1, j0); the reverse by (g0, j1).
     epsilon = max(0.0, min(side1.eps_g, side0.eps_j), min(side0.eps_g, side1.eps_j))
     delta_g = None  # taken only where a direction's epsilon reaches its eps_G
@@ -309,15 +304,6 @@ def _aggregate(pairs: np.ndarray, key: np.ndarray, table: np.ndarray) -> Privacy
     ))
 
 
-def _delta_ranks(delta: np.ndarray) -> np.ndarray:
-    """Each delta's position among the sorted deltas, the first of its equals."""
-    order = delta.argsort()
-    ranked = delta[order]
-    ranks = np.empty(len(delta), dtype=np.intp)
-    ranks[order] = ranked.searchsorted(ranked)
-    return ranks
-
-
 class _Groups:
     """Matched pieces grouped by their vector on one side: runs of equal words.
 
@@ -328,8 +314,8 @@ class _Groups:
     ``order`` sorts them so, ties in row order, and ``delta_j`` walks each
     run by ascending delta. The sort is one stable integer argsort of
     ``run * keys + rank``, ``rank`` being the position of the piece's key
-    delta among the ``keys`` sorted key deltas (``ranks()``), equal for equal
-    deltas. The result is the permutation ``np.lexsort((delta, words))``
+    delta among the distinct key deltas, ascending (``ranks()``), so equal for
+    equal deltas. The result is the permutation ``np.lexsort((delta, words))``
     gives, without its float sort of every piece ahead of the word sort. A
     side of one group, a point mass's, has no ``run``: its extremes broadcast.
     A side keeps its group ``starts``, ``sizes``, ``mass`` and ``order``

@@ -32,7 +32,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BitVector, Hypothesis, PrivacyParams, exact_sum
+from .core import BitVector, Hypothesis, PrivacyParams, _distinct, exact_sum
 from .errors import (
     InvalidRateError,
     MismatchedSupportError,
@@ -300,24 +300,19 @@ def _merge(suffixes: np.ndarray, k: int) -> list:
     steps = []
     for i in range(k):
         half = 1 << (k - 1 - i)
-        if len(suffixes) <= _LIST_MERGE:
-            if not isinstance(suffixes, list):
-                suffixes = suffixes.tolist()
-            split = bisect_left(suffixes, half)
-            low, high = suffixes[:split], [s - half for s in suffixes[split:]]
+        if len(suffixes) <= _LIST_MERGE and not isinstance(suffixes, list):
+            suffixes = suffixes.tolist()
+        split = bisect_left(suffixes, half)
+        low, high = suffixes[:split], suffixes[split:]
+        if isinstance(suffixes, list):
+            high = [s - half for s in high]
             suffixes = sorted({*low, *high})
             row = {s: j for j, s in enumerate(suffixes)}
             positions = [row[s] for s in low], [row[s] for s in high]
         else:
-            split = int(suffixes.searchsorted(half))
-            low, high = suffixes[:split], suffixes[split:] - half
-            merged = np.concatenate((low, high))
-            merged.sort(kind="stable")  # a radix sort for integers, unlike np.union1d's hash
-            fresh = np.empty(len(merged), dtype=bool)
-            fresh[0] = True
-            np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
-            suffixes = merged[fresh]
-            positions = suffixes.searchsorted(low), suffixes.searchsorted(high)
+            merged = np.concatenate((low, high - half))
+            first, rank = _distinct(merged, "stable")  # two ascending runs
+            suffixes, positions = merged[first], (rank[:split], rank[split:])
         steps.append((split, len(suffixes), *map(_as_slice, positions)))
     return steps
 

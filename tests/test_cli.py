@@ -463,6 +463,8 @@ REFUSALS = {
     "merge-key": ("<<: {mode: bounded}\n", "a merge key '<<'", 1),
     "value-key": ("=: 1\n", "a value key '='", 1),
     "collection-key": ("? [a]\n: 1\n", "a collection as a key", 3),
+    "duplicate-key": ("mechanisms: []\n", "a duplicate key 'mechanisms'", 1),
+    "duplicate-inner-key": ("oracle: {seed: 1, seed: 2}\n", "a duplicate key 'seed'", 19),
     "second-document": ("---\nmode: bounded\n", "a second document", 1),
 }
 
@@ -890,7 +892,8 @@ def outcome(read, text):
         return exc
 
 
-REFUSED = re.compile("a scenario may not use ({}) ".format(
+# A generated document may repeat any key, so a duplicate key's refusal may name any.
+REFUSED = re.compile("a scenario may not use ({}|a duplicate key .+) ".format(
     "|".join(re.escape(feature) for _, feature, _ in REFUSALS.values()))
     + r'\(in "<file>", line \d+, column \d+\)')
 

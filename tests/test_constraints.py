@@ -409,6 +409,12 @@ class TestParallelBound:
             assert parallel_bound(seq, 5, mode) == PrivacyParams(0.30000000000000004, 0.0)
             assert parallel_bound(seq, 5, mode) == constrained_bound(seq, MaxOnes(5), mode, Simple())
 
+    def test_empty_sequence_is_zero(self):
+        # As compose and constrained_bound give it; once a bare ValueError from max().
+        for mode in (UNBOUNDED, BOUNDED):
+            assert parallel_bound([], 2, mode) == PrivacyParams(0.0, 0.0)
+            assert parallel_bound([], 2, mode) == constrained_bound([], MaxOnes(2), mode, Simple())
+
     def test_nonzero_delta_rejected(self):
         seq = MechanismSequence.homogeneous(0.01, 1e-9, 10)
         with pytest.raises(NonzeroDeltaError):

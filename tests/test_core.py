@@ -493,3 +493,31 @@ class TestExactSum:
         x = np.random.default_rng(1618).uniform(-1.0, 1.0, (3 * EXACT_SUM_MIN, 2))
         self.assert_matches(x[:, 1])
         assert exact_sum(x[:, 1]) == math.fsum(x[:, 1].tolist())
+
+
+class TestDistinct:
+    """``core._distinct`` gives ``np.unique(values, return_index=True, return_inverse=True)[1:]``:
+    the exact index under ``kind="stable"``, an index of each distinct value under the default."""
+
+    rng = np.random.default_rng(4848)
+    CASES = {
+        "uint64": np.array([5, 2**64 - 1, 5, 0, 2**63, 0, 5, 2**64 - 1], dtype=np.uint64),
+        "int64": np.array([3, -7, 3, 2**62, -7, -2**63, -7, 0], dtype=np.int64),
+        "float64": np.array([0.5, 1e-300, 0.5, -0.0, 0.0, 1e-6, 1e-300, 5e-324]),
+        "empty": np.array([], dtype=np.uint64),
+        "one": np.array([7], dtype=np.uint64),
+        "many-ties": rng.integers(0, 40, 5000).astype(np.uint64),
+        "two-runs": np.concatenate((np.arange(0, 3000, 3), np.arange(0, 2000, 2))),
+        "float-ties": rng.choice([0.0, 1e-9, 1e-7, 2.5e-7, 1e-5], 3000),
+        "strided": rng.choice([1e-9, 1e-7, 0.0], (500, 2))[:, 1],
+    }
+
+    @pytest.mark.parametrize("values", CASES.values(), ids=CASES)
+    def test_equals_np_unique(self, values):
+        distinct, index, inverse = np.unique(values, return_index=True, return_inverse=True)
+        first, rank = core._distinct(values, "stable")
+        assert first.tolist() == index.tolist()
+        assert rank.dtype == np.intp and rank.tolist() == inverse.tolist()
+        some, rank = core._distinct(values)
+        assert values[some].tolist() == distinct.tolist()
+        assert rank.tolist() == inverse.tolist()

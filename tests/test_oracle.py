@@ -457,7 +457,7 @@ class TestReference:
                     got = mixture_view_distribution(mechs, h).probs.tolist()
                     assert got == self.reference(mechs, h)
         for mechs in families(8):
-            for n in (20, 37, 60):
+            for n in (20, 37, 60, 100, 200):  # from 100 on, steps merge as numpy arrays
                 words = rng.choice(256, size=n, replace=False)
                 h = Hypothesis([(BitVector(int(w), 8), float(p))
                                 for w, p in zip(words, rng.dirichlet(np.ones(n)))])
