@@ -665,18 +665,24 @@ def _cmd_simulate(s: Scenario) -> tuple[dict, list[str], int]:
     # One mechanism per position, all one object: its validation and its cached
     # tables and thresholds run once per query.
     mechs = [orc.randomized_response(s.rr_q)] * s.k
+    views = math.prod(len(m.alphabet) for m in mechs)
+
+    def check_budgets(vectors: int, at_least: str) -> None:
+        if vectors * s.k * s.trials > orc.MAX_DRAWS:
+            raise ViewSpaceTooLargeError(f"{at_least}{vectors} vectors x {s.k} positions x "
+                                         f"{s.trials} trials exceeds {orc.MAX_DRAWS} draws")
+        # Every vector's exact views, held to the work of verify's k contraction steps.
+        if vectors * views > s.k * orc.MAX_VIEW_SPACE:
+            raise ViewSpaceTooLargeError(f"{at_least}{vectors} vectors x {views} views exceeds "
+                                         f"{s.k} x {orc.MAX_VIEW_SPACE} entries")
+
+    # The larger side's atom count bounds the union from below and reads no preset's words.
+    check_budgets(max(len(s.p0), len(s.p1)), "at least ")
     # Each side's words ascend, so a stable sort merges the two runs; np.union1d
     # hashes instead, about 0.9 s for the 2^20 + 1 words of zero vs uniform_nonzero(20).
     words = np.concatenate((s.p0.words, s.p1.words))
     words = words[_distinct(words, "stable")[0]]
-    if len(words) * s.k * s.trials > orc.MAX_DRAWS:
-        raise ViewSpaceTooLargeError(f"{len(words)} vectors x {s.k} positions x {s.trials} "
-                                     f"trials exceeds {orc.MAX_DRAWS} draws")
-    # Every vector's exact views, held to the work of verify's k contraction steps.
-    views = math.prod(len(m.alphabet) for m in mechs)
-    if len(words) * views > s.k * orc.MAX_VIEW_SPACE:
-        raise ViewSpaceTooLargeError(f"{len(words)} vectors x {views} views exceeds "
-                                     f"{s.k} x {orc.MAX_VIEW_SPACE} entries")
+    check_budgets(len(words), "")
     rows = []
     human = [f"Monte-Carlo check, {s.trials} trials per vector, seed {s.seed}:"]
     for idx, word in enumerate(words.tolist()):

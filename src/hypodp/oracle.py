@@ -114,7 +114,7 @@ class DiscreteMechanism:
             cdf = (probs / probs.sum()).cumsum()
             cdf /= cdf[-1]
             thresholds.append(tuple(np.uint64(math.ceil(c * 2.0**53) << 11)
-                                    for c in cdf.tolist() if c < 1.0))
+                                    for c in cdf if c < 1.0))
         return tuple(thresholds)
 
 
@@ -285,43 +285,26 @@ def _one_row(word: int, k: int) -> list[tuple[int, int, slice, slice]]:
     return [(1 - (word >> (k - 1 - i) & 1), 1, slice(0, 1), slice(0, 1)) for i in range(k)]
 
 
-# Suffixes up to which a merge step runs on Python ints: the whole plan of 5-30 random
-# atoms at k = 7-9 took 0.3-0.6x numpy's time, 60 atoms 0.7x, 100 atoms 0.9x and 200
-# atoms 1.4x (2-core Xeon, numpy 2.4.6). Suffixes only merge, so a plan switches once.
-_LIST_MERGE = 64
-
-
 def _merge(suffixes: np.ndarray, k: int) -> list:
-    """The plan of the atoms' ascending int64 words, merging each step's two halves.
-
-    A step of at most ``_LIST_MERGE`` suffixes merges them as a sorted list of
-    Python ints, larger steps as numpy arrays: the same integers either way.
-    """
+    """The plan of the atoms' ascending int64 words: step i splits the suffixes at bit i,
+    drops that bit from the high half and merges the two runs by one stable ``_distinct``,
+    whose ranks are each half's rows in the step's output."""
     steps = []
     for i in range(k):
         half = 1 << (k - 1 - i)
-        if len(suffixes) <= _LIST_MERGE and not isinstance(suffixes, list):
-            suffixes = suffixes.tolist()
         split = bisect_left(suffixes, half)
-        low, high = suffixes[:split], suffixes[split:]
-        if isinstance(suffixes, list):
-            high = [s - half for s in high]
-            suffixes = sorted({*low, *high})
-            row = {s: j for j, s in enumerate(suffixes)}
-            positions = [row[s] for s in low], [row[s] for s in high]
-        else:
-            merged = np.concatenate((low, high - half))
-            first, rank = _distinct(merged, "stable")  # two ascending runs
-            suffixes, positions = merged[first], (rank[:split], rank[split:])
-        steps.append((split, len(suffixes), *map(_as_slice, positions)))
+        merged = np.concatenate((suffixes[:split], suffixes[split:] - half))
+        first, rank = _distinct(merged, "stable")  # two ascending runs
+        suffixes = merged[first]
+        steps.append((split, len(suffixes), _as_slice(rank[:split]), _as_slice(rank[split:])))
     return steps
 
 
-def _as_slice(positions: list[int] | np.ndarray) -> slice | np.ndarray:
-    """Ascending distinct positions, as a slice where they are consecutive, else an intp array."""
+def _as_slice(positions: np.ndarray) -> slice | np.ndarray:
+    """Ascending distinct intp positions, as a slice where they are consecutive, else as given."""
     if len(positions) and positions[-1] - positions[0] == len(positions) - 1:
         return slice(int(positions[0]), int(positions[-1]) + 1)
-    return np.asarray(positions, dtype=np.intp)
+    return positions
 
 
 # Entries of a contraction step up to which one broadcast product per side beats one

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -550,14 +551,15 @@ def test_simulate_refuses_too_many_trials_at_once(tmp_path, capsys):
 
 
 def test_simulate_refuses_too_many_draws_at_once(tmp_path, capsys):
-    # 2^20 vectors x 20 positions x 100,000 trials: about 2e12 draws, days of work.
+    # 2^20 vectors x 20 positions x 100,000 trials: about 2e12 draws, days of work,
+    # refused on uniform_nonzero's 2^20 - 1 atoms before either side's words are read.
     path = write(tmp_path, "s.yaml", homogeneous(20, "oracle: {trials: 100000}\n"))
     start = time.perf_counter()
     assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_COMPUTATION
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: 1048576 vectors x 20 positions x 100000 trials "
+    assert captured.err == (f"error: at least 1048575 vectors x 20 positions x 100000 trials "
                             f"exceeds {oracle.MAX_DRAWS} draws\n")
 
 
@@ -568,8 +570,40 @@ def test_simulate_refuses_too_many_views_at_once(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_COMPUTATION
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr() == ("", f"error: 65536 vectors x 65536 views exceeds "
+    assert capsys.readouterr() == ("", f"error: at least 65535 vectors x 65536 views exceeds "
                                        f"16 x {oracle.MAX_VIEW_SPACE} entries\n")
+
+
+@pytest.mark.parametrize("hypotheses, trials, vectors", [
+    ("{p0: uniform_all, p1: uniform_nonzero}", 100_000, 1 << 23),
+    ("{p0: zero, p1: uniform_nonzero}", 1000, (1 << 23) - 1),
+])
+def test_simulate_refuses_k23_presets_unread(tmp_path, capsys, hypotheses, trials, vectors):
+    # Either side's 2^23 words alone would take 64 MB, and their union twice that.
+    path = write(tmp_path, "s.yaml", homogeneous(
+        23, f"hypotheses: {hypotheses}\noracle: {{trials: {trials}}}\n"))
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_COMPUTATION
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert capsys.readouterr() == ("", f"error: at least {vectors} vectors x 23 positions x "
+                                       f"{trials} trials exceeds {oracle.MAX_DRAWS} draws\n")
+
+
+def test_simulate_refuses_the_union_past_the_draw_budget(tmp_path, capsys):
+    # Each side's 16 vectors x 16 positions x 2^24 trials is 2^32 draws, within the budget;
+    # the 32 vectors of their union are twice that.
+    atoms = [", ".join(f'"{w:016b}": 0.0625' for w in range(first, first + 16))
+             for first in (0, 16)]
+    path = write(tmp_path, "s.yaml", homogeneous(
+        16, f"hypotheses: {{p0: {{{atoms[0]}}}, p1: {{{atoms[1]}}}}}\n"
+            f"oracle: {{trials: {1 << 24}}}\n"))
+    assert main(["simulate", "--scenario", path, "--quiet"]) == EXIT_COMPUTATION
+    assert capsys.readouterr() == ("", f"error: 32 vectors x 16 positions x 16777216 trials "
+                                       f"exceeds {oracle.MAX_DRAWS} draws\n")
 
 
 def test_simulate_within_the_view_budget(tmp_path, capsys):

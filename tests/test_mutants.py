@@ -222,6 +222,14 @@ def small_steps_symbols_swapped(real):
     return contract
 
 
+def high_positions_reversed(real):
+    """``_merge`` giving each step's high half its rows reversed where they are no slice."""
+    def merge(suffixes, k):
+        return [(split, rows, low, high if isinstance(high, slice) else high[::-1])
+                for split, rows, low, high in real(suffixes, k)]
+    return merge
+
+
 def one_pair_fewer(real):
     """``_max_over_pairs`` without its first pair: ``exclusive_groups_bound`` leaves out
     the first group's pattern against the second's."""
@@ -351,6 +359,8 @@ ROWS = [
      test_composition.test_each_key_composes_its_smallest_word),
     ("small-contraction-symbols-swapped", [(oracle, "_contract")], small_steps_symbols_swapped,
      test_oracle.test_one_atom_views_equal_the_scalar_reference),
+    ("merge-high-positions-reversed", [(oracle, "_merge")], high_positions_reversed,
+     test_oracle.TestReference().test_shared_prefixes_equal_reference),
     ("reader-one-level-deeper", [(cli, "_MAX_DEPTH")], one_level_deeper,
      partial(test_cli.test_nesting_to_the_cap_reads_as_yaml_load_does, loader=cli._LOADER)),
     ("reader-anchors-unchecked", [(cli, "_build")], anchors_unchecked,

@@ -457,7 +457,8 @@ class TestReference:
                     got = mixture_view_distribution(mechs, h).probs.tolist()
                     assert got == self.reference(mechs, h)
         for mechs in families(8):
-            for n in (20, 37, 60, 100, 200):  # from 100 on, steps merge as numpy arrays
+            # From 2 atoms to 200, each merge step runs through one stable _distinct.
+            for n in (2, 3, 5, 20, 37, 60, 64, 65, 100, 200):
                 words = rng.choice(256, size=n, replace=False)
                 h = Hypothesis([(BitVector(int(w), 8), float(p))
                                 for w, p in zip(words, rng.dirichlet(np.ones(n)))])
@@ -713,6 +714,12 @@ class TestVerifyHdp:
             )
             assert report.sound
             assert report.delta_needed <= 1e-12
+
+    def test_hypotheses_of_another_k_refused(self):
+        three, four = Hypothesis.point_mass(bv("000")), Hypothesis.uniform_all(4)
+        for p0, p1 in ((three, four), (four, three)):
+            with pytest.raises(MixedLengthError, match="^3 mechanisms but vector of length 4$"):
+                verify_hdp(self.mechs3, p0, p1, PrivacyParams(1.0, 0.0))
 
     def test_view_underflowing_to_zero_is_refused(self):
         # View 00 has P1 = q^2 = 1e-600, which rounds to 0; enumerated, the
